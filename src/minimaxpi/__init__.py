@@ -5,11 +5,11 @@ policy iteration with certified uniform contraction, exact matrix-game
 LP solving, and aggregation over representative states.
 """
 
-from .core import (PolicyPair, SeparatedProblem, ValueTable, WeightedSpace,
-                   apply_T1, apply_T1_mu, apply_T2, apply_T2_nu,
-                   bellman_residual, check_monotone, estimate_modulus,
-                   policy_pair_value, product_norm, value_iterate,
-                   weighted_sup_norm)
+from .core import (HalfStage, PolicyPair, SeparatedProblem, TabularProblem,
+                   ValueTable, WeightedSpace, apply_T1, apply_T1_mu, apply_T2,
+                   apply_T2_nu, bellman_residual, check_monotone,
+                   estimate_modulus, policy_pair_value, product_norm,
+                   value_iterate, weighted_sup_norm)
 from .matrix_game import (SaddleSolution, best_response_value,
                           min_simplex_max_linear, solve_matrix_game)
 from .models import (BetaScaling, ColumnMaxTable, DiscountedMarkovGame,
@@ -27,9 +27,9 @@ from .async_pi import (AlgoState, Kind, Operation, Schedule,
                        min_improve_step, partitioned, random_fair,
                        round_robin, run, run_parallel,
                        verify_uniform_contraction)
-from .aggregation import (AggregationProbabilities, RepresentativeSets,
-                          build_aggregate, interpolate, lookahead_policies,
-                          solve_with_aggregation)
+from .aggregation import (AggregateProblem, AggregationProbabilities,
+                          RepresentativeSets, build_aggregate, interpolate,
+                          lookahead_policies, solve_with_aggregation)
 from .problem_io import LoadedProblem, load_problem, save_problem
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Solving a reduced problem over representative states and lifting back.
 
 Pick representative subsets of each player's states, compose the original
-evaluators with convex interpolation from the representatives, solve the
-small problem exactly, then read suboptimal policies off one-step
+problem's scores with convex interpolation from the representatives, solve
+the small problem exactly, then read suboptimal policies off one-step
 lookahead against the interpolated tables.  Interpolation is a convex
 combination, so the reduced problem inherits the parent's contraction
 modulus under unit weights.
@@ -87,10 +87,36 @@ def interpolate(j_tilde, phi_rows):
     return phi_rows @ values
 
 
+@dataclass(frozen=True)
+class AggregateProblem(SeparatedProblem):
+    """Representative rows of a parent problem, reading the opposite side
+    through its interpolation.
+
+    Each score call lifts the opposite table through phi once and asks the
+    parent's primitive for the representative rows, so closure and tabular
+    parents are served alike.  ``eval1``/``eval2`` do the same per
+    (state, action), for per-state oracles.
+    """
+
+    parent: SeparatedProblem
+    reps: RepresentativeSets
+    phi: AggregationProbabilities
+
+    def scores(self, side, subset, opposite, picks=None):
+        if side == 1:
+            rows, lifted = self.reps.reps1[subset], self.phi.phi2 @ opposite
+        else:
+            rows, lifted = self.reps.reps2[subset], self.phi.phi1 @ opposite
+        out = self.parent.scores(side, rows, lifted, picks)
+        if picks is None:   # the parent may allow more actions than any representative
+            out = out[:, :max(map(len, self.actions1 if side == 1 else self.actions2))]
+        return out
+
+
 def build_aggregate(problem, reps, phi=None):
     """The reduced problem over the representatives.
 
-    Evaluators see the opposite side through its interpolation, so solving
+    Scores see the opposite side through its interpolation, so solving
     the aggregate is exactly the original dynamics restricted to
     representative anchors with randomized re-entry.
     """
@@ -123,7 +149,7 @@ def build_aggregate(problem, reps, phi=None):
     if modulus >= 1.0:
         raise NonContractive(
             f"interpolation weights give aggregate modulus {modulus:.6f} >= 1")
-    return SeparatedProblem(
+    return AggregateProblem(
         space1=WeightedSpace(r1.size, xi1),
         space2=WeightedSpace(r2.size, xi2),
         actions1=tuple(problem.actions1[x] for x in r1),
@@ -131,6 +157,9 @@ def build_aggregate(problem, reps, phi=None):
         eval1=eval1,
         eval2=eval2,
         alpha=modulus,
+        parent=problem,
+        reps=reps,
+        phi=phi,
     )
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CheckResult, PolicyPair, ValueTable, update_policy
+from .core import SCORE_PAD, CheckResult, PolicyPair, ValueTable, update_policy
 from .errors import ContractionViolation, MaxStepsExceeded
 
 _DEFAULT_EVALS = 10
@@ -398,69 +398,71 @@ def _merge_subset(problem, state, piece, kind, subset):
 
 @dataclass(frozen=True)
 class QState:
-    """State-value tables plus full per-action tables for both players."""
+    """State-value tables plus full per-action tables for both players.
+
+    ``q1``/``q2`` have the score primitive's layout: one row per state,
+    one column per action, padded past each state's actions with
+    ``SCORE_PAD`` of the side (+inf for q1, -inf for q2).
+    """
 
     v1: ValueTable
     v2: ValueTable
-    q1: tuple
-    q2: tuple
+    q1: np.ndarray
+    q2: np.ndarray
+
+
+def _per_action(problem, side, values):
+    """``values`` at the real actions of the score layout, padding elsewhere."""
+    return np.where(problem.action_mask(side), values, SCORE_PAD[side])
 
 
 def q_zero_state(problem):
-    return QState(
-        problem.zero1(), problem.zero2(),
-        tuple(np.zeros(len(a)) for a in problem.actions1),
-        tuple(np.zeros(len(a)) for a in problem.actions2),
-    )
+    return QState(problem.zero1(), problem.zero2(),
+                  _per_action(problem, 1, 0.0), _per_action(problem, 2, 0.0))
+
+
+def _action_gap(problem, side, a, b, weights):
+    live = problem.action_mask(side)
+    gap = np.abs(np.subtract(a, b, out=np.zeros(live.shape), where=live))
+    return float(np.max(gap / weights[:, None]))
 
 
 def q_state_diff(problem, a, b):
     """Norm of Eq-style quadruple differences: the largest per-part norm."""
-    xi1, xi2 = problem.space1.weights, problem.space2.weights
-    dq1 = max(float(np.max(np.abs(x - y))) / xi1[i]
-              for i, (x, y) in enumerate(zip(a.q1, b.q1)))
-    dq2 = max(float(np.max(np.abs(x - y))) / xi2[i]
-              for i, (x, y) in enumerate(zip(a.q2, b.q2)))
+    dq1 = _action_gap(problem, 1, a.q1, b.q1, problem.space1.weights)
+    dq2 = _action_gap(problem, 2, a.q2, b.q2, problem.space2.weights)
     return max(a.v1.diff_norm(b.v1), a.v2.diff_norm(b.v2), dq1, dq2)
 
 
 def _random_q_state(problem, rng):
-    return QState(
-        problem.random_table1(rng),
-        problem.random_table2(rng),
-        tuple(rng.uniform(-1, 1, len(a)) * problem.space1.weights[i]
-              for i, a in enumerate(problem.actions1)),
-        tuple(rng.uniform(-1, 1, len(a)) * problem.space2.weights[i]
-              for i, a in enumerate(problem.actions2)),
-    )
+    v1, v2 = problem.random_table1(rng), problem.random_table2(rng)
+    q = [_per_action(problem, side, rng.uniform(-1, 1, problem.action_mask(side).shape)
+                     * space.weights[:, None])
+         for side, space in ((1, problem.space1), (2, problem.space2))]
+    return QState(v1, v2, *q)
 
 
 def build_G(problem, policies):
     """The four-component operator applied by the extended algorithm.
 
     Needs explicit finite action sets so the per-action tables are plain
-    arrays.  Returns a function mapping a :class:`QState` to the next one:
-    improvements of both players' state tables and refreshes of both
+    arrays; both are one full-subset call of the problem's score
+    primitive.  Returns a function mapping a :class:`QState` to the next
+    one: improvements of both players' state tables and refreshes of both
     per-action tables, all read through the pessimism guard at the given
     policy pair.
     """
-    if not hasattr(problem, "actions1"):
+    if not hasattr(problem, "scores"):
         raise TypeError("the extended operator needs explicit finite action sets")
+    all1, all2 = _full1(problem), _full2(problem)
 
     def apply(qs):
-        qhat2 = ValueTable(problem.space2, np.array(
-            [qs.q2[x][policies.nu[x]] for x in range(problem.space2.size)]))
-        m2 = qs.v2.pointwise_max(qhat2)
-        q1 = tuple(np.array([problem.eval1(x, a, m2.values) for a in problem.actions1[x]])
-                   for x in range(problem.space1.size))
-        qhat1 = ValueTable(problem.space1, np.array(
-            [qs.q1[x][policies.mu[x]] for x in range(problem.space1.size)]))
-        m1 = qs.v1.pointwise_min(qhat1)
-        q2 = tuple(np.array([problem.eval2(x, a, m1.values) for a in problem.actions2[x]])
-                   for x in range(problem.space2.size))
-        v1 = ValueTable(problem.space1, np.array([q.min() for q in q1]))
-        v2 = ValueTable(problem.space2, np.array([q.max() for q in q2]))
-        return QState(v1, v2, q1, q2)
+        m2 = qs.v2.pointwise_max(ValueTable(problem.space2, qs.q2[all2, policies.nu]))
+        q1 = problem.scores(1, all1, m2.values)
+        m1 = qs.v1.pointwise_min(ValueTable(problem.space1, qs.q1[all1, policies.mu]))
+        q2 = problem.scores(2, all2, m1.values)
+        return QState(ValueTable(problem.space1, q1.min(axis=1)),
+                      ValueTable(problem.space2, q2.max(axis=1)), q1, q2)
 
     return apply
 
@@ -525,35 +527,25 @@ def run_extended(problem, ops, steps, policies=None):
     qs = q_zero_state(problem)
     pol = problem.first_policies() if policies is None else policies
     out = [(qs, pol)]
-    stream = itertools.islice(ops, steps)
-    for op in stream:
-        apply = build_G(problem, pol)
-        new = apply(qs)
+    for op in itertools.islice(ops, steps):
+        new = build_G(problem, pol)(qs)
         sub = op.subset
-        if op.kind is Kind.MIN_EVAL:
-            q1 = tuple(new.q1[x] if x in set(sub) else qs.q1[x]
-                       for x in range(problem.space1.size))
+        if op.kind.side == 1:
+            q1 = qs.q1.copy()
+            q1[sub] = new.q1[sub]
             qs = replace(qs, q1=q1)
-        elif op.kind is Kind.MIN_IMPROVE:
-            q1 = tuple(new.q1[x] if x in set(sub) else qs.q1[x]
-                       for x in range(problem.space1.size))
-            v1 = qs.v1.with_updates(sub, new.v1.values[sub])
-            mu = update_policy(pol.mu, sub,
-                               [int(np.argmin(new.q1[x])) for x in sub])
-            qs = replace(qs, q1=q1, v1=v1)
-            pol = PolicyPair(mu, pol.nu)
-        elif op.kind is Kind.MAX_EVAL:
-            q2 = tuple(new.q2[x] if x in set(sub) else qs.q2[x]
-                       for x in range(problem.space2.size))
-            qs = replace(qs, q2=q2)
+            if op.kind is Kind.MIN_IMPROVE:
+                qs = replace(qs, v1=qs.v1.with_updates(sub, new.v1.values[sub]))
+                pol = PolicyPair(update_policy(pol.mu, sub, np.argmin(new.q1[sub], axis=1)),
+                                 pol.nu)
         else:
-            q2 = tuple(new.q2[x] if x in set(sub) else qs.q2[x]
-                       for x in range(problem.space2.size))
-            v2 = qs.v2.with_updates(sub, new.v2.values[sub])
-            nu = update_policy(pol.nu, sub,
-                               [int(np.argmax(new.q2[x])) for x in sub])
-            qs = replace(qs, q2=q2, v2=v2)
-            pol = PolicyPair(pol.mu, nu)
+            q2 = qs.q2.copy()
+            q2[sub] = new.q2[sub]
+            qs = replace(qs, q2=q2)
+            if op.kind is Kind.MAX_IMPROVE:
+                qs = replace(qs, v2=qs.v2.with_updates(sub, new.v2.values[sub]))
+                pol = PolicyPair(pol.mu,
+                                 update_policy(pol.nu, sub, np.argmax(new.q2[sub], axis=1)))
         out.append((qs, pol))
     return out
 

@@ -129,6 +129,10 @@ def _solve_game(game, algo, args, file_beta=None):
 def _solve_async(problem, args, scale=1.0):
     schedule = parse_schedule(args.schedule)
     if args.parallel:
+        # the threaded executor runs its own block sweep and records no trace
+        for flag, value in (("--trace", args.trace), ("--schedule", args.schedule)):
+            if value is not None:
+                raise ValidationError(f"--parallel cannot be combined with {flag}")
         state, steps = async_pi.run_parallel(problem, workers=args.parallel,
                                              tol=args.tol, max_steps=args.max_steps)
         return SolveOutcome(EXIT_OK, scale * state.j1.values, steps, 0.0,

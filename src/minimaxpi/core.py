@@ -1,20 +1,36 @@
 """Finite weighted-sup-norm spaces, value tables, and alternating Bellman operators.
 
 The library works with problems split into a minimizer half-stage and a
-maximizer half-stage: an evaluator ``eval1(x1, u, J2)`` prices the
-minimizer's states against the maximizer's table, and ``eval2(x2, v, J1)``
-does the mirror.  Everything here is finite and index-addressed, and all
-distances are weighted sup-norms, which is the norm in which the
-contraction guarantees hold.
+maximizer half-stage.  Every explicit-action problem supplies one batched
+score primitive, :meth:`SeparatedProblem.scores`: the scores of a subset
+of one side's states against the opposite side's table, at every action
+(a padded array) or at one chosen action per state.  The four half-stage
+kernels (evaluate and improve, for either player) are written once over
+it.  Two backends supply the primitive:
+
+* the closure adapter, :class:`SeparatedProblem` itself, loops over
+  user-written evaluators ``eval1(x1, u, J2)`` and ``eval2(x2, v, J1)``;
+* the tabular form, :class:`TabularProblem`, holds padded
+  (state, action, outcome) arrays per side (:class:`HalfStage`) and
+  scores a whole subset with numpy.  The model builders in
+  :mod:`minimaxpi.models` produce it.
+
+Everything here is finite and index-addressed, and all distances are
+weighted sup-norms, which is the norm in which the contraction guarantees
+hold.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegeneratePair, MaxItersExceeded
 
 _ZERO_DISTANCE = 1e-13
+
+# padding of the score layout past a state's actions: never a minimizer's
+# or a maximizer's pick
+SCORE_PAD = {1: np.inf, 2: -np.inf}
 
 
 @dataclass(frozen=True)
@@ -122,11 +138,16 @@ def product_norm(j1, j2):
 class SeparatedProblem:
     """A two-player fixed-point problem over explicit finite spaces.
 
-    ``eval1(x1, u, j2_values)`` and ``eval2(x2, v, j1_values)`` receive the
-    opposite side's table as a plain array.  ``alpha`` is the asserted
-    contraction modulus of the joint fixed-policy operator; it is not
-    enforced at construction but can be certified with
-    :func:`estimate_modulus`.
+    This class is the closure adapter: ``eval1(x1, u, j2_values)`` and
+    ``eval2(x2, v, j1_values)`` price one (state, action) against the
+    opposite side's table as a plain array, and :meth:`scores` calls them
+    once per (state, action).  Subclasses replace :meth:`scores` only:
+    :class:`TabularProblem` computes it from padded arrays, and the
+    reduced problems of :func:`minimaxpi.aggregation.build_aggregate` from
+    their parent's.  The half-stage kernels below serve all of them.
+    ``alpha`` is the asserted contraction modulus of the joint
+    fixed-policy operator; it is not enforced at construction but can be
+    certified with :func:`estimate_modulus`.
     """
 
     space1: WeightedSpace
@@ -161,33 +182,45 @@ class SeparatedProblem:
             nu=np.zeros(self.space2.size, dtype=int),
         )
 
+    # -- the batched score primitive ------------------------------------------
+
+    def action_mask(self, side):
+        """Which entries of the (states, widest action list) score layout
+        are real actions rather than padding."""
+        counts = np.array([len(a) for a in (self.actions1 if side == 1 else self.actions2)])
+        return np.arange(counts.max()) < counts[:, None]
+
+    def scores(self, side, subset, opposite, picks=None):
+        """Scores of ``side``'s states in ``subset`` against the opposite
+        table's values.
+
+        Without ``picks``: a (len(subset), widest action list) array padded
+        past each state's actions with ``SCORE_PAD[side]``.  With ``picks``
+        (one action index per subset state): the scores at those actions.
+        """
+        evaluate = self.eval1 if side == 1 else self.eval2
+        actions = self.actions1 if side == 1 else self.actions2
+        if picks is not None:
+            return np.array([evaluate(int(x), actions[x][a], opposite)
+                             for x, a in zip(subset, picks)], dtype=float)
+        out = np.full((len(subset), max(map(len, actions))), SCORE_PAD[side])
+        for i, x in enumerate(subset):
+            out[i, :len(actions[x])] = [evaluate(int(x), a, opposite) for a in actions[x]]
+        return out
+
     # -- half-stage operators ----------------------------------------------
 
     def min_eval_values(self, subset, mu, m2):
-        vals = [self.eval1(int(x), self.actions1[x][mu[x]], m2.values) for x in subset]
-        return np.asarray(vals, dtype=float)
+        return self.scores(1, subset, m2.values, np.asarray(mu)[subset])
 
     def min_improve(self, subset, m2):
-        values = np.empty(len(subset))
-        picks = np.empty(len(subset), dtype=int)
-        for i, x in enumerate(subset):
-            scores = [self.eval1(int(x), a, m2.values) for a in self.actions1[x]]
-            picks[i] = int(np.argmin(scores))
-            values[i] = scores[picks[i]]
-        return values, picks
+        return _first_extremum(self.scores(1, subset, m2.values), np.argmin)
 
     def max_eval_entries(self, subset, nu, m1):
-        vals = [self.eval2(int(x), self.actions2[x][nu[x]], m1.values) for x in subset]
-        return np.asarray(vals, dtype=float)
+        return self.scores(2, subset, m1.values, np.asarray(nu)[subset])
 
     def max_improve(self, subset, m1, mu=None):
-        values = np.empty(len(subset))
-        picks = np.empty(len(subset), dtype=int)
-        for i, x in enumerate(subset):
-            scores = [self.eval2(int(x), a, m1.values) for a in self.actions2[x]]
-            picks[i] = int(np.argmax(scores))
-            values[i] = scores[picks[i]]
-        return values, picks
+        return _first_extremum(self.scores(2, subset, m1.values), np.argmax)
 
     def t1_policy(self, mu, j2):
         subset = np.arange(self.space1.size)
@@ -227,6 +260,113 @@ class SeparatedProblem:
         lo = self.random_table2(rng)
         hi = ValueTable(self.space2, lo.values + rng.uniform(0, 1, self.space2.size))
         return lo, hi
+
+
+def _first_extremum(scores, arg):
+    """Row-wise extremum of a score block and its first index."""
+    picks = arg(scores, axis=1)
+    return scores[np.arange(picks.size), picks], picks
+
+
+def _starts(counts):
+    """Offset of each ragged run, repeated over the run's entries."""
+    return np.repeat(np.cumsum(counts) - counts, counts)
+
+
+@dataclass(frozen=True)
+class HalfStage:
+    """One side's transition arrays, indexed (state, action, outcome).
+
+    The score of action a at state x against the opposite table J is
+    ``sum_k prob*(cost + scale*J[next])`` over the outcome axis.  Missing
+    outcomes have probability 0.  A missing action has one sure outcome
+    at an infinite cost (the side's ``SCORE_PAD``), so it is never picked.
+    """
+
+    prob: np.ndarray
+    cost: np.ndarray
+    next: np.ndarray
+    scale: float
+
+    @classmethod
+    def from_ragged(cls, actions, outcomes, prob, cost, nxt, scale, pad):
+        """Pad flat outcome lists.
+
+        ``actions[x]`` is the action count of state x; ``outcomes[i]`` the
+        outcome count of the i-th action over all states in order; and
+        ``prob``/``cost``/``nxt`` list those outcomes in the same order.
+        """
+        actions = np.asarray(actions, dtype=int)
+        outcomes = np.asarray(outcomes, dtype=int)
+        state = np.repeat(np.arange(actions.size), actions)
+        slot = np.arange(state.size) - _starts(actions)
+        owner = np.repeat(np.arange(outcomes.size), outcomes)
+        at = (state[owner], slot[owner], np.arange(owner.size) - _starts(outcomes))
+        shape = (actions.size, int(actions.max()), int(outcomes.max()))
+        p, g, n = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=int)
+        missing = np.ones(shape[:2], dtype=bool)
+        missing[state, slot] = False
+        p[missing, 0], g[missing, 0] = 1.0, pad
+        p[at], g[at], n[at] = prob, cost, nxt
+        return cls(p, g, n, float(scale))
+
+    def live(self):
+        """Mask of the real actions."""
+        return np.isfinite(self.cost[..., 0])
+
+    def scores(self, subset, opposite, picks=None):
+        if picks is None:
+            p, g, n = self.prob[subset], self.cost[subset], self.next[subset]
+        else:   # one gather per array over the (state, action) rows
+            _, width, depth = self.prob.shape
+            rows = np.asarray(subset) * width + picks
+            p, g, n = (a.reshape(-1, depth)[rows] for a in (self.prob, self.cost, self.next))
+        terms = p * (g + self.scale * opposite[n])
+        total = terms[..., 0]
+        for k in range(1, terms.shape[-1]):   # in outcome order, as in evaluate
+            total += terms[..., k]
+        return total
+
+    def evaluate(self, x, a, opposite):
+        """One (state, action) score, summed outcome by outcome."""
+        p, g, n = self.prob[x, a], self.cost[x, a], self.next[x, a]
+        total = p[0] * (g[0] + self.scale * opposite[n[0]])
+        for k in range(1, p.size):
+            total += p[k] * (g[k] + self.scale * opposite[n[k]])
+        return float(total)
+
+    def reach(self, weights, opposite_weights):
+        """Largest weighted outcome mass of a real action,
+        ``sum_k prob*xi'[next] / xi[x]``; times ``scale`` it bounds this
+        side's contraction."""
+        mass = (self.prob * opposite_weights[self.next]).sum(axis=-1)
+        return float(np.max(np.where(self.live(), mass / weights[:, None], 0.0)))
+
+
+@dataclass(frozen=True)
+class TabularProblem(SeparatedProblem):
+    """A separated problem held as one :class:`HalfStage` per side.
+
+    Actions are numbered 0..n-1 per state.  ``eval1``/``eval2`` read the
+    same arrays one (state, action) at a time, for per-state oracles.
+    """
+
+    actions1: tuple = field(init=False)
+    actions2: tuple = field(init=False)
+    eval1: callable = field(init=False, repr=False)
+    eval2: callable = field(init=False, repr=False)
+    stage1: HalfStage
+    stage2: HalfStage
+
+    def __post_init__(self):
+        for side, stage in ((1, self.stage1), (2, self.stage2)):
+            counts = stage.live().sum(axis=1)
+            object.__setattr__(self, f"actions{side}", tuple(tuple(range(c)) for c in counts))
+            object.__setattr__(self, f"eval{side}", stage.evaluate)
+        super().__post_init__()
+
+    def scores(self, side, subset, opposite, picks=None):
+        return (self.stage1 if side == 1 else self.stage2).scores(subset, opposite, picks)
 
 
 # -- free-function operation surface -----------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PolicyPair, SeparatedProblem, ValueTable, WeightedSpace
+from .core import HalfStage, PolicyPair, TabularProblem, ValueTable, WeightedSpace
 from .errors import InvalidBeta, MaxItersExceeded, NonContractive
 from .matrix_game import min_simplex_max_linear, solve_matrix_game
 
@@ -136,14 +136,6 @@ def shapley_value_iteration(game, tol=1e-8, max_iters=10**6):
         if res <= tol:
             return ShapleyVIResult(j, k, tuple(residuals))
     raise MaxItersExceeded("stage-game value iteration did not reach tol")
-
-
-def equilibrium_policies(game, j):
-    """Per-state saddle strategies of the stage games at a value table."""
-    sols = [solve_matrix_game(stage_matrix(game, x, j)) for x in range(game.state_count)]
-    mu = np.array([s.u_star for s in sols])
-    nu = np.array([s.v_star for s in sols])
-    return mu, nu
 
 
 # ---------------------------------------------------------------------------
@@ -471,34 +463,25 @@ class SeparatedMinimaxModel:
             raise ValueError("discount must lie in (0, 1)")
 
 
+def _sure_moves(nexts, costs, scale, pad):
+    """A half-stage whose every move has one sure outcome."""
+    targets = np.concatenate(nexts)
+    return HalfStage.from_ragged([a.size for a in nexts], np.ones(targets.size, dtype=int),
+                                 np.ones(targets.size), np.concatenate(costs), targets,
+                                 scale, pad)
+
+
 def separated_model_to_problem(model):
-    """Wrap an alternating-move control model as a separated problem."""
-
-    def eval1(x1, u, j2):
-        return model.cost1[x1][u] + model.alpha * j2[model.next1[x1][u]]
-
-    def eval2(x2, v, j1):
-        return model.cost2[x2][v] + model.alpha * j1[model.next2[x2][v]]
-
+    """Tabulate an alternating-move control model as a separated problem:
+    one sure outcome per move, both sides scaled by the discount."""
+    stage1 = _sure_moves(model.next1, model.cost1, model.alpha, np.inf)
+    stage2 = _sure_moves(model.next2, model.cost2, model.alpha, -np.inf)
     xi1, xi2 = model.space1.weights, model.space2.weights
-    reach1 = max(
-        float(np.max(xi2[nxt] / xi1[x])) for x, nxt in enumerate(model.next1)
-    )
-    reach2 = max(
-        float(np.max(xi1[nxt] / xi2[x])) for x, nxt in enumerate(model.next2)
-    )
-    modulus = model.alpha * max(reach1, reach2)
+    modulus = model.alpha * max(stage1.reach(xi1, xi2), stage2.reach(xi2, xi1))
     if modulus >= 1.0:
         raise NonContractive(f"weighted transitions give modulus {modulus:.6f} >= 1")
-    return SeparatedProblem(
-        space1=model.space1,
-        space2=model.space2,
-        actions1=tuple(tuple(range(a.size)) for a in model.next1),
-        actions2=tuple(tuple(range(a.size)) for a in model.next2),
-        eval1=eval1,
-        eval2=eval2,
-        alpha=modulus,
-    )
+    return TabularProblem(space1=model.space1, space2=model.space2, alpha=modulus,
+                          stage1=stage1, stage2=stage2)
 
 
 # ---------------------------------------------------------------------------
@@ -564,51 +547,33 @@ class MinimaxControlModel:
         return cls(space, outcomes, alpha)
 
 
-def control_state_pairs(model):
-    """Deterministic enumeration of the adversary's (state, control) states."""
-    return [(x, u) for x in range(model.space.size)
-            for u in range(len(model.outcomes[x]))]
-
-
 def minimax_control_to_problem(model, beta=None):
-    """Split minimax control into half-stages over explicit (x, u) pair states."""
+    """Split minimax control into half-stages over explicit (x, u) pair states.
+
+    The minimizer's move u at x leads surely to pair state (x, u), numbered
+    in (x, u) order, read at scale 1/beta; the maximizer's move v at a pair
+    draws the model's outcome triples, scaled by alpha*beta.
+    """
     beta = _as_beta(beta, model.alpha)
-    pairs = control_state_pairs(model)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    xi1 = model.space.weights
-    xi2 = np.array([xi1[x] for x, _ in pairs])
-    space2 = WeightedSpace(len(pairs), xi2)
+    controls = np.array([len(per_u) for per_u in model.outcomes])
+    pairs = [per_v for per_u in model.outcomes for per_v in per_u]
+    cells = [arr for per_v in pairs for arr in per_v]
+    triples = np.concatenate(cells)
     ab = model.alpha * beta.beta
-    cells = tuple(
-        tuple((arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].astype(int))
-              for arr in model.outcomes[x][u])
-        for x, u in pairs
-    )
-
-    def eval1(x1, u, j2):
-        return j2[index[(x1, u)]] / beta.beta
-
-    def eval2(x2, v, j1):
-        p, g, nxt = cells[x2][v]
-        return float(p @ (g + ab * j1[nxt]))
-
-    reach = max(
-        float((p @ xi1[nxt]) / xi2[k])
-        for k, per_v in enumerate(cells)
-        for p, _, nxt in per_v
-    )
-    modulus = max(1.0 / beta.beta, ab * reach)
+    stage1 = HalfStage.from_ragged(controls, np.ones(len(pairs), dtype=int),
+                                   np.ones(len(pairs)), np.zeros(len(pairs)),
+                                   np.arange(len(pairs)), 1.0 / beta.beta, np.inf)
+    stage2 = HalfStage.from_ragged([len(per_v) for per_v in pairs],
+                                   [len(arr) for arr in cells],
+                                   triples[:, 0], triples[:, 1],
+                                   triples[:, 2].astype(int), ab, -np.inf)
+    xi1 = model.space.weights
+    space2 = WeightedSpace(len(pairs), np.repeat(xi1, controls))
+    modulus = max(1.0 / beta.beta, ab * stage2.reach(space2.weights, xi1))
     if modulus >= 1.0:
         raise NonContractive(f"weighted half-stages give modulus {modulus:.6f} >= 1")
-    return SeparatedProblem(
-        space1=model.space,
-        space2=space2,
-        actions1=tuple(tuple(range(len(per_u))) for per_u in model.outcomes),
-        actions2=tuple(tuple(range(len(model.outcomes[x][u]))) for x, u in pairs),
-        eval1=eval1,
-        eval2=eval2,
-        alpha=modulus,
-    )
+    return TabularProblem(space1=model.space, space2=space2, alpha=modulus,
+                          stage1=stage1, stage2=stage2)
 
 
 def markov_game_to_control(game):

@@ -247,12 +247,15 @@ class TestExtendedOperator:
     def test_fixed_point_of_G(self, explicit_problem):
         problem = explicit_problem
         exact = value_iterate(problem, tol=1e-13)
-        q1 = tuple(np.array([problem.eval1(x, a, exact.j2.values)
-                             for a in problem.actions1[x]])
-                   for x in range(problem.space1.size))
-        q2 = tuple(np.array([problem.eval2(x, a, exact.j1.values)
-                             for a in problem.actions2[x]])
-                   for x in range(problem.space2.size))
+
+        def per_action(evaluate, actions, opposite, pad):
+            rows = np.full((len(actions), max(map(len, actions))), pad)
+            for x, acts in enumerate(actions):
+                rows[x, :len(acts)] = [evaluate(x, a, opposite) for a in acts]
+            return rows
+
+        q1 = per_action(problem.eval1, problem.actions1, exact.j2.values, np.inf)
+        q2 = per_action(problem.eval2, problem.actions2, exact.j1.values, -np.inf)
         from minimaxpi.async_pi import QState
         fixed = QState(exact.j1, exact.j2, q1, q2)
         rng = np.random.default_rng(8)

@@ -233,6 +233,20 @@ class TestSolveCommand:
         values = np.array([float(l.split(",")[1]) for l in out.strip().splitlines()])
         assert np.max(np.abs(values - oracle.values)) <= 1e-6
 
+    @pytest.mark.parametrize("flag, value", [("--trace", "t.csv"),
+                                             ("--schedule", "random:seed=3")])
+    def test_parallel_refuses_options_it_would_drop(self, tmp_path, capsys, flag, value):
+        game = random_markov_game(np.random.default_rng(8), 3, 2, 2, alpha=0.9)
+        path = write_game(tmp_path, game)
+        if flag == "--trace":
+            value = str(tmp_path / value)
+        code = cli.main(["solve", path, "--algo", "async", "--parallel", "2",
+                         flag, value])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_ERROR
+        assert flag in captured.err and captured.out == ""
+        assert not (tmp_path / "t.csv").exists()
+
     def test_separated_kind_rejects_game_algorithms(self, tmp_path, capsys):
         payload = {
             "format": 1, "kind": "separated_model", "alpha": 0.5,

@@ -7,8 +7,10 @@ from minimaxpi.core import (SeparatedProblem, ValueTable, WeightedSpace,
                             product_norm, value_iterate, weighted_sup_norm)
 from minimaxpi.errors import MaxItersExceeded
 
-from helpers import random_separated_model, scalar_problem
-from minimaxpi.models import separated_model_to_problem
+from helpers import random_control_model, random_separated_model, scalar_problem
+from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
+                                   build_aggregate)
+from minimaxpi.models import minimax_control_to_problem, separated_model_to_problem
 
 
 def table(values, weights=None):
@@ -92,6 +94,66 @@ class TestPolicyOperators:
         expect2 = [problem.eval2(x, problem.actions2[x][nu[x]], j1.values)
                    for x in range(problem.space2.size)]
         assert np.allclose(out2.values, expect2, atol=0, rtol=0)
+        # both eval kernels, every model kind, random subsets in random order
+        for name, problem in kernel_cases(np.random.default_rng(40)):
+            for _ in range(20):
+                pol = problem.random_policies(pol_rng)
+                j1, j2 = problem.random_table1(pol_rng), problem.random_table2(pol_rng)
+                sub1, sub2 = random_subset(pol_rng, problem.space1.size), \
+                    random_subset(pol_rng, problem.space2.size)
+                expect1 = [problem.eval1(x, problem.actions1[x][pol.mu[x]], j2.values)
+                           for x in sub1]
+                expect2 = [problem.eval2(x, problem.actions2[x][pol.nu[x]], j1.values)
+                           for x in sub2]
+                got1 = problem.min_eval_values(sub1, pol.mu, j2)
+                got2 = problem.max_eval_entries(sub2, pol.nu, j1)
+                assert np.array_equal(got1, expect1), name
+                assert np.array_equal(got2, expect2), name
+
+
+def random_subset(rng, size):
+    return rng.permutation(size)[: int(rng.integers(1, size + 1))]
+
+
+def kernel_cases(rng):
+    """One problem per backend of the score primitive, with ragged action
+    and outcome counts so that the padding is exercised."""
+    model = random_separated_model(rng, 6, 5, max_actions=3)
+    separated = separated_model_to_problem(model)
+    control = minimax_control_to_problem(
+        random_control_model(rng, 5, max_u=3, max_v=3, stochastic=True), 1.02)
+    stage2 = control.stage2
+    assert not control.action_mask(1).all() and not control.action_mask(2).all()
+    assert np.any((stage2.prob == 0.0) & stage2.live()[..., None])  # ragged outcomes
+    closure = closure_problem(model, separated.alpha)
+    reps = RepresentativeSets(np.array([0, 2, 5]), np.array([1, 3]))
+    pair_reps = RepresentativeSets(np.array([0, 3, 4]),
+                                   np.arange(0, control.space2.size, 2))
+
+    def dense(size, count):
+        return rng.dirichlet(np.ones(count), size)
+
+    return [
+        ("separated", separated),
+        ("control", control),
+        ("closure", closure),
+        ("aggregate point-mass", build_aggregate(separated, reps)),
+        ("aggregate dense", build_aggregate(control, pair_reps, AggregationProbabilities(
+            dense(5, 3), dense(control.space2.size, pair_reps.reps2.size)))),
+        ("aggregate dense closure", build_aggregate(closure, reps, AggregationProbabilities(
+            dense(6, 3), dense(5, 2)))),
+    ]
+
+
+def closure_problem(model, alpha):
+    """The separated model through the closure adapter, one call per move."""
+    return SeparatedProblem(
+        space1=model.space1, space2=model.space2,
+        actions1=tuple(range(a.size) for a in model.next1),
+        actions2=tuple(range(a.size) for a in model.next2),
+        eval1=lambda x, u, j2: model.cost1[x][u] + model.alpha * j2[model.next1[x][u]],
+        eval2=lambda x, v, j1: model.cost2[x][v] + model.alpha * j1[model.next2[x][v]],
+        alpha=alpha)
 
 
 class TestGreedyOperators:
@@ -123,6 +185,32 @@ class TestGreedyOperators:
             scores = [problem.eval1(x, a, j2.values) for a in problem.actions1[x]]
             assert out.values[x] == min(scores)
             assert mu[x] == int(np.argmin(scores))
+        # both improve kernels, every model kind, random subsets in random order
+        for name, problem in kernel_cases(np.random.default_rng(41)):
+            for _ in range(20):
+                j1, j2 = problem.random_table1(rng), problem.random_table2(rng)
+                sub1 = random_subset(rng, problem.space1.size)
+                sub2 = random_subset(rng, problem.space2.size)
+                values1, picks1 = problem.min_improve(sub1, j2)
+                values2, picks2 = problem.max_improve(sub2, j1)
+                for i, x in enumerate(sub1):
+                    scores = [problem.eval1(x, a, j2.values) for a in problem.actions1[x]]
+                    assert values1[i] == min(scores), name
+                    assert picks1[i] == int(np.argmin(scores)), name
+                for i, x in enumerate(sub2):
+                    scores = [problem.eval2(x, a, j1.values) for a in problem.actions2[x]]
+                    assert values2[i] == max(scores), name
+                    assert picks2[i] == int(np.argmax(scores)), name
+
+    def test_closure_and_tabular_forms_iterate_identically(self):
+        model = random_separated_model(np.random.default_rng(42), 7, 6)
+        tabular = separated_model_to_problem(model)
+        closure = closure_problem(model, tabular.alpha)
+        a = value_iterate(closure, tol=1e-12)
+        b = value_iterate(tabular, tol=1e-12)
+        assert a.iterations == b.iterations and a.residuals == b.residuals
+        assert np.array_equal(a.j1.values, b.j1.values)
+        assert np.array_equal(a.j2.values, b.j2.values)
 
     def test_greedy_below_any_policy(self):
         rng = np.random.default_rng(8)

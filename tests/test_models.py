@@ -190,6 +190,16 @@ class TestSeparatedModel:
         assert result.j1.values[0] == pytest.approx(8.0 / 3.0, abs=1e-10)
         assert result.j2.values[0] == pytest.approx(10.0 / 3.0, abs=1e-10)
 
+    def test_ties_pick_the_first_move(self):
+        model = random_separated_model(np.random.default_rng(0), 1, 1)
+        tied = type(model)(model.space1, model.space2,
+                           (np.array([0, 0, 0]),), (np.array([2.0, 1.0, 1.0]),),
+                           (np.array([0, 0]),), (np.array([3.0, 3.0]),), 0.5)
+        problem = separated_model_to_problem(tied)
+        _, mu = problem.t1_greedy(problem.zero2())
+        _, nu = problem.t2_greedy(problem.zero1())
+        assert mu[0] == 1 and nu[0] == 0
+
     def test_horizon_truncation_oracle(self):
         rng = np.random.default_rng(11)
         model = random_separated_model(rng, 3, 4, alpha=0.8)
@@ -249,6 +259,29 @@ class TestMinimaxControl:
                     for per_u in model.outcomes[x])
             j = new
         assert np.max(np.abs(beta.beta * result.j1.values - j)) <= 1e-6
+
+    def test_tabular_arrays_match_outcome_lists(self):
+        rng = np.random.default_rng(18)
+        model = random_control_model(rng, 5, alpha=0.9, max_u=3, max_v=3,
+                                     stochastic=True)
+        beta = default_beta(model.alpha)
+        problem = minimax_control_to_problem(model, beta)
+        j1, j2 = problem.random_table1(rng), problem.random_table2(rng)
+        pair = 0
+        for x, per_u in enumerate(model.outcomes):
+            assert problem.actions1[x] == tuple(range(len(per_u)))
+            for u, per_v in enumerate(per_u):
+                assert problem.eval1(x, u, j2.values) == pytest.approx(
+                    j2.values[pair] / beta.beta, rel=1e-15)
+                assert problem.actions2[pair] == tuple(range(len(per_v)))
+                for v, arr in enumerate(per_v):
+                    nxt = arr[:, 2].astype(int)
+                    expect = arr[:, 0] @ (arr[:, 1]
+                                          + model.alpha * beta.beta * j1.values[nxt])
+                    assert problem.eval2(pair, v, j1.values) == pytest.approx(
+                        expect, rel=1e-14, abs=1e-15)
+                pair += 1
+        assert pair == problem.space2.size
 
     def test_modulus_certification(self):
         rng = np.random.default_rng(14)
