@@ -6,10 +6,8 @@ LP solving, and aggregation over representative states.
 """
 
 from .core import (HalfStage, PolicyPair, SeparatedProblem, TabularProblem,
-                   ValueTable, WeightedSpace, apply_T1, apply_T1_mu, apply_T2,
-                   apply_T2_nu, bellman_residual, check_monotone,
-                   estimate_modulus, policy_pair_value, product_norm,
-                   value_iterate, weighted_sup_norm)
+                   ValueTable, WeightedSpace, bellman_residual, check_monotone,
+                   estimate_modulus, policy_pair_value, value_iterate)
 from .matrix_game import (SaddleSolution, best_response_value,
                           min_simplex_max_linear, solve_matrix_game)
 from .models import (BetaScaling, ColumnMaxTable, DiscountedMarkovGame,
@@ -25,8 +23,7 @@ from .async_pi import (AlgoState, Kind, Operation, Schedule,
                        check_minmax_nonexpansive, delayed, initial_state,
                        max_eval_step, max_improve_step, min_eval_step,
                        min_improve_step, partitioned, random_fair,
-                       round_robin, run, run_parallel,
-                       verify_uniform_contraction)
+                       round_robin, run, verify_uniform_contraction)
 from .aggregation import (AggregateProblem, AggregationProbabilities,
                           RepresentativeSets, build_aggregate, interpolate,
                           lookahead_policies, solve_with_aggregation)

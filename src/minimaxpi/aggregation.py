@@ -81,10 +81,8 @@ def default_probabilities(problem, reps):
 
 
 def interpolate(j_tilde, phi_rows):
-    """Lift a representative-state table to the full space: phi @ values."""
-    values = j_tilde.values if hasattr(j_tilde, "values") else np.asarray(j_tilde, float)
-    phi_rows = np.asarray(phi_rows, dtype=float)
-    return phi_rows @ values
+    """Lift representative-state values to the full space: phi @ values."""
+    return np.asarray(phi_rows, dtype=float) @ j_tilde
 
 
 @dataclass(frozen=True)
@@ -193,8 +191,8 @@ def solve_with_aggregation(problem, reps, phi=None, tol=1e-9, max_steps=10**6):
     phi = default_probabilities(problem, reps) if phi is None else phi
     small = build_aggregate(problem, reps, phi)
     state, _ = run(small, round_robin(), tol=tol, max_steps=max_steps)
-    j1_full = ValueTable(problem.space1, interpolate(state.j1, phi.phi1))
-    j2_full = ValueTable(problem.space2, interpolate(state.j2, phi.phi2))
+    j1_full = ValueTable(problem.space1, interpolate(state.j1.values, phi.phi1))
+    j2_full = ValueTable(problem.space2, interpolate(state.j2.values, phi.phi2))
     policies = lookahead_policies(problem, j1_full, j2_full)
     pair_j1, _ = policy_pair_value(problem, policies, tol=tol)
     exact = value_iterate(problem, tol=tol)

@@ -90,14 +90,13 @@ def _apply(problem, state, op, read):
     if op.kind is Kind.MAX_EVAL:
         m1 = read.v1.pointwise_min(read.j1)
         entries = problem.max_eval_entries(subset, state.policies.nu, m1)
-        return replace(state, j2=problem.update_table2(state.j2, subset, entries),
-                       t=state.t + 1)
+        return replace(state, j2=state.j2.with_updates(subset, entries), t=state.t + 1)
     m1 = read.v1.pointwise_min(read.j1)
     entries, picks = problem.max_improve(subset, m1, state.policies.mu)
     return replace(
         state,
-        j2=problem.update_table2(state.j2, subset, entries),
-        v2=problem.update_table2(state.v2, subset, entries),
+        j2=state.j2.with_updates(subset, entries),
+        v2=state.v2.with_updates(subset, entries),
         policies=PolicyPair(state.policies.mu,
                             update_policy(state.policies.nu, subset, picks)),
         t=state.t + 1,
@@ -237,7 +236,7 @@ def fairness_ok(schedule, problem, steps=None):
 
 
 # ---------------------------------------------------------------------------
-# Executors
+# The executor
 # ---------------------------------------------------------------------------
 
 
@@ -251,13 +250,8 @@ class TraceRow:
 
 
 def _probe_diff(a, b):
-    """Cheap change gauge for trace rows: exact for plain tables, sampled
-    at the strategy-simplex vertices for column bundles."""
-    if hasattr(a, "cols"):
-        return max(
-            float(np.max(np.abs(x.max(axis=1) - y.max(axis=1)))) / a.space.weights[i]
-            for i, (x, y) in enumerate(zip(a.cols, b.cols)))
-    return a.diff_norm(b)
+    """Cheap change gauge for trace rows (see ``diff_probe`` of the tables)."""
+    return a.diff_probe(b)
 
 
 def _converged(problem, state, tol):
@@ -290,7 +284,7 @@ def _converged(problem, state, tol):
 
 def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6,
         staleness_bound=None, seed=0, trace_out=None):
-    """Serial reference executor.
+    """The executor.
 
     Applies the schedule's operations until the greedy residuals and the
     J-vs-V gaps certify the tables are within ``tol`` of the fixed point.
@@ -298,6 +292,12 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6,
     that many updates old (delay drawn uniformly per step from a seeded
     generator), emulating communication delays.  Returns (final state,
     trace); raises :class:`MaxStepsExceeded` when the budget runs out.
+
+    A block-parallel sweep needs no executor of its own.  An operation
+    writes its side's entries on its subset and reads, of its own side,
+    only its policy there; the rest comes from the opposite side.  So
+    same-kind operations on disjoint blocks, applied against one snapshot
+    or in turn, give exactly one full-space operation: ``round_robin``.
     """
     state = initial_state(problem) if init is None else init
     bound = schedule.staleness if staleness_bound is None else int(staleness_bound)
@@ -325,70 +325,6 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6,
     raise MaxStepsExceeded(
         f"no convergence within {max_steps} steps (unfair schedule, "
         "non-contractive problem, or too-tight tol)", state=state, trace=trace)
-
-
-def run_parallel(problem, workers=2, evals_per_improve=_DEFAULT_EVALS,
-                 tol=1e-8, max_steps=10**6):
-    """Concurrent executor: disjoint blocks of each sweep run in a thread pool.
-
-    Every phase dispatches one operation per block against a consistent
-    snapshot taken at phase start; writes land on disjoint subsets and are
-    merged before the next phase, so the result matches the serial
-    contract.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    state = initial_state(problem)
-    parts1 = np.array_split(_full1(problem), min(workers, problem.space1.size))
-    parts2 = np.array_split(_full2(problem), min(workers, problem.space2.size))
-    phases = ([(Kind.MIN_IMPROVE, parts1)] + [(Kind.MIN_EVAL, parts1)] * evals_per_improve
-              + [(Kind.MAX_IMPROVE, parts2)] + [(Kind.MAX_EVAL, parts2)] * evals_per_improve)
-    steps = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while steps < max_steps:
-            for kind, parts in phases:
-                snapshot = state
-                futures = [
-                    pool.submit(_apply, problem, snapshot,
-                                Operation(kind, blk, f"b{i}"), snapshot)
-                    for i, blk in enumerate(parts)
-                ]
-                for blk, fut in zip(parts, futures):
-                    piece = fut.result()
-                    state = _merge_subset(problem, state, piece, kind, blk)
-                steps += len(parts)
-            state = replace(state, t=steps)
-            if _converged(problem, state, tol):
-                return state, steps
-    raise MaxStepsExceeded(f"no convergence within {max_steps} steps", state=state)
-
-
-def _merge_subset(problem, state, piece, kind, subset):
-    """Copy a block-local update into the shared state."""
-    if kind is Kind.MIN_EVAL:
-        return replace(state, j1=state.j1.with_updates(subset, piece.j1.values[subset]))
-    if kind is Kind.MIN_IMPROVE:
-        return replace(
-            state,
-            j1=state.j1.with_updates(subset, piece.j1.values[subset]),
-            v1=state.v1.with_updates(subset, piece.v1.values[subset]),
-            policies=PolicyPair(
-                update_policy(state.policies.mu, subset, piece.policies.mu[subset]),
-                state.policies.nu),
-        )
-    take2 = (lambda table: [table.cols[x] for x in subset]) if hasattr(state.j2, "cols") \
-        else (lambda table: table.values[subset])
-    if kind is Kind.MAX_EVAL:
-        return replace(state,
-                       j2=problem.update_table2(state.j2, subset, take2(piece.j2)))
-    return replace(
-        state,
-        j2=problem.update_table2(state.j2, subset, take2(piece.j2)),
-        v2=problem.update_table2(state.v2, subset, take2(piece.v2)),
-        policies=PolicyPair(state.policies.mu,
-                            update_policy(state.policies.nu, subset,
-                                          piece.policies.nu[subset])),
-    )
 
 
 # ---------------------------------------------------------------------------

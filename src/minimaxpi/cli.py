@@ -128,15 +128,6 @@ def _solve_game(game, algo, args, file_beta=None):
 
 def _solve_async(problem, args, scale=1.0):
     schedule = parse_schedule(args.schedule)
-    if args.parallel:
-        # the threaded executor runs its own block sweep and records no trace
-        for flag, value in (("--trace", args.trace), ("--schedule", args.schedule)):
-            if value is not None:
-                raise ValidationError(f"--parallel cannot be combined with {flag}")
-        state, steps = async_pi.run_parallel(problem, workers=args.parallel,
-                                             tol=args.tol, max_steps=args.max_steps)
-        return SolveOutcome(EXIT_OK, scale * state.j1.values, steps, 0.0,
-                            "Converged", [])
     try:
         state, trace = async_pi.run(problem, schedule, tol=args.tol,
                                     max_steps=args.max_steps, seed=args.seed)
@@ -298,7 +289,6 @@ def _add_common(parser):
     parser.add_argument("--optimistic-k", type=int, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--trace", default=None)
-    parser.add_argument("--parallel", type=int, default=None)
 
 
 def build_parser():
@@ -334,8 +324,12 @@ def build_parser():
 
 def main(argv=None):
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, 0 on --help
+        if exc.code in (0, None):
+            raise
+        return EXIT_ERROR
     try:
         return args.handler(args)
     except (MaxItersExceeded, MaxStepsExceeded) as exc:

@@ -81,8 +81,10 @@ class ValueTable:
         return float(np.max(np.abs(self.values - other.values) / self.space.weights))
 
     # richer table types distinguish the exact norm from a cheap certified
-    # upper bound used in stopping rules; for plain tables they coincide
+    # upper bound used in stopping rules, and from a cheaper change gauge
+    # for trace rows; for plain tables all three coincide
     diff_bound = diff_norm
+    diff_probe = diff_norm
 
     def pointwise_min(self, other):
         return ValueTable(self.space, np.minimum(self.values, other.values))
@@ -122,16 +124,6 @@ def update_policy(policy, subset, entries):
     out = np.array(policy, copy=True)
     out[subset] = entries
     return out
-
-
-def weighted_sup_norm(table):
-    """max over states of |J(x)| / xi(x)."""
-    return table.norm()
-
-
-def product_norm(j1, j2):
-    """Two-table variant: the larger of the two per-space norms."""
-    return max(j1.norm(), j2.norm())
 
 
 @dataclass(frozen=True)
@@ -239,9 +231,6 @@ class SeparatedProblem:
         subset = np.arange(self.space2.size)
         values, nu = self.max_improve(subset, j1, mu)
         return ValueTable(self.space2, values), nu
-
-    def update_table2(self, table, subset, entries):
-        return table.with_updates(subset, entries)
 
     # -- sampling hooks for the numerical certifiers -------------------------
 
@@ -367,29 +356,6 @@ class TabularProblem(SeparatedProblem):
 
     def scores(self, side, subset, opposite, picks=None):
         return (self.stage1 if side == 1 else self.stage2).scores(subset, opposite, picks)
-
-
-# -- free-function operation surface -----------------------------------------
-
-
-def apply_T1_mu(problem, mu, j2):
-    """Apply the minimizer's fixed-policy half-stage operator."""
-    return problem.t1_policy(mu, j2)
-
-
-def apply_T2_nu(problem, nu, j1):
-    """Apply the maximizer's fixed-policy half-stage operator."""
-    return problem.t2_policy(nu, j1)
-
-
-def apply_T1(problem, j2):
-    """Pointwise min over the minimizer's actions; returns (table, argmin policy)."""
-    return problem.t1_greedy(j2)
-
-
-def apply_T2(problem, j1):
-    """Pointwise max over the maximizer's actions; returns (table, argmax policy)."""
-    return problem.t2_greedy(j1)
 
 
 @dataclass(frozen=True)

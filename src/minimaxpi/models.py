@@ -23,10 +23,6 @@ from .matrix_game import min_simplex_max_linear, solve_matrix_game
 _PROB_TOL = 1e-10
 
 
-def _values(table):
-    return table.values if hasattr(table, "values") else np.asarray(table, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Markov games
 # ---------------------------------------------------------------------------
@@ -95,9 +91,9 @@ class DiscountedMarkovGame:
 
 
 def stage_matrix(game, x, j, scale=None):
-    """The one-shot payoff matrix at x against a continuation table."""
+    """The one-shot payoff matrix at x against a continuation value array."""
     scale = game.alpha if scale is None else scale
-    return game.payoffs[x] + scale * (game.transitions[x] @ _values(j))
+    return game.payoffs[x] + scale * (game.transitions[x] @ j)
 
 
 def markov_H(game, x, u, v, j):
@@ -247,6 +243,13 @@ class ColumnMaxTable:
             )
         return self.diff_norm(other)
 
+    def diff_probe(self, other):
+        """Change gauge for trace rows: the bundles' gap sampled at the
+        strategy-simplex vertices (a lower bound on diff_norm)."""
+        return max(
+            float(np.max(np.abs(a.max(axis=1) - b.max(axis=1)))) / self.space.weights[x]
+            for x, (a, b) in enumerate(zip(self.cols, other.cols)))
+
     def norm(self):
         zero = ColumnMaxTable.zeros(self.space, self.cols[0].shape[0])
         return self.diff_norm(zero)
@@ -318,10 +321,10 @@ class MarkovSeparatedProblem:
 
     def original_values(self, j1):
         """Game equilibrium values recovered from the minimizer's table."""
-        return self.beta.beta * _values(j1)
+        return self.beta.beta * j1.values
 
     def _matrix(self, x, m1):
-        return stage_matrix(self.game, x, m1, scale=self.game.alpha * self.beta.beta)
+        return stage_matrix(self.game, x, m1.values, scale=self.game.alpha * self.beta.beta)
 
     # -- half-stage kernels ---------------------------------------------------
 
@@ -383,9 +386,6 @@ class MarkovSeparatedProblem:
         subset = np.arange(self.game.state_count)
         entries, nu = self.max_improve(subset, j1, mu)
         return ColumnMaxTable(self.space2, tuple(entries)), nu
-
-    def update_table2(self, table, subset, entries):
-        return table.with_updates(subset, entries)
 
     # -- sampling hooks -------------------------------------------------------
 

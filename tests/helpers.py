@@ -57,3 +57,14 @@ def scalar_problem(slope1=0.5, cost2=1.0, slope2=0.5):
         eval1=lambda x, u, j2: slope1 * j2[0],
         eval2=lambda x, v, j1: cost2 + slope2 * j1[0],
         alpha=max(abs(slope1), abs(slope2)))
+
+
+def closure_problem(model, alpha):
+    """The separated model through the closure adapter, one call per move."""
+    return SeparatedProblem(
+        space1=model.space1, space2=model.space2,
+        actions1=tuple(range(a.size) for a in model.next1),
+        actions2=tuple(range(a.size) for a in model.next2),
+        eval1=lambda x, u, j2: model.cost1[x][u] + model.alpha * j2[model.next1[x][u]],
+        eval2=lambda x, v, j1: model.cost2[x][v] + model.alpha * j1[model.next2[x][v]],
+        alpha=alpha)

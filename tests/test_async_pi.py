@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from minimaxpi.async_pi import (AlgoState, Kind, Operation, build_G,
+from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
+                                   build_aggregate)
+from minimaxpi.async_pi import (AlgoState, Kind, Operation, _apply, build_G,
                                 check_minmax_nonexpansive, delayed,
                                 fairness_ok, initial_state, max_eval_step,
                                 max_improve_step, min_eval_step,
                                 min_improve_step, partitioned, q_state_diff,
                                 q_zero_state, random_fair, round_robin, run,
-                                run_extended, run_parallel,
-                                solve_G_fixed_point, verify_uniform_contraction)
+                                run_extended, solve_G_fixed_point,
+                                verify_uniform_contraction)
 from minimaxpi.core import (PolicyPair, SeparatedProblem, ValueTable,
-                            WeightedSpace, apply_T1_mu, value_iterate)
+                            WeightedSpace, value_iterate)
 from minimaxpi.errors import MaxStepsExceeded
 from minimaxpi.matrix_game import min_simplex_max_linear
 from minimaxpi.models import (ColumnMaxTable, default_beta,
@@ -19,8 +21,8 @@ from minimaxpi.models import (ColumnMaxTable, default_beta,
                               separated_model_to_problem,
                               shapley_value_iteration)
 
-from helpers import (random_markov_game, random_separated_model,
-                     scalar_problem)
+from helpers import (closure_problem, random_markov_game,
+                     random_separated_model, scalar_problem)
 
 
 @pytest.fixture
@@ -43,7 +45,7 @@ class TestSteps:
         state = initial_state(problem)
         state = AlgoState(state.j1, state.v1, j2, j2, state.policies, 0)
         stepped = min_eval_step(problem, state)
-        direct = apply_T1_mu(problem, state.policies.mu, j2)
+        direct = problem.t1_policy(state.policies.mu, j2)
         assert np.allclose(stepped.j1.values, direct.values, atol=0)
         assert stepped.v1.diff_norm(state.v1) == 0.0  # untouched
 
@@ -193,7 +195,6 @@ class TestRun:
             assert np.all(merged.values >= state.j2.values - 1e-15)
             floor = state.v1.pointwise_min(state.j1)
             assert np.all(floor.values <= state.j1.values + 1e-15)
-            from minimaxpi.async_pi import _apply
             state = _apply(problem, state, op, state)
 
     def test_unfair_schedule_exhausts_budget(self, explicit_problem):
@@ -224,11 +225,60 @@ class TestRun:
         labels = {row.subset for row in trace}
         assert {"b0", "b1"} <= labels
 
-    def test_parallel_executor_matches(self, markov_sep):
-        problem = markov_sep
-        oracle = value_iterate(problem, tol=1e-12)
-        state, steps = run_parallel(problem, workers=2, tol=1e-9)
-        assert np.max(np.abs(state.j1.values - oracle.j1.values)) <= 1e-7
+
+def block_cases():
+    rng = np.random.default_rng(15)
+    model = random_separated_model(rng, 7, 6)
+    tabular = separated_model_to_problem(model)
+    phi = AggregationProbabilities(rng.dirichlet(np.ones(3), 7),
+                                   rng.dirichlet(np.ones(4), 6))
+    return {
+        "tabular": tabular,
+        "closure": closure_problem(model, tabular.alpha),
+        "aggregate": build_aggregate(tabular, RepresentativeSets(
+            np.array([0, 3, 6]), np.array([0, 2, 4, 5])), phi),
+        "markov": separate_markov_game(random_markov_game(rng, 5, 2, 3, alpha=0.9)),
+    }
+
+
+def entries(table):
+    """Per-state entries: plain values, or column bundles."""
+    return table.cols if isinstance(table, ColumnMaxTable) else table.values
+
+
+def assert_same_state(a, b):
+    for name in ("j1", "v1", "j2", "v2"):
+        left, right = entries(getattr(a, name)), entries(getattr(b, name))
+        assert len(left) == len(right)
+        assert all(np.array_equal(x, y) for x, y in zip(left, right)), name
+    assert np.array_equal(a.policies.mu, b.policies.mu)
+    assert np.array_equal(a.policies.nu, b.policies.nu)
+
+
+@pytest.mark.parametrize("name", ["tabular", "closure", "aggregate", "markov"])
+def test_disjoint_blocks_compose_to_one_full_operation(name):
+    """Same-kind operations on the blocks of a partition, each reading the
+    phase-start state (block-Jacobi) or the state the previous block left
+    (in turn), end bit-identical to one full-space operation.  This is why
+    a block-parallel sweep is the round-robin schedule."""
+    problem = block_cases()[name]
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        start = AlgoState(problem.random_table1(rng), problem.random_table1(rng),
+                          problem.random_table2(rng), problem.random_table2(rng),
+                          problem.random_policies(rng))
+        for kind in Kind:
+            size = (problem.space1 if kind.side == 1 else problem.space2).size
+            cuts = np.sort(rng.choice(np.arange(1, size), int(rng.integers(1, size)),
+                                      replace=False))
+            blocks = np.split(rng.permutation(size), cuts)
+            full = _apply(problem, start, Operation(kind, np.arange(size)), start)
+            for jacobi in (True, False):
+                state = start
+                for block in blocks:
+                    state = _apply(problem, state, Operation(kind, block),
+                                   start if jacobi else state)
+                assert_same_state(state, full)
 
 
 class TestSchedules:
@@ -325,7 +375,6 @@ class TestReducedSpaceEquivalence:
         ops = list(it.islice(round_robin(2).ops(problem), steps))
         extended = run_extended(problem, iter(ops), steps)
         state = initial_state(problem)
-        from minimaxpi.async_pi import _apply
         for k, op in enumerate(ops):
             state = _apply(problem, state, op, state)
             qs, pol = extended[k + 1]

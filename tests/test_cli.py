@@ -222,30 +222,15 @@ class TestSolveCommand:
         values = np.array([float(l.split(",")[1]) for l in out.strip().splitlines()])
         assert np.max(np.abs(values - oracle.values)) <= 1e-6
 
-    def test_parallel_executor_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", [["--no-such-flag"], ["--parallel", "2"]])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, extra):
         game = random_markov_game(np.random.default_rng(8), 3, 2, 2, alpha=0.9)
         path = write_game(tmp_path, game)
-        code = cli.main(["solve", path, "--algo", "async", "--tol", "1e-8",
-                         "--parallel", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        oracle = shapley_value_iteration(game, tol=1e-11)
-        values = np.array([float(l.split(",")[1]) for l in out.strip().splitlines()])
-        assert np.max(np.abs(values - oracle.values)) <= 1e-6
-
-    @pytest.mark.parametrize("flag, value", [("--trace", "t.csv"),
-                                             ("--schedule", "random:seed=3")])
-    def test_parallel_refuses_options_it_would_drop(self, tmp_path, capsys, flag, value):
-        game = random_markov_game(np.random.default_rng(8), 3, 2, 2, alpha=0.9)
-        path = write_game(tmp_path, game)
-        if flag == "--trace":
-            value = str(tmp_path / value)
-        code = cli.main(["solve", path, "--algo", "async", "--parallel", "2",
-                         flag, value])
+        code = cli.main(["solve", path, "--algo", "vi", *extra])
         captured = capsys.readouterr()
         assert code == cli.EXIT_ERROR
-        assert flag in captured.err and captured.out == ""
-        assert not (tmp_path / "t.csv").exists()
+        assert "usage:" in captured.err and extra[0] in captured.err
+        assert captured.out == ""
 
     def test_separated_kind_rejects_game_algorithms(self, tmp_path, capsys):
         payload = {

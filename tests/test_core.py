@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from minimaxpi.core import (SeparatedProblem, ValueTable, WeightedSpace,
-                            apply_T1, apply_T1_mu, apply_T2, apply_T2_nu,
                             bellman_residual, check_monotone, estimate_modulus,
-                            product_norm, value_iterate, weighted_sup_norm)
+                            value_iterate)
 from minimaxpi.errors import MaxItersExceeded
 
-from helpers import random_control_model, random_separated_model, scalar_problem
+from helpers import (closure_problem, random_control_model, random_separated_model,
+                     scalar_problem)
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
 from minimaxpi.models import minimax_control_to_problem, separated_model_to_problem
@@ -22,20 +22,20 @@ def table(values, weights=None):
 
 class TestWeightedSupNorm:
     def test_zero_table(self):
-        assert weighted_sup_norm(table([0.0, 0.0, 0.0])) == 0.0
+        assert table([0.0, 0.0, 0.0]).norm() == 0.0
 
     def test_table_equal_to_weights(self):
         w = np.array([0.5, 2.0, 1.5])
-        assert weighted_sup_norm(table(w.copy(), w)) == pytest.approx(1.0)
+        assert table(w.copy(), w).norm() == pytest.approx(1.0)
 
     def test_ratio_maximum(self):
-        assert weighted_sup_norm(table([2.0, -6.0], np.array([1.0, 2.0]))) == 3.0
+        assert table([2.0, -6.0], np.array([1.0, 2.0])).norm() == 3.0
 
     def test_two_table_variant(self):
         j1 = table([2.0, -6.0], np.array([1.0, 2.0]))
         j2 = table([0.5])
-        assert product_norm(j1, j2) == 3.0
-        assert product_norm(j2, j1) == 3.0
+        assert max(j1.norm(), j2.norm()) == 3.0
+        assert max(j2.norm(), j1.norm()) == 3.0
 
     def test_norm_axioms_on_random_triples(self):
         rng = np.random.default_rng(0)
@@ -43,12 +43,12 @@ class TestWeightedSupNorm:
             size = int(rng.integers(1, 6))
             w = rng.uniform(0.2, 3.0, size)
             a, b = rng.uniform(-5, 5, (2, size))
-            na = weighted_sup_norm(table(a, w))
-            nb = weighted_sup_norm(table(b, w))
-            nab = weighted_sup_norm(table(a + b, w))
+            na = table(a, w).norm()
+            nb = table(b, w).norm()
+            nab = table(a + b, w).norm()
             assert nab <= na + nb + 1e-12
-        assert weighted_sup_norm(table(np.zeros(4))) == 0.0
-        assert weighted_sup_norm(table([0, 0, 1e-300])) > 0.0
+        assert table(np.zeros(4)).norm() == 0.0
+        assert table([0, 0, 1e-300]).norm() > 0.0
 
 
 def forced_chain_problem(beta=1.25):
@@ -63,7 +63,7 @@ def forced_chain_problem(beta=1.25):
 class TestPolicyOperators:
     def test_scaled_readout(self):
         problem = forced_chain_problem(beta=1.25)
-        out = apply_T1_mu(problem, np.array([0]), table([5.0]))
+        out = problem.t1_policy(np.array([0]), table([5.0]))
         assert out.values[0] == pytest.approx(4.0)
 
     def test_constant_evaluator(self):
@@ -73,9 +73,9 @@ class TestPolicyOperators:
             eval1=lambda x, u, j2: float(x) + 1.0,
             eval2=lambda x, v, j1: -2.0,
             alpha=0.0)
-        out = apply_T1_mu(problem, np.zeros(3, dtype=int), table([9.0, 9.0]))
+        out = problem.t1_policy(np.zeros(3, dtype=int), table([9.0, 9.0]))
         assert np.allclose(out.values, [1.0, 2.0, 3.0])
-        out2 = apply_T2_nu(problem, np.zeros(2, dtype=int), table([1.0, 1.0, 1.0]))
+        out2 = problem.t2_policy(np.zeros(2, dtype=int), table([1.0, 1.0, 1.0]))
         assert np.allclose(out2.values, [-2.0, -2.0])
 
     def test_random_instance_matches_per_state_loop(self):
@@ -86,11 +86,11 @@ class TestPolicyOperators:
         nu = np.array([pol_rng.integers(len(a)) for a in problem.actions2])
         j1 = problem.random_table1(pol_rng)
         j2 = problem.random_table2(pol_rng)
-        out1 = apply_T1_mu(problem, mu, j2)
+        out1 = problem.t1_policy(mu, j2)
         expect1 = [problem.eval1(x, problem.actions1[x][mu[x]], j2.values)
                    for x in range(problem.space1.size)]
         assert np.allclose(out1.values, expect1, atol=0, rtol=0)
-        out2 = apply_T2_nu(problem, nu, j1)
+        out2 = problem.t2_policy(nu, j1)
         expect2 = [problem.eval2(x, problem.actions2[x][nu[x]], j1.values)
                    for x in range(problem.space2.size)]
         assert np.allclose(out2.values, expect2, atol=0, rtol=0)
@@ -145,23 +145,12 @@ def kernel_cases(rng):
     ]
 
 
-def closure_problem(model, alpha):
-    """The separated model through the closure adapter, one call per move."""
-    return SeparatedProblem(
-        space1=model.space1, space2=model.space2,
-        actions1=tuple(range(a.size) for a in model.next1),
-        actions2=tuple(range(a.size) for a in model.next2),
-        eval1=lambda x, u, j2: model.cost1[x][u] + model.alpha * j2[model.next1[x][u]],
-        eval2=lambda x, v, j1: model.cost2[x][v] + model.alpha * j1[model.next2[x][v]],
-        alpha=alpha)
-
-
 class TestGreedyOperators:
     def test_single_action_equals_policy_operator(self):
         problem = forced_chain_problem()
         j2 = table([5.0])
-        greedy, mu = apply_T1(problem, j2)
-        assert greedy.values[0] == apply_T1_mu(problem, np.array([0]), j2).values[0]
+        greedy, mu = problem.t1_greedy(j2)
+        assert greedy.values[0] == problem.t1_policy(np.array([0]), j2).values[0]
         assert mu[0] == 0
 
     def test_finite_min_and_first_argmin(self):
@@ -171,16 +160,16 @@ class TestGreedyOperators:
             eval1=lambda x, u, j2: 3.0 if u == 0 else 7.0,
             eval2=lambda x, v, j1: 3.0 if v == 0 else 7.0,
             alpha=0.0)
-        out, mu = apply_T1(problem, table([0.0]))
+        out, mu = problem.t1_greedy(table([0.0]))
         assert out.values[0] == 3.0 and mu[0] == 0
-        out2, nu = apply_T2(problem, table([0.0]))
+        out2, nu = problem.t2_greedy(table([0.0]))
         assert out2.values[0] == 7.0 and nu[0] == 1
 
     def test_exhaustive_scan_oracle(self):
         rng = np.random.default_rng(7)
         problem = separated_model_to_problem(random_separated_model(rng, 4, 3))
         j2 = problem.random_table2(rng)
-        out, mu = apply_T1(problem, j2)
+        out, mu = problem.t1_greedy(j2)
         for x in range(problem.space1.size):
             scores = [problem.eval1(x, a, j2.values) for a in problem.actions1[x]]
             assert out.values[x] == min(scores)
@@ -216,10 +205,10 @@ class TestGreedyOperators:
         rng = np.random.default_rng(8)
         problem = separated_model_to_problem(random_separated_model(rng, 4, 4))
         j2 = problem.random_table2(rng)
-        greedy, _ = apply_T1(problem, j2)
+        greedy, _ = problem.t1_greedy(j2)
         for trial in range(10):
             mu = np.array([rng.integers(len(a)) for a in problem.actions1])
-            fixed = apply_T1_mu(problem, mu, j2)
+            fixed = problem.t1_policy(mu, j2)
             assert np.all(greedy.values <= fixed.values + 1e-12)
 
 
