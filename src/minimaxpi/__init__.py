@@ -5,9 +5,10 @@ policy iteration with certified uniform contraction, exact matrix-game
 LP solving, and aggregation over representative states.
 """
 
-from .core import (HalfStage, PolicyPair, SeparatedProblem, TabularProblem,
-                   ValueTable, WeightedSpace, bellman_residual, check_monotone,
-                   estimate_modulus, policy_pair_value, value_iterate)
+from .core import (HalfStage, HalfStageProblem, PolicyPair, SeparatedProblem,
+                   TabularProblem, ValueTable, WeightedSpace, bellman_residual,
+                   check_monotone, estimate_modulus, policy_pair_value,
+                   value_iterate)
 from .matrix_game import (SaddleSolution, best_response_value,
                           min_simplex_max_linear, solve_matrix_game)
 from .models import (BetaScaling, ColumnMaxTable, DiscountedMarkovGame,
@@ -20,7 +21,8 @@ from .classic_pi import (PIResult, PIStatus, detect_cycle,
                          find_oscillating_game, hoffman_karp,
                          naive_separated_pi, pollatschek_avi_itzhak)
 from .async_pi import (AlgoState, Kind, Operation, Schedule,
-                       check_minmax_nonexpansive, delayed, initial_state,
+                       check_minmax_nonexpansive, delayed, guarded_residual,
+                       initial_state,
                        max_eval_step, max_improve_step, min_eval_step,
                        min_improve_step, partitioned, random_fair,
                        round_robin, run, verify_uniform_contraction)

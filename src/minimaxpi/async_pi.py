@@ -255,31 +255,36 @@ def _probe_diff(a, b):
 
 
 def _converged(problem, state, tol):
-    """Stopping certificate: J1-vs-V1 gap plus guarded greedy residuals.
+    """Stopping certificate: J-vs-V gaps plus guarded greedy residuals.
 
     ``tol`` is the target accuracy of the returned tables, so the raw
     thresholds are tightened by the contraction factor (a residual of r
-    only pins the solution to within r*a/(1-a)).  The residuals read the
-    opposite side through the same pessimism guard the steps use.  For
-    column bundles the maximizer gap is measured on the guarded envelope
-    max[V2, J2]: the evaluated section J2 keeps only the current policy's
-    column and never matches the envelope pointwise, but their max does
-    converge to the greedy sweep.  Plain tables also check J2 against V2
-    directly.  Cheapest gates run first.
+    only pins the solution to within r*a/(1-a)).  Each table type gates
+    its J against its V (``eval_gap``).  Cheapest gates run first.
     """
-    a = getattr(problem, "alpha", 0.0)
+    a = problem.alpha
     thr = tol * min(1.0, (1.0 - a) / max(a, 1e-12))
-    if state.j1.diff_bound(state.v1) > thr:
+    if state.j1.eval_gap(state.v1) > thr or state.j2.eval_gap(state.v2) > thr:
         return False
+    return guarded_residual(problem, state, thr) <= thr
+
+
+def guarded_residual(problem, state, cap=np.inf):
+    """Greedy residual read through the pessimism guard the steps use:
+    max(|J1 - T1 m2|, |m2 - T2 m1|) with m2 = max[V2, J2], m1 = min[V1, J1].
+
+    The maximizer's part is that of the envelope m2, which converges to the
+    greedy sweep even where J2 is an evaluated section.  Returns the
+    minimizer's part alone when it already exceeds ``cap``.
+    """
     m2 = state.v2.pointwise_max(state.j2)
     g1, _ = problem.t1_greedy(m2)
-    if state.j1.diff_bound(g1) > thr:
-        return False
-    if not hasattr(state.j2, "cols") and state.j2.diff_bound(state.v2) > thr:
-        return False
+    r1 = state.j1.diff_bound(g1)
+    if r1 > cap:
+        return r1
     m1 = state.v1.pointwise_min(state.j1)
     g2, _ = problem.t2_greedy(m1, state.policies.mu)
-    return m2.diff_bound(g2) <= thr
+    return max(r1, m2.diff_bound(g2))
 
 
 def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6,

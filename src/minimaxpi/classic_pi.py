@@ -14,10 +14,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ValueTable
+from .core import PolicyPair, ValueTable
 from .errors import MaxItersExceeded, SearchFailed
 from .matrix_game import solve_matrix_game
-from .models import separate_markov_game, stage_matrix
+from .models import DiscountedMarkovGame, separate_markov_game, stage_matrix
 
 _INNER_CAP = 10**6
 
@@ -61,6 +61,12 @@ def _strategy_signature(mu, nu):
     )
 
 
+def _saddle_sweep(game, j):
+    """Saddle strategies of every state's stage game against continuation j."""
+    sols = [solve_matrix_game(mat) for mat in stage_matrix(game, slice(None), j)]
+    return np.array([s.u_star for s in sols]), np.array([s.v_star for s in sols])
+
+
 def _evaluate_vs_best_response(game, mu, tol, j0=None):
     """Value of the maximizer's decision problem against a fixed minimizer."""
     xi = game.space.weights
@@ -89,10 +95,7 @@ def hoffman_karp(game, tol=1e-8, max_iters=10**4):
     residuals = []
     mu = nu = None
     for t in range(1, max_iters + 1):
-        sols = [solve_matrix_game(stage_matrix(game, x, j))
-                for x in range(game.state_count)]
-        mu = np.array([s.u_star for s in sols])
-        nu = np.array([s.v_star for s in sols])
+        mu, nu = _saddle_sweep(game, j)
         new = _evaluate_vs_best_response(game, mu, tol / 10, j0=j)
         res = float(np.max(np.abs(new - j) / xi))
         residuals.append(res)
@@ -130,10 +133,7 @@ def pollatschek_avi_itzhak(game, tol=1e-8, max_iters=10**4,
     cycle = None
     mu = nu = None
     for t in range(1, max_iters + 1):
-        sols = [solve_matrix_game(stage_matrix(game, x, j))
-                for x in range(game.state_count)]
-        mu = np.array([s.u_star for s in sols])
-        nu = np.array([s.v_star for s in sols])
+        mu, nu = _saddle_sweep(game, j)
         new = _evaluate_pair(game, mu, nu, optimistic_k, j)
         res = float(np.max(np.abs(new - j) / xi))
         residuals.append(res)
@@ -157,27 +157,13 @@ def pollatschek_avi_itzhak(game, tol=1e-8, max_iters=10**4,
                     PIStatus.MAX_ITERS, None, tuple(residuals))
 
 
-def _policy_signature(problem, policies):
-    return _strategy_signature(np.asarray(policies.mu, dtype=float),
-                               np.asarray(policies.nu, dtype=float))
-
-
 def _joint_evaluate(problem, policies, tol, optimistic_k, j1, j2):
     if optimistic_k is not None:
         for _ in range(optimistic_k):
             j1, j2 = (problem.t1_policy(policies.mu, j2),
                       problem.t2_policy(policies.nu, j1))
         return j1, j2
-    if hasattr(problem, "joint_policy_fixed_point"):
-        return problem.joint_policy_fixed_point(policies)
-    for _ in range(_INNER_CAP):
-        n1 = problem.t1_policy(policies.mu, j2)
-        n2 = problem.t2_policy(policies.nu, j1)
-        res = max(j1.diff_bound(n1), j2.diff_bound(n2))
-        j1, j2 = n1, n2
-        if res <= tol:
-            return j1, j2
-    raise MaxItersExceeded("joint policy evaluation did not reach tol")
+    return problem.joint_policy_fixed_point(policies, tol, j1, j2)
 
 
 def naive_separated_pi(problem, tol=1e-8, max_iters=10**4,
@@ -188,8 +174,6 @@ def naive_separated_pi(problem, tol=1e-8, max_iters=10**4,
     evaluation of the new pair.  Shares the oscillation risk of the
     all-pairs scheme; cycles are detected the same way.
     """
-    from .core import PolicyPair
-
     j1, j2 = problem.zero1(), problem.zero2()
     residuals, sigs, hist = [], [], []
     cycle = None
@@ -205,7 +189,7 @@ def naive_separated_pi(problem, tol=1e-8, max_iters=10**4,
         if res <= tol:
             return PIResult((j1, j2), policies, t,
                             PIStatus.CONVERGED, None, tuple(residuals))
-        sigs.append(_policy_signature(problem, policies))
+        sigs.append(_strategy_signature(policies.mu, policies.nu))
         hist.append((j1, j2))
         p = detect_cycle(sigs)
         if p is not None and p >= 2:
@@ -273,8 +257,6 @@ def _screen_candidate(g, p, iters=60):
 
 
 def _encode_candidate(g, p):
-    from .models import DiscountedMarkovGame
-
     payoffs = g.reshape(1, 2, 2)
     transitions = (p / _ENCODE_ALPHA).reshape(1, 2, 2, 1)
     return DiscountedMarkovGame(payoffs, transitions, _ENCODE_ALPHA, terminating=True)
@@ -311,9 +293,7 @@ def find_oscillating_game(max_candidates=None):
             continue
         # one more improvement+evaluation from the cycle maps onto its other point
         here = exact.values.values
-        sol = solve_matrix_game(stage_matrix(game, 0, here))
-        there = _evaluate_pair(game, sol.u_star[None, :], sol.v_star[None, :], None,
-                               here)
+        there = _evaluate_pair(game, *_saddle_sweep(game, here), None, here)
         report = {
             "payoffs": g.tolist(),
             "stage_discounts": p.tolist(),

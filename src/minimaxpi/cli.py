@@ -88,7 +88,7 @@ class SolveOutcome:
     exit_code: int
     values: np.ndarray | None
     iterations: int
-    residual: float
+    residual: callable   # () -> float: only compare prints it, so computed on demand
     status: str
     trace: list
 
@@ -97,7 +97,7 @@ def _pi_outcome(result, values):
     res = result.residuals[-1] if result.residuals else 0.0
     trace = [(t + 1, "Iteration", "all", r, 0.0) for t, r in enumerate(result.residuals)]
     return SolveOutcome(_STATUS_EXIT[result.status], values, result.iterations,
-                        res, result.status.value, trace)
+                        lambda: res, result.status.value, trace)
 
 
 def _sweep_trace(residuals):
@@ -109,7 +109,7 @@ def _solve_game(game, algo, args, file_beta=None):
     if algo == "vi":
         result = models.shapley_value_iteration(game, tol=args.tol, max_iters=args.max_steps)
         return SolveOutcome(EXIT_OK, result.values, result.iterations,
-                            result.residuals[-1], "Converged",
+                            lambda: result.residuals[-1], "Converged",
                             _sweep_trace(result.residuals))
     if algo == "hk":
         result = hoffman_karp(game, tol=args.tol, max_iters=args.max_steps)
@@ -137,18 +137,17 @@ def _solve_async(problem, args, scale=1.0):
         values = scale * exc.state.j1.values if exc.state is not None else None
         return SolveOutcome(EXIT_MAX_ITERS, values,
                             exc.state.t if exc.state else args.max_steps,
-                            float("nan"), "MaxIters", rows)
+                            lambda: float("nan"), "MaxIters", rows)
     rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2) for r in trace]
-    last = max(trace[-1].residual1, trace[-1].residual2) if trace else 0.0
-    return SolveOutcome(EXIT_OK, scale * state.j1.values, state.t, last,
-                        "Converged", rows)
+    return SolveOutcome(EXIT_OK, scale * state.j1.values, state.t,
+                        lambda: async_pi.guarded_residual(problem, state), "Converged", rows)
 
 
-def _solve_separated(problem, algo, args, scale=1.0):
+def _solve_separated(problem, scale, algo, args):
     if algo == "vi":
         result = value_iterate(problem, tol=args.tol, max_iters=args.max_steps)
         return SolveOutcome(EXIT_OK, scale * result.j1.values, result.iterations,
-                            result.residuals[-1], "Converged",
+                            lambda: result.residuals[-1], "Converged",
                             _sweep_trace(result.residuals))
     if algo == "naive":
         result = naive_separated_pi(problem, tol=args.tol, max_iters=args.max_steps,
@@ -159,16 +158,20 @@ def _solve_separated(problem, algo, args, scale=1.0):
     raise ValidationError(f"algorithm {algo!r} needs a Markov game problem")
 
 
+def _explicit_problem(loaded, args):
+    """A separated or control file's problem and the scale its table prints
+    at: 1, or the control split's beta (``--beta``, the file's, or default)."""
+    if loaded.kind == "separated_model":
+        return models.separated_model_to_problem(loaded.model), 1.0
+    beta = models._as_beta(args.beta if args.beta is not None else loaded.beta,
+                           loaded.model.alpha)
+    return models.minimax_control_to_problem(loaded.model, beta), beta.beta
+
+
 def _solve_dispatch(loaded, algo, args):
     if loaded.kind in _GAME_KINDS:
         return _solve_game(loaded.model, algo, args, file_beta=loaded.beta)
-    if loaded.kind == "separated_model":
-        problem = models.separated_model_to_problem(loaded.model)
-        return _solve_separated(problem, algo, args)
-    beta = args.beta if args.beta is not None else loaded.beta
-    beta = models._as_beta(beta, loaded.model.alpha)
-    problem = models.minimax_control_to_problem(loaded.model, beta)
-    return _solve_separated(problem, algo, args, scale=beta.beta)
+    return _solve_separated(*_explicit_problem(loaded, args), algo, args)
 
 
 def _write_values(path, values):
@@ -214,7 +217,7 @@ def cmd_compare(args):
     print(f"{'algorithm':<10} {'status':<10} {'iterations':>10} {'residual':>12}")
     for algo in algos:
         o = outcomes[algo]
-        print(f"{algo:<10} {o.status:<10} {o.iterations:>10} {o.residual:>12.3e}")
+        print(f"{algo:<10} {o.status:<10} {o.iterations:>10} {o.residual():>12.3e}")
     converged = [a for a in algos if outcomes[a].status == "Converged"]
     worst = 0.0
     for i, a in enumerate(converged):
@@ -249,14 +252,9 @@ def cmd_counterexample(args):
 
 def cmd_aggregate_solve(args):
     loaded = load_problem(args.problem)
-    if loaded.kind == "separated_model":
-        problem, scale = models.separated_model_to_problem(loaded.model), 1.0
-    elif loaded.kind == "minimax_control":
-        beta = models._as_beta(args.beta if args.beta is not None else loaded.beta,
-                               loaded.model.alpha)
-        problem, scale = models.minimax_control_to_problem(loaded.model, beta), beta.beta
-    else:
+    if loaded.kind in _GAME_KINDS:
         raise ValidationError("aggregate-solve needs a separated or control problem")
+    problem, scale = _explicit_problem(loaded, args)
     block = loaded.aggregation
     if not block or "reps1" not in block or "reps2" not in block:
         raise ValidationError("problem file lacks an aggregation block with reps1/reps2")

@@ -1,19 +1,23 @@
 """Finite weighted-sup-norm spaces, value tables, and alternating Bellman operators.
 
 The library works with problems split into a minimizer half-stage and a
-maximizer half-stage.  Every explicit-action problem supplies one batched
-score primitive, :meth:`SeparatedProblem.scores`: the scores of a subset
-of one side's states against the opposite side's table, at every action
-(a padded array) or at one chosen action per state.  The four half-stage
-kernels (evaluate and improve, for either player) are written once over
-it.  Two backends supply the primitive:
+maximizer half-stage.  Every problem kind answers one protocol,
+:class:`HalfStageProblem`: four batched half-stage kernels (evaluate and
+improve, for either player, over a subset of that player's states) and a
+maximizer-table constructor.  The solvers use nothing else, and the
+full-space operators are written once over it.  Its implementations:
 
-* the closure adapter, :class:`SeparatedProblem` itself, loops over
-  user-written evaluators ``eval1(x1, u, J2)`` and ``eval2(x2, v, J1)``;
-* the tabular form, :class:`TabularProblem`, holds padded
-  (state, action, outcome) arrays per side (:class:`HalfStage`) and
-  scores a whole subset with numpy.  The model builders in
-  :mod:`minimaxpi.models` produce it.
+* explicit-action problems score a subset of one side's states at every
+  action (a padded array) or at one chosen action per state through one
+  primitive, :meth:`SeparatedProblem.scores`.  The closure adapter,
+  :class:`SeparatedProblem` itself, loops over user-written evaluators
+  ``eval1(x1, u, J2)`` and ``eval2(x2, v, J1)``; the tabular form,
+  :class:`TabularProblem`, holds padded (state, action, outcome) arrays
+  per side (:class:`HalfStage`), as the builders in
+  :mod:`minimaxpi.models` produce, and scores a subset with numpy;
+* the reformulated Markov game, :class:`minimaxpi.models.MarkovSeparatedProblem`,
+  builds a subset's stage matrices at once and keeps its maximizer tables
+  as column bundles.
 
 Everything here is finite and index-addressed, and all distances are
 weighted sup-norms, which is the norm in which the contraction guarantees
@@ -81,10 +85,12 @@ class ValueTable:
         return float(np.max(np.abs(self.values - other.values) / self.space.weights))
 
     # richer table types distinguish the exact norm from a cheap certified
-    # upper bound used in stopping rules, and from a cheaper change gauge
-    # for trace rows; for plain tables all three coincide
+    # upper bound used in stopping rules, from a cheaper change gauge for
+    # trace rows, and from the stop check's gap between an evaluated table
+    # J and the improved table V; for plain tables all four coincide
     diff_bound = diff_norm
     diff_probe = diff_norm
+    eval_gap = diff_norm
 
     def pointwise_min(self, other):
         return ValueTable(self.space, np.minimum(self.values, other.values))
@@ -126,8 +132,52 @@ def update_policy(policy, subset, entries):
     return out
 
 
+class HalfStageProblem:
+    """The problem protocol of the solvers.
+
+    A problem supplies ``space1``, ``space2``, the asserted modulus
+    ``alpha``, and four kernels over a subset of one side's states, each
+    reading the opposite side's table: ``min_eval_values(subset, mu, m2)``
+    and ``max_eval_entries(subset, nu, m1)`` at the side's policy, and
+    ``min_improve(subset, m2)`` and ``max_improve(subset, m1, mu=None)``
+    returning greedy values/entries and picks.  It also supplies
+    ``table2(entries)`` (a full maximizer table from one entry per state),
+    ``zero2``, ``first_policies``, ``random_policies``, ``random_table2``
+    and ``random_ordered_table2``.  The rest is written here once.
+    """
+
+    def zero1(self):
+        return ValueTable.zeros(self.space1)
+
+    def t1_policy(self, mu, j2):
+        subset = np.arange(self.space1.size)
+        return ValueTable(self.space1, self.min_eval_values(subset, mu, j2))
+
+    def t2_policy(self, nu, j1):
+        subset = np.arange(self.space2.size)
+        return self.table2(self.max_eval_entries(subset, nu, j1))
+
+    def t1_greedy(self, j2):
+        subset = np.arange(self.space1.size)
+        values, mu = self.min_improve(subset, j2)
+        return ValueTable(self.space1, values), mu
+
+    def t2_greedy(self, j1, mu=None):
+        subset = np.arange(self.space2.size)
+        entries, nu = self.max_improve(subset, j1, mu)
+        return self.table2(entries), nu
+
+    def joint_policy_fixed_point(self, policies, tol=1e-10, j1=None, j2=None):
+        """Tables of a fixed policy pair: its joint operator iterated to
+        ``tol`` from (j1, j2), zero tables by default."""
+        return policy_pair_value(self, policies, tol, j1_0=j1, j2_0=j2)
+
+    def random_table1(self, rng):
+        return ValueTable(self.space1, rng.uniform(-1, 1, self.space1.size) * self.space1.weights)
+
+
 @dataclass(frozen=True)
-class SeparatedProblem:
+class SeparatedProblem(HalfStageProblem):
     """A two-player fixed-point problem over explicit finite spaces.
 
     This class is the closure adapter: ``eval1(x1, u, j2_values)`` and
@@ -162,8 +212,8 @@ class SeparatedProblem:
 
     # -- table construction ------------------------------------------------
 
-    def zero1(self):
-        return ValueTable.zeros(self.space1)
+    def table2(self, entries):
+        return ValueTable(self.space2, entries)
 
     def zero2(self):
         return ValueTable.zeros(self.space2)
@@ -214,28 +264,7 @@ class SeparatedProblem:
     def max_improve(self, subset, m1, mu=None):
         return _first_extremum(self.scores(2, subset, m1.values), np.argmax)
 
-    def t1_policy(self, mu, j2):
-        subset = np.arange(self.space1.size)
-        return ValueTable(self.space1, self.min_eval_values(subset, mu, j2))
-
-    def t2_policy(self, nu, j1):
-        subset = np.arange(self.space2.size)
-        return ValueTable(self.space2, self.max_eval_entries(subset, nu, j1))
-
-    def t1_greedy(self, j2):
-        subset = np.arange(self.space1.size)
-        values, mu = self.min_improve(subset, j2)
-        return ValueTable(self.space1, values), mu
-
-    def t2_greedy(self, j1, mu=None):
-        subset = np.arange(self.space2.size)
-        values, nu = self.max_improve(subset, j1, mu)
-        return ValueTable(self.space2, values), nu
-
     # -- sampling hooks for the numerical certifiers -------------------------
-
-    def random_table1(self, rng):
-        return ValueTable(self.space1, rng.uniform(-1, 1, self.space1.size) * self.space1.weights)
 
     def random_table2(self, rng):
         return ValueTable(self.space2, rng.uniform(-1, 1, self.space2.size) * self.space2.weights)
@@ -398,9 +427,11 @@ def bellman_residual(problem, j1, j2):
     return max(j1.diff_norm(n1), j2.diff_norm(n2))
 
 
-def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6):
-    """Evaluate a fixed policy pair by iterating its joint operator to tol."""
-    j1, j2 = problem.zero1(), problem.zero2()
+def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None, j2_0=None):
+    """Evaluate a fixed policy pair by iterating its joint operator to tol
+    from (j1_0, j2_0), zero tables by default."""
+    j1 = problem.zero1() if j1_0 is None else j1_0
+    j2 = problem.zero2() if j2_0 is None else j2_0
     for _ in range(max_iters):
         n1 = problem.t1_policy(policies.mu, j2)
         n2 = problem.t2_policy(policies.nu, j1)

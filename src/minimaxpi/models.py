@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HalfStage, PolicyPair, TabularProblem, ValueTable, WeightedSpace
+from .core import (HalfStage, HalfStageProblem, PolicyPair, TabularProblem, ValueTable,
+                   WeightedSpace)
 from .errors import InvalidBeta, MaxItersExceeded, NonContractive
 from .matrix_game import min_simplex_max_linear, solve_matrix_game
 
@@ -91,7 +92,10 @@ class DiscountedMarkovGame:
 
 
 def stage_matrix(game, x, j, scale=None):
-    """The one-shot payoff matrix at x against a continuation value array."""
+    """The one-shot payoff matrix at x against a continuation value array.
+
+    With an index array (or slice) ``x``: one matrix per state, stacked.
+    """
     scale = game.alpha if scale is None else scale
     return game.payoffs[x] + scale * (game.transitions[x] @ j)
 
@@ -124,8 +128,8 @@ def shapley_value_iteration(game, tol=1e-8, max_iters=10**6):
     j = np.zeros(game.state_count)
     residuals = []
     for k in range(1, max_iters + 1):
-        new = np.array([solve_matrix_game(stage_matrix(game, x, j)).value
-                        for x in range(game.state_count)])
+        new = np.array([solve_matrix_game(mat).value
+                        for mat in stage_matrix(game, slice(None), j)])
         res = float(np.max(np.abs(new - j) / xi))
         residuals.append(res)
         j = new
@@ -250,6 +254,13 @@ class ColumnMaxTable:
             float(np.max(np.abs(a.max(axis=1) - b.max(axis=1)))) / self.space.weights[x]
             for x, (a, b) in enumerate(zip(self.cols, other.cols)))
 
+    def eval_gap(self, improved):
+        """Stop-check gap between this evaluated section J2 and the improved
+        table V2: 0.  J2 keeps only the current policy's column and never
+        matches V2 pointwise, but max[V2, J2] does converge to the greedy
+        sweep, and the stop check gates that envelope's residual instead."""
+        return 0.0
+
     def norm(self):
         zero = ColumnMaxTable.zeros(self.space, self.cols[0].shape[0])
         return self.diff_norm(zero)
@@ -268,15 +279,16 @@ class ColumnMaxTable:
 
 
 @dataclass(frozen=True)
-class MarkovSeparatedProblem:
+class MarkovSeparatedProblem(HalfStageProblem):
     """A discounted Markov game split into alternating half-stages.
 
     The minimizer's states are the game states; the maximizer's states are
     (state, mixed strategy) pairs kept implicit through
     :class:`ColumnMaxTable`.  The minimizer's policy is one mixed strategy
-    per state, the maximizer's a column index per state.  The solved
-    minimizer table recovers the game values after multiplying back the
-    stage scaling.
+    per state, the maximizer's a column index per state.  The maximizer's
+    kernels build the stage matrices of a whole subset in one
+    :func:`stage_matrix` call.  The solved minimizer table recovers the
+    game values after multiplying back the stage scaling.
     """
 
     game: DiscountedMarkovGame
@@ -308,8 +320,8 @@ class MarkovSeparatedProblem:
     def m(self):
         return self.game.moves[1]
 
-    def zero1(self):
-        return ValueTable.zeros(self.space1)
+    def table2(self, entries):
+        return ColumnMaxTable(self.space2, tuple(entries))
 
     def zero2(self):
         return ColumnMaxTable.zeros(self.space2, self.n)
@@ -323,55 +335,32 @@ class MarkovSeparatedProblem:
         """Game equilibrium values recovered from the minimizer's table."""
         return self.beta.beta * j1.values
 
-    def _matrix(self, x, m1):
-        return stage_matrix(self.game, x, m1.values, scale=self.game.alpha * self.beta.beta)
-
     # -- half-stage kernels ---------------------------------------------------
 
     def min_eval_values(self, subset, mu, m2):
         return np.array([m2.value_at(int(x), mu[x]) / self.beta.beta for x in subset])
 
     def min_improve(self, subset, m2):
-        values = np.empty(len(subset))
-        picks = np.empty((len(subset), self.n))
-        for i, x in enumerate(subset):
-            cols = m2.cols[int(x)]
-            val, u = min_simplex_max_linear([(0.0, cols[:, k]) for k in range(cols.shape[1])])
-            values[i] = val / self.beta.beta
-            picks[i] = u
-        return values, picks
+        sols = [min_simplex_max_linear([(0.0, col) for col in m2.cols[int(x)].T])
+                for x in subset]
+        return (np.array([val for val, _ in sols]) / self.beta.beta,
+                np.array([u for _, u in sols], dtype=float))
 
     def max_eval_entries(self, subset, nu, m1):
-        return [self._matrix(int(x), m1)[:, [nu[x]]] for x in subset]
+        mats = stage_matrix(self.game, subset, m1.values, self.game.alpha * self.beta.beta)
+        return mats[np.arange(len(subset)), :, np.asarray(nu)[subset], None]
 
     def max_improve(self, subset, m1, mu=None):
-        entries = []
-        picks = np.empty(len(subset), dtype=int)
-        for i, x in enumerate(subset):
-            mat = self._matrix(int(x), m1)
-            entries.append(mat)
-            weight = mu[x] if mu is not None else np.full(self.n, 1.0 / self.n)
-            picks[i] = int(np.argmax(weight @ mat))
-        return entries, picks
+        mats = stage_matrix(self.game, subset, m1.values, self.game.alpha * self.beta.beta)
+        weights = (np.full((len(subset), self.n), 1.0 / self.n) if mu is None
+                   else np.asarray(mu)[subset])
+        return mats, np.argmax((weights[:, None, :] @ mats)[:, 0], axis=1)
 
-    def t1_policy(self, mu, j2):
-        subset = np.arange(self.game.state_count)
-        return ValueTable(self.space1, self.min_eval_values(subset, mu, j2))
-
-    def t2_policy(self, nu, j1):
-        subset = np.arange(self.game.state_count)
-        return ColumnMaxTable(self.space2, tuple(self.max_eval_entries(subset, nu, j1)))
-
-    def t1_greedy(self, j2):
-        subset = np.arange(self.game.state_count)
-        values, mu = self.min_improve(subset, j2)
-        return ValueTable(self.space1, values), mu
-
-    def joint_policy_fixed_point(self, policies):
+    def joint_policy_fixed_point(self, policies, tol=None, j1=None, j2=None):
         """Exact tables of a fixed policy pair via one dense linear solve.
 
         With both policies frozen the coupled half-stage equations collapse
-        to a linear system in the minimizer's table.
+        to a linear system in the minimizer's table (no tol or warm start).
         """
         s = self.game.state_count
         cols = np.arange(s), policies.nu
@@ -382,16 +371,7 @@ class MarkovSeparatedProblem:
         j1 = ValueTable(self.space1, j1)
         return j1, self.t2_policy(policies.nu, j1)
 
-    def t2_greedy(self, j1, mu=None):
-        subset = np.arange(self.game.state_count)
-        entries, nu = self.max_improve(subset, j1, mu)
-        return ColumnMaxTable(self.space2, tuple(entries)), nu
-
     # -- sampling hooks -------------------------------------------------------
-
-    def random_table1(self, rng):
-        return ValueTable(self.space1, rng.uniform(-1, 1, self.game.state_count)
-                          * self.space1.weights)
 
     def random_table2(self, rng):
         cols = tuple(

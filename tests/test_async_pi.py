@@ -3,7 +3,7 @@ import pytest
 
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
-from minimaxpi.async_pi import (AlgoState, Kind, Operation, _apply, build_G,
+from minimaxpi.async_pi import (AlgoState, Kind, Operation, _apply, _converged, build_G,
                                 check_minmax_nonexpansive, delayed,
                                 fairness_ok, initial_state, max_eval_step,
                                 max_improve_step, min_eval_step,
@@ -19,7 +19,7 @@ from minimaxpi.models import (ColumnMaxTable, default_beta,
                               markov_game_to_control,
                               minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem,
-                              shapley_value_iteration)
+                              shapley_value_iteration, stage_matrix)
 
 from helpers import (closure_problem, random_markov_game,
                      random_separated_model, scalar_problem)
@@ -100,7 +100,7 @@ class TestSteps:
         stepped = max_improve_step(problem, state)
         m1 = np.minimum(j1.values, v1.values)
         for x in range(problem.space2.size):
-            mat = problem._matrix(x, ValueTable(problem.space1, m1))
+            mat = stage_matrix(problem.game, x, m1, problem.game.alpha * problem.beta.beta)
             scores = mu[x] @ mat
             assert stepped.policies.nu[x] == int(np.argmax(scores))
             assert np.allclose(stepped.j2.cols[x], mat, atol=1e-12)
@@ -279,6 +279,38 @@ def test_disjoint_blocks_compose_to_one_full_operation(name):
                     state = _apply(problem, state, Operation(kind, block),
                                    start if jacobi else state)
                 assert_same_state(state, full)
+
+
+class TestStopCheck:
+    """The stop gate on both table types: J-vs-V gaps plus guarded residuals."""
+
+    def test_plain_tables_gate_j2_against_v2(self, explicit_problem):
+        problem, tol = explicit_problem, 1e-8
+        exact = value_iterate(problem, tol=1e-14)
+        _, mu = problem.t1_greedy(exact.j2)
+        _, nu = problem.t2_greedy(exact.j1)
+        state = AlgoState(exact.j1, exact.j1, exact.j2, exact.j2, PolicyPair(mu, nu), 0)
+        assert _converged(problem, state, tol)
+        thr = tol * min(1.0, (1.0 - problem.alpha) / problem.alpha)
+        # lowering J2 leaves the guarded envelope max[V2, J2] = V2, and with it
+        # both greedy residuals, unchanged: only the J2-vs-V2 gate sees it
+        lowered = exact.j2.with_updates([1], [exact.j2.values[1] - 2 * thr])
+        moved = AlgoState(exact.j1, exact.j1, lowered, exact.j2, PolicyPair(mu, nu), 0)
+        assert moved.v2.pointwise_max(moved.j2).diff_norm(exact.j2) == 0.0
+        assert not _converged(problem, moved, tol)
+
+    def test_bundle_section_of_converged_envelope_passes(self, markov_sep):
+        problem, tol = markov_sep, 1e-8
+        solved, _ = run(problem, round_robin(), tol=1e-13)
+        j1 = solved.j1
+        v2, nu = problem.t2_greedy(j1, solved.policies.mu)
+        j2 = ColumnMaxTable(problem.space2, tuple(c[:, [k]] for c, k in zip(v2.cols, nu)))
+        _, mu = problem.t1_greedy(v2.pointwise_max(j2))
+        state = AlgoState(j1, j1, j2, v2, PolicyPair(mu, nu), 0)
+        assert all(c.shape == (problem.n, 1) for c in state.j2.cols)
+        thr = tol * min(1.0, (1.0 - problem.alpha) / problem.alpha)
+        assert j2.diff_norm(v2) > thr   # the section never matches its envelope
+        assert _converged(problem, state, tol)
 
 
 class TestSchedules:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from minimaxpi import cli
-from minimaxpi.async_pi import Schedule
+from minimaxpi.async_pi import Schedule, round_robin, run
 from minimaxpi.errors import NonContractive, ParseError, ValidationError
-from minimaxpi.models import shapley_value_iteration
+from minimaxpi.models import separated_model_to_problem, shapley_value_iteration
 from minimaxpi.problem_io import game_payload, load_problem, save_problem
 
 from helpers import random_markov_game, random_separated_model
@@ -267,6 +267,26 @@ class TestCompareCommand:
         code = cli.main(["compare", path, "--algos", "poa"])
         capsys.readouterr()
         assert code == 1
+
+    def test_async_residual_is_the_guarded_greedy_residual(self, tmp_path, capsys):
+        model = random_separated_model(np.random.default_rng(12), 6, 5, alpha=0.8)
+        payload = {"format": 1, "kind": "separated_model", "alpha": model.alpha,
+                   "size1": 6, "size2": 5,
+                   **{k: [a.tolist() for a in getattr(model, k)]
+                      for k in ("next1", "cost1", "next2", "cost2")}}
+        path = tmp_path / "sep.json"
+        save_problem(payload, path)
+        code = cli.main(["compare", str(path), "--algos", "vi,async", "--tol", "1e-8"])
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+        assert code == 0
+        problem = separated_model_to_problem(load_problem(str(path)).model)
+        state, _ = run(problem, round_robin(), tol=1e-8)
+        m2 = state.v2.pointwise_max(state.j2)
+        m1 = state.v1.pointwise_min(state.j1)
+        residual = max(state.j1.diff_bound(problem.t1_greedy(m2)[0]),
+                       m2.diff_bound(problem.t2_greedy(m1, state.policies.mu)[0]))
+        assert rows["async"][3] == f"{residual:.3e}"
+        assert 0.0 < residual <= 1e-8
 
     def test_counterexample_split_verdict(self, tmp_path, capsys):
         ce = tmp_path / "ce.json"

@@ -7,8 +7,10 @@ from minimaxpi.models import (BetaScaling, ColumnMaxTable, DiscountedMarkovGame,
                               MinimaxControlModel, default_beta, markov_H,
                               markov_game_to_control, minimax_control_to_problem,
                               separate_markov_game, separated_model_to_problem,
-                              shapley_value_iteration, transition_probs)
-from minimaxpi.core import WeightedSpace
+                              shapley_value_iteration, stage_matrix,
+                              transition_probs)
+from minimaxpi.core import ValueTable, WeightedSpace
+from minimaxpi.matrix_game import min_simplex_max_linear
 
 from helpers import (random_control_model, random_markov_game,
                      random_separated_model)
@@ -167,6 +169,57 @@ class TestSeparateMarkovGame:
             i1, i2 = sep.t1_policy(pol.mu, i2), sep.t2_policy(pol.nu, i1)
         assert j1.diff_norm(i1) <= 1e-10
         assert j2.diff_norm(i2) <= 1e-10
+
+
+class TestMarkovKernels:
+    """The four batched kernels of the reformulated game against per-state
+    formulas, exactly, on random subsets in random order."""
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (4, 2, 3), (10, 3, 3)])
+    def test_batched_kernels_match_per_state_formulas(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        problem = separate_markov_game(random_markov_game(rng, *shape, alpha=0.9))
+        game, beta = problem.game, problem.beta.beta
+        for _ in range(20):
+            subset = rng.permutation(game.state_count)[:int(rng.integers(1, game.state_count + 1))]
+            pol = problem.random_policies(rng)
+            m1 = problem.random_table1(rng)
+            m2 = problem.random_table2(rng)
+            mats = [stage_matrix(game, x, m1.values, game.alpha * beta) for x in subset]
+            assert np.array_equal(
+                problem.min_eval_values(subset, pol.mu, m2),
+                [m2.value_at(x, pol.mu[x]) / beta for x in subset])
+            values, picks = problem.min_improve(subset, m2)
+            for i, x in enumerate(subset):
+                val, u = min_simplex_max_linear([(0.0, c) for c in m2.cols[x].T])
+                assert values[i] == val / beta and np.array_equal(picks[i], u)
+            entries = problem.max_eval_entries(subset, pol.nu, m1)
+            for entry, mat, x in zip(entries, mats, subset):
+                assert np.array_equal(entry, mat[:, [pol.nu[x]]])
+            for mu in (pol.mu, None):
+                entries, picks = problem.max_improve(subset, m1, mu)
+                for entry, pick, mat, x in zip(entries, picks, mats, subset):
+                    weight = np.full(problem.n, 1.0 / problem.n) if mu is None else mu[x]
+                    assert np.array_equal(entry, mat)
+                    assert pick == np.argmax(weight @ mat)
+
+    def test_full_operators_are_the_kernels_over_every_state(self):
+        rng = np.random.default_rng(41)
+        problem = separate_markov_game(random_markov_game(rng, 5, 3, 2, alpha=0.9))
+        pol = problem.random_policies(rng)
+        j1, j2 = problem.random_table1(rng), problem.random_table2(rng)
+        every = np.arange(5)
+        assert isinstance(problem.t1_policy(pol.mu, j2), ValueTable)
+        assert np.array_equal(problem.t1_policy(pol.mu, j2).values,
+                              problem.min_eval_values(every, pol.mu, j2))
+        for a, b in zip(problem.t2_policy(pol.nu, j1).cols,
+                        problem.max_eval_entries(every, pol.nu, j1)):
+            assert np.array_equal(a, b)
+        greedy, nu = problem.t2_greedy(j1, pol.mu)
+        entries, picks = problem.max_improve(every, j1, pol.mu)
+        assert isinstance(greedy, ColumnMaxTable) and np.array_equal(nu, picks)
+        for a, b in zip(greedy.cols, entries):
+            assert np.array_equal(a, b)
 
 
 class TestSeparatedModel:
