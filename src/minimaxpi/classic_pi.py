@@ -63,8 +63,8 @@ def _strategy_signature(mu, nu):
 
 def _saddle_sweep(game, j):
     """Saddle strategies of every state's stage game against continuation j."""
-    sols = [solve_matrix_game(mat) for mat in stage_matrix(game, slice(None), j)]
-    return np.array([s.u_star for s in sols]), np.array([s.v_star for s in sols])
+    sol = solve_matrix_game(stage_matrix(game, slice(None), j))
+    return sol.u_star, sol.v_star
 
 
 def _evaluate_vs_best_response(game, mu, tol, j0=None):

@@ -7,6 +7,7 @@ debug/info/warning/error for verbosity.
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -91,38 +92,66 @@ class SolveOutcome:
     residual: callable   # () -> float: only compare prints it, so computed on demand
     status: str
     trace: list
+    error_bound: callable   # () -> float: certified error of values, as printed
 
 
-def _pi_outcome(result, values):
-    res = result.residuals[-1] if result.residuals else 0.0
+def _per_unit(space, scale):
+    """Largest printed-value change per unit of weighted-norm change."""
+    return scale * float(np.max(space.weights))
+
+
+def _stopped_bound(tol, modulus):
+    """Error bound of an iterate whose last step moved it by at most tol."""
+    return tol * modulus / (1.0 - modulus) if modulus < 1.0 else float("inf")
+
+
+def _pi_outcome(result, values, error_bound, residual=None):
+    if residual is None:
+        res = result.residuals[-1] if result.residuals else 0.0
+        residual = lambda: res
     trace = [(t + 1, "Iteration", "all", r, 0.0) for t, r in enumerate(result.residuals)]
     return SolveOutcome(_STATUS_EXIT[result.status], values, result.iterations,
-                        lambda: res, result.status.value, trace)
+                        residual, result.status.value, trace, error_bound)
 
 
 def _sweep_trace(residuals):
     return [(k + 1, "Sweep", "all", r, 0.0) for k, r in enumerate(residuals)]
 
 
+def _greedy_residual(problem, j1, j2):
+    """max(|J1 - T1 J2|, |J2 - T2 J1|) of a returned table pair."""
+    return max(j1.diff_bound(problem.t1_greedy(j2)[0]),
+               j2.diff_bound(problem.t2_greedy(j1)[0]))
+
+
+def _solve_naive(problem, args, scale):
+    result = naive_separated_pi(problem, tol=args.tol, max_iters=args.max_steps,
+                                optimistic_k=args.optimistic_k)
+    residual = functools.cache(lambda: _greedy_residual(problem, *result.values))
+    return _pi_outcome(result, scale * result.values[0].values,
+                       lambda: _per_unit(problem.space1, scale) * residual() / (1.0 - problem.alpha),
+                       residual)
+
+
 def _solve_game(game, algo, args, file_beta=None):
     beta = args.beta if args.beta is not None else file_beta
+    modulus = game.contraction_factor()
+    stopped = lambda: _per_unit(game.space, 1.0) * _stopped_bound(args.tol, modulus)
     if algo == "vi":
         result = models.shapley_value_iteration(game, tol=args.tol, max_iters=args.max_steps)
         return SolveOutcome(EXIT_OK, result.values, result.iterations,
                             lambda: result.residuals[-1], "Converged",
-                            _sweep_trace(result.residuals))
+                            _sweep_trace(result.residuals), stopped)
     if algo == "hk":
         result = hoffman_karp(game, tol=args.tol, max_iters=args.max_steps)
-        return _pi_outcome(result, result.values.values)
+        return _pi_outcome(result, result.values.values, stopped)
     if algo == "poa":
         result = pollatschek_avi_itzhak(game, tol=args.tol, max_iters=args.max_steps,
                                         optimistic_k=args.optimistic_k)
-        return _pi_outcome(result, result.values.values)
+        return _pi_outcome(result, result.values.values, stopped)
     sep = models.separate_markov_game(game, beta)
     if algo == "naive":
-        result = naive_separated_pi(sep, tol=args.tol, max_iters=args.max_steps,
-                                    optimistic_k=args.optimistic_k)
-        return _pi_outcome(result, sep.original_values(result.values[0]))
+        return _solve_naive(sep, args, sep.beta.beta)
     return _solve_async(sep, args, scale=sep.beta.beta)
 
 
@@ -137,10 +166,11 @@ def _solve_async(problem, args, scale=1.0):
         values = scale * exc.state.j1.values if exc.state is not None else None
         return SolveOutcome(EXIT_MAX_ITERS, values,
                             exc.state.t if exc.state else args.max_steps,
-                            lambda: float("nan"), "MaxIters", rows)
+                            lambda: float("nan"), "MaxIters", rows, lambda: float("nan"))
     rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2) for r in trace]
     return SolveOutcome(EXIT_OK, scale * state.j1.values, state.t,
-                        lambda: async_pi.guarded_residual(problem, state), "Converged", rows)
+                        lambda: async_pi.guarded_residual(problem, state), "Converged", rows,
+                        lambda: _per_unit(problem.space1, scale) * args.tol)
 
 
 def _solve_separated(problem, scale, algo, args):
@@ -148,11 +178,11 @@ def _solve_separated(problem, scale, algo, args):
         result = value_iterate(problem, tol=args.tol, max_iters=args.max_steps)
         return SolveOutcome(EXIT_OK, scale * result.j1.values, result.iterations,
                             lambda: result.residuals[-1], "Converged",
-                            _sweep_trace(result.residuals))
+                            _sweep_trace(result.residuals),
+                            lambda: (_per_unit(problem.space1, scale)
+                                     * _stopped_bound(args.tol, problem.alpha)))
     if algo == "naive":
-        result = naive_separated_pi(problem, tol=args.tol, max_iters=args.max_steps,
-                                    optimistic_k=args.optimistic_k)
-        return _pi_outcome(result, scale * result.values[0].values)
+        return _solve_naive(problem, args, scale)
     if algo == "async":
         return _solve_async(problem, args, scale=scale)
     raise ValidationError(f"algorithm {algo!r} needs a Markov game problem")
@@ -218,19 +248,23 @@ def cmd_compare(args):
     for algo in algos:
         o = outcomes[algo]
         print(f"{algo:<10} {o.status:<10} {o.iterations:>10} {o.residual():>12.3e}")
+    # each pair may differ by the sum of its answers' certified error bounds
     converged = [a for a in algos if outcomes[a].status == "Converged"]
-    worst = 0.0
+    disagree = []
     for i, a in enumerate(converged):
         for b in converged[i + 1 :]:
             gap = float(np.max(np.abs(outcomes[a].values - outcomes[b].values)))
-            worst = max(worst, gap)
-            print(f"# |{a} - {b}| = {gap!r}")
+            gate = outcomes[a].error_bound() + outcomes[b].error_bound()
+            print(f"# |{a} - {b}| = {gap!r} (gate {gate:.3e})")
+            if gap > gate:
+                disagree.append(f"|{a} - {b}| = {gap!r} > gate {gate:.3e}")
     if args.out:
         for algo in algos:
             if outcomes[algo].values is not None:
                 _write_values(f"{args.out}.{algo}.csv", outcomes[algo].values)
-    if worst > 10 * args.tol:
-        print(f"# converged algorithms disagree by {worst!r} > 10*tol", file=sys.stderr)
+    if disagree:
+        print("# converged algorithms disagree beyond their error bounds: "
+              + "; ".join(disagree), file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
 

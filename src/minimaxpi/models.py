@@ -12,7 +12,7 @@ evaluated lazily at any mixed strategy, with the minimizer's improvement
 solved exactly by LP rather than by discretizing the simplex.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -128,8 +128,7 @@ def shapley_value_iteration(game, tol=1e-8, max_iters=10**6):
     j = np.zeros(game.state_count)
     residuals = []
     for k in range(1, max_iters + 1):
-        new = np.array([solve_matrix_game(mat).value
-                        for mat in stage_matrix(game, slice(None), j)])
+        new = solve_matrix_game(stage_matrix(game, slice(None), j)).value
         res = float(np.max(np.abs(new - j) / xi))
         residuals.append(res)
         j = new
@@ -177,14 +176,30 @@ def _as_beta(beta, alpha):
 # ---------------------------------------------------------------------------
 
 
-def _sup_gap(cols_a, cols_b):
-    """sup over the simplex of max_j(u'a_j) - max_k(u'b_k)."""
-    best = -np.inf
-    for j in range(cols_a.shape[1]):
-        lines = [(0.0, cols_b[:, k] - cols_a[:, j]) for k in range(cols_b.shape[1])]
-        val, _ = min_simplex_max_linear(lines)
-        best = max(best, -val)
-    return best
+def _sup_gaps(bundles_a, bundles_b):
+    """sup over the simplex of max_j(u'a_j) - max_k(u'b_k), per bundle pair.
+
+    One LP instance per column a_j, min_u max_k u'(b_k - a_j), and one
+    batched LP call per distinct width of b.
+    """
+    gaps = np.empty(len(bundles_a))
+    widths = np.array([b.shape[1] for b in bundles_b])
+    for width in np.unique(widths):
+        pairs = np.flatnonzero(widths == width)
+        # lines[j, k] = b_k - a_j for every column j of every pair's a
+        lines = [(bundles_b[p][:, None, :] - bundles_a[p][:, :, None]).transpose(1, 2, 0)
+                 for p in pairs]
+        starts = np.cumsum([0] + [len(block) for block in lines[:-1]])
+        values, _ = min_simplex_max_linear(np.concatenate(lines))
+        gaps[pairs] = -np.minimum.reduceat(values, starts)
+    return gaps
+
+
+def _checked_bundle(cols):
+    bundle = np.asarray(cols, dtype=float)
+    if bundle.ndim != 2 or bundle.shape[1] == 0 or not np.all(np.isfinite(bundle)):
+        raise ValueError("bundles must be finite 2-D arrays with at least one column")
+    return bundle
 
 
 @dataclass(frozen=True)
@@ -198,14 +213,15 @@ class ColumnMaxTable:
 
     space: WeightedSpace
     cols: tuple
+    # True when every bundle already passed the check in the table it came
+    # from (or in with_updates); tables built from outside input check all
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        cols = tuple(np.asarray(c, dtype=float) for c in self.cols)
-        object.__setattr__(self, "cols", cols)
-        if len(cols) != self.space.size:
+    def __post_init__(self, checked):
+        if len(self.cols) != self.space.size:
             raise ValueError("need one column bundle per state")
-        if any(c.ndim != 2 or c.shape[1] == 0 or not np.all(np.isfinite(c)) for c in cols):
-            raise ValueError("bundles must be finite 2-D arrays with at least one column")
+        if not checked:
+            object.__setattr__(self, "cols", tuple(map(_checked_bundle, self.cols)))
 
     @classmethod
     def zeros(cls, space, n):
@@ -216,25 +232,24 @@ class ColumnMaxTable:
 
     def pointwise_max(self, other):
         merged = tuple(np.hstack((a, b)) for a, b in zip(self.cols, other.cols))
-        return ColumnMaxTable(self.space, merged)
+        return ColumnMaxTable(self.space, merged, checked=True)
 
     def with_updates(self, subset, entries):
         out = list(self.cols)
         for x, entry in zip(subset, entries):
-            out[x] = entry
-        return ColumnMaxTable(self.space, tuple(out))
+            out[x] = _checked_bundle(entry)
+        return ColumnMaxTable(self.space, tuple(out), checked=True)
 
     def gap_to(self, other):
         """Largest weighted one-sided excess of self over other (exact)."""
-        worst = -np.inf
-        for x, (a, b) in enumerate(zip(self.cols, other.cols)):
-            worst = max(worst, _sup_gap(a, b) / self.space.weights[x])
-        return worst
+        return float(np.max(_sup_gaps(self.cols, other.cols) / self.space.weights))
 
     def diff_norm(self, other):
         if self is other:
             return 0.0
-        return max(self.gap_to(other), other.gap_to(self))
+        # both one-sided gaps of every state in one batch
+        gaps = _sup_gaps(self.cols + other.cols, other.cols + self.cols)
+        return float(np.max(gaps / np.tile(self.space.weights, 2)))
 
     def diff_bound(self, other):
         """Cheap certified upper bound on diff_norm; exact when bundles align."""
@@ -266,10 +281,10 @@ class ColumnMaxTable:
         return self.diff_norm(zero)
 
     def le(self, other, slack=1e-12):
-        for x, (a, b) in enumerate(zip(self.cols, other.cols)):
-            gap = _sup_gap(a, b)
-            if gap > slack:
-                return False, {"state": x, "excess": float(gap)}
+        gaps = _sup_gaps(self.cols, other.cols)
+        x = int(np.argmax(gaps > slack))
+        if gaps[x] > slack:
+            return False, {"state": x, "excess": float(gaps[x])}
         return True, None
 
 
@@ -341,10 +356,15 @@ class MarkovSeparatedProblem(HalfStageProblem):
         return np.array([m2.value_at(int(x), mu[x]) / self.beta.beta for x in subset])
 
     def min_improve(self, subset, m2):
-        sols = [min_simplex_max_linear([(0.0, col) for col in m2.cols[int(x)].T])
-                for x in subset]
-        return (np.array([val for val, _ in sols]) / self.beta.beta,
-                np.array([u for _, u in sols], dtype=float))
+        """One LP per state, min_u max_j u'col_j, batched by bundle width."""
+        bundles = [m2.cols[x] for x in subset]
+        widths = np.array([b.shape[1] for b in bundles])
+        values, picks = np.empty(len(bundles)), np.empty((len(bundles), self.n))
+        for width in np.unique(widths):
+            rows = np.flatnonzero(widths == width)
+            lines = np.stack([bundles[r] for r in rows]).transpose(0, 2, 1)
+            values[rows], picks[rows] = min_simplex_max_linear(lines)
+        return values / self.beta.beta, picks
 
     def max_eval_entries(self, subset, nu, m1):
         mats = stage_matrix(self.game, subset, m1.values, self.game.alpha * self.beta.beta)

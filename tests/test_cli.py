@@ -5,17 +5,35 @@ import pytest
 
 from minimaxpi import cli
 from minimaxpi.async_pi import Schedule, round_robin, run
+from minimaxpi.classic_pi import naive_separated_pi
 from minimaxpi.errors import NonContractive, ParseError, ValidationError
-from minimaxpi.models import separated_model_to_problem, shapley_value_iteration
+from minimaxpi.core import ValueTable
+from minimaxpi.models import (minimax_control_to_problem, separated_model_to_problem,
+                              shapley_value_iteration)
 from minimaxpi.problem_io import game_payload, load_problem, save_problem
 
-from helpers import random_markov_game, random_separated_model
+from helpers import random_control_model, random_markov_game, random_separated_model
 
 
 def write_game(tmp_path, game, name="game.json", **extra):
     path = tmp_path / name
     save_problem(game_payload(game, **extra), path)
     return str(path)
+
+
+def write_control(tmp_path, model, name="control.json"):
+    path = tmp_path / name
+    save_problem({"format": 1, "kind": "minimax_control", "alpha": model.alpha,
+                  "outcomes": [[[cell.tolist() for cell in per_v] for per_v in per_u]
+                               for per_u in model.outcomes]}, path)
+    return str(path)
+
+
+def slow_control_model():
+    """Stochastic control at alpha 0.95: the split's modulus sqrt(0.95) lets
+    residual-stopped vi sit up to ~38 tol from the fixed point."""
+    return random_control_model(np.random.default_rng(0), states=4, alpha=0.95,
+                                stochastic=True)
 
 
 def minimal_game_payload(alpha=0.7):
@@ -287,6 +305,43 @@ class TestCompareCommand:
                        m2.diff_bound(problem.t2_greedy(m1, state.policies.mu)[0]))
         assert rows["async"][3] == f"{residual:.3e}"
         assert 0.0 < residual <= 1e-8
+
+    def test_pairs_gated_at_their_error_bounds(self, tmp_path, capsys):
+        path = write_control(tmp_path, slow_control_model())
+        code = cli.main(["compare", path, "--algos", "vi,naive", "--tol", "1e-6"])
+        line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# |vi")][0]
+        gap, gate = float(line.split()[5]), float(line.split()[7].rstrip(")"))
+        # vi's documented accuracy tol*a/(1-a) exceeds the old 10*tol gate
+        assert code == 0 and 10 * 1e-6 < gap <= gate
+
+    def test_pair_beyond_its_gate_fails(self, tmp_path, capsys, monkeypatch):
+        real = cli.value_iterate
+
+        def off_by_1e3(problem, tol, max_iters):
+            result = real(problem, tol=tol, max_iters=max_iters)
+            return type(result)(ValueTable(result.j1.space, result.j1.values + 1e-3),
+                                result.j2, result.iterations, result.residuals)
+
+        monkeypatch.setattr(cli, "value_iterate", off_by_1e3)
+        path = write_control(tmp_path, slow_control_model())
+        code = cli.main(["compare", path, "--algos", "vi,naive", "--tol", "1e-6"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "|vi - naive|" in err and "> gate" in err
+
+    def test_naive_residual_is_the_greedy_residual(self, tmp_path, capsys):
+        model = slow_control_model()
+        path = write_control(tmp_path, model)
+        cli.main(["compare", path, "--algos", "vi,naive", "--tol", "1e-6"])
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+        problem = minimax_control_to_problem(model)
+        result = naive_separated_pi(problem, tol=1e-6)
+        j1, j2 = result.values
+        residual = max(j1.diff_bound(problem.t1_greedy(j2)[0]),
+                       j2.diff_bound(problem.t2_greedy(j1)[0]))
+        assert rows["naive"][3] == f"{residual:.3e}"
+        # not the change between naive's last two evaluations
+        assert rows["naive"][3] != f"{result.residuals[-1]:.3e}"
 
     def test_counterexample_split_verdict(self, tmp_path, capsys):
         ce = tmp_path / "ce.json"

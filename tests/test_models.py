@@ -191,7 +191,7 @@ class TestMarkovKernels:
                 [m2.value_at(x, pol.mu[x]) / beta for x in subset])
             values, picks = problem.min_improve(subset, m2)
             for i, x in enumerate(subset):
-                val, u = min_simplex_max_linear([(0.0, c) for c in m2.cols[x].T])
+                val, u = min_simplex_max_linear(m2.cols[x].T)
                 assert values[i] == val / beta and np.array_equal(picks[i], u)
             entries = problem.max_eval_entries(subset, pol.nu, m1)
             for entry, mat, x in zip(entries, mats, subset):
