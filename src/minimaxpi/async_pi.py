@@ -296,7 +296,9 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6,
     With a positive staleness bound, each step reads table snapshots up to
     that many updates old (delay drawn uniformly per step from a seeded
     generator), emulating communication delays.  Returns (final state,
-    trace); raises :class:`MaxStepsExceeded` when the budget runs out.
+    trace): ``trace_out`` with one :class:`TraceRow` per step appended, or
+    [] (and no change probe computed) without it.  Raises
+    :class:`MaxStepsExceeded` when the budget runs out.
 
     A block-parallel sweep needs no executor of its own.  An operation
     writes its side's entries on its subset and reads, of its own side,
@@ -318,9 +320,10 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6,
             delay = int(rng.integers(0, bound + 1))
             read = ring[max(0, len(ring) - 1 - delay)]
         new = _apply(problem, state, op, read)
-        r1 = _probe_diff(state.j1, new.j1) if op.kind.side == 1 else 0.0
-        r2 = _probe_diff(state.j2, new.j2) if op.kind.side == 2 else 0.0
-        trace.append(TraceRow(step, op.kind.value, op.label, r1, r2))
+        if trace_out is not None:
+            r1 = _probe_diff(state.j1, new.j1) if op.kind.side == 1 else 0.0
+            r2 = _probe_diff(state.j2, new.j2) if op.kind.side == 2 else 0.0
+            trace.append(TraceRow(step, op.kind.value, op.label, r1, r2))
         state = new
         ring.append(state)
         if step % check_every == 0 and _converged(problem, state, tol):

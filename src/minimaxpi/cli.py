@@ -59,6 +59,15 @@ def _parse_params(text):
     return params
 
 
+def _int_param(params, key, default, low):
+    """Schedule parameter ``key``: an integer of at least ``low`` (>= 0)."""
+    text = params.get(key, default)
+    if not text.isdecimal() or int(text) < low:
+        raise ValidationError(f"schedule parameter {key} must be an integer >= {low}, "
+                              f"got {text!r}")
+    return int(text)
+
+
 def parse_schedule(spec):
     """Build a schedule from the mini-language, e.g. ``round_robin:k=10``,
     ``random:seed=7``, ``partitioned:p=4``, ``delayed:B=3,inner=round_robin``."""
@@ -70,17 +79,17 @@ def parse_schedule(spec):
             raise ValidationError("delayed schedule needs inner=<spec>")
         head, inner_spec = rest.split("inner=", 1)
         params = _parse_params(head.rstrip(","))
-        return async_pi.delayed(parse_schedule(inner_spec), int(params.get("B", 1)))
+        return async_pi.delayed(parse_schedule(inner_spec), _int_param(params, "B", "1", 0))
     params = _parse_params(rest)
-    k = int(params.get("k", 10))
+    k = _int_param(params, "k", "10", 0)
     if name == "round_robin":
         return async_pi.round_robin(k)
     if name == "random":
         if "seed" not in params:
             raise ValidationError("random schedule needs seed=<int>")
-        return async_pi.random_fair(int(params["seed"]), k)
+        return async_pi.random_fair(_int_param(params, "seed", None, 0), k)
     if name == "partitioned":
-        return async_pi.partitioned(int(params.get("p", 4)), k)
+        return async_pi.partitioned(_int_param(params, "p", "4", 1), k)
     raise ValidationError(f"unknown schedule {name!r}")
 
 
@@ -127,10 +136,14 @@ def _greedy_residual(problem, j1, j2):
 def _solve_naive(problem, args, scale):
     result = naive_separated_pi(problem, tol=args.tol, max_iters=args.max_steps,
                                 optimistic_k=args.optimistic_k)
+    j1 = result.values[0]
     residual = functools.cache(lambda: _greedy_residual(problem, *result.values))
-    return _pi_outcome(result, scale * result.values[0].values,
-                       lambda: _per_unit(problem.space1, scale) * residual() / (1.0 - problem.alpha),
-                       residual)
+    # the bound certifies J1 alone (naive's J2 on a game is a policy section)
+    # by |J1 - T1(T2 J1)|, greedy; the composite contracts at alpha**2
+    bound = lambda: (_per_unit(problem.space1, scale)
+                     * j1.diff_bound(problem.t1_greedy(problem.t2_greedy(j1)[0])[0])
+                     / (1.0 - problem.alpha ** 2))
+    return _pi_outcome(result, scale * j1.values, bound, residual)
 
 
 def _solve_game(game, algo, args, file_beta=None):
@@ -159,7 +172,8 @@ def _solve_async(problem, args, scale=1.0):
     schedule = parse_schedule(args.schedule)
     try:
         state, trace = async_pi.run(problem, schedule, tol=args.tol,
-                                    max_steps=args.max_steps, seed=args.seed)
+                                    max_steps=args.max_steps, seed=args.seed,
+                                    trace_out=[] if args.trace else None)
     except MaxStepsExceeded as exc:
         rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2)
                 for r in (exc.trace or [])]

@@ -7,12 +7,13 @@ scaling that splits one discount factor across the minimizer and
 maximizer half-stages.
 
 The reformulated Markov game keeps the maximizer's side implicit: its
-tables are stored per game state as bundles of matrix columns and
-evaluated lazily at any mixed strategy, with the minimizer's improvement
-solved exactly by LP rather than by discretizing the simplex.
+tables are stored per game state as bundles of matrix columns, one
+(states, n, width) array per table, and evaluated lazily at any mixed
+strategy, with the minimizer's improvement solved exactly by LP (one
+batched call over a whole subset) rather than by discretizing the simplex.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,30 +177,24 @@ def _as_beta(beta, alpha):
 # ---------------------------------------------------------------------------
 
 
-def _sup_gaps(bundles_a, bundles_b):
-    """sup over the simplex of max_j(u'a_j) - max_k(u'b_k), per bundle pair.
+def _sup_gaps(a, b):
+    """sup over the simplex of max_j(u'a_j) - max_k(u'b_k), per state.
 
-    One LP instance per column a_j, min_u max_k u'(b_k - a_j), and one
-    batched LP call per distinct width of b.
+    ``a`` and ``b`` are (states, n, width) bundle arrays.  One LP instance
+    per column a_j, min_u max_k u'(b_k - a_j), all in one batched call.
     """
-    gaps = np.empty(len(bundles_a))
-    widths = np.array([b.shape[1] for b in bundles_b])
-    for width in np.unique(widths):
-        pairs = np.flatnonzero(widths == width)
-        # lines[j, k] = b_k - a_j for every column j of every pair's a
-        lines = [(bundles_b[p][:, None, :] - bundles_a[p][:, :, None]).transpose(1, 2, 0)
-                 for p in pairs]
-        starts = np.cumsum([0] + [len(block) for block in lines[:-1]])
-        values, _ = min_simplex_max_linear(np.concatenate(lines))
-        gaps[pairs] = -np.minimum.reduceat(values, starts)
-    return gaps
+    lines = b.transpose(0, 2, 1)[:, None] - a.transpose(0, 2, 1)[:, :, None]
+    values, _ = min_simplex_max_linear(lines)
+    return -values.min(axis=1)
 
 
-def _checked_bundle(cols):
-    bundle = np.asarray(cols, dtype=float)
-    if bundle.ndim != 2 or bundle.shape[1] == 0 or not np.all(np.isfinite(bundle)):
-        raise ValueError("bundles must be finite 2-D arrays with at least one column")
-    return bundle
+def _readings(u, cols):
+    """u'col_j for every column j, with u (..., n) and cols (..., n, width),
+    summed strategy by strategy so that no reading depends on the width."""
+    total = u[..., 0, None] * cols[..., 0, :]
+    for i in range(1, cols.shape[-2]):
+        total += u[..., i, None] * cols[..., i, :]
+    return total
 
 
 @dataclass(frozen=True)
@@ -208,66 +203,55 @@ class ColumnMaxTable:
 
     This stores the maximizer-side tables of a reformulated Markov game as
     a finite set of numbers: one column after an evaluation step, the full
-    matrix after an improvement step.
+    matrix after an improvement step.  ``cols`` is one float array of shape
+    (states, n, width), the same width for every state; a narrower bundle
+    is stored with a column repeated, which changes no reading (not
+    max_j u'col_j, not the LP value, not the exact gaps).
     """
 
     space: WeightedSpace
-    cols: tuple
-    # True when every bundle already passed the check in the table it came
-    # from (or in with_updates); tables built from outside input check all
-    checked: InitVar[bool] = False
+    cols: np.ndarray
 
-    def __post_init__(self, checked):
-        if len(self.cols) != self.space.size:
-            raise ValueError("need one column bundle per state")
-        if not checked:
-            object.__setattr__(self, "cols", tuple(map(_checked_bundle, self.cols)))
-
-    @classmethod
-    def zeros(cls, space, n):
-        return cls(space, tuple(np.zeros((n, 1)) for _ in range(space.size)))
+    def __post_init__(self):
+        cols = np.asarray(self.cols, dtype=float)
+        if cols.ndim != 3 or cols.shape[0] != self.space.size or 0 in cols.shape[1:]:
+            raise ValueError("need a (states, n, width) bundle array with n, width >= 1")
+        if not np.all(np.isfinite(cols)):
+            raise ValueError("bundle entries must be finite")
+        object.__setattr__(self, "cols", cols)
 
     def value_at(self, x, u):
-        return float(np.max(np.asarray(u) @ self.cols[x]))
+        return float(np.max(_readings(np.asarray(u), self.cols[x])))
 
     def pointwise_max(self, other):
-        merged = tuple(np.hstack((a, b)) for a, b in zip(self.cols, other.cols))
-        return ColumnMaxTable(self.space, merged, checked=True)
+        return ColumnMaxTable(self.space, np.concatenate((self.cols, other.cols), axis=2))
 
     def with_updates(self, subset, entries):
-        out = list(self.cols)
-        for x, entry in zip(subset, entries):
-            out[x] = _checked_bundle(entry)
-        return ColumnMaxTable(self.space, tuple(out), checked=True)
-
-    def gap_to(self, other):
-        """Largest weighted one-sided excess of self over other (exact)."""
-        return float(np.max(_sup_gaps(self.cols, other.cols) / self.space.weights))
+        """Replace the bundles of ``subset``; a one-column entry fills them."""
+        out = self.cols.copy()
+        out[subset] = entries
+        return ColumnMaxTable(self.space, out)
 
     def diff_norm(self, other):
         if self is other:
             return 0.0
-        # both one-sided gaps of every state in one batch
-        gaps = _sup_gaps(self.cols + other.cols, other.cols + self.cols)
-        return float(np.max(gaps / np.tile(self.space.weights, 2)))
+        gaps = np.maximum(_sup_gaps(self.cols, other.cols), _sup_gaps(other.cols, self.cols))
+        return float(np.max(gaps / self.space.weights))
 
     def diff_bound(self, other):
-        """Cheap certified upper bound on diff_norm; exact when bundles align."""
+        """Cheap certified upper bound on diff_norm; exact for single columns."""
         if self is other:
             return 0.0
-        if all(a.shape == b.shape for a, b in zip(self.cols, other.cols)):
-            return max(
-                float(np.max(np.abs(a - b))) / self.space.weights[x]
-                for x, (a, b) in enumerate(zip(self.cols, other.cols))
-            )
+        if self.cols.shape == other.cols.shape:
+            return float(np.max(np.abs(self.cols - other.cols)
+                                / self.space.weights[:, None, None]))
         return self.diff_norm(other)
 
     def diff_probe(self, other):
         """Change gauge for trace rows: the bundles' gap sampled at the
         strategy-simplex vertices (a lower bound on diff_norm)."""
-        return max(
-            float(np.max(np.abs(a.max(axis=1) - b.max(axis=1)))) / self.space.weights[x]
-            for x, (a, b) in enumerate(zip(self.cols, other.cols)))
+        gaps = np.abs(self.cols.max(axis=2) - other.cols.max(axis=2))
+        return float(np.max(gaps / self.space.weights[:, None]))
 
     def eval_gap(self, improved):
         """Stop-check gap between this evaluated section J2 and the improved
@@ -277,8 +261,7 @@ class ColumnMaxTable:
         return 0.0
 
     def norm(self):
-        zero = ColumnMaxTable.zeros(self.space, self.cols[0].shape[0])
-        return self.diff_norm(zero)
+        return self.diff_norm(ColumnMaxTable(self.space, np.zeros_like(self.cols[..., :1])))
 
     def le(self, other, slack=1e-12):
         gaps = _sup_gaps(self.cols, other.cols)
@@ -336,10 +319,10 @@ class MarkovSeparatedProblem(HalfStageProblem):
         return self.game.moves[1]
 
     def table2(self, entries):
-        return ColumnMaxTable(self.space2, tuple(entries))
+        return ColumnMaxTable(self.space2, entries)
 
     def zero2(self):
-        return ColumnMaxTable.zeros(self.space2, self.n)
+        return ColumnMaxTable(self.space2, np.zeros((self.game.state_count, self.n, self.m)))
 
     def first_policies(self):
         mu = np.zeros((self.game.state_count, self.n))
@@ -353,17 +336,12 @@ class MarkovSeparatedProblem(HalfStageProblem):
     # -- half-stage kernels ---------------------------------------------------
 
     def min_eval_values(self, subset, mu, m2):
-        return np.array([m2.value_at(int(x), mu[x]) / self.beta.beta for x in subset])
+        readings = _readings(np.asarray(mu)[subset], m2.cols[subset])
+        return readings.max(axis=-1) / self.beta.beta
 
     def min_improve(self, subset, m2):
-        """One LP per state, min_u max_j u'col_j, batched by bundle width."""
-        bundles = [m2.cols[x] for x in subset]
-        widths = np.array([b.shape[1] for b in bundles])
-        values, picks = np.empty(len(bundles)), np.empty((len(bundles), self.n))
-        for width in np.unique(widths):
-            rows = np.flatnonzero(widths == width)
-            lines = np.stack([bundles[r] for r in rows]).transpose(0, 2, 1)
-            values[rows], picks[rows] = min_simplex_max_linear(lines)
+        """One LP per state, min_u max_j u'col_j, all in one batched call."""
+        values, picks = min_simplex_max_linear(m2.cols[subset].transpose(0, 2, 1))
         return values / self.beta.beta, picks
 
     def max_eval_entries(self, subset, nu, m1):
@@ -394,12 +372,12 @@ class MarkovSeparatedProblem(HalfStageProblem):
     # -- sampling hooks -------------------------------------------------------
 
     def random_table2(self, rng):
-        cols = tuple(
-            rng.uniform(-1, 1, (self.n, rng.integers(1, self.m + 1)))
-            * self.space2.weights[x]
-            for x in range(self.game.state_count)
-        )
-        return ColumnMaxTable(self.space2, cols)
+        """Bundles of 1..m random columns, padded to m with the last one."""
+        s = self.game.state_count
+        widths = rng.integers(1, self.m + 1, s)
+        cols = rng.uniform(-1, 1, (s, self.n, self.m)) * self.space2.weights[:, None, None]
+        last = np.minimum(np.arange(self.m), widths[:, None] - 1)
+        return ColumnMaxTable(self.space2, np.take_along_axis(cols, last[:, None, :], axis=2))
 
     def random_policies(self, rng):
         mu = rng.dirichlet(np.ones(self.n), self.game.state_count)
@@ -409,9 +387,7 @@ class MarkovSeparatedProblem(HalfStageProblem):
     def random_ordered_table2(self, rng):
         lo = self.random_table2(rng)
         shifts = rng.uniform(0, 1, self.game.state_count)
-        hi = ColumnMaxTable(self.space2,
-                            tuple(c + s for c, s in zip(lo.cols, shifts)))
-        return lo, hi
+        return lo, ColumnMaxTable(self.space2, lo.cols + shifts[:, None, None])
 
 
 def separate_markov_game(game, beta=None):

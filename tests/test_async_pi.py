@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minimaxpi import async_pi
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
 from minimaxpi.async_pi import (AlgoState, Kind, Operation, _apply, _converged, build_G,
@@ -107,11 +108,18 @@ class TestSteps:
             assert np.allclose(stepped.v2.cols[x], mat, atol=1e-12)
 
     def test_max_eval_keeps_single_column(self, markov_sep):
+        """An evaluated bundle is the policy's column of the stage matrix,
+        repeated across the table's fixed width."""
         problem = markov_sep
         state = max_improve_step(problem, initial_state(problem))
+        state = min_improve_step(problem, state)
         stepped = max_eval_step(problem, state)
+        m1 = np.minimum(state.j1.values, state.v1.values)
         for x in range(problem.space2.size):
-            assert stepped.j2.cols[x].shape == (problem.n, 1)
+            mat = stage_matrix(problem.game, x, m1, problem.game.alpha * problem.beta.beta)
+            column = mat[:, state.policies.nu[x]]
+            assert all(np.array_equal(c, column) for c in stepped.j2.cols[x].T)
+        assert stepped.j2.cols.shape == (problem.space2.size, problem.n, problem.m)
         assert stepped.v2 is state.v2
 
     def test_min_eval_matches_per_state_formula(self, markov_sep):
@@ -157,7 +165,7 @@ class TestSteps:
 class TestRun:
     def test_round_robin_scalar_instance(self):
         problem = scalar_problem()
-        state, trace = run(problem, round_robin(), tol=1e-10)
+        state, trace = run(problem, round_robin(), tol=1e-10, trace_out=[])
         assert state.j1.values[0] == pytest.approx(2.0 / 3.0, abs=1e-8)
         assert state.j2.values[0] == pytest.approx(4.0 / 3.0, abs=1e-8)
         assert len(trace) == state.t
@@ -167,7 +175,7 @@ class TestRun:
         exact = value_iterate(problem, tol=1e-13)
         fixed = AlgoState(exact.j1, exact.j1, exact.j2, exact.j2,
                           problem.first_policies(), 0)
-        state, trace = run(problem, round_robin(), init=fixed, tol=1e-8)
+        state, trace = run(problem, round_robin(), init=fixed, tol=1e-8, trace_out=[])
         assert state.t == 0
         assert trace == []
 
@@ -219,7 +227,7 @@ class TestRun:
 
     def test_partitioned_blocks_converge(self, markov_sep):
         problem = markov_sep
-        state, trace = run(problem, partitioned(2), tol=1e-9)
+        state, trace = run(problem, partitioned(2), tol=1e-9, trace_out=[])
         oracle = value_iterate(problem, tol=1e-12)
         assert np.max(np.abs(state.j1.values - oracle.j1.values)) <= 1e-7
         labels = {row.subset for row in trace}
@@ -320,9 +328,18 @@ class TestSchedules:
         assert fairness_ok(partitioned(2, 2), explicit_problem)
 
     def test_trace_is_deterministic(self, markov_sep):
-        a = run(markov_sep, random_fair(3), tol=1e-9, seed=5)[1]
-        b = run(markov_sep, random_fair(3), tol=1e-9, seed=5)[1]
-        assert a == b
+        a = run(markov_sep, random_fair(3), tol=1e-9, seed=5, trace_out=[])[1]
+        b = run(markov_sep, random_fair(3), tol=1e-9, seed=5, trace_out=[])[1]
+        assert a and a == b
+
+    def test_untraced_run_computes_no_probe(self, markov_sep, monkeypatch):
+        calls = []
+        probe = async_pi._probe_diff
+        monkeypatch.setattr(async_pi, "_probe_diff", lambda a, b: calls.append(1) or probe(a, b))
+        state, trace = run(markov_sep, random_fair(3), tol=1e-9, seed=5)
+        assert trace == [] and calls == []
+        _, trace = run(markov_sep, random_fair(3), tol=1e-9, seed=5, trace_out=[])
+        assert len(calls) == len(trace) == state.t
 
 
 class TestExtendedOperator:

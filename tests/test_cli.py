@@ -161,6 +161,18 @@ class TestScheduleParser:
         with pytest.raises(ValidationError):
             cli.parse_schedule("mystery:x=1")
 
+    @pytest.mark.parametrize("spec, param", [
+        ("round_robin:k=abc", "k"), ("random:seed=x", "seed"), ("partitioned:p=0", "p"),
+        ("round_robin:k=-1", "k"), ("delayed:B=-1,inner=round_robin", "B"),
+        ("random:seed=-1", "seed"),
+    ])
+    def test_bad_parameter_exits_1_naming_it(self, tmp_path, capsys, spec, param):
+        path = write_game(tmp_path, random_markov_game(np.random.default_rng(1), 2, 2, 2))
+        code = cli.main(["solve", path, "--algo", "async", "--schedule", spec])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: schedule parameter {param} ")
+
 
 class TestSolveCommand:
     def test_zero_game_all_algorithms(self, tmp_path, capsys):
@@ -342,6 +354,17 @@ class TestCompareCommand:
         assert rows["naive"][3] == f"{residual:.3e}"
         # not the change between naive's last two evaluations
         assert rows["naive"][3] != f"{result.residuals[-1]:.3e}"
+
+    def test_naive_bound_certifies_j1_on_games(self, tmp_path, capsys):
+        # naive's J2 on a game is a policy section: a bound from the pair's
+        # greedy residual gated this pair at 18.6
+        path = write_game(tmp_path, random_markov_game(np.random.default_rng(1), 3, 2, 2,
+                                                       alpha=0.9))
+        code = cli.main(["compare", path, "--algos", "vi,naive,async"])
+        lines = capsys.readouterr().out.splitlines()
+        gate = float([ln for ln in lines if ln.startswith("# |vi - naive|")][0]
+                     .split()[-1].rstrip(")"))
+        assert code == 0 and gate <= 1e-6
 
     def test_counterexample_split_verdict(self, tmp_path, capsys):
         ce = tmp_path / "ce.json"

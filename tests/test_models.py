@@ -380,3 +380,47 @@ class TestValidation:
         assert a.diff_norm(b) == pytest.approx(1.0, abs=1e-9)
         assert a.value_at(0, np.array([0.5, 0.5])) == pytest.approx(0.0)
         assert a.value_at(0, np.array([1.0, 0.0])) == pytest.approx(1.0)
+
+
+class TestColumnBundles:
+    """The fixed-shape bundle array: a narrower bundle is stored with a
+    column repeated, so repeating columns may change no reading."""
+
+    def test_repeated_columns_change_no_reading(self):
+        rng = np.random.default_rng(42)
+        s, n, m = 6, 3, 3
+        problem = separate_markov_game(random_markov_game(rng, s, n, m, alpha=0.9))
+        every = np.arange(s)
+        for _ in range(10):
+            lo, hi = problem.random_ordered_table2(rng)
+            other = problem.random_table2(rng)
+            # every column once, in a per-state order, then two repeats
+            order = np.concatenate((rng.permuted(np.tile(np.arange(m), (s, 1)), axis=1),
+                                    rng.integers(0, m, (s, 2))), axis=1)
+            wide = ColumnMaxTable(problem.space2,
+                                  np.take_along_axis(lo.cols, order[:, None, :], axis=2))
+            spread = np.ptp(np.concatenate((lo.cols, hi.cols, other.cols), axis=2))
+            slack = 1e-12 * spread
+            for x in every:
+                u = rng.dirichlet(np.ones(n))
+                assert wide.value_at(x, u) == lo.value_at(x, u)
+            assert wide.diff_probe(other) == lo.diff_probe(other)
+            assert wide.diff_probe(lo) == 0.0
+            wide_values, _ = problem.min_improve(every, wide)
+            values, _ = problem.min_improve(every, lo)
+            assert np.max(np.abs(wide_values - values)) <= slack
+            assert abs(wide.diff_norm(other) - lo.diff_norm(other)) <= slack
+            assert wide.diff_norm(lo) <= slack
+            assert wide.le(hi, slack)[0] and lo.le(hi, slack)[0]
+            assert wide.le(lo, slack)[0] and lo.le(wide, slack)[0]
+
+    @pytest.mark.parametrize("cols", [
+        np.array([[[1.0, np.nan]], [[0.0, 0.0]]]),
+        np.zeros((3, 2, 2)),
+        np.zeros((2, 2)),
+        np.zeros((2, 2, 0)),
+        (np.zeros((2, 1)), np.zeros((2, 2))),
+    ], ids=["non-finite", "state-count", "2-D", "zero-width", "ragged"])
+    def test_malformed_bundles_rejected(self, cols):
+        with pytest.raises(ValueError):
+            ColumnMaxTable(WeightedSpace.unit(2), cols)
