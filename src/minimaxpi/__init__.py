@@ -9,14 +9,12 @@ from .core import (HalfStage, HalfStageProblem, PolicyPair, SeparatedProblem,
                    TabularProblem, ValueTable, WeightedSpace, bellman_residual,
                    check_monotone, estimate_modulus, policy_pair_value,
                    value_iterate)
-from .matrix_game import (SaddleSolution, best_response_value,
-                          min_simplex_max_linear, solve_matrix_game)
+from .matrix_game import SaddleSolution, min_simplex_max_linear, solve_matrix_game
 from .models import (BetaScaling, ColumnMaxTable, DiscountedMarkovGame,
                      MinimaxControlModel, SeparatedMinimaxModel,
                      default_beta, markov_H, markov_game_to_control,
                      minimax_control_to_problem, separate_markov_game,
-                     separated_model_to_problem, shapley_value_iteration,
-                     transition_probs)
+                     separated_model_to_problem, shapley_value_iteration)
 from .classic_pi import (PIResult, PIStatus, detect_cycle,
                          find_oscillating_game, hoffman_karp,
                          naive_separated_pi, pollatschek_avi_itzhak)

@@ -20,7 +20,7 @@ from .aggregation import (AggregationProbabilities, RepresentativeSets,
                           solve_with_aggregation)
 from .classic_pi import (PIStatus, find_oscillating_game, hoffman_karp,
                          naive_separated_pi, pollatschek_avi_itzhak)
-from .core import value_iterate
+from .core import bellman_residual, value_iterate
 from .errors import (MaxItersExceeded, MaxStepsExceeded, MinimaxPIError,
                      ValidationError)
 from .problem_io import game_payload, load_problem, save_problem
@@ -127,17 +127,11 @@ def _sweep_trace(residuals):
     return [(k + 1, "Sweep", "all", r, 0.0) for k, r in enumerate(residuals)]
 
 
-def _greedy_residual(problem, j1, j2):
-    """max(|J1 - T1 J2|, |J2 - T2 J1|) of a returned table pair."""
-    return max(j1.diff_bound(problem.t1_greedy(j2)[0]),
-               j2.diff_bound(problem.t2_greedy(j1)[0]))
-
-
 def _solve_naive(problem, args, scale):
     result = naive_separated_pi(problem, tol=args.tol, max_iters=args.max_steps,
                                 optimistic_k=args.optimistic_k)
     j1 = result.values[0]
-    residual = functools.cache(lambda: _greedy_residual(problem, *result.values))
+    residual = functools.cache(lambda: bellman_residual(problem, *result.values))
     # the bound certifies J1 alone (naive's J2 on a game is a policy section)
     # by |J1 - T1(T2 J1)|, greedy; the composite contracts at alpha**2
     bound = lambda: (_per_unit(problem.space1, scale)
@@ -325,16 +319,20 @@ def cmd_aggregate_solve(args):
 
 
 def _add_common(parser):
+    """The problem file and the options every solving subcommand reads."""
+    parser.add_argument("problem")
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--max-steps", type=int, default=10**6)
+    parser.add_argument("--beta", type=float, default=None)
+    parser.add_argument("--out", default=None)
+
+
+def _add_algorithm_options(parser):
     parser.add_argument("--schedule", default=None,
                         help="round_robin:k=10 | random:seed=S | partitioned:p=4 "
                              "| delayed:B=3,inner=round_robin")
-    parser.add_argument("--beta", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--optimistic-k", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--trace", default=None)
 
 
 def build_parser():
@@ -344,16 +342,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one algorithm on a problem file")
-    p.add_argument("problem")
-    p.add_argument("--algo", required=True, choices=("vi", "hk", "poa", "naive", "async"))
     _add_common(p)
+    p.add_argument("--algo", required=True, choices=("vi", "hk", "poa", "naive", "async"))
+    _add_algorithm_options(p)
+    p.add_argument("--trace", default=None)
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("compare", help="run several algorithms and cross-check")
-    p.add_argument("problem")
-    p.add_argument("--algos", required=True, help="comma-separated list")
     _add_common(p)
-    p.set_defaults(handler=cmd_compare)
+    p.add_argument("--algos", required=True, help="comma-separated list")
+    _add_algorithm_options(p)
+    # compare writes no trace, so its async solves keep none
+    p.set_defaults(handler=cmd_compare, trace=None)
 
     p = sub.add_parser("counterexample",
                        help="emit a game on which all-pairs policy iteration cycles")
@@ -362,7 +362,6 @@ def build_parser():
 
     p = sub.add_parser("aggregate-solve",
                        help="solve a reduced problem over representative states")
-    p.add_argument("problem")
     _add_common(p)
     p.set_defaults(handler=cmd_aggregate_solve)
     return parser

@@ -26,7 +26,8 @@ class DegeneratePair(MinimaxPIError):
 
 
 class LPNumericalFailure(MinimaxPIError):
-    """The simplex method lost feasibility, failed to terminate, or duality broke."""
+    """An LP answer failed its certificate, enumeration found no vertex, or
+    a game's two LP values disagree."""
 
 
 class InvalidBeta(MinimaxPIError):

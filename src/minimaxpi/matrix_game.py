@@ -20,11 +20,12 @@ below is relative to the instance's spread, and ``val(a*M + b)`` is
 ``a*val(M) + b`` for any a > 0.  An instance with C(n+L, n) - 1 candidate
 vertices at most ``_ENUM_BUDGET`` (every workload's size) is solved by
 exact vertex enumeration, all candidates of a whole batch in one numpy
-call; a larger one by a dense two-phase simplex on the normalized LP,
-with Bland's rule keeping pivoting deterministic and cycle-free.  The
-reported value is the one the returned (clipped) strategy attains.
-Nothing falls back silently: a failed simplex raises
-:class:`LPNumericalFailure` naming the instance's shape and spread.
+call; a larger one by a single-phase simplex on the positive game, every
+instance of the batch pivoting by Bland's rule in lockstep, each answer
+certified two-sided from its own final tableau.  The reported value is
+the one the returned strategy attains.  Nothing falls back silently: an
+answer that fails its certificate raises :class:`LPNumericalFailure`
+naming the instance's shape and spread.
 """
 
 import itertools
@@ -36,13 +37,17 @@ import numpy as np
 
 from .errors import LPNumericalFailure
 
-_EPS = 1e-11
-_ENTER_TOL = 1e-9
+# simplex: reduced costs below -_ENTER_TOL enter (stopping far inside the
+# 1e-9 x spread accuracy the layer is tested to), column entries above
+# _PIVOT_TOL may pivot, and an answer's certified gap (normalized) is at most
+# _CERTIFY
+_ENTER_TOL = 1e-13
+_PIVOT_TOL = 1e-9
+_CERTIFY = 1e-8
 # candidate vertices per instance up to which enumeration is used.  Measured
-# per instance on a 2-core box (numpy 2.4, batches of 1 and 10): 3 lines over
-# 3 strategies (19 candidates) 40-140 us against the simplex's 290-500 us; 6
-# over 3 (83) 130-220 us against 360-470 us; 6 over 4 (209) about even at
-# ~0.5 ms; 5 over 5 (251) 1.4x the simplex, 6 over 6 (923) 5.7x
+# per call on a 2-core box (numpy 2.4, uniform instances), 6 lines over 3
+# strategies (83 candidates): enumeration 150 us against the simplex's 230 us
+# at batch 1, but 1.2 ms against 0.42 ms at batch 10
 _ENUM_BUDGET = 200
 # |det| of a normalized vertex system below which it counts as singular
 _SINGULAR = 1e-13
@@ -62,106 +67,6 @@ class SaddleSolution:
     value: float
     u_star: np.ndarray
     v_star: np.ndarray
-
-
-def clean_strategy(p, tol=1e-9):
-    """Clamp tiny negatives to zero and renormalize to a probability vector."""
-    p = np.asarray(p, dtype=float)
-    if np.min(p) < -1e-6 or abs(p.sum() - 1.0) > 1e-6:
-        raise LPNumericalFailure(f"strategy far from the simplex: {p}")
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
-
-
-def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
-
-
-def _run_simplex(tableau, basis, ncols, max_pivots):
-    for _ in range(max_pivots):
-        reduced = tableau[-1, :ncols]
-        entering = np.nonzero(reduced < -_ENTER_TOL)[0]
-        progressed = False
-        for col in entering:  # Bland: lowest eligible index first
-            column = tableau[:-1, int(col)]
-            rows = np.nonzero(column > _EPS)[0]
-            if rows.size == 0:
-                # tiny pivots can amplify float noise into spurious negative
-                # reduced costs; only a clearly negative one means unbounded
-                if reduced[col] < -1e-6:
-                    raise LPNumericalFailure("LP is unbounded; malformed input")
-                continue
-            ratios = tableau[rows, -1] / tableau[rows, int(col)]
-            best = ratios.min()
-            ties = rows[ratios <= best + 1e-10]
-            row = int(min(ties, key=lambda r: basis[r]))
-            _pivot(tableau, basis, row, int(col))
-            progressed = True
-            break
-        if not progressed:
-            return
-    raise LPNumericalFailure("pivot budget exhausted; simplex failed to terminate")
-
-
-def simplex_solve(c, A, b):
-    """Solve min c'x s.t. Ax = b, x >= 0 with a dense two-phase simplex.
-
-    Returns (x, objective).  Raises :class:`LPNumericalFailure` on
-    infeasible or unbounded inputs, which for this library's internally
-    generated LPs signals ill-conditioned payoffs.
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
-    m, n = A.shape
-    flip = b < 0
-    A[flip] *= -1
-    b[flip] *= -1
-
-    max_pivots = 1000 + 50 * (m + n)
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = list(range(n, n + m))
-    # phase-1 reduced costs for the all-artificial basis
-    tableau[m, n : n + m] = 1.0
-    tableau[m] -= tableau[:m].sum(axis=0)
-    _run_simplex(tableau, basis, n + m, max_pivots)
-    if -tableau[m, -1] > 1e-8:
-        raise LPNumericalFailure("LP is infeasible; malformed input")
-
-    # drive leftover artificials out of the basis (or drop redundant rows)
-    keep = []
-    for r in range(m):
-        if basis[r] >= n:
-            pivots = np.nonzero(np.abs(tableau[r, :n]) > _EPS)[0]
-            if pivots.size == 0:
-                continue  # redundant constraint
-            _pivot(tableau, basis, r, int(pivots[0]))
-        keep.append(r)
-    rows = keep + [m]
-    tableau = tableau[rows][:, list(range(n)) + [n + m]]
-    basis = [basis[r] for r in keep]
-
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = c
-    for r, var in enumerate(basis):
-        coef = tableau[-1, var]
-        if abs(coef) > _EPS:
-            tableau[-1] -= coef * tableau[r]
-    _run_simplex(tableau, basis, n, max_pivots)
-
-    x = np.zeros(n)
-    for r, var in enumerate(basis):
-        x[var] = tableau[r, -1]
-    return x, float(-tableau[-1, -1])
 
 
 @lru_cache(maxsize=None)
@@ -223,33 +128,64 @@ def _enumerate_min_max(coeffs):
 
 
 def _simplex_min_max(coeffs, spread):
-    """One dense simplex per instance of a normalized (B, L, n) batch.
+    """Single-phase simplex of every instance of a normalized (B, L, n)
+    batch, all pivoting in lockstep.
 
-    Epigraph LP of each instance, with the level z shifted to w = z - lo
-    >= 0 (every feasible level is at least the largest per-line minimum
-    lo): columns [u, w, slacks], rows u'c_l - w + s_l = lo and sum(u) = 1.
+    Shifted into [1, 2], an instance is a positive game, so ``max 1'x s.t.
+    C x <= 1, x >= 0`` (C the (L, n) lines) is feasible at the slack basis
+    and bounded; at its optimum ``u = x / 1'x`` (Dantzig 1951).  Each
+    instance pivots by Bland's rule (Bland 1977: lowest entering column,
+    ratio-test ties to the lowest basic index).  The final objective row prices
+    the slack columns at the lines' dual weights ``w``, which certifies the
+    answer two-sided: ``max_l u'c_l - min_i w'c_i`` bounds its error.
+    Returns (attained values (B,), strategies (B, n)).
     """
     batch, n_lines, n = coeffs.shape
-    out = np.empty((batch, n))
-    A = np.zeros((n_lines + 1, n + 1 + n_lines))
-    A[:n_lines, n] = -1.0
-    A[:n_lines, n + 1 :] = np.eye(n_lines)
-    A[n_lines, :n] = 1.0
-    c = np.zeros(n + 1 + n_lines)
-    c[n] = 1.0
-    for k, inst in enumerate(coeffs):
-        A[:n_lines, :n] = inst
-        lo = float(np.max(inst.min(axis=1)))
-        try:
-            x, obj = simplex_solve(c, A, np.r_[np.full(n_lines, lo), 1.0])
-            out[k] = clean_strategy(x[:n])
-            if abs(float(np.max(inst @ out[k])) - (obj + lo)) > 1e-7:
-                raise LPNumericalFailure("simplex solution failed its certificate")
-        except LPNumericalFailure as exc:
-            raise LPNumericalFailure(
-                f"{exc} ({n_lines} lines over {n} strategies, "
-                f"payoff spread {spread[k]:.3e})") from exc
-    return out
+    width = n + n_lines
+    tab = np.zeros((batch, n_lines + 1, width + 1))
+    tab[:, :-1, :n] = coeffs + 1.0
+    tab[:, :-1, n:width] = np.eye(n_lines)
+    tab[:, :-1, -1] = 1.0
+    tab[:, -1, :n] = -1.0
+    basis = np.tile(np.arange(n, width), (batch, 1))
+    live = np.arange(batch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(50 * width):
+            t = tab[live]
+            enters = t[:, -1, :width] < -_ENTER_TOL
+            col = np.argmax(enters, axis=1)
+            column = t[np.arange(live.size), :-1, col]
+            # a basic value rounded below 0 counts as 0
+            ratio = np.where(column > _PIVOT_TOL, np.maximum(t[:, :-1, -1], 0.0) / column, np.inf)
+            best = ratio.min(axis=1, keepdims=True)
+            row = np.argmin(np.where(ratio <= best, basis[live], width), axis=1)
+            # optimal instances stop, and so does one without a pivot row:
+            # its certificate judges it
+            go = np.flatnonzero(enters.any(axis=1) & np.isfinite(best[:, 0]))
+            if not go.size:
+                break
+            live, t, col, row = live[go], t[go], col[go], row[go]
+            k = np.arange(live.size)
+            pivot = t[k, row] / t[k, row, col][:, None]
+            t -= t[k, :, col][:, :, None] * pivot[:, None, :]
+            t[k, row] = pivot
+            tab[live] = t
+            basis[live, row] = col
+        x = np.zeros((batch, width))
+        np.put_along_axis(x, basis, tab[:, :-1, -1], axis=1)
+        x = np.clip(x[:, :n], 0.0, None)
+        u = x / x.sum(axis=1, keepdims=True)
+        w = np.clip(tab[:, -1, n:width], 0.0, None)
+        w /= w.sum(axis=1, keepdims=True)
+        level = (u[:, None, :] * coeffs).sum(axis=-1).max(axis=-1)
+        floor = (w[:, :, None] * coeffs).sum(axis=1).min(axis=-1)
+    bad = np.flatnonzero(~(level - floor <= _CERTIFY))
+    if bad.size:
+        raise LPNumericalFailure(
+            f"simplex answer failed its certificate (gap {level[bad[0]] - floor[bad[0]]:.3e} "
+            f"x spread; {n_lines} lines over {n} strategies, payoff spread "
+            f"{spread[bad[0]]:.3e})")
+    return level, u
 
 
 def min_simplex_max_linear(coeffs, offsets=None):
@@ -273,8 +209,7 @@ def min_simplex_max_linear(coeffs, offsets=None):
     if comb(n + n_lines, n) - 1 <= _ENUM_BUDGET:
         level, u = _enumerate_min_max(unit)
     else:
-        u = _simplex_min_max(unit, spread)
-        level = (u[:, None, :] * unit).sum(axis=-1).max(axis=-1)
+        level, u = _simplex_min_max(unit, spread)
     value = (lo + spread * level).reshape(batch)
     return (float(value) if not batch else value), u.reshape(*batch, n)
 
@@ -320,13 +255,3 @@ def solve_matrix_game(M, tol=1e-8):
     value = value.reshape(batch)
     return SaddleSolution(float(value) if not batch else value,
                           u.reshape(*batch, n), v.reshape(*batch, m))
-
-
-def best_response_value(M, u):
-    """The maximizer's best pure response to a mixed row strategy.
-
-    Returns (value, column index), lowest index on ties.
-    """
-    scores = np.asarray(u, dtype=float) @ np.asarray(M, dtype=float)
-    j = int(np.argmax(scores))
-    return float(scores[j]), j

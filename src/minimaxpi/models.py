@@ -106,11 +106,6 @@ def markov_H(game, x, u, v, j):
     return float(np.asarray(u) @ stage_matrix(game, x, j) @ np.asarray(v))
 
 
-def transition_probs(game, x, u, v):
-    """Next-state distribution row under mixed strategies: (u'Q_xy v)_y."""
-    return np.einsum("ijy,i,j->y", game.transitions[x], np.asarray(u), np.asarray(v))
-
-
 @dataclass(frozen=True)
 class ShapleyVIResult:
     values: np.ndarray

@@ -252,15 +252,25 @@ class TestSolveCommand:
         values = np.array([float(l.split(",")[1]) for l in out.strip().splitlines()])
         assert np.max(np.abs(values - oracle.values)) <= 1e-6
 
-    @pytest.mark.parametrize("extra", [["--no-such-flag"], ["--parallel", "2"]])
-    def test_usage_errors_exit_1(self, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("command,extra", [
+        pytest.param(["solve", "--algo", "vi"], ["--no-such-flag"], id="extra0"),
+        pytest.param(["solve", "--algo", "vi"], ["--parallel", "2"], id="extra1"),
+        # an option the subcommand does not read is refused, not ignored
+        pytest.param(["compare", "--algos", "vi,async"], ["--trace", "t.csv"], id="extra2"),
+        pytest.param(["aggregate-solve"], ["--schedule", "bogus:zzz", "--seed", "5",
+                                           "--optimistic-k", "3", "--trace", "t.csv"],
+                     id="extra3"),
+    ])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, monkeypatch, command, extra):
+        monkeypatch.chdir(tmp_path)
         game = random_markov_game(np.random.default_rng(8), 3, 2, 2, alpha=0.9)
         path = write_game(tmp_path, game)
-        code = cli.main(["solve", path, "--algo", "vi", *extra])
+        code = cli.main([command[0], path, *command[1:], *extra])
         captured = capsys.readouterr()
         assert code == cli.EXIT_ERROR
-        assert "usage:" in captured.err and extra[0] in captured.err
-        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert all(flag in captured.err for flag in extra if flag.startswith("--"))
+        assert captured.out == "" and not (tmp_path / "t.csv").exists()
 
     def test_separated_kind_rejects_game_algorithms(self, tmp_path, capsys):
         payload = {
@@ -287,6 +297,16 @@ class TestCompareCommand:
         path = write_game(tmp_path, game)
         code = cli.main(["compare", path, "--algos", "vi,hk,async",
                          "--tol", "1e-8"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("Converged") == 3
+
+    def test_four_by_four_game(self, tmp_path, capsys):
+        # the minimizer's guard has 8 lines here, so its improvements and
+        # stop checks go through the simplex
+        game = random_markov_game(np.random.default_rng(4), 3, 4, 4, alpha=0.9)
+        path = write_game(tmp_path, game)
+        code = cli.main(["compare", path, "--algos", "vi,hk,async"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("Converged") == 3

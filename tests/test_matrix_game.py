@@ -9,10 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 from minimaxpi import matrix_game
 from minimaxpi.errors import LPNumericalFailure
-from minimaxpi.matrix_game import (_ENUM_BUDGET, _enumerate_min_max,
-                                   best_response_value, clean_strategy,
-                                   min_simplex_max_linear, simplex_solve,
-                                   solve_matrix_game)
+from minimaxpi.matrix_game import (_ENUM_BUDGET, _enumerate_min_max, _simplex_min_max,
+                                   min_simplex_max_linear, solve_matrix_game)
+from minimaxpi.models import separate_markov_game
+
+from helpers import random_markov_game
 
 
 def saddle_certificates(M, sol, tol):
@@ -140,26 +141,17 @@ class TestMinSimplexMaxLinear:
             assert abs(value - sol.value) <= 1e-9
 
     def test_enumeration_fallback_agrees_with_simplex(self):
-        # two independent methods on the same epigraph LP: the dense simplex
-        # on an LP built here, and the vertex enumeration
+        # two independent methods on the same normalized instance: the
+        # batched simplex and the vertex enumeration
         rng = np.random.default_rng(4)
         for _ in range(100):
             n_lines, n = int(rng.integers(2, 6)), int(rng.integers(2, 5))
             offsets = rng.uniform(-2, 2, n_lines)
-            coeffs = rng.uniform(-3, 3, (n_lines, n))
-            # variables (u, w, slacks) with the level z = w + lo, w >= 0
-            lo = float(np.max(offsets + coeffs.min(axis=1)))
-            A = np.zeros((n_lines + 1, n + 1 + n_lines))
-            A[:n_lines, :n] = coeffs
-            A[:n_lines, n] = -1.0
-            A[:n_lines, n + 1:] = np.eye(n_lines)
-            A[n_lines, :n] = 1.0
-            b = np.r_[lo - offsets, 1.0]
-            c = np.zeros(n + 1 + n_lines)
-            c[n] = 1.0
-            _, objective = simplex_solve(c, A, b)
-            values, _ = _enumerate_min_max((coeffs + offsets[:, None])[None])
-            assert abs((objective + lo) - values[0]) <= 1e-9
+            coeffs = rng.uniform(-3, 3, (n_lines, n)) + offsets[:, None]
+            unit = (coeffs - coeffs.min()) / spread(coeffs)
+            simplex, _ = _simplex_min_max(unit[None], np.ones(1))
+            enumerated, _ = _enumerate_min_max(unit[None])
+            assert abs(simplex[0] - enumerated[0]) <= 1e-9
 
     def test_ill_scaled_near_duplicate_lines(self):
         # regression: near-identical tiny coefficients force a microscopic
@@ -193,9 +185,48 @@ class TestMinSimplexMaxLinear:
         assert np.all(u >= 0.0) and np.allclose(u.sum(axis=1), 1.0, atol=1e-15)
 
 
+class TestSimplex:
+    """Instances above the enumeration budget, which the batched simplex
+    solves, against HiGHS."""
+
+    def test_near_degenerate_instance(self):
+        # regression: four lines over seven strategies, entries 1e-8 apart
+        # from 0, on which the two-phase simplex reported 1.0; the optimum is
+        # about 1/3, e.g. at (e_2 + e_4 + e_6)/3
+        coeffs = np.array([[1, 1e-8, 1, 1, 0, .5, 0],
+                           [1e-8, 1, 0, .5, 1e-8, .5, 1],
+                           [1e-8, 0, 1e-8, .5, 1e-8, .5, 1],
+                           [0, .5, 1e-8, 0, 1, 1, 1e-8]])
+        assert comb(4 + 7, 7) - 1 > _ENUM_BUDGET
+        value, u = min_simplex_max_linear(coeffs)
+        assert abs(value - highs_min_max(np.zeros(4), coeffs)) <= 1e-9 * spread(coeffs)
+        assert value == float(np.max(coeffs @ u))
+
+    def test_near_degenerate_sets_answer_or_raise(self):
+        # every third instance takes its entries from {0, 1e-8, 1/2, 1}
+        rng = np.random.default_rng(1)
+        answered = raised = 0
+        for draw in range(600):
+            n_lines, n = rng.integers(4, 8, 2)
+            if comb(n_lines + n, n) - 1 <= _ENUM_BUDGET:
+                continue
+            coeffs = (rng.choice([0.0, 1e-8, 0.5, 1.0], (n_lines, n)) if draw % 3 == 0
+                      else rng.uniform(0, 1, (n_lines, n)))
+            try:
+                value, _ = min_simplex_max_linear(coeffs)
+            except LPNumericalFailure:
+                raised += 1
+                continue
+            answered += 1
+            oracle = highs_min_max(np.zeros(n_lines), coeffs)
+            assert abs(value - oracle) <= 1e-7 * spread(coeffs)
+        # a solver that always raised would pass the loop above
+        assert raised <= answered // 20
+
+
 class TestOracle:
     """scipy HiGHS as the reference, from 2x2 to sizes past the enumeration
-    budget (those go to the dense simplex)."""
+    budget (those go to the batched simplex)."""
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 5), (3, 3), (4, 4), (4, 6),
                                      (5, 5), (6, 6), (8, 8)])
@@ -270,16 +301,16 @@ class TestScaleInvariance:
             assert abs(game_value(s * M) / s - game_value(M)) <= 1e-9 * spread(M)
 
     def test_simplex_failure_names_the_instance(self, monkeypatch):
-        def broken(c, A, b):
-            raise LPNumericalFailure("pivot budget exhausted")
-
         def forbidden(coeffs):
             raise AssertionError("no silent enumeration above the budget")
 
-        monkeypatch.setattr(matrix_game, "simplex_solve", broken)
+        # a simplex that never pivots returns no strategy: its certificate
+        # must fail loudly rather than return nan
+        monkeypatch.setattr(matrix_game, "_ENTER_TOL", np.inf)
         monkeypatch.setattr(matrix_game, "_enumerate_min_max", forbidden)
         M = np.random.default_rng(9).uniform(-1, 1, (6, 6)) * 4.0
-        with pytest.raises(LPNumericalFailure, match=r"6 lines over 6 strategies.*spread"):
+        with pytest.raises(LPNumericalFailure,
+                           match=r"certificate.*6 lines over 6 strategies.*spread"):
             solve_matrix_game(M)
 
 
@@ -315,31 +346,16 @@ class TestProperties:
         assert abs(game_value(bigger) - game_value(M)) <= 1e-12 * spread(bigger)
 
 
-class TestCleanStrategy:
-    def test_tiny_negatives_clamped_and_renormalized(self):
-        p = clean_strategy(np.array([-1e-12, 0.4, 0.6]))
-        assert np.min(p) == 0.0
-        assert p.sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_far_from_simplex_rejected(self):
-        with pytest.raises(LPNumericalFailure):
-            clean_strategy(np.array([0.5, 0.2]))
-
-
 class TestBestResponse:
-    def test_row_readout(self):
-        value, j = best_response_value([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.0])
-        assert (value, j) == (2.0, 1)
-
-    def test_tie_breaks_to_first_column(self):
-        value, j = best_response_value([[5.0, 5.0], [1.0, 1.0]], [0.3, 0.7])
-        assert j == 0
-
     def test_loop_oracle(self):
+        # the maximizer's best pure reply to a mixed row strategy, as the
+        # reformulated game's improvement step reads it
         rng = np.random.default_rng(5)
-        M = rng.uniform(-4, 4, (4, 5))
-        u = clean_strategy(rng.dirichlet(np.ones(4)))
-        value, j = best_response_value(M, u)
+        problem = separate_markov_game(random_markov_game(rng, 1, 4, 5, alpha=0.9))
+        p = rng.dirichlet(np.ones(4))
+        u = p / p.sum()
+        mats, picks = problem.max_improve(np.arange(1), problem.zero1(), u[None])
+        M = mats[0]
         scores = [sum(u[i] * M[i, col] for i in range(4)) for col in range(5)]
-        assert value == pytest.approx(max(scores), abs=1e-12)
-        assert j == int(np.argmax(scores))
+        assert float(u @ M[:, picks[0]]) == pytest.approx(max(scores), abs=1e-12)
+        assert picks[0] == int(np.argmax(scores))
