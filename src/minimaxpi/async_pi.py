@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SCORE_PAD, CheckResult, PolicyPair, ValueTable, update_policy
+from .core import SCORE_PAD, CheckResult, PolicyPair, ValueTable, certify, update_policy
 from .errors import ContractionViolation, MaxStepsExceeded
 
 _DEFAULT_EVALS = 10
@@ -250,54 +250,31 @@ class TraceRow:
 
 
 def _probe_diff(a, b):
-    """Cheap change gauge for trace rows (see ``diff_probe`` of the tables)."""
-    return a.diff_probe(b)
+    """Change gauge for trace rows: the tables' ``diff_bound``."""
+    return a.diff_bound(b)
 
 
 def _converged(problem, state, tol):
-    """Stopping certificate: J-vs-V gaps plus guarded greedy residuals.
+    """Stopping certificate: the bound :func:`~minimaxpi.core.certify`
+    puts on J1's distance to the fixed point is at most ``tol``.
 
-    ``tol`` is the target accuracy of the returned tables, so the raw
-    thresholds are tightened by the contraction factor (a residual of r
-    only pins the solution to within r*a/(1-a)).  Each table type gates
-    its J against its V (``eval_gap``).  Cheapest gates run first.
+    J1 is the table a run answers with.  J2 and V2 are not gated: J2 on a
+    game is an evaluated section that never matches V2 pointwise.
     """
-    a = problem.alpha
-    thr = tol * min(1.0, (1.0 - a) / max(a, 1e-12))
-    if state.j1.eval_gap(state.v1) > thr or state.j2.eval_gap(state.v2) > thr:
-        return False
-    return guarded_residual(problem, state, thr) <= thr
+    return certify(problem, state.j1)[1] <= tol
 
 
-def guarded_residual(problem, state, cap=np.inf):
-    """Greedy residual read through the pessimism guard the steps use:
-    max(|J1 - T1 m2|, |m2 - T2 m1|) with m2 = max[V2, J2], m1 = min[V1, J1].
-
-    The maximizer's part is that of the envelope m2, which converges to the
-    greedy sweep even where J2 is an evaluated section.  Returns the
-    minimizer's part alone when it already exceeds ``cap``.
-    """
-    m2 = state.v2.pointwise_max(state.j2)
-    g1, _ = problem.t1_greedy(m2)
-    r1 = state.j1.diff_bound(g1)
-    if r1 > cap:
-        return r1
-    m1 = state.v1.pointwise_min(state.j1)
-    g2, _ = problem.t2_greedy(m1, state.policies.mu)
-    return max(r1, m2.diff_bound(g2))
-
-
-def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6,
-        staleness_bound=None, seed=0, trace_out=None):
+def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     """The executor.
 
-    Applies the schedule's operations until the greedy residuals and the
-    J-vs-V gaps certify the tables are within ``tol`` of the fixed point.
-    With a positive staleness bound, each step reads table snapshots up to
-    that many updates old (delay drawn uniformly per step from a seeded
-    generator), emulating communication delays.  Returns (final state,
-    trace): ``trace_out`` with one :class:`TraceRow` per step appended, or
-    [] (and no change probe computed) without it.  Raises
+    Applies the schedule's operations until one greedy composite sweep
+    certifies that J1 is within ``tol`` of the fixed point's minimizer
+    table (checked every ``schedule.period`` steps).  With a positive
+    ``schedule.staleness``, each step reads table snapshots up to that many
+    updates old (delay drawn uniformly per step from a seeded generator),
+    emulating communication delays.  Returns (final state, trace):
+    ``trace_out`` with one :class:`TraceRow` per step appended, or [] (and
+    no change probe computed) without it.  Raises
     :class:`MaxStepsExceeded` when the budget runs out.
 
     A block-parallel sweep needs no executor of its own.  An operation
@@ -307,17 +284,17 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6,
     or in turn, give exactly one full-space operation: ``round_robin``.
     """
     state = initial_state(problem) if init is None else init
-    bound = schedule.staleness if staleness_bound is None else int(staleness_bound)
+    staleness = schedule.staleness
     rng = np.random.default_rng(seed)
-    ring = deque([state], maxlen=bound + 1)
+    ring = deque([state], maxlen=staleness + 1)
     trace = [] if trace_out is None else trace_out
     check_every = max(1, schedule.period)
     if init is not None and _converged(problem, state, tol):
         return state, trace
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         read = state
-        if bound > 0:
-            delay = int(rng.integers(0, bound + 1))
+        if staleness > 0:
+            delay = int(rng.integers(0, staleness + 1))
             read = ring[max(0, len(ring) - 1 - delay)]
         new = _apply(problem, state, op, read)
         if trace_out is not None:

@@ -262,7 +262,7 @@ def _encode_candidate(g, p):
     return DiscountedMarkovGame(payoffs, transitions, _ENCODE_ALPHA, terminating=True)
 
 
-def find_oscillating_game(max_candidates=None):
+def find_oscillating_game():
     """Grid-search a 2x2 one-state instance on which all-pairs PI cycles.
 
     Effective per-pair discounts live on a 0.1-step grid below 1, so every
@@ -273,10 +273,9 @@ def find_oscillating_game(max_candidates=None):
     g_combos = list(itertools.product(_G_GRID, repeat=4))
     p_combos = list(itertools.product(_P_GRID, repeat=4))
     total = len(g_combos) * len(p_combos)
-    budget = total if max_candidates is None else min(total, max_candidates)
     stride = 2_654_435_761 % total  # golden-ratio stride, coprime to the grid size
     idx = 0
-    for _ in range(budget):
+    for _ in range(total):
         idx = (idx + stride) % total
         gf = g_combos[idx // len(p_combos)]
         pf = p_combos[idx % len(p_combos)]

@@ -20,7 +20,7 @@ from .aggregation import (AggregationProbabilities, RepresentativeSets,
                           solve_with_aggregation)
 from .classic_pi import (PIStatus, find_oscillating_game, hoffman_karp,
                          naive_separated_pi, pollatschek_avi_itzhak)
-from .core import bellman_residual, value_iterate
+from .core import bellman_residual, certify, value_iterate
 from .errors import (MaxItersExceeded, MaxStepsExceeded, MinimaxPIError,
                      ValidationError)
 from .problem_io import game_payload, load_problem, save_problem
@@ -133,10 +133,7 @@ def _solve_naive(problem, args, scale):
     j1 = result.values[0]
     residual = functools.cache(lambda: bellman_residual(problem, *result.values))
     # the bound certifies J1 alone (naive's J2 on a game is a policy section)
-    # by |J1 - T1(T2 J1)|, greedy; the composite contracts at alpha**2
-    bound = lambda: (_per_unit(problem.space1, scale)
-                     * j1.diff_bound(problem.t1_greedy(problem.t2_greedy(j1)[0])[0])
-                     / (1.0 - problem.alpha ** 2))
+    bound = lambda: _per_unit(problem.space1, scale) * certify(problem, j1)[1]
     return _pi_outcome(result, scale * j1.values, bound, residual)
 
 
@@ -177,7 +174,7 @@ def _solve_async(problem, args, scale=1.0):
                             lambda: float("nan"), "MaxIters", rows, lambda: float("nan"))
     rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2) for r in trace]
     return SolveOutcome(EXIT_OK, scale * state.j1.values, state.t,
-                        lambda: async_pi.guarded_residual(problem, state), "Converged", rows,
+                        lambda: certify(problem, state.j1)[0], "Converged", rows,
                         lambda: _per_unit(problem.space1, scale) * args.tol)
 
 

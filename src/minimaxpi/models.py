@@ -13,14 +13,14 @@ strategy, with the minimizer's improvement solved exactly by LP (one
 batched call over a whole subset) rather than by discretizing the simplex.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (HalfStage, HalfStageProblem, PolicyPair, TabularProblem, ValueTable,
                    WeightedSpace)
 from .errors import InvalidBeta, MaxItersExceeded, NonContractive
-from .matrix_game import min_simplex_max_linear, solve_matrix_game
+from .matrix_game import _TIE, min_simplex_max_linear, solve_matrix_game
 
 _PROB_TOL = 1e-10
 
@@ -38,6 +38,7 @@ class DiscountedMarkovGame:
     probability of moving to y when the players pick pure moves (i, j) at x.
     Terminating games may have substochastic rows (the missing mass is
     absorbed cost-free) but must still be certified contractive before use.
+    ``weights`` (unit by default) are the norm weights of ``space``.
     """
 
     payoffs: np.ndarray
@@ -45,6 +46,7 @@ class DiscountedMarkovGame:
     alpha: float
     terminating: bool = False
     weights: np.ndarray | None = None
+    space: WeightedSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.payoffs, dtype=float)
@@ -68,8 +70,11 @@ class DiscountedMarkovGame:
                 raise ValueError("terminating rows must sum to at most 1")
         elif np.max(np.abs(sums - 1.0)) > _PROB_TOL:
             raise ValueError("transition rows must sum to 1")
+        space = (WeightedSpace.unit(s) if self.weights is None
+                 else WeightedSpace(s, self.weights))
+        object.__setattr__(self, "space", space)
         if self.weights is not None:
-            object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+            object.__setattr__(self, "weights", space.weights)
 
     @property
     def state_count(self):
@@ -78,12 +83,6 @@ class DiscountedMarkovGame:
     @property
     def moves(self):
         return self.payoffs.shape[1], self.payoffs.shape[2]
-
-    @property
-    def space(self):
-        if self.weights is None:
-            return WeightedSpace.unit(self.state_count)
-        return WeightedSpace(self.state_count, self.weights)
 
     def contraction_factor(self):
         """Exact sup-norm modulus bound of the fixed-policy stage operator."""
@@ -201,7 +200,9 @@ class ColumnMaxTable:
     matrix after an improvement step.  ``cols`` is one float array of shape
     (states, n, width), the same width for every state; a narrower bundle
     is stored with a column repeated, which changes no reading (not
-    max_j u'col_j, not the LP value, not the exact gaps).
+    max_j u'col_j, not the LP value, not the exact gaps).  Tables of one
+    width, as the executor's updates keep them, are compared by
+    ``diff_bound`` entry by entry; ``diff_norm`` is the exact gap by LP.
     """
 
     space: WeightedSpace
@@ -241,19 +242,6 @@ class ColumnMaxTable:
             return float(np.max(np.abs(self.cols - other.cols)
                                 / self.space.weights[:, None, None]))
         return self.diff_norm(other)
-
-    def diff_probe(self, other):
-        """Change gauge for trace rows: the bundles' gap sampled at the
-        strategy-simplex vertices (a lower bound on diff_norm)."""
-        gaps = np.abs(self.cols.max(axis=2) - other.cols.max(axis=2))
-        return float(np.max(gaps / self.space.weights[:, None]))
-
-    def eval_gap(self, improved):
-        """Stop-check gap between this evaluated section J2 and the improved
-        table V2: 0.  J2 keeps only the current policy's column and never
-        matches V2 pointwise, but max[V2, J2] does converge to the greedy
-        sweep, and the stop check gates that envelope's residual instead."""
-        return 0.0
 
     def norm(self):
         return self.diff_norm(ColumnMaxTable(self.space, np.zeros_like(self.cols[..., :1])))
@@ -344,10 +332,16 @@ class MarkovSeparatedProblem(HalfStageProblem):
         return mats[np.arange(len(subset)), :, np.asarray(nu)[subset], None]
 
     def max_improve(self, subset, m1, mu=None):
+        """The stage matrices and, per state, the first column whose reading
+        mu'M_j is within ``_TIE`` x the matrix's spread of the best, so
+        that rounding noise at an equalizing mu does not move the pick."""
         mats = stage_matrix(self.game, subset, m1.values, self.game.alpha * self.beta.beta)
         weights = (np.full((len(subset), self.n), 1.0 / self.n) if mu is None
                    else np.asarray(mu)[subset])
-        return mats, np.argmax((weights[:, None, :] @ mats)[:, 0], axis=1)
+        readings = (weights[:, None, :] @ mats)[:, 0]
+        slack = _TIE * (mats.max(axis=(1, 2)) - mats.min(axis=(1, 2)))
+        near = readings >= readings.max(axis=1, keepdims=True) - slack[:, None]
+        return mats, np.argmax(near, axis=1)
 
     def joint_policy_fixed_point(self, policies, tol=None, j1=None, j2=None):
         """Exact tables of a fixed policy pair via one dense linear solve.

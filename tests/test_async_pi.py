@@ -13,16 +13,16 @@ from minimaxpi.async_pi import (AlgoState, Kind, Operation, _apply, _converged, 
                                 run_extended, solve_G_fixed_point,
                                 verify_uniform_contraction)
 from minimaxpi.core import (PolicyPair, SeparatedProblem, ValueTable,
-                            WeightedSpace, value_iterate)
+                            WeightedSpace, certify, value_iterate)
 from minimaxpi.errors import MaxStepsExceeded
 from minimaxpi.matrix_game import min_simplex_max_linear
-from minimaxpi.models import (ColumnMaxTable, default_beta,
+from minimaxpi.models import (ColumnMaxTable, MinimaxControlModel, default_beta,
                               markov_game_to_control,
                               minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem,
                               shapley_value_iteration, stage_matrix)
 
-from helpers import (closure_problem, random_markov_game,
+from helpers import (closure_problem, random_control_model, random_markov_game,
                      random_separated_model, scalar_problem)
 
 
@@ -290,21 +290,19 @@ def test_disjoint_blocks_compose_to_one_full_operation(name):
 
 
 class TestStopCheck:
-    """The stop gate on both table types: J-vs-V gaps plus guarded residuals."""
+    """The stop gate: the certificate's bound on J1 alone."""
 
-    def test_plain_tables_gate_j2_against_v2(self, explicit_problem):
+    def test_plain_tables_gate_j1_alone(self, explicit_problem):
         problem, tol = explicit_problem, 1e-8
         exact = value_iterate(problem, tol=1e-14)
         _, mu = problem.t1_greedy(exact.j2)
         _, nu = problem.t2_greedy(exact.j1)
         state = AlgoState(exact.j1, exact.j1, exact.j2, exact.j2, PolicyPair(mu, nu), 0)
         assert _converged(problem, state, tol)
-        thr = tol * min(1.0, (1.0 - problem.alpha) / problem.alpha)
-        # lowering J2 leaves the guarded envelope max[V2, J2] = V2, and with it
-        # both greedy residuals, unchanged: only the J2-vs-V2 gate sees it
-        lowered = exact.j2.with_updates([1], [exact.j2.values[1] - 2 * thr])
-        moved = AlgoState(exact.j1, exact.j1, lowered, exact.j2, PolicyPair(mu, nu), 0)
-        assert moved.v2.pointwise_max(moved.j2).diff_norm(exact.j2) == 0.0
+        # the move shifts T1(T2 J1) by at most alpha**2 * 2 tol, so
+        # r >= 2 tol (1 - alpha**2) and the bound r / (1 - alpha**2) >= 2 tol
+        moved = AlgoState(exact.j1.with_updates([1], [exact.j1.values[1] + 2 * tol]),
+                          exact.j1, exact.j2, exact.j2, PolicyPair(mu, nu), 0)
         assert not _converged(problem, moved, tol)
 
     def test_bundle_section_of_converged_envelope_passes(self, markov_sep):
@@ -319,6 +317,42 @@ class TestStopCheck:
         thr = tol * min(1.0, (1.0 - problem.alpha) / problem.alpha)
         assert j2.diff_norm(v2) > thr   # the section never matches its envelope
         assert _converged(problem, state, tol)
+
+
+class TestCertificate:
+    """``certify``'s bound on async's J1 against the actual weighted error,
+    with the fixed point from an independent solver iterated to 1e-13."""
+
+    @staticmethod
+    def assert_bound_covers_error(problem, exact_j1):
+        for tol in (1e-3, 1e-5, 1e-7):
+            state, _ = run(problem, round_robin(), tol=tol)
+            _, bound = certify(problem, state.j1)
+            err = float(np.max(np.abs(state.j1.values - exact_j1) / problem.space1.weights))
+            assert bound <= tol
+            assert err <= bound + 1e-11   # the references' own error is below 1e-11
+
+    @pytest.mark.parametrize("terminating", [False, True])
+    def test_stochastic_games_against_shapley_vi(self, terminating):
+        rng = np.random.default_rng(21 + terminating)
+        for states in (1, 3, 5):
+            game = random_markov_game(rng, states, 3, 3, terminating=terminating)
+            problem = separate_markov_game(game)
+            exact = shapley_value_iteration(game, tol=1e-13).values
+            self.assert_bound_covers_error(problem, exact / problem.beta.beta)
+
+    def test_control_problems_against_value_iteration(self):
+        rng = np.random.default_rng(23)
+        problems = [minimax_control_to_problem(random_control_model(rng, 5, stochastic=s))
+                    for s in (False, True)]
+        model = random_control_model(rng, 5, alpha=0.8, stochastic=True)
+        weighted = WeightedSpace(5, rng.uniform(0.95, 1.05, 5))
+        problems += [
+            minimax_control_to_problem(MinimaxControlModel(weighted, model.outcomes, 0.8)),
+            separated_model_to_problem(random_separated_model(rng, 5, 4))]
+        for problem in problems:
+            exact = value_iterate(problem, tol=1e-13).j1.values
+            self.assert_bound_covers_error(problem, exact)
 
 
 class TestSchedules:

@@ -33,7 +33,11 @@ def highs_min_max(offsets, coeffs):
     res = linprog(np.r_[np.zeros(n), 1.0],
                   A_ub=np.c_[coeffs, -np.ones(n_lines)], b_ub=-offsets,
                   A_eq=np.r_[np.ones(n), 0.0][None], b_eq=[1.0],
-                  bounds=[(0, None)] * n + [(None, None)], method="highs")
+                  bounds=[(0, None)] * n + [(None, None)], method="highs",
+                  # the default 1e-7 feasibility tolerances are looser than
+                  # the 1e-9 x spread gates this oracle serves
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0
     return res.fun
 
@@ -201,6 +205,18 @@ class TestSimplex:
         value, u = min_simplex_max_linear(coeffs)
         assert abs(value - highs_min_max(np.zeros(4), coeffs)) <= 1e-9 * spread(coeffs)
         assert value == float(np.max(coeffs @ u))
+
+    def test_near_degenerate_oracle_instance(self):
+        # HiGHS at its default tolerances gives 0.4999999999999997 here; the
+        # optimum is 0.500000333333...
+        coeffs = np.array([[1, 1e-6, 0, 0, .5], [0, 1e-6, .5, .5, 0], [1, .5, 1, 1, .5],
+                           [.5, 1, 0, 1, 1e-6], [1, 0, .5, 1e-6, .5],
+                           [1e-6, 1e-6, .5, 0, 1], [1, 0, 1, .5, 1e-6]])
+        assert comb(7 + 5, 5) - 1 > _ENUM_BUDGET
+        oracle = highs_min_max(np.zeros(7), coeffs)
+        assert abs(oracle - 0.500000333333) <= 1e-11
+        value, _ = min_simplex_max_linear(coeffs)
+        assert abs(value - oracle) <= 1e-9 * spread(coeffs)
 
     def test_near_degenerate_sets_answer_or_raise(self):
         # every third instance takes its entries from {0, 1e-8, 1/2, 1}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minimaxpi.async_pi import round_robin, run
 from minimaxpi.core import check_monotone, estimate_modulus, value_iterate
 from minimaxpi.errors import InvalidBeta, NonContractive
 from minimaxpi.models import (BetaScaling, ColumnMaxTable, DiscountedMarkovGame,
@@ -186,6 +187,25 @@ class TestMarkovKernels:
         for a, b in zip(greedy.cols, entries):
             assert np.array_equal(a, b)
 
+    def test_max_picks_stable_at_an_equalizing_strategy(self):
+        # rock-paper-scissors stages plus noise: every stage game has a mixed
+        # saddle, and the minimizer's equalizing strategy leaves the maximizer
+        # indifferent among the columns of its support
+        rng = np.random.default_rng(3)
+        noise = random_markov_game(rng, 10, 3, 3, alpha=0.9)
+        cycle = np.eye(3)[[1, 2, 0]] - np.eye(3)[[2, 0, 1]]
+        game = DiscountedMarkovGame(noise.payoffs + cycle, noise.transitions, 0.9)
+        problem = separate_markov_game(game)
+        solved, _ = run(problem, round_robin(), tol=1e-12)
+        every = np.arange(10)
+        _, mu = problem.t1_greedy(problem.t2_greedy(solved.j1)[0])
+        _, picks = problem.max_improve(every, solved.j1, mu)
+        for _ in range(200):
+            x = int(rng.integers(10))
+            ulp = np.nextafter(solved.j1.values[x], rng.choice([-np.inf, np.inf]))
+            moved = solved.j1.with_updates([x], [ulp])
+            assert np.array_equal(problem.max_improve(every, moved, mu)[1], picks)
+
 
 class TestSeparatedModel:
     def test_zero_costs(self):
@@ -337,6 +357,18 @@ class TestValidation:
         with pytest.raises(NonContractive):
             separate_markov_game(game, 1.05)
 
+    @pytest.mark.parametrize("weights", [[-1.0, 1.0], [1.0, 1.0, 3.0], [1.0, 0.0]])
+    def test_game_weights_checked_at_construction(self, weights):
+        with pytest.raises(ValueError):
+            DiscountedMarkovGame(np.zeros((2, 2, 2)), np.full((2, 2, 2, 2), 0.5), 0.9,
+                                 weights=np.array(weights))
+
+    def test_game_space_built_once(self):
+        game = DiscountedMarkovGame(np.zeros((2, 2, 2)), np.full((2, 2, 2, 2), 0.5), 0.9,
+                                    weights=np.array([1.0, 2.0]))
+        assert game.space is game.space
+        assert np.array_equal(game.space.weights, [1.0, 2.0])
+
     def test_column_bundle_norms(self):
         space = WeightedSpace.unit(1)
         a = ColumnMaxTable(space, (np.array([[1.0, -1.0], [-1.0, 1.0]]),))
@@ -369,8 +401,6 @@ class TestColumnBundles:
             for x in every:
                 u = rng.dirichlet(np.ones(n))
                 assert wide.value_at(x, u) == lo.value_at(x, u)
-            assert wide.diff_probe(other) == lo.diff_probe(other)
-            assert wide.diff_probe(lo) == 0.0
             wide_values, _ = problem.min_improve(every, wide)
             values, _ = problem.min_improve(every, lo)
             assert np.max(np.abs(wide_values - values)) <= slack
