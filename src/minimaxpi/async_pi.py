@@ -255,24 +255,23 @@ def _probe_diff(a, b):
 
 
 def _converged(problem, state, tol):
-    """Stopping certificate: the bound :func:`~minimaxpi.core.certify`
-    puts on J1's distance to the fixed point is at most ``tol``.
-
-    J1 is the table a run answers with.  J2 and V2 are not gated: J2 on a
-    game is an evaluated section that never matches V2 pointwise.
-    """
-    return certify(problem, state.j1)[1] <= tol
+    """Stopping certificate: the state with J1 replaced by the estimate of
+    :func:`~minimaxpi.core.certify` if its bound is at most ``tol``, else
+    None.  J2 and V2 are not gated: J2 on a game is an evaluated section
+    that never matches V2 pointwise."""
+    estimate, bound, _ = certify(problem, state.j1)
+    return replace(state, j1=estimate) if bound <= tol else None
 
 
 def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     """The executor.
 
-    Applies the schedule's operations until one greedy composite sweep
-    certifies that J1 is within ``tol`` of the fixed point's minimizer
-    table (checked every ``schedule.period`` steps).  With a positive
-    ``schedule.staleness``, each step reads table snapshots up to that many
-    updates old (delay drawn uniformly per step from a seeded generator),
-    emulating communication delays.  Returns (final state, trace):
+    Applies the schedule's operations until :func:`_converged` certifies
+    an estimate of J1 within ``tol`` (checked every ``schedule.period``
+    steps).  With a positive ``schedule.staleness``, each step reads table
+    snapshots up to that many updates old (delay drawn uniformly per step
+    from a seeded generator), emulating communication delays.  Returns
+    (certified state, trace): the state with that estimate as J1, and
     ``trace_out`` with one :class:`TraceRow` per step appended, or [] (and
     no change probe computed) without it.  Raises
     :class:`MaxStepsExceeded` when the budget runs out.
@@ -289,8 +288,8 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
     ring = deque([state], maxlen=staleness + 1)
     trace = [] if trace_out is None else trace_out
     check_every = max(1, schedule.period)
-    if init is not None and _converged(problem, state, tol):
-        return state, trace
+    if init is not None and (done := _converged(problem, state, tol)):
+        return done, trace
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         read = state
         if staleness > 0:
@@ -303,10 +302,10 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
             trace.append(TraceRow(step, op.kind.value, op.label, r1, r2))
         state = new
         ring.append(state)
-        if step % check_every == 0 and _converged(problem, state, tol):
-            return state, trace
-    if _converged(problem, state, tol):
-        return state, trace
+        if step % check_every == 0 and (done := _converged(problem, state, tol)):
+            return done, trace
+    if done := _converged(problem, state, tol):
+        return done, trace
     raise MaxStepsExceeded(
         f"no convergence within {max_steps} steps (unfair schedule, "
         "non-contractive problem, or too-tight tol)", state=state, trace=trace)

@@ -40,9 +40,7 @@ _STATUS_EXIT = {PIStatus.CONVERGED: EXIT_OK, PIStatus.CYCLED: EXIT_CYCLED,
 def _setup_logging():
     level = os.environ.get("MINIMAXPI_LOG", "warning").lower()
     chosen = {"debug": logging.DEBUG, "info": logging.INFO,
-              "warning": logging.WARNING, "error": logging.ERROR}.get(level)
-    if chosen is None:
-        chosen = logging.WARNING
+              "warning": logging.WARNING, "error": logging.ERROR}.get(level, logging.WARNING)
     logging.basicConfig(level=chosen, format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -101,7 +99,7 @@ class SolveOutcome:
     residual: callable   # () -> float: only compare prints it, so computed on demand
     status: str
     trace: list
-    error_bound: callable   # () -> float: certified error of values, as printed
+    error_bound: float   # certified error of values, as printed
 
 
 def _per_unit(space, scale):
@@ -109,43 +107,37 @@ def _per_unit(space, scale):
     return scale * float(np.max(space.weights))
 
 
-def _stopped_bound(tol, modulus):
-    """Error bound of an iterate whose last step moved it by at most tol."""
-    return tol * modulus / (1.0 - modulus) if modulus < 1.0 else float("inf")
-
-
 def _pi_outcome(result, values, error_bound, residual=None):
-    if residual is None:
-        res = result.residuals[-1] if result.residuals else 0.0
-        residual = lambda: res
     trace = [(t + 1, "Iteration", "all", r, 0.0) for t, r in enumerate(result.residuals)]
+    residual = residual or (lambda: result.residuals[-1])   # --max-steps >= 1: never empty
     return SolveOutcome(_STATUS_EXIT[result.status], values, result.iterations,
                         residual, result.status.value, trace, error_bound)
 
 
-def _sweep_trace(residuals):
-    return [(k + 1, "Sweep", "all", r, 0.0) for k, r in enumerate(residuals)]
+def _vi_outcome(result, values, per_unit):
+    trace = [(k + 1, "Sweep", "all", r, 0.0) for k, r in enumerate(result.residuals)]
+    return SolveOutcome(EXIT_OK, values, result.iterations, lambda: result.residuals[-1],
+                        "Converged", trace, per_unit * result.error_bound)
 
 
 def _solve_naive(problem, args, scale):
     result = naive_separated_pi(problem, tol=args.tol, max_iters=args.max_steps,
                                 optimistic_k=args.optimistic_k)
-    j1 = result.values[0]
     residual = functools.cache(lambda: bellman_residual(problem, *result.values))
-    # the bound certifies J1 alone (naive's J2 on a game is a policy section)
-    bound = lambda: _per_unit(problem.space1, scale) * certify(problem, j1)[1]
-    return _pi_outcome(result, scale * j1.values, bound, residual)
+    # the certificate's table is printed and its bound gates it (naive's
+    # J2 on a game is a policy section, so J1 is certified alone)
+    j1, bound, _ = certify(problem, result.values[0])
+    return _pi_outcome(result, scale * j1.values, _per_unit(problem.space1, scale) * bound,
+                       residual)
 
 
 def _solve_game(game, algo, args, file_beta=None):
-    beta = args.beta if args.beta is not None else file_beta
-    modulus = game.contraction_factor()
-    stopped = lambda: _per_unit(game.space, 1.0) * _stopped_bound(args.tol, modulus)
     if algo == "vi":
         result = models.shapley_value_iteration(game, tol=args.tol, max_iters=args.max_steps)
-        return SolveOutcome(EXIT_OK, result.values, result.iterations,
-                            lambda: result.residuals[-1], "Converged",
-                            _sweep_trace(result.residuals), stopped)
+        return _vi_outcome(result, result.values, _per_unit(game.space, 1.0))
+    # hk and poa stop when a step moves the values by at most tol
+    a = game.contraction_factor()
+    stopped = _per_unit(game.space, 1.0) * (args.tol * a / (1 - a) if a < 1 else np.inf)
     if algo == "hk":
         result = hoffman_karp(game, tol=args.tol, max_iters=args.max_steps)
         return _pi_outcome(result, result.values.values, stopped)
@@ -153,7 +145,7 @@ def _solve_game(game, algo, args, file_beta=None):
         result = pollatschek_avi_itzhak(game, tol=args.tol, max_iters=args.max_steps,
                                         optimistic_k=args.optimistic_k)
         return _pi_outcome(result, result.values.values, stopped)
-    sep = models.separate_markov_game(game, beta)
+    sep = models.separate_markov_game(game, args.beta if args.beta is not None else file_beta)
     if algo == "naive":
         return _solve_naive(sep, args, sep.beta.beta)
     return _solve_async(sep, args, scale=sep.beta.beta)
@@ -166,26 +158,19 @@ def _solve_async(problem, args, scale=1.0):
                                     max_steps=args.max_steps, seed=args.seed,
                                     trace_out=[] if args.trace else None)
     except MaxStepsExceeded as exc:
-        rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2)
-                for r in (exc.trace or [])]
-        values = scale * exc.state.j1.values if exc.state is not None else None
-        return SolveOutcome(EXIT_MAX_ITERS, values,
-                            exc.state.t if exc.state else args.max_steps,
-                            lambda: float("nan"), "MaxIters", rows, lambda: float("nan"))
+        rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2) for r in exc.trace]
+        return SolveOutcome(EXIT_MAX_ITERS, scale * exc.state.j1.values, exc.state.t,
+                            lambda: float("nan"), "MaxIters", rows, float("nan"))
     rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2) for r in trace]
     return SolveOutcome(EXIT_OK, scale * state.j1.values, state.t,
-                        lambda: certify(problem, state.j1)[0], "Converged", rows,
-                        lambda: _per_unit(problem.space1, scale) * args.tol)
+                        lambda: certify(problem, state.j1)[2], "Converged", rows,
+                        _per_unit(problem.space1, scale) * args.tol)
 
 
 def _solve_separated(problem, scale, algo, args):
     if algo == "vi":
         result = value_iterate(problem, tol=args.tol, max_iters=args.max_steps)
-        return SolveOutcome(EXIT_OK, scale * result.j1.values, result.iterations,
-                            lambda: result.residuals[-1], "Converged",
-                            _sweep_trace(result.residuals),
-                            lambda: (_per_unit(problem.space1, scale)
-                                     * _stopped_bound(args.tol, problem.alpha)))
+        return _vi_outcome(result, scale * result.j1.values, _per_unit(problem.space1, scale))
     if algo == "naive":
         return _solve_naive(problem, args, scale)
     if algo == "async":
@@ -259,7 +244,7 @@ def cmd_compare(args):
     for i, a in enumerate(converged):
         for b in converged[i + 1 :]:
             gap = float(np.max(np.abs(outcomes[a].values - outcomes[b].values)))
-            gate = outcomes[a].error_bound() + outcomes[b].error_bound()
+            gate = outcomes[a].error_bound + outcomes[b].error_bound
             print(f"# |{a} - {b}| = {gap!r} (gate {gate:.3e})")
             if gap > gate:
                 disagree.append(f"|{a} - {b}| = {gap!r} > gate {gate:.3e}")
@@ -372,7 +357,11 @@ def main(argv=None):
         if exc.code in (0, None):
             raise
         return EXIT_ERROR
-    try:
+    try:   # refuse a --tol or --max-steps that no solver can honour
+        if not 0.0 < vars(args).get("tol", 1.0) < np.inf:
+            raise ValidationError(f"--tol must be positive and finite, got {args.tol!r}")
+        if vars(args).get("max_steps", 1) < 1:
+            raise ValidationError(f"--max-steps must be at least 1, got {args.max_steps}")
         return args.handler(args)
     except (MaxItersExceeded, MaxStepsExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

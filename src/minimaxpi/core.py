@@ -32,6 +32,8 @@ from .errors import DegeneratePair, MaxItersExceeded
 
 _ZERO_DISTANCE = 1e-13
 
+_MASS_SLACK = 1e-12   # outcome mass this close to 1 counts as exact in a shift factor
+
 # padding of the score layout past a state's actions: never a minimizer's
 # or a maximizer's pick
 SCORE_PAD = {1: np.inf, 2: -np.inf}
@@ -142,6 +144,10 @@ class HalfStageProblem:
     ``zero2``, ``first_policies``, ``random_policies``, ``random_table2``
     and ``random_ordered_table2``.  The rest is written here once.
     """
+
+    def shift(self):
+        """g with ``T1 T2 (J1 + c) = T1 T2 J1 + g*c`` for constants c, or None."""
+        return None
 
     def zero1(self):
         return ValueTable.zeros(self.space1)
@@ -350,6 +356,11 @@ class HalfStage:
             total += p[k] * (g[k] + self.scale * opposite[n[k]])
         return float(total)
 
+    def shift(self):
+        """``scale`` if every real action's outcome mass is 1 (to 1e-12), else None."""
+        mass = self.prob.sum(axis=-1)[self.live()]
+        return self.scale if np.all(np.abs(mass - 1.0) <= _MASS_SLACK) else None
+
     def reach(self, weights, opposite_weights):
         """Largest weighted outcome mass of a real action,
         ``sum_k prob*xi'[next] / xi[x]``; times ``scale`` it bounds this
@@ -383,6 +394,10 @@ class TabularProblem(SeparatedProblem):
     def scores(self, side, subset, opposite, picks=None):
         return (self.stage1 if side == 1 else self.stage2).scores(subset, opposite, picks)
 
+    def shift(self):
+        g1, g2 = self.stage1.shift(), self.stage2.shift()
+        return None if g1 is None or g2 is None else g1 * g2
+
 
 @dataclass(frozen=True)
 class VIResult:
@@ -390,30 +405,53 @@ class VIResult:
     j2: object
     iterations: int
     residuals: tuple
+    error_bound: float
+
+
+def span_bound(g, step, weights, sup):
+    """MacQueen's midpoint offset and weighted bound, or ``(None, sup)``
+    without g or when ``sup`` is not larger.
+
+    For a monotone T with ``T(J + c) = TJ + g*c``, ``d = TJ - J`` brackets
+    the fixed point between ``TJ + g/(1-g)*min d`` and ``... max d``
+    (MacQueen 1966; Porteus 1971).  The slack covers masses 1e-12 off 1."""
+    if g is None:
+        return None, sup
+    lo, hi = float(np.min(step)), float(np.max(step))
+    c = g / (1.0 - g)
+    span = (c * (hi - lo) / 2 + _MASS_SLACK * c / (1.0 - g) * max(-lo, hi)) / np.min(weights)
+    return (c * (lo + hi) / 2, float(span)) if span < sup else (None, sup)
 
 
 def value_iterate(problem, j1_0=None, j2_0=None, tol=1e-8, max_iters=10**6):
-    """Iterate (J1, J2) <- (T1 J2, T2 J1) until the product-norm change <= tol.
+    """Iterate (J1, J2) <- (T1 J2, T2 J1) until J1 is certified within tol.
 
-    Geometric convergence at the problem's modulus; raises
-    :class:`MaxItersExceeded` when the budget runs out, which usually means
-    the input is not contractive or the tolerance is too tight.
+    A sweep that moves the tables by ``res`` leaves them within
+    ``res*a/(1-a)`` of the fixed point; the newest J1 is ``T1 T2`` of the
+    J1 two sweeps back, which gives :func:`span_bound`'s estimate.  Returns
+    the smaller bound as ``error_bound`` with its J1 (for the estimate,
+    ``j2 = T2 j1``).  Raises :class:`MaxItersExceeded` when the budget runs out.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     j1 = problem.zero1() if j1_0 is None else j1_0
     j2 = problem.zero2() if j2_0 is None else j2_0
-    residuals = []
+    g, a, residuals, bound = problem.shift(), problem.alpha, [], np.inf
+    older = j1   # from the second sweep on, the J1 two sweeps back
     for k in range(1, max_iters + 1):
         n1, _ = problem.t1_greedy(j2)
         n2, _ = problem.t2_greedy(j1)
-        res = max(j1.diff_bound(n1), j2.diff_bound(n2))
-        residuals.append(res)
-        j1, j2 = n1, n2
-        if res <= tol:
-            return VIResult(j1, j2, k, tuple(residuals))
+        residuals.append(max(j1.diff_bound(n1), j2.diff_bound(n2)))
+        offset, bound = span_bound(g if k > 1 else None, n1.values - older.values,
+                                   j1.space.weights, residuals[-1] * a / (1.0 - a))
+        older, j1, j2 = j1, n1, n2
+        if bound <= tol:
+            if offset is not None:
+                j1 = ValueTable(j1.space, j1.values + offset)
+                j2 = problem.t2_greedy(j1)[0]
+            return VIResult(j1, j2, k, tuple(residuals), bound)
     raise MaxItersExceeded(
-        f"value iteration residual {residuals[-1]:.3e} > {tol:.3e} after {max_iters} sweeps"
+        f"value iteration bound {bound:.3e} > {tol:.3e} after {max_iters} sweeps"
     )
 
 
@@ -427,13 +465,16 @@ def bellman_residual(problem, j1, j2):
 def certify(problem, j1):
     """Certificate of a minimizer table by one greedy composite sweep.
 
-    Returns ``(r, bound)``: ``r = |J1 - T1(T2 J1)|`` in the weighted norm,
-    and ``bound = r / (1 - alpha**2)``.  The composite ``T1 T2`` contracts
-    at ``alpha**2`` and its fixed point is the minimizer's table of the
-    problem's fixed point, so J1 lies within ``bound`` of it.
+    Returns ``(estimate, bound, r)``: the sweep gives ``t = T1(T2 J1)``
+    and ``r = |J1 - t|`` (weighted).  The estimate is t plus the midpoint
+    offset of :func:`span_bound` when that bound is the smaller, else J1
+    with ``r/(1 - alpha**2)``: the composite contracts at ``alpha**2``.
     """
-    r = j1.diff_norm(problem.t1_greedy(problem.t2_greedy(j1)[0])[0])
-    return r, r / (1.0 - problem.alpha ** 2)
+    t = problem.t1_greedy(problem.t2_greedy(j1)[0])[0]
+    r = j1.diff_norm(t)
+    offset, bound = span_bound(problem.shift(), t.values - j1.values, j1.space.weights,
+                               r / (1.0 - problem.alpha ** 2))
+    return (j1 if offset is None else ValueTable(j1.space, t.values + offset)), bound, r
 
 
 def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None, j2_0=None):

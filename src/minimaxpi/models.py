@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (HalfStage, HalfStageProblem, PolicyPair, TabularProblem, ValueTable,
-                   WeightedSpace)
+from .core import (_MASS_SLACK, HalfStage, HalfStageProblem, PolicyPair, TabularProblem,
+                   ValueTable, WeightedSpace, span_bound)
 from .errors import InvalidBeta, MaxItersExceeded, NonContractive
 from .matrix_game import _TIE, min_simplex_max_linear, solve_matrix_game
 
@@ -90,6 +90,11 @@ class DiscountedMarkovGame:
         mass = (self.transitions * xi[None, None, None, :]).sum(axis=3)
         return self.alpha * float(np.max(mass / xi[:, None, None]))
 
+    def shift(self):
+        """``alpha`` if every transition row sums to 1 (within 1e-12), else None."""
+        rows = self.transitions.sum(axis=3)
+        return self.alpha if np.all(np.abs(rows - 1.0) <= _MASS_SLACK) else None
+
 
 def stage_matrix(game, x, j, scale=None):
     """The one-shot payoff matrix at x against a continuation value array.
@@ -110,25 +115,27 @@ class ShapleyVIResult:
     values: np.ndarray
     iterations: int
     residuals: tuple
+    error_bound: float
 
 
 def shapley_value_iteration(game, tol=1e-8, max_iters=10**6):
-    """Fixed-point iteration on the stage-game value operator.
+    """Stage-game value iteration until the values are certified within tol.
 
     Each sweep replaces J(x) with the exact value of the matrix game formed
-    by the current continuation, so the iterates contract at the game's
-    modulus toward the equilibrium value vector.
+    by the current continuation.  Returns the values of the smaller bound,
+    ``|d|*a/(1-a)`` for a sweep moving them by d (``a`` the game's modulus)
+    or :func:`span_bound`'s, with that bound as ``error_bound``.
     """
-    xi = game.space.weights
-    j = np.zeros(game.state_count)
-    residuals = []
+    xi, g, a = game.space.weights, game.shift(), game.contraction_factor()
+    per_step = a / (1.0 - a) if a < 1.0 else np.inf   # sup-norm error per unit of step
+    j, residuals = np.zeros(game.state_count), []
     for k in range(1, max_iters + 1):
         new = solve_matrix_game(stage_matrix(game, slice(None), j)).value
-        res = float(np.max(np.abs(new - j) / xi))
-        residuals.append(res)
+        residuals.append(float(np.max(np.abs(new - j) / xi)))
+        offset, bound = span_bound(g, new - j, xi, residuals[-1] * per_step)
         j = new
-        if res <= tol:
-            return ShapleyVIResult(j, k, tuple(residuals))
+        if bound <= tol:
+            return ShapleyVIResult(j if offset is None else j + offset, k, tuple(residuals), bound)
     raise MaxItersExceeded("stage-game value iteration did not reach tol")
 
 
@@ -311,6 +318,9 @@ class MarkovSeparatedProblem(HalfStageProblem):
         mu = np.zeros((self.game.state_count, self.n))
         mu[:, 0] = 1.0
         return PolicyPair(mu, np.zeros(self.game.state_count, dtype=int))
+
+    def shift(self):   # 1/beta times alpha*beta
+        return self.game.shift()
 
     def original_values(self, j1):
         """Game equilibrium values recovered from the minimizer's table."""

@@ -1,6 +1,7 @@
 """Shared instance generators for the test suite."""
 
 import numpy as np
+import pytest
 
 from minimaxpi.core import SeparatedProblem, WeightedSpace
 from minimaxpi.models import (DiscountedMarkovGame, MinimaxControlModel,
@@ -68,3 +69,55 @@ def closure_problem(model, alpha):
         eval1=lambda x, u, j2: model.cost1[x][u] + model.alpha * j2[model.next1[x][u]],
         eval2=lambda x, v, j1: model.cost2[x][v] + model.alpha * j1[model.next2[x][v]],
         alpha=alpha)
+
+
+def highs_min_max(offsets, coeffs):
+    """Oracle: min_u max_l (offset_l + u'coeffs_l) by scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n_lines, n = coeffs.shape
+    # variables (u, z): min z s.t. coeffs u - z <= -offsets, sum u = 1, u >= 0
+    res = linprog(np.r_[np.zeros(n), 1.0],
+                  A_ub=np.c_[coeffs, -np.ones(n_lines)], b_ub=-offsets,
+                  A_eq=np.r_[np.ones(n), 0.0][None], b_eq=[1.0],
+                  bounds=[(0, None)] * n + [(None, None)], method="highs",
+                  # the default 1e-7 feasibility tolerances are looser than
+                  # the 1e-9 x spread gates this oracle serves
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return res.fun
+
+
+def highs_game_values(game, target=1e-12):
+    """Equilibrium values of a Markov game, certified to ``target`` by
+    sweeps whose stage games go to HiGHS.
+
+    Plain sweeps of the batched stage-game solver, with no stop rule, only
+    bring the start near the fixed point.  The values returned come from
+    HiGHS sweeps: a sweep that moves them by r leaves them within
+    r*a/(1-a) of the fixed point (a the game's modulus), whatever the start.
+    """
+    from minimaxpi.matrix_game import solve_matrix_game
+    from minimaxpi.models import stage_matrix
+
+    a = game.contraction_factor()
+    j = np.zeros(game.state_count)
+    for _ in range(400):
+        j = solve_matrix_game(stage_matrix(game, slice(None), j)).value
+    for _ in range(20):
+        new = np.array([highs_min_max(np.zeros(m.shape[1]), m.T)
+                        for m in stage_matrix(game, slice(None), j)])
+        r, j = float(np.max(np.abs(new - j) / game.space.weights)), new
+        if r * a / (1.0 - a) <= target:
+            return j
+    raise AssertionError("HiGHS sweeps did not certify the reference")
+
+
+def swept_j1(problem, sweeps=2000):
+    """The minimizer's table after a fixed number of greedy sweeps from zero,
+    with no stop rule.  At modulus 0.95 the sweeps shrink the start's error
+    by 0.95**2000 (about 3e-45), so only rounding is left."""
+    j1, j2 = problem.zero1(), problem.zero2()
+    for _ in range(sweeps):
+        j1, j2 = problem.t1_greedy(j2)[0], problem.t2_greedy(j1)[0]
+    return j1.values

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,14 +18,15 @@ from minimaxpi.core import (PolicyPair, SeparatedProblem, ValueTable,
                             WeightedSpace, certify, value_iterate)
 from minimaxpi.errors import MaxStepsExceeded
 from minimaxpi.matrix_game import min_simplex_max_linear
-from minimaxpi.models import (ColumnMaxTable, MinimaxControlModel, default_beta,
-                              markov_game_to_control,
+from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
+                              default_beta, markov_game_to_control,
                               minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem,
                               shapley_value_iteration, stage_matrix)
 
-from helpers import (closure_problem, random_control_model, random_markov_game,
-                     random_separated_model, scalar_problem)
+from helpers import (closure_problem, highs_game_values, random_control_model,
+                     random_markov_game, random_separated_model, scalar_problem,
+                     swept_j1)
 
 
 @pytest.fixture
@@ -299,11 +302,29 @@ class TestStopCheck:
         _, nu = problem.t2_greedy(exact.j1)
         state = AlgoState(exact.j1, exact.j1, exact.j2, exact.j2, PolicyPair(mu, nu), 0)
         assert _converged(problem, state, tol)
-        # the move shifts T1(T2 J1) by at most alpha**2 * 2 tol, so
-        # r >= 2 tol (1 - alpha**2) and the bound r / (1 - alpha**2) >= 2 tol
-        moved = AlgoState(exact.j1.with_updates([1], [exact.j1.values[1] + 2 * tol]),
+        # a move m at one state moves T1(T2 J1) by 0 to alpha**2 m, so the
+        # step's span and r are at least m (1 - alpha**2): the sup bound is
+        # >= m and the span bound (g = alpha**2 here) >= alpha**2 m / 2
+        m = 3 * tol / problem.alpha ** 2
+        moved = AlgoState(exact.j1.with_updates([1], [exact.j1.values[1] + m]),
                           exact.j1, exact.j2, exact.j2, PolicyPair(mu, nu), 0)
         assert not _converged(problem, moved, tol)
+
+    @pytest.mark.parametrize("name", ["explicit_problem", "markov_sep"])
+    def test_run_answers_with_the_estimate_it_certified(self, name, request):
+        problem, tol = request.getfixturevalue(name), 1e-8
+        assert problem.shift() is not None
+        done, _ = run(problem, round_robin(), tol=tol)
+        # replay the steps: the state the stop check saw
+        state = initial_state(problem)
+        for op in itertools.islice(round_robin().ops(problem), done.t):
+            state = _apply(problem, state, op, state)
+        estimate, bound, _ = certify(problem, state.j1)
+        assert bound <= tol and not np.array_equal(estimate.values, state.j1.values)
+        assert np.array_equal(done.j1.values, estimate.values)
+        assert done.t == state.t and done.j2.diff_bound(state.j2) == 0.0
+        assert bool(_converged(problem, state, tol))
+        assert not _converged(problem, initial_state(problem), tol)
 
     def test_bundle_section_of_converged_envelope_passes(self, markov_sep):
         problem, tol = markov_sep, 1e-8
@@ -320,39 +341,59 @@ class TestStopCheck:
 
 
 class TestCertificate:
-    """``certify``'s bound on async's J1 against the actual weighted error,
-    with the fixed point from an independent solver iterated to 1e-13."""
+    """The bound async and both value iterations report against the actual
+    weighted error of the table they return.  References come from outside
+    the stop rules: HiGHS-certified sweeps for games, a fixed count of
+    greedy sweeps for the rest.  Each error may exceed the bound by the
+    reference's own error, below 1e-11."""
 
-    @staticmethod
-    def assert_bound_covers_error(problem, exact_j1):
-        for tol in (1e-3, 1e-5, 1e-7):
+    TOLS = (1e-3, 1e-5, 1e-7)
+
+    def assert_bounds_cover_errors(self, problem, exact_j1):
+        def err(values):
+            return float(np.max(np.abs(values - exact_j1) / problem.space1.weights))
+        for tol in self.TOLS:
             state, _ = run(problem, round_robin(), tol=tol)
-            _, bound = certify(problem, state.j1)
-            err = float(np.max(np.abs(state.j1.values - exact_j1) / problem.space1.weights))
-            assert bound <= tol
-            assert err <= bound + 1e-11   # the references' own error is below 1e-11
+            assert err(state.j1.values) <= tol + 1e-11
+            result = value_iterate(problem, tol=tol)
+            assert result.error_bound <= tol
+            assert err(result.j1.values) <= result.error_bound + 1e-11
 
     @pytest.mark.parametrize("terminating", [False, True])
-    def test_stochastic_games_against_shapley_vi(self, terminating):
+    def test_stochastic_games_against_highs(self, terminating):
         rng = np.random.default_rng(21 + terminating)
-        for states in (1, 3, 5):
-            game = random_markov_game(rng, states, 3, 3, terminating=terminating)
+        games = [random_markov_game(rng, states, 3, 3, terminating=terminating)
+                 for states in (1, 3, 5)]
+        if terminating:   # one state and move, mass 0.99: the sup bound is nearly attained
+            games.append(DiscountedMarkovGame([[[1.0]]], [[[[0.99]]]], 0.9, terminating=True))
+        for game in games:
             problem = separate_markov_game(game)
-            exact = shapley_value_iteration(game, tol=1e-13).values
-            self.assert_bound_covers_error(problem, exact / problem.beta.beta)
+            # terminating rows lose mass: the sup-bound fallback
+            assert (problem.shift() is None) == terminating
+            exact = highs_game_values(game)
+            self.assert_bounds_cover_errors(problem, exact / problem.beta.beta)
+            for tol in self.TOLS:
+                result = shapley_value_iteration(game, tol=tol)
+                assert result.error_bound <= tol
+                assert np.max(np.abs(result.values - exact)) <= result.error_bound + 1e-11
 
-    def test_control_problems_against_value_iteration(self):
+    def test_control_problems_against_plain_sweeps(self):
         rng = np.random.default_rng(23)
         problems = [minimax_control_to_problem(random_control_model(rng, 5, stochastic=s))
                     for s in (False, True)]
         model = random_control_model(rng, 5, alpha=0.8, stochastic=True)
         weighted = WeightedSpace(5, rng.uniform(0.95, 1.05, 5))
+        # two absorbing states at costs 1 and 0: the midpoint misses by
+        # exactly its bound, so a bound any smaller fails here
+        apart = MinimaxControlModel.deterministic(WeightedSpace.unit(2), [[[0]], [[1]]],
+                                                  [[[1.0]], [[0.0]]], 0.9)
         problems += [
             minimax_control_to_problem(MinimaxControlModel(weighted, model.outcomes, 0.8)),
+            minimax_control_to_problem(apart),
             separated_model_to_problem(random_separated_model(rng, 5, 4))]
         for problem in problems:
-            exact = value_iterate(problem, tol=1e-13).j1.values
-            self.assert_bound_covers_error(problem, exact)
+            assert problem.shift() is not None
+            self.assert_bounds_cover_errors(problem, swept_j1(problem))
 
 
 class TestSchedules:

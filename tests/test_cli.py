@@ -7,9 +7,9 @@ from minimaxpi import cli
 from minimaxpi.async_pi import Schedule, round_robin, run
 from minimaxpi.classic_pi import naive_separated_pi
 from minimaxpi.errors import NonContractive, ParseError, ValidationError
-from minimaxpi.core import ValueTable
-from minimaxpi.models import (minimax_control_to_problem, separated_model_to_problem,
-                              shapley_value_iteration)
+from minimaxpi.core import ValueTable, certify
+from minimaxpi.models import (default_beta, minimax_control_to_problem,
+                              separated_model_to_problem, shapley_value_iteration)
 from minimaxpi.problem_io import game_payload, load_problem, save_problem
 
 from helpers import random_control_model, random_markov_game, random_separated_model
@@ -272,6 +272,21 @@ class TestSolveCommand:
         assert all(flag in captured.err for flag in extra if flag.startswith("--"))
         assert captured.out == "" and not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("option,value", [("--tol", "0"), ("--tol", "-1"),
+                                              ("--tol", "nan"), ("--tol", "inf"),
+                                              ("--max-steps", "0")])
+    @pytest.mark.parametrize("command", [["solve", "--algo", "vi"],
+                                         ["solve", "--algo", "async"],
+                                         ["compare", "--algos", "vi,naive"],
+                                         ["aggregate-solve"]])
+    def test_budget_it_cannot_honour_exits_1(self, tmp_path, capsys, command, option, value):
+        path = write_control(tmp_path, random_control_model(np.random.default_rng(4), 3))
+        code = cli.main([command[0], path, *command[1:], option, value])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_ERROR and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: " + option)
+
     def test_separated_kind_rejects_game_algorithms(self, tmp_path, capsys):
         payload = {
             "format": 1, "kind": "separated_model", "alpha": 0.5,
@@ -331,18 +346,35 @@ class TestCompareCommand:
         assert code == 0
         problem = separated_model_to_problem(load_problem(str(path)).model)
         state, _ = run(problem, round_robin(), tol=1e-8)
-        # |J1 - T1(T2 J1)|, both sweeps greedy, certifies J1 to 1e-8
+        # |J1 - T1(T2 J1)|, both sweeps greedy, of the returned (certified) J1
         residual = state.j1.diff_norm(problem.t1_greedy(problem.t2_greedy(state.j1)[0])[0])
         assert rows["async"][3] == f"{residual:.3e}"
-        assert 0.0 < residual <= 1e-8 * (1.0 - problem.alpha ** 2)
+        assert residual == certify(problem, state.j1)[2]
+        # J1 within 1e-8 of the fixed point moves by at most (1 + alpha**2) 1e-8
+        assert 0.0 < residual <= 1e-8 * (1.0 + problem.alpha ** 2)
 
     def test_pairs_gated_at_their_error_bounds(self, tmp_path, capsys):
-        path = write_control(tmp_path, slow_control_model())
-        code = cli.main(["compare", path, "--algos", "vi,naive", "--tol", "1e-6"])
-        line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# |vi")][0]
-        gap, gate = float(line.split()[5]), float(line.split()[7].rstrip(")"))
-        # vi's documented accuracy tol*a/(1-a) exceeds the old 10*tol gate
-        assert code == 0 and 10 * 1e-6 < gap <= gate
+        model = slow_control_model()
+        path = write_control(tmp_path, model)
+        out = str(tmp_path / "vals")
+        code = cli.main(["compare", path, "--algos", "vi,naive", "--tol", "1e-6", "--out", out])
+        lines = capsys.readouterr().out.splitlines()
+        rows = {line.split()[0]: line.split() for line in lines}
+        line = [ln for ln in lines if ln.startswith("# |vi")][0]
+        gap, gate = line.split()[5], line.split()[7].rstrip(")")
+        assert code == 0 and float(gap) <= float(gate)
+        # the gate sums the certified bounds, in the printed scale
+        problem = minimax_control_to_problem(model)
+        beta = default_beta(model.alpha).beta
+        vi = cli.value_iterate(problem, tol=1e-6)
+        naive = certify(problem, naive_separated_pi(problem, tol=1e-6).values[0])
+        assert gate == f"{beta * (vi.error_bound + naive[1]):.3e}"
+        # each bound gates the table printed: the certified estimates
+        for algo, j1 in (("vi", vi.j1), ("naive", naive[0])):
+            printed = (tmp_path / f"vals.{algo}.csv").read_text().splitlines()[1:]
+            assert [float(r.split(",")[1]) for r in printed] == list(beta * j1.values)
+        # vi's last sweep still moved its tables by far more than its bound
+        assert vi.error_bound <= 1e-6 < float(rows["vi"][3])
 
     def test_pair_beyond_its_gate_fails(self, tmp_path, capsys, monkeypatch):
         real = cli.value_iterate
@@ -350,7 +382,8 @@ class TestCompareCommand:
         def off_by_1e3(problem, tol, max_iters):
             result = real(problem, tol=tol, max_iters=max_iters)
             return type(result)(ValueTable(result.j1.space, result.j1.values + 1e-3),
-                                result.j2, result.iterations, result.residuals)
+                                result.j2, result.iterations, result.residuals,
+                                result.error_bound)
 
         monkeypatch.setattr(cli, "value_iterate", off_by_1e3)
         path = write_control(tmp_path, slow_control_model())

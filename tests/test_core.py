@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from minimaxpi.core import (SeparatedProblem, ValueTable, WeightedSpace,
+from minimaxpi.core import (HalfStage, SeparatedProblem, ValueTable, WeightedSpace,
                             bellman_residual, check_monotone, estimate_modulus,
                             value_iterate)
 from minimaxpi.errors import MaxItersExceeded
 
-from helpers import (closure_problem, random_control_model, random_separated_model,
-                     scalar_problem)
+from helpers import (closure_problem, random_control_model, random_markov_game,
+                     random_separated_model, scalar_problem)
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
-from minimaxpi.models import minimax_control_to_problem, separated_model_to_problem
+from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
+                              separated_model_to_problem)
 
 
 def table(values, weights=None):
@@ -197,9 +198,18 @@ class TestGreedyOperators:
         closure = closure_problem(model, tabular.alpha)
         a = value_iterate(closure, tol=1e-12)
         b = value_iterate(tabular, tol=1e-12)
-        assert a.iterations == b.iterations and a.residuals == b.residuals
-        assert np.array_equal(a.j1.values, b.j1.values)
-        assert np.array_equal(a.j2.values, b.j2.values)
+        # the closure adapter promises no shift factor, so it stops later,
+        # on the sup bound; the sweeps both make agree bit for bit
+        assert a.iterations > b.iterations and a.residuals[:b.iterations] == b.residuals
+        swept = []
+        for problem in (closure, tabular):
+            j1, j2 = problem.zero1(), problem.zero2()
+            for _ in range(a.iterations):
+                j1, j2 = problem.t1_greedy(j2)[0], problem.t2_greedy(j1)[0]
+            swept.append((j1.values, j2.values))
+        assert np.array_equal(swept[0][0], swept[1][0])
+        assert np.array_equal(swept[0][1], swept[1][1])
+        assert np.array_equal(a.j1.values, swept[0][0])
 
     def test_greedy_below_any_policy(self):
         rng = np.random.default_rng(8)
@@ -210,6 +220,29 @@ class TestGreedyOperators:
             mu = np.array([rng.integers(len(a)) for a in problem.actions1])
             fixed = problem.t1_policy(mu, j2)
             assert np.all(greedy.values <= fixed.values + 1e-12)
+
+
+class TestShift:
+    @staticmethod
+    def stage(probs):
+        """Two states with two and one actions; the second action has two outcomes."""
+        return HalfStage.from_ragged([2, 1], [1, 2, 1], probs, [0.5, 1.0, -1.0, 2.0],
+                                     [0, 1, 0, 1], 0.9, np.inf)
+
+    def test_half_stage_shift_needs_every_mass_at_one(self):
+        assert self.stage([1.0, 0.25, 0.75, 1.0]).shift() == 0.9
+        assert self.stage([1.0, 0.25, 0.75 - 1e-9, 1.0]).shift() is None
+
+    def test_problem_shift_factors(self):
+        rng = np.random.default_rng(3)
+        model = random_separated_model(rng, 3, 4, alpha=0.8)
+        assert separated_model_to_problem(model).shift() == pytest.approx(0.64, abs=1e-15)
+        control = minimax_control_to_problem(random_control_model(rng, 3, stochastic=True))
+        assert control.shift() == pytest.approx(0.9, abs=1e-15)
+        assert closure_problem(model, 0.8).shift() is None
+        assert separate_markov_game(random_markov_game(rng, 2)).shift() == 0.9
+        leaky = random_markov_game(rng, 2, terminating=True)
+        assert separate_markov_game(leaky).shift() is None
 
 
 class TestValueIterate:

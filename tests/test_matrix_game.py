@@ -13,7 +13,7 @@ from minimaxpi.matrix_game import (_ENUM_BUDGET, _enumerate_min_max, _simplex_mi
                                    min_simplex_max_linear, solve_matrix_game)
 from minimaxpi.models import separate_markov_game
 
-from helpers import random_markov_game
+from helpers import highs_min_max, random_markov_game
 
 
 def saddle_certificates(M, sol, tol):
@@ -23,23 +23,6 @@ def saddle_certificates(M, sol, tol):
     assert abs(sol.u_star.sum() - 1.0) <= 1e-9
     assert abs(sol.v_star.sum() - 1.0) <= 1e-9
     assert np.min(sol.u_star) >= 0.0 and np.min(sol.v_star) >= 0.0
-
-
-def highs_min_max(offsets, coeffs):
-    """Oracle: min_u max_l (offset_l + u'coeffs_l) by scipy's HiGHS."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    n_lines, n = coeffs.shape
-    # variables (u, z): min z s.t. coeffs u - z <= -offsets, sum u = 1, u >= 0
-    res = linprog(np.r_[np.zeros(n), 1.0],
-                  A_ub=np.c_[coeffs, -np.ones(n_lines)], b_ub=-offsets,
-                  A_eq=np.r_[np.ones(n), 0.0][None], b_eq=[1.0],
-                  bounds=[(0, None)] * n + [(None, None)], method="highs",
-                  # the default 1e-7 feasibility tolerances are looser than
-                  # the 1e-9 x spread gates this oracle serves
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    assert res.status == 0
-    return res.fun
 
 
 def game_value(M):
