@@ -6,9 +6,9 @@ LP solving, and aggregation over representative states.
 """
 
 from .core import (HalfStage, HalfStageProblem, PolicyPair, SeparatedProblem,
-                   TabularProblem, ValueTable, WeightedSpace, bellman_residual,
-                   certify, check_monotone, estimate_modulus,
-                   policy_pair_value, value_iterate)
+                   TabularProblem, ValueTable, WeightedSpace, certify,
+                   check_monotone, estimate_modulus, policy_pair_value,
+                   value_iterate)
 from .matrix_game import SaddleSolution, min_simplex_max_linear, solve_matrix_game
 from .models import (BetaScaling, ColumnMaxTable, DiscountedMarkovGame,
                      MinimaxControlModel, SeparatedMinimaxModel,

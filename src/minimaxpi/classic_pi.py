@@ -163,7 +163,7 @@ def _joint_evaluate(problem, policies, tol, optimistic_k, j1, j2):
             j1, j2 = (problem.t1_policy(policies.mu, j2),
                       problem.t2_policy(policies.nu, j1))
         return j1, j2
-    return problem.joint_policy_fixed_point(policies, tol, j1, j2)
+    return problem.joint_policy_fixed_point(policies, tol, j1)
 
 
 def naive_separated_pi(problem, tol=1e-8, max_iters=10**4,

@@ -7,7 +7,6 @@ debug/info/warning/error for verbosity.
 """
 
 import argparse
-import functools
 import logging
 import os
 import sys
@@ -20,7 +19,7 @@ from .aggregation import (AggregationProbabilities, RepresentativeSets,
                           solve_with_aggregation)
 from .classic_pi import (PIStatus, find_oscillating_game, hoffman_karp,
                          naive_separated_pi, pollatschek_avi_itzhak)
-from .core import bellman_residual, certify, value_iterate
+from .core import certify, value_iterate
 from .errors import (MaxItersExceeded, MaxStepsExceeded, MinimaxPIError,
                      ValidationError)
 from .problem_io import game_payload, load_problem, save_problem
@@ -123,12 +122,12 @@ def _vi_outcome(result, values, per_unit):
 def _solve_naive(problem, args, scale):
     result = naive_separated_pi(problem, tol=args.tol, max_iters=args.max_steps,
                                 optimistic_k=args.optimistic_k)
-    residual = functools.cache(lambda: bellman_residual(problem, *result.values))
     # the certificate's table is printed and its bound gates it (naive's
-    # J2 on a game is a policy section, so J1 is certified alone)
+    # J2 on a game is a policy section, so J1 is certified alone); the
+    # residual is r of the printed table, as async's
     j1, bound, _ = certify(problem, result.values[0])
     return _pi_outcome(result, scale * j1.values, _per_unit(problem.space1, scale) * bound,
-                       residual)
+                       lambda: certify(problem, j1)[2])
 
 
 def _solve_game(game, algo, args, file_beta=None):

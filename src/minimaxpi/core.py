@@ -146,7 +146,10 @@ class HalfStageProblem:
     """
 
     def shift(self):
-        """g with ``T1 T2 (J1 + c) = T1 T2 J1 + g*c`` for constants c, or None."""
+        """g with ``T1 T2 (J1 + c) = T1 T2 J1 + g*c`` for constants c, or None.
+
+        g holds at every fixed pair too, ``T1^mu T2^nu``: it rests on every
+        live action's outcome mass being 1, whichever actions are picked."""
         return None
 
     def zero1(self):
@@ -170,10 +173,10 @@ class HalfStageProblem:
         entries, nu = self.max_improve(subset, j1, mu)
         return self.table2(entries), nu
 
-    def joint_policy_fixed_point(self, policies, tol=1e-10, j1=None, j2=None):
-        """Tables of a fixed policy pair: its joint operator iterated to
-        ``tol`` from (j1, j2), zero tables by default."""
-        return policy_pair_value(self, policies, tol, j1_0=j1, j2_0=j2)
+    def joint_policy_fixed_point(self, policies, tol=1e-10, j1=None):
+        """Tables of a fixed policy pair, certified within ``tol`` by
+        :func:`policy_pair_value` from j1 (zero by default)."""
+        return policy_pair_value(self, policies, tol, j1_0=j1)
 
     def random_table1(self, rng):
         return ValueTable(self.space1, rng.uniform(-1, 1, self.space1.size) * self.space1.weights)
@@ -423,73 +426,63 @@ def span_bound(g, step, weights, sup):
     return (c * (lo + hi) / 2, float(span)) if span < sup else (None, sup)
 
 
-def value_iterate(problem, j1_0=None, j2_0=None, tol=1e-8, max_iters=10**6):
-    """Iterate (J1, J2) <- (T1 J2, T2 J1) until J1 is certified within tol.
+def _sweep(problem, j1, policies, g):
+    """One composite sweep ``t = T1(T2 J1)``, greedy or at the pair, and
+    its certificate with shift factor g: ``(estimate, bound, r, t)`` as
+    :func:`certify` says."""
+    if policies is None:
+        t = problem.t1_greedy(problem.t2_greedy(j1)[0])[0]
+    else:
+        t = problem.t1_policy(policies.mu, problem.t2_policy(policies.nu, j1))
+    r = j1.diff_norm(t)
+    offset, bound = span_bound(g, t.values - j1.values, j1.space.weights,
+                               r / (1.0 - problem.alpha ** 2))
+    return (j1 if offset is None else ValueTable(j1.space, t.values + offset)), bound, r, t
 
-    A sweep that moves the tables by ``res`` leaves them within
-    ``res*a/(1-a)`` of the fixed point; the newest J1 is ``T1 T2`` of the
-    J1 two sweeps back, which gives :func:`span_bound`'s estimate.  Returns
-    the smaller bound as ``error_bound`` with its J1 (for the estimate,
-    ``j2 = T2 j1``).  Raises :class:`MaxItersExceeded` when the budget runs out.
+
+def certify(problem, j1, policies=None):
+    """Certificate of a minimizer table by one composite sweep, greedy or
+    at a policy pair.
+
+    Returns ``(estimate, bound, r)``: the sweep gives ``t = T1(T2 J1)``
+    (``T1^mu(T2^nu J1)`` at a pair) and ``r = |J1 - t|`` (weighted).  The
+    estimate is t plus the midpoint offset of :func:`span_bound` when that
+    bound is the smaller, else J1 with ``r/(1 - alpha**2)``: the composite
+    contracts at ``alpha**2``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    return _sweep(problem, j1, policies, problem.shift())[:3]
+
+
+def value_iterate(problem, j1_0=None, tol=1e-8, max_iters=10**6, policies=None):
+    """Iterate ``J1 <- T1(T2 J1)``, greedy or at a policy pair, from j1_0
+    (zero by default) until :func:`certify`'s bound is at most tol.
+
+    ``residuals[k]`` is ``r`` of the k-th sweep.  Returns the certified
+    estimate, ``j2 = T2`` of it (at ``policies.nu`` for a pair) and the
+    bound as ``error_bound``.  Raises :class:`MaxItersExceeded` when the
+    budget runs out.
+    """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     j1 = problem.zero1() if j1_0 is None else j1_0
-    j2 = problem.zero2() if j2_0 is None else j2_0
-    g, a, residuals, bound = problem.shift(), problem.alpha, [], np.inf
-    older = j1   # from the second sweep on, the J1 two sweeps back
+    g = problem.shift()   # sums every outcome mass: once, not per sweep
+    residuals, bound = [], np.inf   # the message's bound when max_iters < 1
     for k in range(1, max_iters + 1):
-        n1, _ = problem.t1_greedy(j2)
-        n2, _ = problem.t2_greedy(j1)
-        residuals.append(max(j1.diff_bound(n1), j2.diff_bound(n2)))
-        offset, bound = span_bound(g if k > 1 else None, n1.values - older.values,
-                                   j1.space.weights, residuals[-1] * a / (1.0 - a))
-        older, j1, j2 = j1, n1, n2
+        estimate, bound, r, j1 = _sweep(problem, j1, policies, g)
+        residuals.append(r)
         if bound <= tol:
-            if offset is not None:
-                j1 = ValueTable(j1.space, j1.values + offset)
-                j2 = problem.t2_greedy(j1)[0]
-            return VIResult(j1, j2, k, tuple(residuals), bound)
+            j2 = (problem.t2_greedy(estimate)[0] if policies is None
+                  else problem.t2_policy(policies.nu, estimate))
+            return VIResult(estimate, j2, k, tuple(residuals), bound)
     raise MaxItersExceeded(
         f"value iteration bound {bound:.3e} > {tol:.3e} after {max_iters} sweeps"
     )
 
 
-def bellman_residual(problem, j1, j2):
-    """Product-norm distance between (J1, J2) and one greedy sweep of it."""
-    n1, _ = problem.t1_greedy(j2)
-    n2, _ = problem.t2_greedy(j1)
-    return max(j1.diff_norm(n1), j2.diff_norm(n2))
-
-
-def certify(problem, j1):
-    """Certificate of a minimizer table by one greedy composite sweep.
-
-    Returns ``(estimate, bound, r)``: the sweep gives ``t = T1(T2 J1)``
-    and ``r = |J1 - t|`` (weighted).  The estimate is t plus the midpoint
-    offset of :func:`span_bound` when that bound is the smaller, else J1
-    with ``r/(1 - alpha**2)``: the composite contracts at ``alpha**2``.
-    """
-    t = problem.t1_greedy(problem.t2_greedy(j1)[0])[0]
-    r = j1.diff_norm(t)
-    offset, bound = span_bound(problem.shift(), t.values - j1.values, j1.space.weights,
-                               r / (1.0 - problem.alpha ** 2))
-    return (j1 if offset is None else ValueTable(j1.space, t.values + offset)), bound, r
-
-
-def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None, j2_0=None):
-    """Evaluate a fixed policy pair by iterating its joint operator to tol
-    from (j1_0, j2_0), zero tables by default."""
-    j1 = problem.zero1() if j1_0 is None else j1_0
-    j2 = problem.zero2() if j2_0 is None else j2_0
-    for _ in range(max_iters):
-        n1 = problem.t1_policy(policies.mu, j2)
-        n2 = problem.t2_policy(policies.nu, j1)
-        res = max(j1.diff_bound(n1), j2.diff_bound(n2))
-        j1, j2 = n1, n2
-        if res <= tol:
-            return j1, j2
-    raise MaxItersExceeded("policy-pair evaluation did not converge")
+def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None):
+    """Tables ``(j1, j2)`` of a fixed policy pair: :func:`value_iterate` at the pair."""
+    result = value_iterate(problem, j1_0, tol, max_iters, policies)
+    return result.j1, result.j2
 
 
 def estimate_modulus(problem, samples=100, seed=0):

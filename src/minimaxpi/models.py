@@ -353,7 +353,7 @@ class MarkovSeparatedProblem(HalfStageProblem):
         near = readings >= readings.max(axis=1, keepdims=True) - slack[:, None]
         return mats, np.argmax(near, axis=1)
 
-    def joint_policy_fixed_point(self, policies, tol=None, j1=None, j2=None):
+    def joint_policy_fixed_point(self, policies, tol=None, j1=None):
         """Exact tables of a fixed policy pair via one dense linear solve.
 
         With both policies frozen the coupled half-stage equations collapse

@@ -15,7 +15,7 @@ from minimaxpi.async_pi import (AlgoState, Kind, Operation, _apply, _converged, 
                                 run_extended, solve_G_fixed_point,
                                 verify_uniform_contraction)
 from minimaxpi.core import (PolicyPair, SeparatedProblem, ValueTable,
-                            WeightedSpace, certify, value_iterate)
+                            WeightedSpace, certify, policy_pair_value, value_iterate)
 from minimaxpi.errors import MaxStepsExceeded
 from minimaxpi.matrix_game import min_simplex_max_linear
 from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
@@ -342,10 +342,11 @@ class TestStopCheck:
 
 class TestCertificate:
     """The bound async and both value iterations report against the actual
-    weighted error of the table they return.  References come from outside
-    the stop rules: HiGHS-certified sweeps for games, a fixed count of
-    greedy sweeps for the rest.  Each error may exceed the bound by the
-    reference's own error, below 1e-11."""
+    weighted error of the table they return, and pair evaluation's error
+    against its tol.  References come from outside the stop rules:
+    HiGHS-certified sweeps for games, a fixed count of greedy sweeps for
+    the rest, a dense linear solve for a fixed pair.  Each error may
+    exceed the bound by the reference's own error, below 1e-11."""
 
     TOLS = (1e-3, 1e-5, 1e-7)
 
@@ -394,6 +395,40 @@ class TestCertificate:
         for problem in problems:
             assert problem.shift() is not None
             self.assert_bounds_cover_errors(problem, swept_j1(problem))
+
+    @staticmethod
+    def dense_pair_j1(problem, pair):
+        """J1 of a fixed policy pair from one dense solve of its joint
+        linear system, built from the stage arrays at the picks."""
+        blocks = []
+        for stage, picks, opposite in ((problem.stage1, pair.mu, problem.space2.size),
+                                       (problem.stage2, pair.nu, problem.space1.size)):
+            states = np.arange(picks.size)
+            p, g, n = (a[states, picks] for a in (stage.prob, stage.cost, stage.next))
+            moves = np.zeros((picks.size, opposite))
+            np.add.at(moves, (np.repeat(states, n.shape[1]), n.ravel()), stage.scale * p.ravel())
+            blocks.append(((p * g).sum(axis=1), moves))
+        (c1, p1), (c2, p2) = blocks
+        system = np.block([[np.eye(len(c1)), -p1], [-p2, np.eye(len(c2))]])
+        return np.linalg.solve(system, np.concatenate([c1, c2]))[:len(c1)]
+
+    def test_pair_value_against_dense_solve(self):
+        rng = np.random.default_rng(24)
+        problems = [separated_model_to_problem(random_separated_model(rng, 6, 5)),
+                    minimax_control_to_problem(random_control_model(rng, 5)),
+                    minimax_control_to_problem(random_control_model(rng, 5, stochastic=True))]
+        pairs = [problem.random_policies(rng) for problem in problems]
+        # a slow stochastic instance, where stopping on the raw residual
+        # missed by up to 19 tol
+        slow = minimax_control_to_problem(
+            random_control_model(np.random.default_rng(0), 4, alpha=0.95, stochastic=True))
+        problems.append(slow)
+        pairs.append(slow.random_policies(np.random.default_rng(1)))
+        for problem, pair in zip(problems, pairs):
+            exact = self.dense_pair_j1(problem, pair)
+            for tol in self.TOLS:
+                j1, _ = policy_pair_value(problem, pair, tol=tol)
+                assert np.max(np.abs(j1.values - exact) / problem.space1.weights) <= tol
 
 
 class TestSchedules:

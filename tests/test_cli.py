@@ -379,8 +379,8 @@ class TestCompareCommand:
     def test_pair_beyond_its_gate_fails(self, tmp_path, capsys, monkeypatch):
         real = cli.value_iterate
 
-        def off_by_1e3(problem, tol, max_iters):
-            result = real(problem, tol=tol, max_iters=max_iters)
+        def off_by_1e3(problem, j1_0=None, tol=1e-8, max_iters=10**6, policies=None):
+            result = real(problem, j1_0, tol, max_iters, policies)
             return type(result)(ValueTable(result.j1.space, result.j1.values + 1e-3),
                                 result.j2, result.iterations, result.residuals,
                                 result.error_bound)
@@ -395,13 +395,18 @@ class TestCompareCommand:
     def test_naive_residual_is_the_greedy_residual(self, tmp_path, capsys):
         model = slow_control_model()
         path = write_control(tmp_path, model)
-        cli.main(["compare", path, "--algos", "vi,naive", "--tol", "1e-6"])
+        out = str(tmp_path / "vals")
+        cli.main(["compare", path, "--algos", "vi,naive", "--tol", "1e-6", "--out", out])
         rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
         problem = minimax_control_to_problem(model)
         result = naive_separated_pi(problem, tol=1e-6)
-        j1, j2 = result.values
-        residual = max(j1.diff_bound(problem.t1_greedy(j2)[0]),
-                       j2.diff_bound(problem.t2_greedy(j1)[0]))
+        j1 = certify(problem, result.values[0])[0]
+        printed = (tmp_path / "vals.naive.csv").read_text().splitlines()[1:]
+        beta = default_beta(model.alpha).beta
+        assert [float(r.split(",")[1]) for r in printed] == list(beta * j1.values)
+        # r of the printed table: |J1 - T1(T2 J1)|, both sweeps greedy, as async's
+        residual = j1.diff_norm(problem.t1_greedy(problem.t2_greedy(j1)[0])[0])
+        assert residual == certify(problem, j1)[2]
         assert rows["naive"][3] == f"{residual:.3e}"
         # not the change between naive's last two evaluations
         assert rows["naive"][3] != f"{result.residuals[-1]:.3e}"

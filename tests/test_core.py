@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minimaxpi.core import (HalfStage, SeparatedProblem, ValueTable, WeightedSpace,
-                            bellman_residual, check_monotone, estimate_modulus,
+                            check_monotone, estimate_modulus, policy_pair_value,
                             value_iterate)
 from minimaxpi.errors import MaxItersExceeded
 
@@ -201,15 +201,17 @@ class TestGreedyOperators:
         # the closure adapter promises no shift factor, so it stops later,
         # on the sup bound; the sweeps both make agree bit for bit
         assert a.iterations > b.iterations and a.residuals[:b.iterations] == b.residuals
+        # the closure answers with the table its last sweep certified
         swept = []
         for problem in (closure, tabular):
-            j1, j2 = problem.zero1(), problem.zero2()
-            for _ in range(a.iterations):
-                j1, j2 = problem.t1_greedy(j2)[0], problem.t2_greedy(j1)[0]
-            swept.append((j1.values, j2.values))
+            j1 = problem.zero1()
+            for _ in range(a.iterations - 1):
+                j1 = problem.t1_greedy(problem.t2_greedy(j1)[0])[0]
+            swept.append((j1.values, problem.t2_greedy(j1)[0].values))
         assert np.array_equal(swept[0][0], swept[1][0])
         assert np.array_equal(swept[0][1], swept[1][1])
         assert np.array_equal(a.j1.values, swept[0][0])
+        assert np.array_equal(a.j2.values, swept[0][1])
 
     def test_greedy_below_any_policy(self):
         rng = np.random.default_rng(8)
@@ -254,7 +256,7 @@ class TestValueIterate:
     def test_start_at_fixed_point(self):
         problem = scalar_problem()
         exact = value_iterate(problem, tol=1e-14)
-        again = value_iterate(problem, j1_0=exact.j1, j2_0=exact.j2, tol=1e-8)
+        again = value_iterate(problem, j1_0=exact.j1, tol=1e-8)
         assert again.iterations <= 1
         assert again.j1.values[0] == pytest.approx(exact.j1.values[0], abs=1e-12)
 
@@ -271,40 +273,30 @@ class TestValueIterate:
         assert result.j2.diff_norm(j2) <= 10 * tol
 
     def test_geometric_residual_decay(self):
+        # each iteration is one composite sweep, which contracts at alpha**2
         rng = np.random.default_rng(6)
-        problem = separated_model_to_problem(random_separated_model(rng, 3, 3))
-        result = value_iterate(problem, tol=1e-11)
-        for prev, cur in zip(result.residuals, result.residuals[1:]):
-            assert cur <= problem.alpha * prev + 1e-12
+        for problem in (separated_model_to_problem(random_separated_model(rng, 3, 3)),
+                        minimax_control_to_problem(random_control_model(rng, 4, stochastic=True))):
+            result = value_iterate(problem, tol=1e-11)
+            for prev, cur in zip(result.residuals, result.residuals[1:]):
+                assert cur <= problem.alpha ** 2 * prev + 1e-12
 
     def test_budget_exhaustion_raises(self):
+        problem = scalar_problem()
+        pair = problem.first_policies()
         with pytest.raises(MaxItersExceeded):
-            value_iterate(scalar_problem(), tol=1e-14, max_iters=3)
-
-
-class TestBellmanResidual:
-    def test_zero_at_fixed_point(self):
-        problem = scalar_problem()
-        result = value_iterate(problem, tol=1e-13)
-        assert bellman_residual(problem, result.j1, result.j2) <= 1e-12
-
-    def test_zero_tables_on_scalar_instance(self):
-        problem = scalar_problem()
-        res = bellman_residual(problem, problem.zero1(), problem.zero2())
-        assert res == pytest.approx(1.0)
-
-    def test_recompute_oracle(self):
-        rng = np.random.default_rng(9)
-        problem = separated_model_to_problem(random_separated_model(rng, 3, 4))
-        j1, j2 = problem.random_table1(rng), problem.random_table2(rng)
-        res = bellman_residual(problem, j1, j2)
-        t1 = [min(problem.eval1(x, a, j2.values) for a in problem.actions1[x])
-              for x in range(problem.space1.size)]
-        t2 = [max(problem.eval2(x, a, j1.values) for a in problem.actions2[x])
-              for x in range(problem.space2.size)]
-        expect = max(float(np.max(np.abs(j1.values - t1))),
-                     float(np.max(np.abs(j2.values - t2))))
-        assert res == pytest.approx(expect, abs=1e-14)
+            value_iterate(problem, tol=1e-14, max_iters=3)
+        for max_iters in (0, -1):
+            with pytest.raises(MaxItersExceeded):
+                value_iterate(problem, max_iters=max_iters)
+            with pytest.raises(MaxItersExceeded):
+                policy_pair_value(problem, pair, max_iters=max_iters)
+        # a tol no bound can meet is refused before any sweep
+        for tol in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                value_iterate(problem, tol=tol)
+            with pytest.raises(ValueError):
+                policy_pair_value(problem, pair, tol=tol)
 
 
 class TestEstimateModulus:
