@@ -435,36 +435,29 @@ def _sweep(problem, j1, policies, g):
     else:
         t = problem.t1_policy(policies.mu, problem.t2_policy(policies.nu, j1))
     r = j1.diff_norm(t)
-    offset, bound = span_bound(g, t.values - j1.values, j1.space.weights,
-                               r / (1.0 - problem.alpha ** 2))
-    return (j1 if offset is None else ValueTable(j1.space, t.values + offset)), bound, r, t
+    a2 = problem.alpha ** 2
+    offset, bound = span_bound(g, t.values - j1.values, j1.space.weights, a2 * r / (1.0 - a2))
+    return (t if offset is None else ValueTable(j1.space, t.values + offset)), bound, r, t
 
 
-def certify(problem, j1, policies=None):
-    """Certificate of a minimizer table by one composite sweep, greedy or
-    at a policy pair.
+def certify(problem, j1):
+    """Certificate of a minimizer table by one greedy composite sweep.
 
     Returns ``(estimate, bound, r)``: the sweep gives ``t = T1(T2 J1)``
-    (``T1^mu(T2^nu J1)`` at a pair) and ``r = |J1 - t|`` (weighted).  The
-    estimate is t plus the midpoint offset of :func:`span_bound` when that
-    bound is the smaller, else J1 with ``r/(1 - alpha**2)``: the composite
-    contracts at ``alpha**2``.
+    and ``r = |J1 - t|`` (weighted).  The estimate is t plus the midpoint
+    offset of :func:`span_bound` when that bound is the smaller, else t
+    with ``alpha**2 * r/(1 - alpha**2)``: the composite contracts at
+    ``alpha**2``.
     """
-    return _sweep(problem, j1, policies, problem.shift())[:3]
+    return _sweep(problem, j1, None, problem.shift())[:3]
 
 
-def value_iterate(problem, j1_0=None, tol=1e-8, max_iters=10**6, policies=None):
-    """Iterate ``J1 <- T1(T2 J1)``, greedy or at a policy pair, from j1_0
-    (zero by default) until :func:`certify`'s bound is at most tol.
-
-    ``residuals[k]`` is ``r`` of the k-th sweep.  Returns the certified
-    estimate, ``j2 = T2`` of it (at ``policies.nu`` for a pair) and the
-    bound as ``error_bound``.  Raises :class:`MaxItersExceeded` when the
-    budget runs out.
-    """
+def _iterate(problem, j1, tol, max_iters, policies):
+    """The loop of :func:`value_iterate` and :func:`policy_pair_value`, kept
+    apart so that a hook or profiler on either one sees only its own calls."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    j1 = problem.zero1() if j1_0 is None else j1_0
+    j1 = problem.zero1() if j1 is None else j1
     g = problem.shift()   # sums every outcome mass: once, not per sweep
     residuals, bound = [], np.inf   # the message's bound when max_iters < 1
     for k in range(1, max_iters + 1):
@@ -479,9 +472,23 @@ def value_iterate(problem, j1_0=None, tol=1e-8, max_iters=10**6, policies=None):
     )
 
 
+def value_iterate(problem, j1_0=None, tol=1e-8, max_iters=10**6):
+    """Iterate ``J1 <- T1(T2 J1)`` from j1_0 (zero by default) until
+    :func:`certify`'s bound is at most tol.
+
+    ``residuals[k]`` is ``r`` of the k-th sweep.  Returns the certified
+    estimate, ``j2 = T2`` of it and the bound as ``error_bound``.  Raises
+    ``ValueError`` unless ``0 < tol < inf`` and :class:`MaxItersExceeded`
+    when the budget runs out.
+    """
+    return _iterate(problem, j1_0, tol, max_iters, None)
+
+
 def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None):
-    """Tables ``(j1, j2)`` of a fixed policy pair: :func:`value_iterate` at the pair."""
-    result = value_iterate(problem, j1_0, tol, max_iters, policies)
+    """Tables ``(j1, j2)`` of a fixed policy pair: the loop of
+    :func:`value_iterate` on ``T1^mu(T2^nu J1)``, which shifts by the same
+    g, with ``j2 = T2^nu`` of the estimate."""
+    result = _iterate(problem, j1_0, tol, max_iters, policies)
     return result.j1, result.j2
 
 

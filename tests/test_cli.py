@@ -379,8 +379,8 @@ class TestCompareCommand:
     def test_pair_beyond_its_gate_fails(self, tmp_path, capsys, monkeypatch):
         real = cli.value_iterate
 
-        def off_by_1e3(problem, j1_0=None, tol=1e-8, max_iters=10**6, policies=None):
-            result = real(problem, j1_0, tol, max_iters, policies)
+        def off_by_1e3(problem, j1_0=None, tol=1e-8, max_iters=10**6):
+            result = real(problem, j1_0, tol, max_iters)
             return type(result)(ValueTable(result.j1.space, result.j1.values + 1e-3),
                                 result.j2, result.iterations, result.residuals,
                                 result.error_bound)

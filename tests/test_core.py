@@ -201,11 +201,11 @@ class TestGreedyOperators:
         # the closure adapter promises no shift factor, so it stops later,
         # on the sup bound; the sweeps both make agree bit for bit
         assert a.iterations > b.iterations and a.residuals[:b.iterations] == b.residuals
-        # the closure answers with the table its last sweep certified
+        # the closure answers with its last sweep's image
         swept = []
         for problem in (closure, tabular):
             j1 = problem.zero1()
-            for _ in range(a.iterations - 1):
+            for _ in range(a.iterations):
                 j1 = problem.t1_greedy(problem.t2_greedy(j1)[0])[0]
             swept.append((j1.values, problem.t2_greedy(j1)[0].values))
         assert np.array_equal(swept[0][0], swept[1][0])
