@@ -23,9 +23,9 @@ from .async_pi import (AlgoState, Kind, Operation, Schedule,
                        max_eval_step, max_improve_step, min_eval_step,
                        min_improve_step, partitioned, random_fair,
                        round_robin, run, verify_uniform_contraction)
-from .aggregation import (AggregateProblem, AggregationProbabilities,
-                          RepresentativeSets, build_aggregate, interpolate,
-                          lookahead_policies, solve_with_aggregation)
+from .aggregation import (AggregationProbabilities, RepresentativeSets,
+                          build_aggregate, interpolate, lookahead_policies,
+                          solve_with_aggregation)
 from .problem_io import LoadedProblem, load_problem, save_problem
 
 __version__ = "0.1.0"

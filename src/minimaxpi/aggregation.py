@@ -1,19 +1,21 @@
 """Solving a reduced problem over representative states and lifting back.
 
-Pick representative subsets of each player's states, compose the original
-problem's scores with convex interpolation from the representatives, solve
-the small problem exactly, then read suboptimal policies off one-step
-lookahead against the interpolated tables.  Interpolation is a convex
-combination, so the reduced problem inherits the parent's contraction
-modulus under unit weights.
+Pick representative subsets of each player's states, push every outcome
+of a representative's moves through the aggregation probabilities onto
+the opposite representatives, solve the small tabular problem exactly,
+then read suboptimal policies off one-step lookahead against the
+interpolated tables.  Each outcome is split by a convex combination, so
+the reduced problem keeps the parent's shift factor and, under unit
+weights, its contraction modulus.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PolicyPair, SeparatedProblem, ValueTable, WeightedSpace, policy_pair_value
-from .errors import MissingAggregationRow, NonContractive
+from .core import (HalfStage, PolicyPair, TabularProblem, ValueTable, WeightedSpace,
+                   policy_pair_value)
+from .errors import MissingAggregationRow
 
 _ROW_TOL = 1e-10
 
@@ -40,28 +42,30 @@ class RepresentativeSets:
 class AggregationProbabilities:
     """Row-stochastic maps from full states onto the representatives.
 
-    An all-zero row marks a state with no aggregation rule; building an
-    aggregate problem over it raises :class:`MissingAggregationRow`
-    (the generic evaluators may read any state, so every row must exist).
+    Entries in ``[-1e-10, 0)`` are clipped to 0, and each row whose sum
+    is within 1e-10 of 1 is divided by it, so the reduced problem's
+    outcome masses sum to 1 as closely as the parent's.  An all-zero row
+    marks a state with no aggregation rule; building an aggregate problem
+    over it raises :class:`MissingAggregationRow` (any state may be
+    reached, so every row must exist).
     """
 
     phi1: np.ndarray
     phi2: np.ndarray
 
     def __post_init__(self):
-        p1 = np.asarray(self.phi1, dtype=float)
-        p2 = np.asarray(self.phi2, dtype=float)
-        object.__setattr__(self, "phi1", p1)
-        object.__setattr__(self, "phi2", p2)
-        for name, p in (("phi1", p1), ("phi2", p2)):
+        for name in ("phi1", "phi2"):
+            p = np.asarray(getattr(self, name), dtype=float)
             if p.ndim != 2:
                 raise ValueError(f"{name} must be a matrix")
             if np.min(p) < -_ROW_TOL:
                 raise ValueError(f"{name} entries must be nonnegative")
+            p = np.maximum(p, 0.0)
             sums = p.sum(axis=1)
             bad = np.nonzero((np.abs(sums - 1.0) > _ROW_TOL) & (sums > _ROW_TOL))[0]
             if bad.size:
                 raise ValueError(f"{name} row {bad[0]} sums to {sums[bad[0]]}")
+            object.__setattr__(self, name, p / np.where(sums > _ROW_TOL, sums, 1.0)[:, None])
 
 
 def nearest_representative_rows(size, reps):
@@ -85,41 +89,29 @@ def interpolate(j_tilde, phi_rows):
     return np.asarray(phi_rows, dtype=float) @ j_tilde
 
 
-@dataclass(frozen=True)
-class AggregateProblem(SeparatedProblem):
-    """Representative rows of a parent problem, reading the opposite side
-    through its interpolation.
-
-    Each score call lifts the opposite table through phi once and asks the
-    parent's primitive for the representative rows, so closure and tabular
-    parents are served alike.  ``eval1``/``eval2`` do the same per
-    (state, action), for per-state oracles.
-    """
-
-    parent: SeparatedProblem
-    reps: RepresentativeSets
-    phi: AggregationProbabilities
-
-    def scores(self, side, subset, opposite, picks=None):
-        if side == 1:
-            rows, lifted = self.reps.reps1[subset], self.phi.phi2 @ opposite
-        else:
-            rows, lifted = self.reps.reps2[subset], self.phi.phi1 @ opposite
-        out = self.parent.scores(side, rows, lifted, picks)
-        if picks is None:   # the parent may allow more actions than any representative
-            out = out[:, :max(map(len, self.actions1 if side == 1 else self.actions2))]
-        return out
+def _reduced_stage(stage, rows, phi, pad):
+    """``stage`` at the representative ``rows``, each outcome split over
+    the opposite representatives: ``prob*phi[next, r]`` to r at the same
+    cost.  Zero masses drop out, so a point-mass phi keeps the width."""
+    live = stage.live()[rows]
+    prob, cost, nxt = (a[rows][live] for a in (stage.prob, stage.cost, stage.next))
+    prob = prob[..., None] * phi[nxt]
+    keep = prob > 0
+    act, k, r = np.nonzero(keep)
+    return HalfStage.from_ragged(live.sum(axis=1), keep.sum(axis=(1, 2)), prob[keep],
+                                 cost[act, k], r, stage.scale, pad)
 
 
 def build_aggregate(problem, reps, phi=None):
-    """The reduced problem over the representatives.
+    """The reduced tabular problem over the representatives.
 
-    Scores see the opposite side through its interpolation, so solving
-    the aggregate is exactly the original dynamics restricted to
-    representative anchors with randomized re-entry.
+    A representative's move reaches the opposite representatives through
+    phi, so solving the aggregate is exactly the original dynamics
+    restricted to representative anchors with randomized re-entry.
+    Raises ``TypeError`` unless ``problem`` is a :class:`TabularProblem`.
     """
-    if not hasattr(problem, "actions1"):
-        raise TypeError("aggregation needs explicit finite action sets")
+    if not isinstance(problem, TabularProblem):
+        raise TypeError("aggregation needs a tabular problem")
     phi = default_probabilities(problem, reps) if phi is None else phi
     if phi.phi1.shape != (problem.space1.size, reps.reps1.size):
         raise ValueError("phi1 shape does not match the space and representatives")
@@ -129,35 +121,12 @@ def build_aggregate(problem, reps, phi=None):
         empty = np.nonzero(rows.sum(axis=1) < 0.5)[0]
         if empty.size:
             raise MissingAggregationRow(f"{name} has no row for state {empty[0]}")
-
-    xi1 = problem.space1.weights[reps.reps1]
-    xi2 = problem.space2.weights[reps.reps2]
     r1, r2 = reps.reps1, reps.reps2
-    phi1, phi2 = phi.phi1, phi.phi2
-
-    def eval1(i, u, j2_tilde):
-        return problem.eval1(int(r1[i]), u, phi2 @ j2_tilde)
-
-    def eval2(i, v, j1_tilde):
-        return problem.eval2(int(r2[i]), v, phi1 @ j1_tilde)
-
-    blow1 = float(np.max((phi1 @ xi1) / problem.space1.weights))
-    blow2 = float(np.max((phi2 @ xi2) / problem.space2.weights))
-    modulus = problem.alpha * max(1.0, blow1, blow2)
-    if modulus >= 1.0:
-        raise NonContractive(
-            f"interpolation weights give aggregate modulus {modulus:.6f} >= 1")
-    return AggregateProblem(
-        space1=WeightedSpace(r1.size, xi1),
-        space2=WeightedSpace(r2.size, xi2),
-        actions1=tuple(problem.actions1[x] for x in r1),
-        actions2=tuple(problem.actions2[x] for x in r2),
-        eval1=eval1,
-        eval2=eval2,
-        alpha=modulus,
-        parent=problem,
-        reps=reps,
-        phi=phi,
+    return TabularProblem(
+        space1=WeightedSpace(r1.size, problem.space1.weights[r1]),
+        space2=WeightedSpace(r2.size, problem.space2.weights[r2]),
+        stage1=_reduced_stage(problem.stage1, r1, phi.phi2, np.inf),
+        stage2=_reduced_stage(problem.stage2, r2, phi.phi1, -np.inf),
     )
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePair, MaxItersExceeded
+from .errors import DegeneratePair, MaxItersExceeded, NonContractive
 
 _ZERO_DISTANCE = 1e-13
 
@@ -189,11 +189,9 @@ class SeparatedProblem(HalfStageProblem):
     This class is the closure adapter: ``eval1(x1, u, j2_values)`` and
     ``eval2(x2, v, j1_values)`` price one (state, action) against the
     opposite side's table as a plain array, and :meth:`scores` calls them
-    once per (state, action).  Subclasses replace :meth:`scores` only:
-    :class:`TabularProblem` computes it from padded arrays, and the
-    reduced problems of :func:`minimaxpi.aggregation.build_aggregate` from
-    their parent's.  The half-stage kernels below serve all of them.
-    ``alpha`` is the asserted contraction modulus of the joint
+    once per (state, action).  :class:`TabularProblem` replaces
+    :meth:`scores` by padded arrays; the half-stage kernels below serve
+    both.  ``alpha`` is the asserted contraction modulus of the joint
     fixed-policy operator; it is not enforced at construction but can be
     certified with :func:`estimate_modulus`.
     """
@@ -378,28 +376,40 @@ class TabularProblem(SeparatedProblem):
 
     Actions are numbered 0..n-1 per state.  ``eval1``/``eval2`` read the
     same arrays one (state, action) at a time, for per-state oracles.
+    ``alpha`` is derived, not asserted: the larger ``scale * reach`` of
+    the two stages.  At 1 or above, construction raises
+    :class:`NonContractive`.
     """
 
     actions1: tuple = field(init=False)
     actions2: tuple = field(init=False)
     eval1: callable = field(init=False, repr=False)
     eval2: callable = field(init=False, repr=False)
+    alpha: float = field(init=False)
     stage1: HalfStage
     stage2: HalfStage
+    _shift: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        xi1, xi2 = self.space1.weights, self.space2.weights
         for side, stage in ((1, self.stage1), (2, self.stage2)):
             counts = stage.live().sum(axis=1)
             object.__setattr__(self, f"actions{side}", tuple(tuple(range(c)) for c in counts))
             object.__setattr__(self, f"eval{side}", stage.evaluate)
+        modulus = max(self.stage1.scale * self.stage1.reach(xi1, xi2),
+                      self.stage2.scale * self.stage2.reach(xi2, xi1))
+        if modulus >= 1.0:
+            raise NonContractive(f"weighted half-stages give modulus {modulus:.6f} >= 1")
+        object.__setattr__(self, "alpha", modulus)
+        g1, g2 = self.stage1.shift(), self.stage2.shift()
+        object.__setattr__(self, "_shift", None if g1 is None or g2 is None else g1 * g2)
         super().__post_init__()
 
     def scores(self, side, subset, opposite, picks=None):
         return (self.stage1 if side == 1 else self.stage2).scores(subset, opposite, picks)
 
     def shift(self):
-        g1, g2 = self.stage1.shift(), self.stage2.shift()
-        return None if g1 is None or g2 is None else g1 * g2
+        return self._shift
 
 
 @dataclass(frozen=True)
@@ -426,17 +436,17 @@ def span_bound(g, step, weights, sup):
     return (c * (lo + hi) / 2, float(span)) if span < sup else (None, sup)
 
 
-def _sweep(problem, j1, policies, g):
+def _sweep(problem, j1, policies):
     """One composite sweep ``t = T1(T2 J1)``, greedy or at the pair, and
-    its certificate with shift factor g: ``(estimate, bound, r, t)`` as
-    :func:`certify` says."""
+    its certificate: ``(estimate, bound, r, t)`` as :func:`certify` says."""
     if policies is None:
         t = problem.t1_greedy(problem.t2_greedy(j1)[0])[0]
     else:
         t = problem.t1_policy(policies.mu, problem.t2_policy(policies.nu, j1))
     r = j1.diff_norm(t)
     a2 = problem.alpha ** 2
-    offset, bound = span_bound(g, t.values - j1.values, j1.space.weights, a2 * r / (1.0 - a2))
+    offset, bound = span_bound(problem.shift(), t.values - j1.values, j1.space.weights,
+                               a2 * r / (1.0 - a2))
     return (t if offset is None else ValueTable(j1.space, t.values + offset)), bound, r, t
 
 
@@ -449,7 +459,7 @@ def certify(problem, j1):
     with ``alpha**2 * r/(1 - alpha**2)``: the composite contracts at
     ``alpha**2``.
     """
-    return _sweep(problem, j1, None, problem.shift())[:3]
+    return _sweep(problem, j1, None)[:3]
 
 
 def _iterate(problem, j1, tol, max_iters, policies):
@@ -458,10 +468,9 @@ def _iterate(problem, j1, tol, max_iters, policies):
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     j1 = problem.zero1() if j1 is None else j1
-    g = problem.shift()   # sums every outcome mass: once, not per sweep
     residuals, bound = [], np.inf   # the message's bound when max_iters < 1
     for k in range(1, max_iters + 1):
-        estimate, bound, r, j1 = _sweep(problem, j1, policies, g)
+        estimate, bound, r, j1 = _sweep(problem, j1, policies)
         residuals.append(r)
         if bound <= tol:
             j2 = (problem.t2_greedy(estimate)[0] if policies is None

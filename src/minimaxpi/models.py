@@ -451,11 +451,7 @@ def separated_model_to_problem(model):
     one sure outcome per move, both sides scaled by the discount."""
     stage1 = _sure_moves(model.next1, model.cost1, model.alpha, np.inf)
     stage2 = _sure_moves(model.next2, model.cost2, model.alpha, -np.inf)
-    xi1, xi2 = model.space1.weights, model.space2.weights
-    modulus = model.alpha * max(stage1.reach(xi1, xi2), stage2.reach(xi2, xi1))
-    if modulus >= 1.0:
-        raise NonContractive(f"weighted transitions give modulus {modulus:.6f} >= 1")
-    return TabularProblem(space1=model.space1, space2=model.space2, alpha=modulus,
+    return TabularProblem(space1=model.space1, space2=model.space2,
                           stage1=stage1, stage2=stage2)
 
 
@@ -542,13 +538,8 @@ def minimax_control_to_problem(model, beta=None):
                                    [len(arr) for arr in cells],
                                    triples[:, 0], triples[:, 1],
                                    triples[:, 2].astype(int), ab, -np.inf)
-    xi1 = model.space.weights
-    space2 = WeightedSpace(len(pairs), np.repeat(xi1, controls))
-    modulus = max(1.0 / beta.beta, ab * stage2.reach(space2.weights, xi1))
-    if modulus >= 1.0:
-        raise NonContractive(f"weighted half-stages give modulus {modulus:.6f} >= 1")
-    return TabularProblem(space1=model.space, space2=space2, alpha=modulus,
-                          stage1=stage1, stage2=stage2)
+    space2 = WeightedSpace(len(pairs), np.repeat(model.space.weights, controls))
+    return TabularProblem(space1=model.space, space2=space2, stage1=stage1, stage2=stage2)
 
 
 def markov_game_to_control(game):

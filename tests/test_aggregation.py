@@ -8,12 +8,13 @@ from minimaxpi.aggregation import (AggregationProbabilities,
                                    nearest_representative_rows,
                                    solve_with_aggregation)
 from minimaxpi.async_pi import verify_uniform_contraction
-from minimaxpi.core import (SeparatedProblem, ValueTable, WeightedSpace,
-                            policy_pair_value, value_iterate)
+from minimaxpi.core import WeightedSpace, policy_pair_value, value_iterate
 from minimaxpi.errors import MissingAggregationRow
-from minimaxpi.models import separated_model_to_problem
+from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
+                              separated_model_to_problem)
 
-from helpers import random_separated_model
+from helpers import (closure_problem, random_control_model, random_markov_game,
+                     random_separated_model)
 
 
 def full_identity(problem):
@@ -22,6 +23,63 @@ def full_identity(problem):
     phi = AggregationProbabilities(np.eye(problem.space1.size),
                                    np.eye(problem.space2.size))
     return reps, phi
+
+
+def random_reps(rng, problem):
+    return RepresentativeSets(*(np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+                                for n in (problem.space1.size, problem.space2.size)))
+
+
+def dirichlet_rows(rng, problem, reps):
+    return AggregationProbabilities(rng.dirichlet(np.ones(reps.reps1.size), problem.space1.size),
+                                    rng.dirichlet(np.ones(reps.reps2.size), problem.space2.size))
+
+
+class TestReducedArrays:
+    """The aggregate's arrays against the definition they replace: the
+    parent's scores at the representatives, read against ``phi @ J``."""
+
+    @pytest.mark.parametrize("kind", ["separated", "control"])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_scores_match_the_lifted_parent(self, kind, dense):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            parent = (separated_model_to_problem(random_separated_model(rng, 7, 6))
+                      if kind == "separated" else minimax_control_to_problem(
+                          random_control_model(rng, 5, max_u=3, max_v=3, stochastic=True)))
+            reps = random_reps(rng, parent)
+            phi = (dirichlet_rows(rng, parent, reps) if dense
+                   else default_probabilities(parent, reps))
+            small = build_aggregate(parent, reps, phi)
+            assert small.shift() == parent.shift()
+            blow1 = np.max(phi.phi1 @ small.space1.weights / parent.space1.weights)
+            blow2 = np.max(phi.phi2 @ small.space2.weights / parent.space2.weights)
+            # the old asserted bound, up to the rounding of two different sums
+            assert small.alpha <= parent.alpha * max(1.0, blow1, blow2) * (1 + 1e-12)
+            for side, rows, lift, opposite in ((1, reps.reps1, phi.phi2, small.space2),
+                                               (2, reps.reps2, phi.phi1, small.space1)):
+                j = rng.uniform(-1, 1, opposite.size)
+                subset = rng.permutation(rows.size)
+                picks = rng.integers(small.action_mask(side).sum(axis=1))[subset]
+                for got, ref in ((small.scores(side, subset, j),
+                                  parent.scores(side, rows[subset], lift @ j)),
+                                 (small.scores(side, subset, j, picks),
+                                  parent.scores(side, rows[subset], lift @ j, picks))):
+                    ref = ref[..., :got.shape[-1]]
+                    if dense:
+                        live = np.isfinite(ref)
+                        err = np.max(np.abs(got[live] - ref[live]))
+                        assert err <= 1e-15 * np.max(np.abs(ref[live]))
+                    else:
+                        assert np.array_equal(got, ref)
+
+    def test_rows_off_by_5e11_keep_the_shift(self):
+        rng = np.random.default_rng(11)
+        parent = separated_model_to_problem(random_separated_model(rng, 6, 5))
+        reps = RepresentativeSets(np.array([0, 2, 4]), np.array([1, 3]))
+        rows = dirichlet_rows(rng, parent, reps)
+        phi = AggregationProbabilities(rows.phi1 * (1 + 5e-11), rows.phi2 * (1 - 5e-11))
+        assert build_aggregate(parent, reps, phi).shift() is not None
 
 
 class TestBuildAggregate:
@@ -84,6 +142,16 @@ class TestBuildAggregate:
         phi2[1] = 0.0
         with pytest.raises(MissingAggregationRow):
             build_aggregate(problem, reps, AggregationProbabilities(phi1, phi2))
+
+    def test_only_tabular_parents(self):
+        rng = np.random.default_rng(12)
+        model = random_separated_model(rng, 3, 3)
+        closure = closure_problem(model, separated_model_to_problem(model).alpha)
+        markov = separate_markov_game(random_markov_game(rng, 3, 2, 2))
+        for parent in (closure, markov):
+            reps = RepresentativeSets(np.array([0]), np.array([0]))
+            with pytest.raises(TypeError):
+                build_aggregate(parent, reps)
 
     def test_aggregate_inherits_contraction(self):
         rng = np.random.default_rng(4)

@@ -141,8 +141,6 @@ def kernel_cases(rng):
         ("aggregate point-mass", build_aggregate(separated, reps)),
         ("aggregate dense", build_aggregate(control, pair_reps, AggregationProbabilities(
             dense(5, 3), dense(control.space2.size, pair_reps.reps2.size)))),
-        ("aggregate dense closure", build_aggregate(closure, reps, AggregationProbabilities(
-            dense(6, 3), dense(5, 2)))),
     ]
 
 
