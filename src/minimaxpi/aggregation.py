@@ -15,27 +15,38 @@ import numpy as np
 
 from .core import (HalfStage, PolicyPair, TabularProblem, ValueTable, WeightedSpace,
                    policy_pair_value)
-from .errors import MissingAggregationRow
+from .errors import AggregationInputError, MissingAggregationRow
 
 _ROW_TOL = 1e-10
 
 
+def _as_array(name, value, dtype):
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:   # ragged lists, non-numbers
+        raise AggregationInputError(name, f"is not an array: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RepresentativeSets:
-    """Index subsets of the two state spaces that anchor the reduced problem."""
+    """Index subsets of the two state spaces that anchor the reduced problem.
+
+    Each is a nonempty 1-d array of distinct integers, or
+    :class:`AggregationInputError` is raised; :func:`build_aggregate`
+    checks the indices against the spaces.
+    """
 
     reps1: np.ndarray
     reps2: np.ndarray
 
     def __post_init__(self):
-        r1 = np.atleast_1d(np.asarray(self.reps1, dtype=int))
-        r2 = np.atleast_1d(np.asarray(self.reps2, dtype=int))
-        object.__setattr__(self, "reps1", r1)
-        object.__setattr__(self, "reps2", r2)
-        if r1.size == 0 or r2.size == 0:
-            raise ValueError("representative sets must be nonempty")
-        if len(set(r1.tolist())) != r1.size or len(set(r2.tolist())) != r2.size:
-            raise ValueError("representative indices must be distinct")
+        for name in ("reps1", "reps2"):
+            r = _as_array(name, getattr(self, name), None)
+            if r.ndim != 1 or r.size == 0 or r.dtype.kind not in "iu" \
+                    or len(set(r.tolist())) != r.size:
+                raise AggregationInputError(name, "must be a nonempty list of "
+                                            "distinct integer indices")
+            object.__setattr__(self, name, r.astype(int))
 
 
 @dataclass(frozen=True)
@@ -44,10 +55,12 @@ class AggregationProbabilities:
 
     Entries in ``[-1e-10, 0)`` are clipped to 0, and each row whose sum
     is within 1e-10 of 1 is divided by it, so the reduced problem's
-    outcome masses sum to 1 as closely as the parent's.  An all-zero row
-    marks a state with no aggregation rule; building an aggregate problem
-    over it raises :class:`MissingAggregationRow` (any state may be
-    reached, so every row must exist).
+    outcome masses sum to 1 as closely as the parent's.  Any other row
+    sum, a NaN, or a more negative entry raises
+    :class:`AggregationInputError`.  An all-zero row marks a state with no
+    aggregation rule; building an aggregate problem over it raises
+    :class:`MissingAggregationRow` (any state may be reached, so every row
+    must exist).
     """
 
     phi1: np.ndarray
@@ -55,16 +68,16 @@ class AggregationProbabilities:
 
     def __post_init__(self):
         for name in ("phi1", "phi2"):
-            p = np.asarray(getattr(self, name), dtype=float)
-            if p.ndim != 2:
-                raise ValueError(f"{name} must be a matrix")
-            if np.min(p) < -_ROW_TOL:
-                raise ValueError(f"{name} entries must be nonnegative")
+            p = _as_array(name, getattr(self, name), float)
+            if p.ndim != 2 or p.size == 0:
+                raise AggregationInputError(name, "must be a nonempty matrix")
+            if not np.min(p) >= -_ROW_TOL:   # NaN fails too
+                raise AggregationInputError(name, "entries must be nonnegative numbers")
             p = np.maximum(p, 0.0)
             sums = p.sum(axis=1)
             bad = np.nonzero((np.abs(sums - 1.0) > _ROW_TOL) & (sums > _ROW_TOL))[0]
             if bad.size:
-                raise ValueError(f"{name} row {bad[0]} sums to {sums[bad[0]]}")
+                raise AggregationInputError(name, f"row {bad[0]} sums to {sums[bad[0]]}")
             object.__setattr__(self, name, p / np.where(sums > _ROW_TOL, sums, 1.0)[:, None])
 
 
@@ -108,15 +121,21 @@ def build_aggregate(problem, reps, phi=None):
     A representative's move reaches the opposite representatives through
     phi, so solving the aggregate is exactly the original dynamics
     restricted to representative anchors with randomized re-entry.
-    Raises ``TypeError`` unless ``problem`` is a :class:`TabularProblem`.
+    Raises ``TypeError`` unless ``problem`` is a :class:`TabularProblem`,
+    and :class:`AggregationInputError` for a representative outside its
+    space or a phi not shaped (space size, representative count).
     """
     if not isinstance(problem, TabularProblem):
         raise TypeError("aggregation needs a tabular problem")
     phi = default_probabilities(problem, reps) if phi is None else phi
-    if phi.phi1.shape != (problem.space1.size, reps.reps1.size):
-        raise ValueError("phi1 shape does not match the space and representatives")
-    if phi.phi2.shape != (problem.space2.size, reps.reps2.size):
-        raise ValueError("phi2 shape does not match the space and representatives")
+    for side, space in (("1", problem.space1), ("2", problem.space2)):
+        r, rows = getattr(reps, "reps" + side), getattr(phi, "phi" + side)
+        if np.min(r) < 0 or np.max(r) >= space.size:
+            raise AggregationInputError("reps" + side,
+                                        f"indices must lie in [0, {space.size})")
+        if rows.shape != (space.size, r.size):
+            raise AggregationInputError("phi" + side, f"has shape {rows.shape}, "
+                                        f"expected {(space.size, r.size)}")
     for name, rows in (("phi1", phi.phi1), ("phi2", phi.phi2)):
         empty = np.nonzero(rows.sum(axis=1) < 0.5)[0]
         if empty.size:

@@ -20,8 +20,8 @@ from .aggregation import (AggregationProbabilities, RepresentativeSets,
 from .classic_pi import (PIStatus, find_oscillating_game, hoffman_karp,
                          naive_separated_pi, pollatschek_avi_itzhak)
 from .core import certify, value_iterate
-from .errors import (MaxItersExceeded, MaxStepsExceeded, MinimaxPIError,
-                     ValidationError)
+from .errors import (AggregationInputError, MaxItersExceeded, MaxStepsExceeded,
+                     MinimaxPIError, ValidationError)
 from .problem_io import game_payload, load_problem, save_problem
 
 log = logging.getLogger("minimaxpi")
@@ -281,16 +281,17 @@ def cmd_aggregate_solve(args):
     block = loaded.aggregation
     if not block or "reps1" not in block or "reps2" not in block:
         raise ValidationError("problem file lacks an aggregation block with reps1/reps2")
-    reps = RepresentativeSets(np.asarray(block["reps1"], dtype=int),
-                              np.asarray(block["reps2"], dtype=int))
-    phi = None
-    if block.get("phi1") is not None or block.get("phi2") is not None:
-        if block.get("phi1") is None or block.get("phi2") is None:
-            raise ValidationError("supply both phi1 and phi2 or neither")
-        phi = AggregationProbabilities(np.asarray(block["phi1"], dtype=float),
-                                       np.asarray(block["phi2"], dtype=float))
-    sol = solve_with_aggregation(problem, reps, phi, tol=args.tol,
-                                 max_steps=args.max_steps)
+    try:
+        reps = RepresentativeSets(block["reps1"], block["reps2"])
+        phi = None
+        if block.get("phi1") is not None or block.get("phi2") is not None:
+            if block.get("phi1") is None or block.get("phi2") is None:
+                raise ValidationError("supply both phi1 and phi2 or neither")
+            phi = AggregationProbabilities(block["phi1"], block["phi2"])
+        sol = solve_with_aggregation(problem, reps, phi, tol=args.tol,
+                                     max_steps=args.max_steps)
+    except AggregationInputError as exc:
+        raise ValidationError(str(exc), f"$.aggregation.{exc.field}") from exc
     print(f"# lookahead-pair value vs exact fixed point: gap = {sol.gap!r}")
     for i, v in enumerate(sol.j1_full.values):
         print(f"{i},{float(scale * v)!r}")

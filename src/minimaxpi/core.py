@@ -41,7 +41,7 @@ SCORE_PAD = {1: np.inf, 2: -np.inf}
 
 @dataclass(frozen=True)
 class WeightedSpace:
-    """A finite state space with strictly positive norm weights."""
+    """A finite state space with finite, strictly positive norm weights."""
 
     size: int
     weights: np.ndarray
@@ -53,8 +53,8 @@ class WeightedSpace:
             raise ValueError("space must contain at least one state")
         if w.shape != (self.size,):
             raise ValueError("need one weight per state")
-        if not np.all(w > 0):
-            raise ValueError("norm weights must be strictly positive")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("norm weights must be finite and strictly positive")
 
     @classmethod
     def unit(cls, size):

@@ -61,6 +61,15 @@ class NonContractive(MinimaxPIError):
     """A terminating game failed the contraction screen at load time."""
 
 
+class AggregationInputError(MinimaxPIError, ValueError):
+    """A representative set or aggregation matrix is malformed; ``field``
+    names it (reps1, reps2, phi1 or phi2)."""
+
+    def __init__(self, field, message):
+        super().__init__(f"{field} {message}")
+        self.field = field
+
+
 class MissingAggregationRow(MinimaxPIError):
     """A reachable state has no aggregation-probability row."""
 

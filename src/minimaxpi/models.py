@@ -47,6 +47,7 @@ class DiscountedMarkovGame:
     terminating: bool = False
     weights: np.ndarray | None = None
     space: WeightedSpace = field(init=False, repr=False, compare=False)
+    _shift: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.payoffs, dtype=float)
@@ -65,16 +66,18 @@ class DiscountedMarkovGame:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("discount must lie in (0, 1)")
         sums = q.sum(axis=3)
+        off_one = np.max(np.abs(sums - 1.0))
         if self.terminating:
             if np.max(sums) > 1.0 + _PROB_TOL:
                 raise ValueError("terminating rows must sum to at most 1")
-        elif np.max(np.abs(sums - 1.0)) > _PROB_TOL:
+        elif off_one > _PROB_TOL:
             raise ValueError("transition rows must sum to 1")
         space = (WeightedSpace.unit(s) if self.weights is None
                  else WeightedSpace(s, self.weights))
         object.__setattr__(self, "space", space)
         if self.weights is not None:
             object.__setattr__(self, "weights", space.weights)
+        object.__setattr__(self, "_shift", self.alpha if off_one <= _MASS_SLACK else None)
 
     @property
     def state_count(self):
@@ -92,8 +95,7 @@ class DiscountedMarkovGame:
 
     def shift(self):
         """``alpha`` if every transition row sums to 1 (within 1e-12), else None."""
-        rows = self.transitions.sum(axis=3)
-        return self.alpha if np.all(np.abs(rows - 1.0) <= _MASS_SLACK) else None
+        return self._shift
 
 
 def stage_matrix(game, x, j, scale=None):
@@ -488,8 +490,11 @@ class MinimaxControlModel:
                 cells = []
                 for triples in per_v:
                     arr = np.asarray(triples, dtype=float).reshape(-1, 3)
-                    if abs(arr[:, 0].sum() - 1.0) > _PROB_TOL or np.min(arr[:, 0]) < -_PROB_TOL:
-                        raise ValueError(f"outcome distribution at state {x} must sum to 1")
+                    # written so that a NaN probability fails too
+                    if not (abs(arr[:, 0].sum() - 1.0) <= _PROB_TOL
+                            and np.min(arr[:, 0]) >= -_PROB_TOL):
+                        raise ValueError(f"outcomes[{x}][{len(rows)}][{len(cells)}] must be "
+                                         "a nonnegative distribution summing to 1")
                     nxt = arr[:, 2].astype(int)
                     if np.min(nxt) < 0 or np.max(nxt) >= self.space.size:
                         raise ValueError("outcome target out of range")

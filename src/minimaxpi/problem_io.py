@@ -51,8 +51,9 @@ def _weights(payload, key, size, path):
     if raw is None:
         return None
     w = np.asarray(raw, dtype=float)
-    if w.shape != (size,) or not np.all(w > 0):
-        raise ValidationError("weights must be positive, one per state", f"{path}.{key}")
+    if w.shape != (size,) or not np.all((w > 0) & (w < np.inf)):
+        raise ValidationError("weights must be positive and finite, one per state",
+                              f"{path}.{key}")
     return w
 
 
@@ -68,7 +69,7 @@ def _load_markov_game(payload, terminating, path):
                               f"{path}.transitions")
     if not terminating:
         sums = transitions.sum(axis=3)
-        bad = np.argwhere(np.abs(sums - 1.0) > 1e-10)
+        bad = np.argwhere(~(np.abs(sums - 1.0) <= 1e-10))   # NaN sums fail too
         if bad.size:
             x, i, j = bad[0]
             raise ValidationError(
@@ -82,7 +83,7 @@ def _load_markov_game(payload, terminating, path):
         raise ValidationError(str(exc), path) from exc
     if terminating:
         factor = game.contraction_factor()
-        if factor >= 1.0:
+        if not factor < 1.0:
             raise NonContractive(
                 f"terminating game has contraction factor {factor:.6f} >= 1")
     return game

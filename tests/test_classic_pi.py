@@ -67,6 +67,19 @@ class TestHoffmanKarp:
             j = j_new
 
 
+class TestFindOscillatingGame:
+    def test_reports_the_pinned_instance(self, oscillating):
+        # the benchmark's counterexample requests run exactly this instance
+        game, report = oscillating
+        assert report["payoffs"] == [[0.0, -1.0], [-2.0, -1.0]]
+        assert report["stage_discounts"] == [[0.8, 0.8], [0.2, 0.7]]
+        assert report["cycle_length"] == 2
+        assert report["cycling_values"] == pytest.approx([-10 / 3, 0.0], abs=1e-12)
+        assert game.terminating and game.alpha == 0.9
+        assert np.allclose(game.alpha * game.transitions[0, :, :, 0],
+                           report["stage_discounts"], rtol=0, atol=1e-15)
+
+
 class TestPollatschekAviItzhak:
     def test_zero_game(self):
         result = pollatschek_avi_itzhak(zero_game())
@@ -166,6 +179,17 @@ class TestNaiveSeparatedPI:
         assert result.status is PIStatus.CYCLED
         assert result.cycle_length >= 2
 
+    def test_no_convergence_within_budget(self, oscillating):
+        game, _ = oscillating
+        problem = separate_markov_game(game)
+        first = naive_separated_pi(problem, tol=1e-9)
+        result = naive_separated_pi(problem, tol=1e-9, max_iters=300,
+                                    stop_on_cycle=False)
+        assert result.status is PIStatus.CYCLED
+        assert result.cycle_length == first.cycle_length
+        assert result.iterations == len(result.residuals) == 300
+        assert min(result.residuals) > 1e-9
+
     def test_converged_runs_match_value_iteration(self):
         converged = 0
         for seed in range(6):
@@ -200,9 +224,6 @@ class TestNaiveSeparatedPI:
 
 
 class TestDetectCycle:
-    def test_constant_history_with_converged_values(self):
-        assert detect_cycle(["a", "a", "a"], values_converged=True) is None
-
     def test_alternating_pair(self):
         assert detect_cycle(["a", "b", "a", "b"]) == 2
 

@@ -137,6 +137,27 @@ class TestLoadProblem:
         with pytest.raises(ValidationError):
             load_problem(str(path))
 
+    # json reads NaN and Infinity; each such file exits 1 naming the field
+    def test_nan_outcome_probability_exits_1(self, tmp_path, capsys):
+        payload = {"format": 1, "kind": "minimax_control", "alpha": 0.5,
+                   "outcomes": [[[[[float("nan"), 1.0, 0]]]]]}
+        path = tmp_path / "nan_ctrl.json"
+        save_problem(payload, path)
+        code = cli.main(["solve", str(path), "--algo", "vi"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "outcomes[0][0][0]" in err
+
+    def test_infinite_weight_exits_1(self, tmp_path, capsys):
+        payload = minimal_game_payload()
+        payload["weights"] = [float("inf")]
+        path = tmp_path / "inf_weight.json"
+        save_problem(payload, path)
+        code = cli.main(["solve", str(path), "--algo", "vi"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "$.weights" in err
+
 
 class TestScheduleParser:
     def test_round_robin_params(self):
@@ -433,7 +454,35 @@ class TestCompareCommand:
         assert "Cycled" in out and "Converged" in out
 
 
+def two_state_separated_payload(**aggregation):
+    return {"format": 1, "kind": "separated_model", "alpha": 0.5,
+            "size1": 2, "size2": 2,
+            "next1": [[0], [1]], "cost1": [[1.0], [0.5]],
+            "next2": [[0], [1]], "cost2": [[2.0], [0.0]],
+            "aggregation": {"reps1": [0, 1], "reps2": [0, 1], **aggregation}}
+
+
 class TestAggregateSolve:
+    @pytest.mark.parametrize("block, field", [
+        ({"phi1": [[0.5, 0.0], [0.0, 1.0]], "phi2": [[1.0, 0.0], [0.0, 1.0]]}, "phi1"),
+        ({"phi1": [[1.0], [1.0]], "phi2": [[1.0, 0.0], [0.0, 1.0]]}, "phi1"),
+        ({"reps1": [5]}, "reps1"),
+        ({"reps2": [-1, 0]}, "reps2"),
+        ({"reps1": ["a"]}, "reps1"),
+        ({"reps1": [0.7, 1]}, "reps1"),
+        ({"phi1": [[1.0, 0.0], [1.0]], "phi2": [[1.0, 0.0], [0.0, 1.0]]}, "phi1"),
+        ({"phi1": [[1.0, 0.0], [0.0, 1.0]], "phi2": [[float("nan"), 1.0], [0.0, 1.0]]},
+         "phi2"),
+    ], ids=["phi-row-sum", "phi-shape", "reps-beyond-space", "reps-negative",
+            "reps-not-numbers", "reps-not-integers", "phi-ragged", "phi-nan"])
+    def test_malformed_block_exits_1_naming_the_field(self, tmp_path, capsys, block, field):
+        path = tmp_path / "sep.json"
+        save_problem(two_state_separated_payload(**block), path)
+        code = cli.main(["aggregate-solve", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"$.aggregation.{field}:" in err
+
     def test_requires_aggregation_block(self, tmp_path, capsys):
         payload = {
             "format": 1, "kind": "separated_model", "alpha": 0.5,

@@ -51,6 +51,11 @@ class TestWeightedSupNorm:
         assert table(np.zeros(4)).norm() == 0.0
         assert table([0, 0, 1e-300]).norm() > 0.0
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_weights_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            WeightedSpace(2, [1.0, bad])
+
 
 def forced_chain_problem(beta=1.25):
     return SeparatedProblem(
