@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (HalfStage, PolicyPair, TabularProblem, ValueTable, WeightedSpace,
                    policy_pair_value)
-from .errors import AggregationInputError, MissingAggregationRow
+from .errors import InputFieldError, MissingAggregationRow
 
 _ROW_TOL = 1e-10
 
@@ -24,7 +24,7 @@ def _as_array(name, value, dtype):
     try:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as exc:   # ragged lists, non-numbers
-        raise AggregationInputError(name, f"is not an array: {exc}") from exc
+        raise InputFieldError(name, f"is not an array: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class RepresentativeSets:
     """Index subsets of the two state spaces that anchor the reduced problem.
 
     Each is a nonempty 1-d array of distinct integers, or
-    :class:`AggregationInputError` is raised; :func:`build_aggregate`
+    :class:`InputFieldError` is raised; :func:`build_aggregate`
     checks the indices against the spaces.
     """
 
@@ -44,8 +44,8 @@ class RepresentativeSets:
             r = _as_array(name, getattr(self, name), None)
             if r.ndim != 1 or r.size == 0 or r.dtype.kind not in "iu" \
                     or len(set(r.tolist())) != r.size:
-                raise AggregationInputError(name, "must be a nonempty list of "
-                                            "distinct integer indices")
+                raise InputFieldError(name, "must be a nonempty list of "
+                                      "distinct integer indices")
             object.__setattr__(self, name, r.astype(int))
 
 
@@ -57,7 +57,7 @@ class AggregationProbabilities:
     is within 1e-10 of 1 is divided by it, so the reduced problem's
     outcome masses sum to 1 as closely as the parent's.  Any other row
     sum, a NaN, or a more negative entry raises
-    :class:`AggregationInputError`.  An all-zero row marks a state with no
+    :class:`InputFieldError`.  An all-zero row marks a state with no
     aggregation rule; building an aggregate problem over it raises
     :class:`MissingAggregationRow` (any state may be reached, so every row
     must exist).
@@ -70,14 +70,14 @@ class AggregationProbabilities:
         for name in ("phi1", "phi2"):
             p = _as_array(name, getattr(self, name), float)
             if p.ndim != 2 or p.size == 0:
-                raise AggregationInputError(name, "must be a nonempty matrix")
+                raise InputFieldError(name, "must be a nonempty matrix")
             if not np.min(p) >= -_ROW_TOL:   # NaN fails too
-                raise AggregationInputError(name, "entries must be nonnegative numbers")
+                raise InputFieldError(name, "entries must be nonnegative numbers")
             p = np.maximum(p, 0.0)
             sums = p.sum(axis=1)
             bad = np.nonzero((np.abs(sums - 1.0) > _ROW_TOL) & (sums > _ROW_TOL))[0]
             if bad.size:
-                raise AggregationInputError(name, f"row {bad[0]} sums to {sums[bad[0]]}")
+                raise InputFieldError(name, f"row {bad[0]} sums to {sums[bad[0]]}")
             object.__setattr__(self, name, p / np.where(sums > _ROW_TOL, sums, 1.0)[:, None])
 
 
@@ -122,7 +122,7 @@ def build_aggregate(problem, reps, phi=None):
     phi, so solving the aggregate is exactly the original dynamics
     restricted to representative anchors with randomized re-entry.
     Raises ``TypeError`` unless ``problem`` is a :class:`TabularProblem`,
-    and :class:`AggregationInputError` for a representative outside its
+    and :class:`InputFieldError` for a representative outside its
     space or a phi not shaped (space size, representative count).
     """
     if not isinstance(problem, TabularProblem):
@@ -131,11 +131,10 @@ def build_aggregate(problem, reps, phi=None):
     for side, space in (("1", problem.space1), ("2", problem.space2)):
         r, rows = getattr(reps, "reps" + side), getattr(phi, "phi" + side)
         if np.min(r) < 0 or np.max(r) >= space.size:
-            raise AggregationInputError("reps" + side,
-                                        f"indices must lie in [0, {space.size})")
+            raise InputFieldError("reps" + side, f"indices must lie in [0, {space.size})")
         if rows.shape != (space.size, r.size):
-            raise AggregationInputError("phi" + side, f"has shape {rows.shape}, "
-                                        f"expected {(space.size, r.size)}")
+            raise InputFieldError("phi" + side, f"has shape {rows.shape}, "
+                                  f"expected {(space.size, r.size)}")
     for name, rows in (("phi1", phi.phi1), ("phi2", phi.phi2)):
         empty = np.nonzero(rows.sum(axis=1) < 0.5)[0]
         if empty.size:

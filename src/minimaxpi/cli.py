@@ -19,8 +19,8 @@ from .aggregation import (AggregationProbabilities, RepresentativeSets,
                           solve_with_aggregation)
 from .classic_pi import (PIStatus, find_oscillating_game, hoffman_karp,
                          naive_separated_pi, pollatschek_avi_itzhak)
-from .core import certify, value_iterate
-from .errors import (AggregationInputError, MaxItersExceeded, MaxStepsExceeded,
+from .core import ValueTable, certify, value_iterate
+from .errors import (InputFieldError, MaxItersExceeded, MaxStepsExceeded,
                      MinimaxPIError, ValidationError)
 from .problem_io import game_payload, load_problem, save_problem
 
@@ -31,6 +31,7 @@ EXIT_ERROR = 1
 EXIT_CYCLED = 2
 EXIT_MAX_ITERS = 3
 
+_ALGOS = ("vi", "hk", "poa", "naive", "async")
 _GAME_KINDS = ("discounted_markov_game", "terminating_markov_game")
 _STATUS_EXIT = {PIStatus.CONVERGED: EXIT_OK, PIStatus.CYCLED: EXIT_CYCLED,
                 PIStatus.MAX_ITERS: EXIT_MAX_ITERS}
@@ -93,7 +94,7 @@ def parse_schedule(spec):
 @dataclass
 class SolveOutcome:
     exit_code: int
-    values: np.ndarray | None
+    values: np.ndarray
     iterations: int
     residual: callable   # () -> float: only compare prints it, so computed on demand
     status: str
@@ -101,96 +102,71 @@ class SolveOutcome:
     error_bound: float   # certified error of values, as printed
 
 
-def _per_unit(space, scale):
-    """Largest printed-value change per unit of weighted-norm change."""
-    return scale * float(np.max(space.weights))
+def _half_stage_problem(loaded, args):
+    """The half-stage problem of a loaded file and the scale its J1 prints
+    at: 1 for a separated model, else the split's beta (``--beta``, the
+    file's, or the default)."""
+    if loaded.kind == "separated_model":
+        return models.separated_model_to_problem(loaded.model), 1.0
+    beta = models._as_beta(args.beta if args.beta is not None else loaded.beta,
+                           loaded.model.alpha)
+    if loaded.kind in _GAME_KINDS:
+        return models.separate_markov_game(loaded.model, beta), beta.beta
+    return models.minimax_control_to_problem(loaded.model, beta), beta.beta
 
 
-def _pi_outcome(result, values, error_bound, residual=None):
-    trace = [(t + 1, "Iteration", "all", r, 0.0) for t, r in enumerate(result.residuals)]
-    residual = residual or (lambda: result.residuals[-1])   # --max-steps >= 1: never empty
-    return SolveOutcome(_STATUS_EXIT[result.status], values, result.iterations,
-                        residual, result.status.value, trace, error_bound)
+def _outcome(problem, scale, j1, status, iterations, rows, bound=None):
+    """The printed answer: J1 at ``scale`` and its certified bound.
+
+    ``bound`` is the certificate a solver already holds for j1 (vi's, or
+    tol for a converged async run); without one the answer is
+    :func:`certify`'s estimate of j1 and its bound.  The residual is ``r``
+    of the printed table."""
+    if bound is None:
+        j1, bound, _ = certify(problem, j1)
+    return SolveOutcome(_STATUS_EXIT[status], scale * j1.values, iterations,
+                        lambda: certify(problem, j1)[2], status.value, rows,
+                        scale * float(np.max(problem.space1.weights)) * bound)
 
 
-def _vi_outcome(result, values, per_unit):
-    trace = [(k + 1, "Sweep", "all", r, 0.0) for k, r in enumerate(result.residuals)]
-    return SolveOutcome(EXIT_OK, values, result.iterations, lambda: result.residuals[-1],
-                        "Converged", trace, per_unit * result.error_bound)
+def _rows(kind, residuals):
+    return [(t + 1, kind, "all", r, 0.0) for t, r in enumerate(residuals)]
 
 
-def _solve_naive(problem, args, scale):
-    result = naive_separated_pi(problem, tol=args.tol, max_iters=args.max_steps,
-                                optimistic_k=args.optimistic_k)
-    # the certificate's table is printed and its bound gates it (naive's
-    # J2 on a game is a policy section, so J1 is certified alone); the
-    # residual is r of the printed table, as async's
-    j1, bound, _ = certify(problem, result.values[0])
-    return _pi_outcome(result, scale * j1.values, _per_unit(problem.space1, scale) * bound,
-                       lambda: certify(problem, j1)[2])
-
-
-def _solve_game(game, algo, args, file_beta=None):
+def _solve(loaded, problem, scale, algo, args):
+    """Run ``algo`` and certify its J1 on the half-stage ``problem``."""
+    if algo in ("hk", "poa"):
+        if loaded.kind not in _GAME_KINDS:
+            raise ValidationError(f"algorithm {algo!r} needs a Markov game problem")
+        # both stop when a step moves the game values by at most tol
+        if algo == "hk":
+            result = hoffman_karp(loaded.model, tol=args.tol, max_iters=args.max_steps)
+        else:
+            result = pollatschek_avi_itzhak(loaded.model, tol=args.tol,
+                                            max_iters=args.max_steps,
+                                            optimistic_k=args.optimistic_k)
+        return _outcome(problem, scale, ValueTable(problem.space1, result.values.values / scale),
+                        result.status, result.iterations, _rows("Iteration", result.residuals))
     if algo == "vi":
-        result = models.shapley_value_iteration(game, tol=args.tol, max_iters=args.max_steps)
-        return _vi_outcome(result, result.values, _per_unit(game.space, 1.0))
-    # hk and poa stop when a step moves the values by at most tol
-    a = game.contraction_factor()
-    stopped = _per_unit(game.space, 1.0) * (args.tol * a / (1 - a) if a < 1 else np.inf)
-    if algo == "hk":
-        result = hoffman_karp(game, tol=args.tol, max_iters=args.max_steps)
-        return _pi_outcome(result, result.values.values, stopped)
-    if algo == "poa":
-        result = pollatschek_avi_itzhak(game, tol=args.tol, max_iters=args.max_steps,
-                                        optimistic_k=args.optimistic_k)
-        return _pi_outcome(result, result.values.values, stopped)
-    sep = models.separate_markov_game(game, args.beta if args.beta is not None else file_beta)
+        result = value_iterate(problem, tol=args.tol, max_iters=args.max_steps)
+        return _outcome(problem, scale, result.j1, PIStatus.CONVERGED, result.iterations,
+                        _rows("Sweep", result.residuals), result.error_bound)
     if algo == "naive":
-        return _solve_naive(sep, args, sep.beta.beta)
-    return _solve_async(sep, args, scale=sep.beta.beta)
-
-
-def _solve_async(problem, args, scale=1.0):
+        # naive's J2 on a game is a policy section, so J1 is certified alone
+        result = naive_separated_pi(problem, tol=args.tol, max_iters=args.max_steps,
+                                    optimistic_k=args.optimistic_k)
+        return _outcome(problem, scale, result.values[0], result.status, result.iterations,
+                        _rows("Iteration", result.residuals))
     schedule = parse_schedule(args.schedule)
     try:
         state, trace = async_pi.run(problem, schedule, tol=args.tol,
                                     max_steps=args.max_steps, seed=args.seed,
                                     trace_out=[] if args.trace else None)
+        status, bound = PIStatus.CONVERGED, args.tol
     except MaxStepsExceeded as exc:
-        rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2) for r in exc.trace]
-        return SolveOutcome(EXIT_MAX_ITERS, scale * exc.state.j1.values, exc.state.t,
-                            lambda: float("nan"), "MaxIters", rows, float("nan"))
+        state, trace, status, bound = exc.state, exc.trace, PIStatus.MAX_ITERS, None
     rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2) for r in trace]
-    return SolveOutcome(EXIT_OK, scale * state.j1.values, state.t,
-                        lambda: certify(problem, state.j1)[2], "Converged", rows,
-                        _per_unit(problem.space1, scale) * args.tol)
-
-
-def _solve_separated(problem, scale, algo, args):
-    if algo == "vi":
-        result = value_iterate(problem, tol=args.tol, max_iters=args.max_steps)
-        return _vi_outcome(result, scale * result.j1.values, _per_unit(problem.space1, scale))
-    if algo == "naive":
-        return _solve_naive(problem, args, scale)
-    if algo == "async":
-        return _solve_async(problem, args, scale=scale)
-    raise ValidationError(f"algorithm {algo!r} needs a Markov game problem")
-
-
-def _explicit_problem(loaded, args):
-    """A separated or control file's problem and the scale its table prints
-    at: 1, or the control split's beta (``--beta``, the file's, or default)."""
-    if loaded.kind == "separated_model":
-        return models.separated_model_to_problem(loaded.model), 1.0
-    beta = models._as_beta(args.beta if args.beta is not None else loaded.beta,
-                           loaded.model.alpha)
-    return models.minimax_control_to_problem(loaded.model, beta), beta.beta
-
-
-def _solve_dispatch(loaded, algo, args):
-    if loaded.kind in _GAME_KINDS:
-        return _solve_game(loaded.model, algo, args, file_beta=loaded.beta)
-    return _solve_separated(*_explicit_problem(loaded, args), algo, args)
+    return _outcome(problem, scale, state.j1, status, state.t, rows, bound)
 
 
 def _write_values(path, values):
@@ -211,14 +187,13 @@ def _write_trace(path, algorithm, rows):
 
 def cmd_solve(args):
     loaded = load_problem(args.problem)
-    outcome = _solve_dispatch(loaded, args.algo, args)
+    outcome = _solve(loaded, *_half_stage_problem(loaded, args), args.algo, args)
     log.info("solve %s with %s: %s after %d iterations",
              args.problem, args.algo, outcome.status, outcome.iterations)
-    if outcome.values is not None:
-        for i, v in enumerate(outcome.values):
-            print(f"{i},{float(v)!r}")
+    for i, v in enumerate(outcome.values):
+        print(f"{i},{float(v)!r}")
     print(f"# status={outcome.status} iterations={outcome.iterations}", file=sys.stderr)
-    if args.out and outcome.values is not None:
+    if args.out:
         _write_values(args.out, outcome.values)
     if args.trace:
         _write_trace(args.trace, args.algo, outcome.trace)
@@ -229,10 +204,12 @@ def cmd_compare(args):
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if len(algos) < 2:
         raise ValidationError("compare needs at least two algorithms")
-    loaded = load_problem(args.problem)
-    outcomes = {}
     for algo in algos:
-        outcomes[algo] = _solve_dispatch(loaded, algo, args)
+        if algo not in _ALGOS:
+            raise ValidationError(f"unknown algorithm {algo!r}")
+    loaded = load_problem(args.problem)
+    problem, scale = _half_stage_problem(loaded, args)
+    outcomes = {algo: _solve(loaded, problem, scale, algo, args) for algo in algos}
     print(f"{'algorithm':<10} {'status':<10} {'iterations':>10} {'residual':>12}")
     for algo in algos:
         o = outcomes[algo]
@@ -249,8 +226,7 @@ def cmd_compare(args):
                 disagree.append(f"|{a} - {b}| = {gap!r} > gate {gate:.3e}")
     if args.out:
         for algo in algos:
-            if outcomes[algo].values is not None:
-                _write_values(f"{args.out}.{algo}.csv", outcomes[algo].values)
+            _write_values(f"{args.out}.{algo}.csv", outcomes[algo].values)
     if disagree:
         print("# converged algorithms disagree beyond their error bounds: "
               + "; ".join(disagree), file=sys.stderr)
@@ -277,7 +253,7 @@ def cmd_aggregate_solve(args):
     loaded = load_problem(args.problem)
     if loaded.kind in _GAME_KINDS:
         raise ValidationError("aggregate-solve needs a separated or control problem")
-    problem, scale = _explicit_problem(loaded, args)
+    problem, scale = _half_stage_problem(loaded, args)
     block = loaded.aggregation
     if not block or "reps1" not in block or "reps2" not in block:
         raise ValidationError("problem file lacks an aggregation block with reps1/reps2")
@@ -290,7 +266,7 @@ def cmd_aggregate_solve(args):
             phi = AggregationProbabilities(block["phi1"], block["phi2"])
         sol = solve_with_aggregation(problem, reps, phi, tol=args.tol,
                                      max_steps=args.max_steps)
-    except AggregationInputError as exc:
+    except InputFieldError as exc:
         raise ValidationError(str(exc), f"$.aggregation.{exc.field}") from exc
     print(f"# lookahead-pair value vs exact fixed point: gap = {sol.gap!r}")
     for i, v in enumerate(sol.j1_full.values):
@@ -325,7 +301,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run one algorithm on a problem file")
     _add_common(p)
-    p.add_argument("--algo", required=True, choices=("vi", "hk", "poa", "naive", "async"))
+    p.add_argument("--algo", required=True, choices=_ALGOS)
     _add_algorithm_options(p)
     p.add_argument("--trace", default=None)
     p.set_defaults(handler=cmd_solve)

@@ -61,9 +61,10 @@ class NonContractive(MinimaxPIError):
     """A terminating game failed the contraction screen at load time."""
 
 
-class AggregationInputError(MinimaxPIError, ValueError):
-    """A representative set or aggregation matrix is malformed; ``field``
-    names it (reps1, reps2, phi1 or phi2)."""
+class InputFieldError(MinimaxPIError, ValueError):
+    """A model or aggregation input is malformed; ``field`` names it, down
+    to the first bad entry where there is one (``payoffs[0][1][0]``,
+    ``next1[2][0]``, ``outcomes[0][0][1]``, ``reps1``, ``phi2``)."""
 
     def __init__(self, field, message):
         super().__init__(f"{field} {message}")

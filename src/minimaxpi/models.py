@@ -19,10 +19,36 @@ import numpy as np
 
 from .core import (_MASS_SLACK, HalfStage, HalfStageProblem, PolicyPair, TabularProblem,
                    ValueTable, WeightedSpace, span_bound)
-from .errors import InvalidBeta, MaxItersExceeded, NonContractive
+from .errors import InputFieldError, InvalidBeta, MaxItersExceeded, NonContractive
 from .matrix_game import _TIE, min_simplex_max_linear, solve_matrix_game
 
 _PROB_TOL = 1e-10
+
+
+def _checked(arr, ok, field, message):
+    """``arr``, or :class:`InputFieldError` naming its first entry where ``ok`` fails."""
+    if not np.all(ok):
+        raise InputFieldError(field + "".join(f"[{i}]" for i in np.argwhere(~ok)[0]), message)
+    return arr
+
+
+def _finite(values, field):
+    arr = np.asarray(values, dtype=float)
+    return _checked(arr, np.isfinite(arr), field, "must be finite")
+
+
+def _refuse(named, ok, message):
+    """Check ``ok`` on all the ``(field, array)`` pairs at once, and array
+    by array only to name the first bad entry when that fails."""
+    if not np.all(ok(np.concatenate([a for _, a in named]))):
+        for field, a in named:
+            _checked(a, ok(a), field, message)
+
+
+def _refuse_targets(named, size):
+    """Next states must be integers in [0, size): never truncated."""
+    _refuse(named, lambda a: (a >= 0) & (a < size) & (a == np.floor(a)),
+            f"next state must be an integer in [0, {size})")
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +76,8 @@ class DiscountedMarkovGame:
     _shift: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.payoffs, dtype=float)
-        q = np.asarray(self.transitions, dtype=float)
+        a = _finite(self.payoffs, "payoffs")
+        q = _finite(self.transitions, "transitions")
         object.__setattr__(self, "payoffs", a)
         object.__setattr__(self, "transitions", q)
         if a.ndim != 3:
@@ -59,8 +85,6 @@ class DiscountedMarkovGame:
         s, n, m = a.shape
         if q.shape != (s, n, m, s):
             raise ValueError("transitions must have shape (states, n, m, states)")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
-            raise ValueError("entries must be finite")
         if np.min(q) < -_PROB_TOL:
             raise ValueError("transition probabilities must be nonnegative")
         if not 0.0 < self.alpha < 1.0:
@@ -121,7 +145,9 @@ class ShapleyVIResult:
 
 
 def shapley_value_iteration(game, tol=1e-8, max_iters=10**6):
-    """Stage-game value iteration until the values are certified within tol.
+    """Stage-game value iteration until the values are certified within tol:
+    the stage-form reference that the tests compare the CLI's solvers with
+    (the CLI's ``vi`` runs :func:`value_iterate` on the separated game).
 
     Each sweep replaces J(x) with the exact value of the matrix game formed
     by the current continuation.  Returns the values of the smaller bound,
@@ -418,24 +444,20 @@ class SeparatedMinimaxModel:
     alpha: float
 
     def __post_init__(self):
-        n1 = tuple(np.asarray(a, dtype=int) for a in self.next1)
-        c1 = tuple(np.asarray(a, dtype=float) for a in self.cost1)
-        n2 = tuple(np.asarray(a, dtype=int) for a in self.next2)
-        c2 = tuple(np.asarray(a, dtype=float) for a in self.cost2)
-        object.__setattr__(self, "next1", n1)
-        object.__setattr__(self, "cost1", c1)
-        object.__setattr__(self, "next2", n2)
-        object.__setattr__(self, "cost2", c2)
-        if len(n1) != self.space1.size or len(n2) != self.space2.size:
+        if len(self.next1) != self.space1.size or len(self.next2) != self.space2.size:
             raise ValueError("need one move list per state")
-        for nxt, cst, bound in ((n1, c1, self.space2.size), (n2, c2, self.space1.size)):
-            for a, c in zip(nxt, cst):
-                if a.size == 0 or a.shape != c.shape:
+        for side, targets in (("1", self.space2.size), ("2", self.space1.size)):
+            nxt = [(f"next{side}[{x}]", np.asarray(a, dtype=float))
+                   for x, a in enumerate(getattr(self, "next" + side))]
+            cst = [(f"cost{side}[{x}]", np.asarray(c, dtype=float))
+                   for x, c in enumerate(getattr(self, "cost" + side))]
+            for (_, a), (_, c) in zip(nxt, cst):
+                if a.ndim != 1 or a.size == 0 or a.shape != c.shape:
                     raise ValueError("each state needs matching nonempty move/cost lists")
-                if np.min(a) < 0 or np.max(a) >= bound:
-                    raise ValueError("transition target out of range")
-                if not np.all(np.isfinite(c)):
-                    raise ValueError("costs must be finite")
+            _refuse_targets(nxt, targets)
+            _refuse(cst, np.isfinite, "must be finite")
+            object.__setattr__(self, "next" + side, tuple(a.astype(int) for _, a in nxt))
+            object.__setattr__(self, "cost" + side, tuple(c for _, c in cst))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("discount must lie in (0, 1)")
 
@@ -479,7 +501,7 @@ class MinimaxControlModel:
     def __post_init__(self):
         if len(self.outcomes) != self.space.size:
             raise ValueError("need outcome lists for every state")
-        canon = []
+        canon, named = [], []
         for x, per_u in enumerate(self.outcomes):
             if len(per_u) == 0:
                 raise ValueError("every state needs at least one control")
@@ -489,20 +511,19 @@ class MinimaxControlModel:
                     raise ValueError("every (state, control) needs an adversary move")
                 cells = []
                 for triples in per_v:
+                    here = f"outcomes[{x}][{len(rows)}][{len(cells)}]"
                     arr = np.asarray(triples, dtype=float).reshape(-1, 3)
                     # written so that a NaN probability fails too
                     if not (abs(arr[:, 0].sum() - 1.0) <= _PROB_TOL
                             and np.min(arr[:, 0]) >= -_PROB_TOL):
-                        raise ValueError(f"outcomes[{x}][{len(rows)}][{len(cells)}] must be "
-                                         "a nonnegative distribution summing to 1")
-                    nxt = arr[:, 2].astype(int)
-                    if np.min(nxt) < 0 or np.max(nxt) >= self.space.size:
-                        raise ValueError("outcome target out of range")
-                    if not np.all(np.isfinite(arr[:, 1])):
-                        raise ValueError("costs must be finite")
+                        raise InputFieldError(here, "must be a nonnegative distribution "
+                                              "summing to 1")
                     cells.append(arr)
+                    named.append((here, arr))
                 rows.append(tuple(cells))
             canon.append(tuple(rows))
+        _refuse(named, np.isfinite, "must be finite")
+        _refuse_targets([(here, arr[:, 2]) for here, arr in named], self.space.size)
         object.__setattr__(self, "outcomes", tuple(canon))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("discount must lie in (0, 1)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonContractive, ParseError, ValidationError
+from .errors import InputFieldError, NonContractive, ParseError, ValidationError
 from .models import (DiscountedMarkovGame, MinimaxControlModel,
                      SeparatedMinimaxModel)
 from .core import WeightedSpace
@@ -57,6 +57,17 @@ def _weights(payload, key, size, path):
     return w
 
 
+def _build(path, model, *args, **kwargs):
+    """``model(*args, **kwargs)``, its ``ValueError`` refused at ``path``,
+    or at the field an :class:`InputFieldError` names."""
+    try:
+        return model(*args, **kwargs)
+    except InputFieldError as exc:
+        raise ValidationError(str(exc), f"{path}.{exc.field}") from exc
+    except ValueError as exc:
+        raise ValidationError(str(exc), path) from exc
+
+
 def _load_markov_game(payload, terminating, path):
     alpha = _get(payload, "alpha", path, (int, float))
     payoffs = np.asarray(_get(payload, "payoffs", path, list), dtype=float)
@@ -76,11 +87,8 @@ def _load_markov_game(payload, terminating, path):
                 f"row sums to {sums[x, i, j]!r}, expected 1",
                 f"{path}.transitions[{x}][{i}][{j}]")
     weights = _weights(payload, "weights", s, path)
-    try:
-        game = DiscountedMarkovGame(payoffs, transitions, float(alpha),
-                                    terminating=terminating, weights=weights)
-    except ValueError as exc:
-        raise ValidationError(str(exc), path) from exc
+    game = _build(path, DiscountedMarkovGame, payoffs, transitions, float(alpha),
+                  terminating=terminating, weights=weights)
     if terminating:
         factor = game.contraction_factor()
         if not factor < 1.0:
@@ -100,13 +108,8 @@ def _load_separated_model(payload, path):
     w2 = _weights(payload, "weights2", size2, path)
     space1 = WeightedSpace(size1, w1) if w1 is not None else WeightedSpace.unit(size1)
     space2 = WeightedSpace(size2, w2) if w2 is not None else WeightedSpace.unit(size2)
-    try:
-        return SeparatedMinimaxModel(
-            space1, space2,
-            tuple(fields["next1"]), tuple(fields["cost1"]),
-            tuple(fields["next2"]), tuple(fields["cost2"]), alpha)
-    except ValueError as exc:
-        raise ValidationError(str(exc), path) from exc
+    return _build(path, SeparatedMinimaxModel, space1, space2, fields["next1"],
+                  fields["cost1"], fields["next2"], fields["cost2"], alpha)
 
 
 def _load_minimax_control(payload, path):
@@ -115,12 +118,7 @@ def _load_minimax_control(payload, path):
     size = len(outcomes)
     weights = _weights(payload, "weights", size, path)
     space = WeightedSpace(size, weights) if weights is not None else WeightedSpace.unit(size)
-    try:
-        return MinimaxControlModel(space, tuple(
-            tuple(tuple(cell for cell in per_v) for per_v in per_u)
-            for per_u in outcomes), alpha)
-    except ValueError as exc:
-        raise ValidationError(str(exc), path) from exc
+    return _build(path, MinimaxControlModel, space, outcomes, alpha)
 
 
 def load_problem(path):

@@ -5,7 +5,7 @@ import pytest
 
 from minimaxpi import cli
 from minimaxpi.async_pi import Schedule, round_robin, run
-from minimaxpi.classic_pi import naive_separated_pi
+from minimaxpi.classic_pi import hoffman_karp, naive_separated_pi
 from minimaxpi.errors import NonContractive, ParseError, ValidationError
 from minimaxpi.core import ValueTable, certify
 from minimaxpi.models import (default_beta, minimax_control_to_problem,
@@ -44,6 +44,21 @@ def minimal_game_payload(alpha=0.7):
         "payoffs": [[[1.0]]],
         "transitions": [[[[1.0]]]],
     }
+
+
+def two_state_separated_payload(**fields):
+    return {"format": 1, "kind": "separated_model", "alpha": 0.5,
+            "size1": 2, "size2": 2,
+            "next1": [[0], [1]], "cost1": [[1.0], [0.5]],
+            "next2": [[0], [1]], "cost2": [[2.0], [0.0]], **fields}
+
+
+def one_triple_control_payload(cost=1.0, target=0):
+    return {"format": 1, "kind": "minimax_control", "alpha": 0.5,
+            "outcomes": [[[[[1.0, cost, target]]]]]}
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestLoadProblem:
@@ -157,6 +172,30 @@ class TestLoadProblem:
         err = capsys.readouterr().err
         assert code == 1
         assert "$.weights" in err
+
+    # a fractional target was truncated and solved; a non-finite entry was
+    # refused at "$" without naming its field
+    @pytest.mark.parametrize("payload,field", [
+        (two_state_separated_payload(next1=[[0.6], [1]]), "$.next1[0][0]"),
+        (two_state_separated_payload(next2=[[0], [NAN]]), "$.next2[1][0]"),
+        (one_triple_control_payload(target=0.7), "$.outcomes[0][0][0][0]"),
+        (one_triple_control_payload(target=INF), "$.outcomes[0][0][0][0][2]"),
+        (one_triple_control_payload(cost=NAN), "$.outcomes[0][0][0][0][1]"),
+        (two_state_separated_payload(cost1=[[1.0], [NAN]]), "$.cost1[1][0]"),
+        (two_state_separated_payload(cost2=[[INF], [0.0]]), "$.cost2[0][0]"),
+        ({**minimal_game_payload(), "payoffs": [[[NAN]]]}, "$.payoffs[0][0][0]"),
+        ({**minimal_game_payload(), "kind": "terminating_markov_game",
+          "transitions": [[[[NAN]]]]}, "$.transitions[0][0][0][0]"),
+    ], ids=["next1-fractional", "next2-nan", "control-target-fractional",
+            "control-target-inf", "control-cost-nan", "cost1-nan", "cost2-inf",
+            "payoff-nan", "terminating-transition-nan"])
+    def test_bad_entry_exits_1_naming_it(self, tmp_path, capsys, payload, field):
+        path = tmp_path / "bad.json"
+        save_problem(payload, path)
+        code = cli.main(["solve", str(path), "--algo", "vi"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {field}:")
 
 
 class TestScheduleParser:
@@ -354,6 +393,14 @@ class TestCompareCommand:
         capsys.readouterr()
         assert code == 1
 
+    def test_unknown_algorithm_rejected(self, tmp_path, capsys):
+        # an unknown name used to run as async on a game file
+        game = random_markov_game(np.random.default_rng(6), 2, 2, 2, alpha=0.5)
+        code = cli.main(["compare", write_game(tmp_path, game), "--algos", "vi,bogus"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: unknown algorithm 'bogus'\n"
+
     def test_async_residual_is_the_composite_greedy_residual(self, tmp_path, capsys):
         model = random_separated_model(np.random.default_rng(12), 6, 5, alpha=0.8)
         payload = {"format": 1, "kind": "separated_model", "alpha": model.alpha,
@@ -394,8 +441,10 @@ class TestCompareCommand:
         for algo, j1 in (("vi", vi.j1), ("naive", naive[0])):
             printed = (tmp_path / f"vals.{algo}.csv").read_text().splitlines()[1:]
             assert [float(r.split(",")[1]) for r in printed] == list(beta * j1.values)
-        # vi's last sweep still moved its tables by far more than its bound
-        assert vi.error_bound <= 1e-6 < float(rows["vi"][3])
+        # vi's residual is r of the printed table, not its last sweep's
+        # change, which still moved the tables by far more than the bound
+        assert rows["vi"][3] == f"{certify(problem, vi.j1)[2]:.3e}"
+        assert vi.error_bound <= 1e-6 < vi.residuals[-1]
 
     def test_pair_beyond_its_gate_fails(self, tmp_path, capsys, monkeypatch):
         real = cli.value_iterate
@@ -454,14 +503,6 @@ class TestCompareCommand:
         assert "Cycled" in out and "Converged" in out
 
 
-def two_state_separated_payload(**aggregation):
-    return {"format": 1, "kind": "separated_model", "alpha": 0.5,
-            "size1": 2, "size2": 2,
-            "next1": [[0], [1]], "cost1": [[1.0], [0.5]],
-            "next2": [[0], [1]], "cost2": [[2.0], [0.0]],
-            "aggregation": {"reps1": [0, 1], "reps2": [0, 1], **aggregation}}
-
-
 class TestAggregateSolve:
     @pytest.mark.parametrize("block, field", [
         ({"phi1": [[0.5, 0.0], [0.0, 1.0]], "phi2": [[1.0, 0.0], [0.0, 1.0]]}, "phi1"),
@@ -477,19 +518,15 @@ class TestAggregateSolve:
             "reps-not-numbers", "reps-not-integers", "phi-ragged", "phi-nan"])
     def test_malformed_block_exits_1_naming_the_field(self, tmp_path, capsys, block, field):
         path = tmp_path / "sep.json"
-        save_problem(two_state_separated_payload(**block), path)
+        save_problem(two_state_separated_payload(
+            aggregation={"reps1": [0, 1], "reps2": [0, 1], **block}), path)
         code = cli.main(["aggregate-solve", str(path)])
         err = capsys.readouterr().err
         assert code == 1
         assert f"$.aggregation.{field}:" in err
 
     def test_requires_aggregation_block(self, tmp_path, capsys):
-        payload = {
-            "format": 1, "kind": "separated_model", "alpha": 0.5,
-            "size1": 2, "size2": 2,
-            "next1": [[0], [1]], "cost1": [[1.0], [0.5]],
-            "next2": [[0], [1]], "cost2": [[2.0], [0.0]],
-        }
+        payload = two_state_separated_payload()
         path = tmp_path / "sep.json"
         save_problem(payload, path)
         code = cli.main(["aggregate-solve", str(path)])
@@ -518,3 +555,70 @@ class TestAggregateSolve:
         assert code == 0
         value = float(out.strip().splitlines()[-1].split(",")[1])
         assert value == pytest.approx(2.0, abs=1e-7)
+
+
+def solve_outcome(argv):
+    """The SolveOutcome of one solve or compare command line, per algorithm."""
+    args = cli.build_parser().parse_args(argv)
+    loaded = load_problem(args.problem)
+    problem, scale = cli._half_stage_problem(loaded, args)
+    algos = args.algos.split(",") if argv[0] == "compare" else [args.algo]
+    return {algo: cli._solve(loaded, problem, scale, algo, args) for algo in algos}
+
+
+class TestCertificate:
+    """Every printed table lies within its printed bound of the fixed point."""
+
+    @pytest.mark.parametrize("terminating", [False, True], ids=["discounted", "terminating"])
+    @pytest.mark.parametrize("algo", ["hk", "poa", "vi"])
+    def test_solve_table_within_its_bound(self, tmp_path, capsys, algo, terminating):
+        game = random_markov_game(np.random.default_rng(31), 5, 3, 3, alpha=0.9,
+                                  terminating=terminating)
+        path = write_game(tmp_path, game)
+        argv = ["solve", path, "--algo", algo, "--tol", "1e-8"]
+        assert cli.main(argv) == 0
+        printed = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()]
+        outcome = solve_outcome(argv)[algo]
+        assert list(outcome.values) == printed
+        reference = shapley_value_iteration(game, tol=1e-13).values
+        assert np.max(np.abs(outcome.values - reference)) <= outcome.error_bound + 1e-13
+        if algo == "hk":   # certify's bound of hk's own table, not tol*a/(1-a)
+            problem = cli._half_stage_problem(load_problem(path),
+                                              cli.build_parser().parse_args(argv))[0]
+            beta = problem.beta.beta
+            j1 = ValueTable(problem.space1, hoffman_karp(game, tol=1e-8).values.values / beta)
+            assert outcome.error_bound == beta * certify(problem, j1)[1]
+
+    def test_async_out_of_steps_prints_a_certified_table(self, tmp_path, capsys):
+        game = random_markov_game(np.random.default_rng(2), 3, 2, 2, alpha=0.9)
+        path = write_game(tmp_path, game)
+        argv = ["solve", path, "--algo", "async", "--tol", "1e-10", "--max-steps", "10"]
+        assert cli.main(argv) == cli.EXIT_MAX_ITERS
+        capsys.readouterr()
+        outcome = solve_outcome(argv)["async"]
+        assert outcome.status == "MaxIters" and np.isfinite(outcome.residual())
+        reference = shapley_value_iteration(game, tol=1e-13).values
+        assert np.max(np.abs(outcome.values - reference)) <= outcome.error_bound < np.inf
+
+    def test_compare_gates_every_pair_at_its_certified_bounds(self, tmp_path, capsys):
+        game = random_markov_game(np.random.default_rng(32), 5, 3, 3, alpha=0.9)
+        path = write_game(tmp_path, game)
+        argv = ["compare", path, "--algos", "vi,hk,poa,naive,async", "--out",
+                str(tmp_path / "vals")]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        outcomes = solve_outcome(argv)
+        reference = shapley_value_iteration(game, tol=1e-13).values
+        # naive cycles here: its table is certified too, but not gated
+        converged = [a for a, o in outcomes.items() if o.status == "Converged"]
+        assert converged == ["vi", "hk", "poa", "async"]
+        for algo, outcome in outcomes.items():
+            printed = (tmp_path / f"vals.{algo}.csv").read_text().splitlines()[1:]
+            assert [float(r.split(",")[1]) for r in printed] == list(outcome.values)
+            assert np.max(np.abs(outcome.values - reference)) <= outcome.error_bound + 1e-13
+        pairs = [ln.split() for ln in lines if ln.startswith("# |")]
+        assert len(pairs) == 6
+        for _, a, _, b, _, gap, _, gate in pairs:
+            a, b = a.lstrip("|"), b.rstrip("|")
+            bound = outcomes[a].error_bound + outcomes[b].error_bound
+            assert gate.rstrip(")") == f"{bound:.3e}" and float(gap) <= bound
