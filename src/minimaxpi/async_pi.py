@@ -12,6 +12,7 @@ policies, which this module can certify numerically.
 """
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -148,6 +149,8 @@ class Schedule:
     state within any window of ``fairness_horizon`` steps.  ``period`` is
     the natural cycle length, used to pace stopping checks.  ``staleness``
     is the read-delay bound the schedule asks the executor to simulate.
+    :func:`run` can skip an evaluation only if it is yielded as the same
+    object again; the schedules below repeat theirs by list multiplication.
     """
 
     name: str
@@ -263,6 +266,13 @@ def _converged(problem, state, tol):
     return replace(state, j1=estimate) if bound <= tol else None
 
 
+def _eval_inputs(op, read, state):
+    """What an evaluation reads, and the J table of its side in ``state``."""
+    if op.kind is Kind.MIN_EVAL:
+        return op, read.v2, read.j2, state.policies.mu, state.j1
+    return op, read.v1, read.j1, state.policies.nu, state.j2
+
+
 def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     """The executor.
 
@@ -275,6 +285,12 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
     ``trace_out`` with one :class:`TraceRow` per step appended, or [] (and
     no change probe computed) without it.  Raises
     :class:`MaxStepsExceeded` when the budget runs out.
+
+    An evaluation is skipped when its operation, read tables, policy and its
+    side's J are the objects its side's last applied evaluation had, J as
+    written: tables and policies are immutable and kernels deterministic, so
+    under any schedule it would rewrite what J holds.  Skipped steps still
+    count in ``t``, take their delay draw and ring slot, and trace 0.0 unprobed.
 
     A block-parallel sweep needs no executor of its own.  An operation
     writes its side's entries on its subset and reads, of its own side,
@@ -290,20 +306,28 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
     check_every = max(1, schedule.period)
     if init is not None and (done := _converged(problem, state, tol)):
         return done, trace
+    t0, step, memo = state.t, 0, {1: (None,), 2: (None,)}   # (None,) matches no op
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         read = state
         if staleness > 0:
             delay = int(rng.integers(0, staleness + 1))
             read = ring[max(0, len(ring) - 1 - delay)]
-        new = _apply(problem, state, op, read)
+        side, r1, r2 = op.kind.side, 0.0, 0.0
+        evaluates = op.kind in (Kind.MIN_EVAL, Kind.MAX_EVAL)
+        if not (evaluates and all(map(operator.is_, memo[side], _eval_inputs(op, read, state)))):
+            new = _apply(problem, state, op, read)
+            if trace_out is not None:
+                r1 = _probe_diff(state.j1, new.j1) if side == 1 else 0.0
+                r2 = _probe_diff(state.j2, new.j2) if side == 2 else 0.0
+            state = new
+            if evaluates:
+                memo[side] = _eval_inputs(op, read, state)
         if trace_out is not None:
-            r1 = _probe_diff(state.j1, new.j1) if op.kind.side == 1 else 0.0
-            r2 = _probe_diff(state.j2, new.j2) if op.kind.side == 2 else 0.0
             trace.append(TraceRow(step, op.kind.value, op.label, r1, r2))
-        state = new
         ring.append(state)
         if step % check_every == 0 and (done := _converged(problem, state, tol)):
-            return done, trace
+            return replace(done, t=t0 + step), trace
+    state = replace(state, t=t0 + step)
     if done := _converged(problem, state, tol):
         return done, trace
     raise MaxStepsExceeded(

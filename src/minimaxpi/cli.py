@@ -108,10 +108,11 @@ def _half_stage_problem(loaded, args):
     file's, or the default)."""
     if loaded.kind == "separated_model":
         return models.separated_model_to_problem(loaded.model), 1.0
-    beta = models._as_beta(args.beta if args.beta is not None else loaded.beta,
-                           loaded.model.alpha)
+    beta = args.beta if args.beta is not None else loaded.beta
     if loaded.kind in _GAME_KINDS:
-        return models.separate_markov_game(loaded.model, beta), beta.beta
+        problem = models.separate_markov_game(loaded.model, beta)
+        return problem, problem.beta.beta
+    beta = models._as_beta(beta, loaded.model.alpha)
     return models.minimax_control_to_problem(loaded.model, beta), beta.beta
 
 

@@ -74,6 +74,7 @@ class DiscountedMarkovGame:
     weights: np.ndarray | None = None
     space: WeightedSpace = field(init=False, repr=False, compare=False)
     _shift: float | None = field(init=False, repr=False, compare=False)
+    _modulus: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _finite(self.payoffs, "payoffs")
@@ -102,6 +103,8 @@ class DiscountedMarkovGame:
         if self.weights is not None:
             object.__setattr__(self, "weights", space.weights)
         object.__setattr__(self, "_shift", self.alpha if off_one <= _MASS_SLACK else None)
+        mass = (q * space.weights).sum(axis=3) / space.weights[:, None, None]
+        object.__setattr__(self, "_modulus", self.alpha * float(np.max(mass)))
 
     @property
     def state_count(self):
@@ -113,9 +116,7 @@ class DiscountedMarkovGame:
 
     def contraction_factor(self):
         """Exact sup-norm modulus bound of the fixed-policy stage operator."""
-        xi = self.space.weights
-        mass = (self.transitions * xi[None, None, None, :]).sum(axis=3)
-        return self.alpha * float(np.max(mass / xi[:, None, None]))
+        return self._modulus
 
     def shift(self):
         """``alpha`` if every transition row sums to 1 (within 1e-12), else None."""
@@ -418,7 +419,11 @@ class MarkovSeparatedProblem(HalfStageProblem):
 
 
 def separate_markov_game(game, beta=None):
-    """Split a discounted Markov game into contractive alternating half-stages."""
+    """Split a discounted Markov game into contractive alternating half-stages.
+    Without ``beta``: :func:`default_beta`, or 1/sqrt(modulus) where the game's
+    weighted modulus lies in [sqrt(alpha), 1), so that split does not contract."""
+    if beta is None and np.sqrt(game.alpha) <= game.contraction_factor() < 1.0:
+        beta = 1.0 / np.sqrt(game.contraction_factor())
     return MarkovSeparatedProblem(game, _as_beta(beta, game.alpha))
 
 

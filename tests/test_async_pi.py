@@ -1,4 +1,6 @@
 import itertools
+from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from minimaxpi import async_pi
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
-from minimaxpi.async_pi import (AlgoState, Kind, Operation, _apply, _converged, build_G,
-                                check_minmax_nonexpansive, delayed,
+from minimaxpi.async_pi import (AlgoState, Kind, Operation, TraceRow, _apply, _converged,
+                                build_G, check_minmax_nonexpansive, delayed,
                                 fairness_ok, initial_state, max_eval_step,
                                 max_improve_step, min_eval_step,
                                 min_improve_step, partitioned, q_state_diff,
@@ -217,8 +219,14 @@ class TestRun:
             return it.repeat(Operation(Kind.MIN_EVAL, sub))
 
         lopsided = Schedule("min-eval-only", ops, 10**9, 4)
-        with pytest.raises(MaxStepsExceeded):
+        with pytest.raises(MaxStepsExceeded) as exc:
+            run(explicit_problem, lopsided, tol=1e-10, max_steps=500, trace_out=[])
+        # all but the first step are skipped, yet each counts and traces
+        assert exc.value.state.t == len(exc.value.trace) == 500
+        assert [row.step for row in exc.value.trace] == list(range(1, 501))
+        with pytest.raises(MaxStepsExceeded) as exc:
             run(explicit_problem, lopsided, tol=1e-10, max_steps=500)
+        assert exc.value.state.t == 500 and exc.value.trace == []
 
     def test_bounded_staleness_converges_to_same_point(self, markov_sep):
         problem = markov_sep
@@ -290,6 +298,78 @@ def test_disjoint_blocks_compose_to_one_full_operation(name):
                     state = _apply(problem, state, Operation(kind, block),
                                    start if jacobi else state)
                 assert_same_state(state, full)
+
+
+def count_applies(monkeypatch):
+    """The operations of every ``_apply`` call the executor makes."""
+    calls, apply = [], async_pi._apply
+    monkeypatch.setattr(async_pi, "_apply", lambda *a: calls.append(a[2]) or apply(*a))
+    return calls
+
+
+def reference_run(problem, schedule, tol, seed, max_steps=20000):
+    """The executor without its skip: ``_apply`` on every step, with the
+    same seeded delay draws, staleness ring, probe and stop checks."""
+    state = initial_state(problem)
+    rng = np.random.default_rng(seed)
+    ring = deque([state], maxlen=schedule.staleness + 1)
+    rows = []
+    for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
+        read = state
+        if schedule.staleness > 0:
+            read = ring[max(0, len(ring) - 1 - int(rng.integers(0, schedule.staleness + 1)))]
+        new = _apply(problem, state, op, read)
+        rows.append(TraceRow(step, op.kind.value, op.label,
+                             state.j1.diff_bound(new.j1) if op.kind.side == 1 else 0.0,
+                             state.j2.diff_bound(new.j2) if op.kind.side == 2 else 0.0))
+        state = new
+        ring.append(state)
+        if step % schedule.period == 0 and (done := _converged(problem, state, tol)):
+            return done, rows
+    raise AssertionError("reference run did not converge")
+
+
+def fresh_copies(schedule):
+    """``schedule`` with every operation yielded as a new object."""
+    def ops(problem):
+        return (Operation(op.kind, op.subset.copy(), op.label) for op in schedule.ops(problem))
+    return replace(schedule, name="fresh:" + schedule.name, ops=ops)
+
+
+REPLAY_SCHEDULES = {
+    "round_robin:k=0": round_robin(0),
+    "round_robin:k=1": round_robin(1),
+    "round_robin:k=10": round_robin(10),
+    "random": random_fair(4),
+    "partitioned": partitioned(),
+    **{f"delayed:B={b},{name}": delayed(inner, b) for b in (1, 3)
+       for name, inner in (("partitioned", partitioned()), ("random", random_fair(4)))},
+}
+
+
+@pytest.mark.parametrize("name", ["tabular", "closure", "aggregate", "markov", "control"])
+def test_skipped_evaluations_change_nothing(name, monkeypatch):
+    """``run`` skips evaluations whose inputs are unchanged; a loop that
+    applies every step ends bit-identical: tables, policies, ``t`` and
+    trace rows.  A schedule of fresh operation objects skips nothing."""
+    cases = block_cases()
+    cases["control"] = minimax_control_to_problem(random_control_model(
+        np.random.default_rng(17), states=4, alpha=0.7, max_u=3, max_v=3, stochastic=True))
+    problem = cases[name]
+    applied = count_applies(monkeypatch)
+    for label, schedule in REPLAY_SCHEDULES.items():
+        expected, rows = reference_run(problem, schedule, 1e-8, seed=9)
+        for copies in (False, True):
+            applied.clear()
+            state, trace = run(problem, fresh_copies(schedule) if copies else schedule,
+                               tol=1e-8, seed=9, trace_out=[])
+            assert_same_state(state, expected)
+            assert state.t == expected.t == len(rows), label
+            assert list(map(repr, trace)) == list(map(repr, rows)), label
+            if copies or label in ("round_robin:k=0", "round_robin:k=1"):
+                assert len(applied) == state.t, label
+            else:
+                assert len(applied) < state.t, label
 
 
 class TestStopCheck:
@@ -443,13 +523,15 @@ class TestSchedules:
         assert a and a == b
 
     def test_untraced_run_computes_no_probe(self, markov_sep, monkeypatch):
-        calls = []
+        """The probe runs once per applied step, and never without a trace."""
+        calls, applied = [], count_applies(monkeypatch)
         probe = async_pi._probe_diff
         monkeypatch.setattr(async_pi, "_probe_diff", lambda a, b: calls.append(1) or probe(a, b))
         state, trace = run(markov_sep, random_fair(3), tol=1e-9, seed=5)
         assert trace == [] and calls == []
+        applied.clear()
         _, trace = run(markov_sep, random_fair(3), tol=1e-9, seed=5, trace_out=[])
-        assert len(calls) == len(trace) == state.t
+        assert len(calls) == len(applied) < len(trace) == state.t
 
 
 class TestExtendedOperator:

@@ -8,7 +8,8 @@ from minimaxpi.async_pi import Schedule, round_robin, run
 from minimaxpi.classic_pi import hoffman_karp, naive_separated_pi
 from minimaxpi.errors import NonContractive, ParseError, ValidationError
 from minimaxpi.core import ValueTable, certify
-from minimaxpi.models import (default_beta, minimax_control_to_problem,
+from minimaxpi.models import (DiscountedMarkovGame, default_beta,
+                              minimax_control_to_problem,
                               separated_model_to_problem, shapley_value_iteration)
 from minimaxpi.problem_io import game_payload, load_problem, save_problem
 
@@ -588,6 +589,29 @@ class TestCertificate:
             beta = problem.beta.beta
             j1 = ValueTable(problem.space1, hoffman_karp(game, tol=1e-8).values.values / beta)
             assert outcome.error_bound == beta * certify(problem, j1)[1]
+
+    @pytest.mark.parametrize("algo", ["vi", "hk", "poa", "naive", "async"])
+    def test_default_split_of_a_weighted_game(self, tmp_path, capsys, algo):
+        """Weights [1, 1.7] with every move landing in state 1 give the game
+        modulus 0.85 >= sqrt(alpha): the split 1/sqrt(alpha) has a second
+        half-stage at 0.85/sqrt(0.5) > 1, so the default is 1/sqrt(0.85)."""
+        rng = np.random.default_rng(34)
+        transitions = np.zeros((2, 2, 2, 2))
+        transitions[..., 1] = 1.0
+        game = DiscountedMarkovGame(rng.uniform(-1, 1, (2, 2, 2)), transitions, 0.5,
+                                    weights=[1.0, 1.7])
+        assert game.contraction_factor() == pytest.approx(0.85)
+        path = write_game(tmp_path, game)
+        argv = ["solve", path, "--algo", algo, "--tol", "1e-8"]
+        assert cli.main(argv) == 0
+        printed = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()]
+        problem = cli._half_stage_problem(load_problem(path),
+                                          cli.build_parser().parse_args(argv))[0]
+        assert problem.beta.beta == 1.0 / np.sqrt(game.contraction_factor())
+        outcome = solve_outcome(argv)[algo]
+        assert list(outcome.values) == printed
+        reference = shapley_value_iteration(game, tol=1e-13).values
+        assert np.max(np.abs(outcome.values - reference)) <= outcome.error_bound + 1e-13
 
     def test_async_out_of_steps_prints_a_certified_table(self, tmp_path, capsys):
         game = random_markov_game(np.random.default_rng(2), 3, 2, 2, alpha=0.9)
