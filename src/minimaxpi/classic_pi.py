@@ -1,13 +1,15 @@
 """Classical policy-iteration baselines and the oscillation they can exhibit.
 
 Two families: the safe-but-expensive scheme whose evaluation solves the
-opponent's full decision problem per iteration, and the cheap all-pairs
-scheme (exact or optimistic evaluation) that amounts to Newton's method
-on the value equation and may cycle between policy pairs instead of
-converging.  Both all-pairs methods, on Markov games and on separated
-problems, run one loop that owns the residuals and the cycle test.  A
-grid search runs that scheme itself over 2x2 one-state candidates and
-returns the first instance on which it cycles with period 2.
+opponent's full decision problem per iteration (Hoffman-Karp, on any
+half-stage problem, with the certified loop of :mod:`minimaxpi.core`),
+and the cheap all-pairs scheme (exact or optimistic evaluation) that
+amounts to Newton's method on the value equation and may cycle between
+policy pairs instead of converging.  Both all-pairs methods, on Markov
+games and on separated problems, run one loop that owns the residuals
+and the cycle test.  A grid search runs that scheme itself over 2x2
+one-state candidates and returns the first instance on which it cycles
+with period 2.
 """
 
 import itertools
@@ -16,12 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PolicyPair, ValueTable
-from .errors import MaxItersExceeded, SearchFailed
+from .core import PolicyPair, ValueTable, _iterate, _sweep
+from .errors import SearchFailed
 from .matrix_game import solve_matrix_game
 from .models import DiscountedMarkovGame, separate_markov_game, stage_matrix
-
-_INNER_CAP = 10**6
 
 
 class PIStatus(Enum):
@@ -63,44 +63,29 @@ def _saddle_sweep(game, j):
     return sol.u_star, sol.v_star
 
 
-def _evaluate_vs_best_response(game, mu, tol, j0=None):
-    """Value of the maximizer's decision problem against a fixed minimizer."""
-    xi = game.space.weights
-    acol = np.einsum("xi,xij->xj", mu, game.payoffs)
-    pmat = np.einsum("xi,xijy->xjy", mu, game.transitions)
-    j = np.zeros(game.state_count) if j0 is None else j0.copy()
-    for _ in range(_INNER_CAP):
-        new = (acol + game.alpha * pmat @ j).max(axis=1)
-        res = float(np.max(np.abs(new - j) / xi))
-        j = new
-        if res <= tol:
-            return j
-    raise MaxItersExceeded("best-response evaluation did not reach tol")
+def hoffman_karp(problem, tol=1e-8, max_iters=10**4):
+    """Hoffman-Karp policy iteration on any half-stage problem.
 
-
-def hoffman_karp(game, tol=1e-8, max_iters=10**4):
-    """Alternate exact best-response evaluation with saddle-point improvement.
-
-    Each iteration prices the current minimizer policy against an optimal
-    adversary (a full inner solve), then improves by solving the per-state
-    stage game.  Values decrease monotonically, so no cycle handling is
-    needed.
+    Each iteration is one greedy composite sweep from J1 (zero at first).
+    Its certificate (:func:`minimaxpi.core.certify`'s) stops the run once
+    the bound is at most tol; else its minimizer picks mu are priced
+    against the maximizer's best response, ``J1 <- T1^mu(T2 J1)`` iterated
+    from the current J1 until certified within tol/10.  J1 after each
+    evaluation is then nonincreasing up to twice that, so no cycle
+    handling is needed.  ``values`` is the last sweep's estimate on
+    convergence, else the last evaluated J1; ``policies`` is ``(mu, None)``
+    and ``residuals[k]`` is ``r`` of the k-th sweep.
     """
-    xi = game.space.weights
-    j = np.zeros(game.state_count)
-    residuals = []
-    mu = nu = None
+    j1, residuals, mu = problem.zero1(), [], None
     for t in range(1, max_iters + 1):
-        mu, nu = _saddle_sweep(game, j)
-        new = _evaluate_vs_best_response(game, mu, tol / 10, j0=j)
-        res = float(np.max(np.abs(new - j) / xi))
-        residuals.append(res)
-        j = new
-        if res <= tol:
-            return PIResult(ValueTable(game.space, j), (mu, nu), t,
-                            PIStatus.CONVERGED, None, tuple(residuals))
-    return PIResult(ValueTable(game.space, j), (mu, nu), max_iters,
-                    PIStatus.MAX_ITERS, None, tuple(residuals))
+        estimate, bound, r, _, mu = _sweep(problem, j1, None)
+        residuals.append(r)
+        if bound <= tol:
+            return PIResult(estimate, PolicyPair(mu, None), t, PIStatus.CONVERGED, None,
+                            tuple(residuals))
+        j1 = _iterate(problem, j1, tol / 10, max_iters, PolicyPair(mu, None)).j1
+    return PIResult(j1, PolicyPair(mu, None), max_iters, PIStatus.MAX_ITERS, None,
+                    tuple(residuals))
 
 
 def _evaluate_pair(game, mu, nu, optimistic_k, j0):

@@ -136,16 +136,18 @@ def _rows(kind, residuals):
 
 def _solve(loaded, problem, scale, algo, args):
     """Run ``algo`` and certify its J1 on the half-stage ``problem``."""
-    if algo in ("hk", "poa"):
+    if algo == "hk":
+        # stops once certify's bound of its J1 is at most tol; the estimate
+        # it returns is certified again here
+        result = hoffman_karp(problem, tol=args.tol, max_iters=args.max_steps)
+        return _outcome(problem, scale, result.values, result.status, result.iterations,
+                        _rows("Iteration", result.residuals))
+    if algo == "poa":
         if loaded.kind not in _GAME_KINDS:
             raise ValidationError(f"algorithm {algo!r} needs a Markov game problem")
-        # both stop when a step moves the game values by at most tol
-        if algo == "hk":
-            result = hoffman_karp(loaded.model, tol=args.tol, max_iters=args.max_steps)
-        else:
-            result = pollatschek_avi_itzhak(loaded.model, tol=args.tol,
-                                            max_iters=args.max_steps,
-                                            optimistic_k=args.optimistic_k)
+        # stops when a step moves the game values by at most tol
+        result = pollatschek_avi_itzhak(loaded.model, tol=args.tol, max_iters=args.max_steps,
+                                        optimistic_k=args.optimistic_k)
         return _outcome(problem, scale, ValueTable(problem.space1, result.values.values / scale),
                         result.status, result.iterations, _rows("Iteration", result.residuals))
     if algo == "vi":

@@ -437,17 +437,24 @@ def span_bound(g, step, weights, sup):
 
 
 def _sweep(problem, j1, policies):
-    """One composite sweep ``t = T1(T2 J1)``, greedy or at the pair, and
-    its certificate: ``(estimate, bound, r, t)`` as :func:`certify` says."""
-    if policies is None:
-        t = problem.t1_greedy(problem.t2_greedy(j1)[0])[0]
-    else:
-        t = problem.t1_policy(policies.mu, problem.t2_policy(policies.nu, j1))
+    """One composite sweep ``t = T1(T2 J1)`` and its certificate:
+    ``(estimate, bound, r, t, mu)`` as :func:`certify` says, with mu the
+    minimizer's picks.
+
+    ``policies`` None is the greedy sweep; a pair fixes both sides, and a
+    half-fixed pair ``(mu, None)`` gives ``T1^mu(T2 J1)``, the
+    maximizer greedy (every form shifts by the same g)."""
+    mu, nu = (None, None) if policies is None else (policies.mu, policies.nu)
+    j2 = problem.t2_greedy(j1)[0] if nu is None else problem.t2_policy(nu, j1)
+    t, mu = problem.t1_greedy(j2) if mu is None else (problem.t1_policy(mu, j2), mu)
     r = j1.diff_norm(t)
-    a2 = problem.alpha ** 2
-    offset, bound = span_bound(problem.shift(), t.values - j1.values, j1.space.weights,
-                               a2 * r / (1.0 - a2))
-    return (t if offset is None else ValueTable(j1.space, t.values + offset)), bound, r, t
+    a2, g = problem.alpha ** 2, problem.shift()
+    offset, bound = span_bound(g, t.values - j1.values, j1.space.weights, a2 * r / (1.0 - a2))
+    # the sweep's own rounding, a few ulps of the tables it reads and writes
+    # (|t| <= |J1| + r), moves a fixed point by up to that over one minus
+    # either contraction
+    bound += 4 * np.finfo(float).eps * (j1.norm() + r) / (1.0 - max(a2, g or 0.0))
+    return (t if offset is None else ValueTable(j1.space, t.values + offset)), bound, r, t, mu
 
 
 def certify(problem, j1):
@@ -457,7 +464,8 @@ def certify(problem, j1):
     and ``r = |J1 - t|`` (weighted).  The estimate is t plus the midpoint
     offset of :func:`span_bound` when that bound is the smaller, else t
     with ``alpha**2 * r/(1 - alpha**2)``: the composite contracts at
-    ``alpha**2``.
+    ``alpha**2``.  Either bound adds the sweep's rounding, so a table the
+    sweep maps onto itself is not certified at 0.
     """
     return _sweep(problem, j1, None)[:3]
 
@@ -470,10 +478,10 @@ def _iterate(problem, j1, tol, max_iters, policies):
     j1 = problem.zero1() if j1 is None else j1
     residuals, bound = [], np.inf   # the message's bound when max_iters < 1
     for k in range(1, max_iters + 1):
-        estimate, bound, r, j1 = _sweep(problem, j1, policies)
+        estimate, bound, r, j1, _ = _sweep(problem, j1, policies)
         residuals.append(r)
         if bound <= tol:
-            j2 = (problem.t2_greedy(estimate)[0] if policies is None
+            j2 = (problem.t2_greedy(estimate)[0] if policies is None or policies.nu is None
                   else problem.t2_policy(policies.nu, estimate))
             return VIResult(estimate, j2, k, tuple(residuals), bound)
     raise MaxItersExceeded(

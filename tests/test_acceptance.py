@@ -41,13 +41,13 @@ def test_criterion_1_fixed_point_agreement():
             rng, states=int(rng.integers(1, 6)), n=int(rng.integers(1, 4)),
             m=int(rng.integers(1, 4)), alpha=0.9)
         stage_vi = shapley_value_iteration(game, tol=1e-8).values
-        hk = hoffman_karp(game, tol=1e-8)
-        assert hk.status is PIStatus.CONVERGED
         sep = separate_markov_game(game)
+        hk = hoffman_karp(sep, tol=1e-8)
+        assert hk.status is PIStatus.CONVERGED
         scaled = sep.original_values(value_iterate(sep, tol=1e-9).j1)
         state, _ = run(sep, round_robin(), tol=1e-8)
         asynchronous = sep.original_values(state.j1)
-        tables = [stage_vi, hk.values.values, asynchronous, scaled]
+        tables = [stage_vi, sep.original_values(hk.values), asynchronous, scaled]
         for a, b in itertools.combinations(tables, 2):
             worst = max(worst, float(np.max(np.abs(a - b))))
     elapsed = time.time() - started

@@ -3,16 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
+from minimaxpi import classic_pi
 from minimaxpi.core import certify, value_iterate
 from minimaxpi.classic_pi import (PIStatus, detect_cycle, find_oscillating_game,
                                   hoffman_karp, naive_separated_pi,
                                   pollatschek_avi_itzhak)
 from minimaxpi.matrix_game import solve_matrix_game
-from minimaxpi.models import (DiscountedMarkovGame, separate_markov_game,
-                              separated_model_to_problem,
+from minimaxpi.models import (DiscountedMarkovGame, minimax_control_to_problem,
+                              separate_markov_game, separated_model_to_problem,
                               shapley_value_iteration, stage_matrix)
 
-from helpers import random_markov_game, random_separated_model
+from helpers import random_control_model, random_markov_game, random_separated_model
 
 
 def zero_game():
@@ -24,9 +25,22 @@ def oscillating():
     return find_oscillating_game()
 
 
+def hk_problems():
+    """One half-stage problem of each kind HK runs on."""
+    rng = np.random.default_rng
+    return {
+        "discounted": separate_markov_game(random_markov_game(rng(20), 4, 2, 2, alpha=0.9)),
+        "terminating": separate_markov_game(
+            random_markov_game(rng(21), 4, 2, 3, alpha=0.9, terminating=True)),
+        "separated": separated_model_to_problem(random_separated_model(rng(22), 6, 5, 0.9)),
+        "control": minimax_control_to_problem(
+            random_control_model(rng(22), 6, 0.9, 3, 3, stochastic=True)),
+    }
+
+
 class TestHoffmanKarp:
     def test_zero_game_converges_immediately(self):
-        result = hoffman_karp(zero_game())
+        result = hoffman_karp(separate_markov_game(zero_game()))
         assert result.status is PIStatus.CONVERGED
         assert result.iterations == 1
         assert np.allclose(result.values.values, 0.0)
@@ -34,37 +48,56 @@ class TestHoffmanKarp:
     def test_symmetric_stage_game(self):
         game = DiscountedMarkovGame(
             np.array([[[1.0, -1.0], [-1.0, 1.0]]]), np.ones((1, 2, 2, 1)), 0.5)
-        result = hoffman_karp(game, tol=1e-10)
+        problem = separate_markov_game(game)
+        result = hoffman_karp(problem, tol=1e-10)
         assert result.status is PIStatus.CONVERGED
-        assert result.values.values[0] == pytest.approx(0.0, abs=1e-9)
+        assert problem.original_values(result.values)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_agrees_with_stage_value_iteration(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            game = random_markov_game(rng, 3, 2, 3, alpha=0.9)
-            oracle = shapley_value_iteration(game, tol=1e-11)
-            result = hoffman_karp(game, tol=1e-9)
-            assert result.status is PIStatus.CONVERGED
-            assert np.max(np.abs(result.values.values - oracle.values)) <= 1e-6
-
-    def test_monotone_improvement(self):
-        rng = np.random.default_rng(20)
-        game = random_markov_game(rng, 4, 2, 2, alpha=0.9)
         tol = 1e-9
-        result = hoffman_karp(game, tol=tol)
-        # replay the trajectory to compare consecutive policy values
-        j_prev = None
-        j = np.zeros(game.state_count)
-        from minimaxpi.classic_pi import _evaluate_vs_best_response
-        for _ in range(result.iterations):
-            sols = [solve_matrix_game(stage_matrix(game, x, j))
-                    for x in range(game.state_count)]
-            mu = np.array([s.u_star for s in sols])
-            j_new = _evaluate_vs_best_response(game, mu, tol / 10, j0=j)
-            if j_prev is not None:
-                assert np.all(j_new <= j_prev + tol)
-            j_prev = j_new
-            j = j_new
+        for seed, terminating in itertools.product(range(5), (False, True)):
+            rng = np.random.default_rng(seed)
+            game = random_markov_game(rng, 3, 2, 3, alpha=0.9, terminating=terminating)
+            problem = separate_markov_game(game)
+            result = hoffman_karp(problem, tol=tol)
+            assert result.status is PIStatus.CONVERGED
+            estimate, bound, _ = certify(problem, result.values)
+            assert bound <= tol
+            oracle = shapley_value_iteration(game, tol=1e-13).values
+            gap = np.max(np.abs(problem.original_values(estimate) - oracle))
+            assert gap <= problem.beta.beta * bound + 1e-13
+
+    def test_floating_point_fixed_points_are_not_certified_at_zero(self):
+        """hk and naive both end on exact floating-point fixed points of the
+        sweep here (r is 0), a few ulps apart: each bound covers the sweep's
+        rounding, so together they cover the gap."""
+        problem = separated_model_to_problem(
+            random_separated_model(np.random.default_rng(33), 6, 5, 0.9))
+        a, bound_a, r_a = certify(problem, hoffman_karp(problem).values)
+        b, bound_b, r_b = certify(problem, naive_separated_pi(problem).values[0])
+        assert r_a == r_b == 0.0
+        assert 0.0 < a.diff_norm(b) <= bound_a + bound_b
+
+    def test_monotone_improvement(self, monkeypatch):
+        """J1 after each evaluation is nonincreasing, up to the two
+        evaluations' certified accuracy of tol/10 each, on every kind."""
+        tol, evaluated = 1e-9, []
+
+        def recording(*args):
+            result = iterate(*args)
+            evaluated.append(result.j1)
+            return result
+
+        iterate = classic_pi._iterate
+        monkeypatch.setattr(classic_pi, "_iterate", recording)
+        for kind, problem in hk_problems().items():
+            evaluated.clear()
+            result = hoffman_karp(problem, tol=tol)
+            assert result.status is PIStatus.CONVERGED, kind
+            assert len(evaluated) == result.iterations - 1 >= 2, kind
+            weights = problem.space1.weights
+            for before, after in zip(evaluated, evaluated[1:]):
+                assert np.all(after.values - before.values <= 2 * tol / 10 * weights), kind
 
 
 class TestFindOscillatingGame:
@@ -151,11 +184,14 @@ class TestPollatschekAviItzhak:
         for seed in range(3):
             rng = np.random.default_rng(300 + seed)
             game = random_markov_game(rng, 3, 2, 2, alpha=0.9)
-            for result in (hoffman_karp(game, tol=tol),
-                           pollatschek_avi_itzhak(game, tol=tol, max_iters=300)):
-                if result.status is not PIStatus.CONVERGED:
-                    continue
-                j = result.values.values
+            problem = separate_markov_game(game)
+            hk = hoffman_karp(problem, tol=tol)
+            assert hk.status is PIStatus.CONVERGED
+            tables = [problem.original_values(hk.values)]
+            poa = pollatschek_avi_itzhak(game, tol=tol, max_iters=300)
+            if poa.status is PIStatus.CONVERGED:
+                tables.append(poa.values.values)
+            for j in tables:
                 swept = np.array([
                     solve_matrix_game(stage_matrix(game, x, j)).value
                     for x in range(game.state_count)])

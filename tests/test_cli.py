@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from minimaxpi import cli
 from minimaxpi.async_pi import Schedule, round_robin, run
 from minimaxpi.classic_pi import hoffman_karp, naive_separated_pi
 from minimaxpi.errors import NonContractive, ParseError, ValidationError
-from minimaxpi.core import ValueTable, certify
+from minimaxpi.core import ValueTable, certify, value_iterate
 from minimaxpi.models import (DiscountedMarkovGame, default_beta,
                               minimax_control_to_problem,
                               separated_model_to_problem, shapley_value_iteration)
@@ -19,6 +20,15 @@ from helpers import random_control_model, random_markov_game, random_separated_m
 def write_game(tmp_path, game, name="game.json", **extra):
     path = tmp_path / name
     save_problem(game_payload(game, **extra), path)
+    return str(path)
+
+
+def write_separated(tmp_path, model, name="sep.json"):
+    path = tmp_path / name
+    save_problem({"format": 1, "kind": "separated_model", "alpha": model.alpha,
+                  "size1": model.space1.size, "size2": model.space2.size,
+                  **{k: [a.tolist() for a in getattr(model, k)]
+                     for k in ("next1", "cost1", "next2", "cost2")}}, path)
     return str(path)
 
 
@@ -357,14 +367,16 @@ class TestSolveCommand:
         }
         path = tmp_path / "sep.json"
         save_problem(payload, path)
-        code = cli.main(["solve", str(path), "--algo", "hk"])
-        capsys.readouterr()
+        code = cli.main(["solve", str(path), "--algo", "poa"])
+        captured = capsys.readouterr()
         assert code == 1
-        code = cli.main(["solve", str(path), "--algo", "vi"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert float(out.strip().splitlines()[0].split(",")[1]) == pytest.approx(
-            8.0 / 3.0, abs=1e-7)
+        assert captured.err == "error: algorithm 'poa' needs a Markov game problem\n"
+        for algo in ("vi", "hk"):
+            code = cli.main(["solve", str(path), "--algo", algo])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert float(out.strip().splitlines()[0].split(",")[1]) == pytest.approx(
+                8.0 / 3.0, abs=1e-7)
 
 
 class TestCompareCommand:
@@ -387,6 +399,18 @@ class TestCompareCommand:
         assert code == 0
         assert out.count("Converged") == 3
 
+    def test_every_algorithm_but_poa_on_a_separated_file(self, tmp_path, capsys):
+        path = write_separated(
+            tmp_path, random_separated_model(np.random.default_rng(33), 6, 5, alpha=0.9))
+        code = cli.main(["compare", path, "--algos", "vi,hk,naive,async"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [ln.split()[1] for ln in lines[1:5]] == ["Converged"] * 4
+        pairs = [ln.split() for ln in lines if ln.startswith("# |")]
+        assert len(pairs) == 6
+        for *_, gap, _, gate in pairs:
+            assert float(gap) <= float(gate.rstrip(")"))
+
     def test_single_algorithm_rejected(self, tmp_path, capsys):
         game = random_markov_game(np.random.default_rng(6), 2, 2, 2, alpha=0.5)
         path = write_game(tmp_path, game)
@@ -403,17 +427,12 @@ class TestCompareCommand:
         assert captured.err == "error: unknown algorithm 'bogus'\n"
 
     def test_async_residual_is_the_composite_greedy_residual(self, tmp_path, capsys):
-        model = random_separated_model(np.random.default_rng(12), 6, 5, alpha=0.8)
-        payload = {"format": 1, "kind": "separated_model", "alpha": model.alpha,
-                   "size1": 6, "size2": 5,
-                   **{k: [a.tolist() for a in getattr(model, k)]
-                      for k in ("next1", "cost1", "next2", "cost2")}}
-        path = tmp_path / "sep.json"
-        save_problem(payload, path)
-        code = cli.main(["compare", str(path), "--algos", "vi,async", "--tol", "1e-8"])
+        path = write_separated(
+            tmp_path, random_separated_model(np.random.default_rng(12), 6, 5, alpha=0.8))
+        code = cli.main(["compare", path, "--algos", "vi,async", "--tol", "1e-8"])
         rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
         assert code == 0
-        problem = separated_model_to_problem(load_problem(str(path)).model)
+        problem = separated_model_to_problem(load_problem(path).model)
         state, _ = run(problem, round_robin(), tol=1e-8)
         # |J1 - T1(T2 J1)|, both sweeps greedy, of the returned (certified) J1
         residual = state.j1.diff_norm(problem.t1_greedy(problem.t2_greedy(state.j1)[0])[0])
@@ -570,25 +589,36 @@ def solve_outcome(argv):
 class TestCertificate:
     """Every printed table lies within its printed bound of the fixed point."""
 
-    @pytest.mark.parametrize("terminating", [False, True], ids=["discounted", "terminating"])
-    @pytest.mark.parametrize("algo", ["hk", "poa", "vi"])
-    def test_solve_table_within_its_bound(self, tmp_path, capsys, algo, terminating):
-        game = random_markov_game(np.random.default_rng(31), 5, 3, 3, alpha=0.9,
-                                  terminating=terminating)
-        path = write_game(tmp_path, game)
+    @pytest.mark.parametrize("algo, kind", [
+        *itertools.product(["hk", "poa", "vi"], ["discounted", "terminating"]),
+        ("hk", "separated"), ("hk", "control")])
+    def test_solve_table_within_its_bound(self, tmp_path, capsys, algo, kind):
+        rng = np.random.default_rng(31)
+        if kind == "separated":
+            path = write_separated(tmp_path, random_separated_model(rng, 6, 5, alpha=0.9))
+        elif kind == "control":
+            path = write_control(tmp_path, random_control_model(rng, 6, 0.9, 3, 3,
+                                                                stochastic=True))
+        else:
+            game = random_markov_game(rng, 5, 3, 3, alpha=0.9,
+                                      terminating=kind == "terminating")
+            path = write_game(tmp_path, game)
         argv = ["solve", path, "--algo", algo, "--tol", "1e-8"]
         assert cli.main(argv) == 0
         printed = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()]
         outcome = solve_outcome(argv)[algo]
         assert list(outcome.values) == printed
-        reference = shapley_value_iteration(game, tol=1e-13).values
+        problem, scale = cli._half_stage_problem(load_problem(path),
+                                                 cli.build_parser().parse_args(argv))
+        if kind in ("separated", "control"):
+            reference = scale * value_iterate(problem, tol=1e-13).j1.values
+        else:
+            reference = shapley_value_iteration(game, tol=1e-13).values
         assert np.max(np.abs(outcome.values - reference)) <= outcome.error_bound + 1e-13
-        if algo == "hk":   # certify's bound of hk's own table, not tol*a/(1-a)
-            problem = cli._half_stage_problem(load_problem(path),
-                                              cli.build_parser().parse_args(argv))[0]
-            beta = problem.beta.beta
-            j1 = ValueTable(problem.space1, hoffman_karp(game, tol=1e-8).values.values / beta)
-            assert outcome.error_bound == beta * certify(problem, j1)[1]
+        if algo == "hk":   # certify's bound of hk's own table, at most tol
+            bound = certify(problem, hoffman_karp(problem, tol=1e-8).values)[1]
+            assert bound <= 1e-8
+            assert outcome.error_bound == scale * bound
 
     @pytest.mark.parametrize("algo", ["vi", "hk", "poa", "naive", "async"])
     def test_default_split_of_a_weighted_game(self, tmp_path, capsys, algo):
