@@ -16,6 +16,8 @@ import operator
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,8 @@ from .core import SCORE_PAD, CheckResult, PolicyPair, ValueTable, certify, updat
 from .errors import ContractionViolation, MaxStepsExceeded
 
 _DEFAULT_EVALS = 10
+
+_DELAY_CHUNK = 256   # read delays drawn per generator call
 
 
 class Kind(Enum):
@@ -34,6 +38,11 @@ class Kind(Enum):
     @property
     def side(self):
         return 1 if self in (Kind.MIN_EVAL, Kind.MIN_IMPROVE) else 2
+
+
+# the members under plain names: the executor tests kinds by identity, and a
+# member looked up on its Enum class costs about 0.2 us
+_MIN_EVAL, _MIN_IMPROVE, _MAX_EVAL, _MAX_IMPROVE = Kind
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,13 @@ class Operation:
 
 @dataclass(frozen=True)
 class AlgoState:
-    """The iterate advanced by the four operations."""
+    """The iterate advanced by the four operations.
+
+    ``guard1 = min[V1, J1]`` and ``guard2 = max[V2, J2]``, the tables the
+    opposite side reads, are built on first use and kept.  A state made by
+    :meth:`_advance` keeps the guards of its predecessor whose two tables it
+    shares; one made by ``dataclasses.replace`` starts with none.
+    """
 
     j1: ValueTable
     v1: ValueTable
@@ -61,6 +76,24 @@ class AlgoState:
     v2: object
     policies: PolicyPair
     t: int = 0
+
+    @cached_property
+    def guard1(self):
+        return self.v1.pointwise_min(self.j1)
+
+    @cached_property
+    def guard2(self):
+        return self.v2.pointwise_max(self.j2)
+
+    def _advance(self, j1, v1, j2, v2, policies):
+        """The state one step on, with these tables and policies."""
+        new = AlgoState(j1, v1, j2, v2, policies, self.t + 1)
+        cache, kept = self.__dict__, new.__dict__
+        if "guard1" in cache and j1 is self.j1 and v1 is self.v1:
+            kept["guard1"] = cache["guard1"]
+        if "guard2" in cache and j2 is self.j2 and v2 is self.v2:
+            kept["guard2"] = cache["guard2"]
+        return new
 
 
 def initial_state(problem):
@@ -71,37 +104,22 @@ def initial_state(problem):
 
 
 def _apply(problem, state, op, read):
-    """Advance one step, reading opposite-side tables from ``read``."""
-    subset = op.subset
-    if op.kind is Kind.MIN_EVAL:
-        m2 = read.v2.pointwise_max(read.j2)
-        vals = problem.min_eval_values(subset, state.policies.mu, m2)
-        return replace(state, j1=state.j1.with_updates(subset, vals), t=state.t + 1)
-    if op.kind is Kind.MIN_IMPROVE:
-        m2 = read.v2.pointwise_max(read.j2)
-        vals, picks = problem.min_improve(subset, m2)
-        return replace(
-            state,
-            j1=state.j1.with_updates(subset, vals),
-            v1=state.v1.with_updates(subset, vals),
-            policies=PolicyPair(update_policy(state.policies.mu, subset, picks),
-                                state.policies.nu),
-            t=state.t + 1,
-        )
-    if op.kind is Kind.MAX_EVAL:
-        m1 = read.v1.pointwise_min(read.j1)
-        entries = problem.max_eval_entries(subset, state.policies.nu, m1)
-        return replace(state, j2=state.j2.with_updates(subset, entries), t=state.t + 1)
-    m1 = read.v1.pointwise_min(read.j1)
-    entries, picks = problem.max_improve(subset, m1, state.policies.mu)
-    return replace(
-        state,
-        j2=state.j2.with_updates(subset, entries),
-        v2=state.v2.with_updates(subset, entries),
-        policies=PolicyPair(state.policies.mu,
-                            update_policy(state.policies.nu, subset, picks)),
-        t=state.t + 1,
-    )
+    """Advance one step, reading the opposite side's guard from ``read``."""
+    subset, kind = op.subset, op.kind
+    j1, v1, j2, v2, policies = state.j1, state.v1, state.j2, state.v2, state.policies
+    if kind is _MIN_EVAL:
+        j1 = j1.with_updates(subset, problem.min_eval_values(subset, policies.mu, read.guard2))
+    elif kind is _MIN_IMPROVE:
+        vals, picks = problem.min_improve(subset, read.guard2)
+        j1, v1 = j1.with_updates(subset, vals), v1.with_updates(subset, vals)
+        policies = PolicyPair(update_policy(policies.mu, subset, picks), policies.nu)
+    elif kind is _MAX_EVAL:
+        j2 = j2.with_updates(subset, problem.max_eval_entries(subset, policies.nu, read.guard1))
+    else:
+        entries, picks = problem.max_improve(subset, read.guard1, policies.mu)
+        j2, v2 = j2.with_updates(subset, entries), v2.with_updates(subset, entries)
+        policies = PolicyPair(policies.mu, update_policy(policies.nu, subset, picks))
+    return state._advance(j1, v1, j2, v2, policies)
 
 
 def _full1(problem):
@@ -243,8 +261,7 @@ def fairness_ok(schedule, problem, steps=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     step: int
     kind: str
     subset: str
@@ -268,9 +285,16 @@ def _converged(problem, state, tol):
 
 def _eval_inputs(op, read, state):
     """What an evaluation reads, and the J table of its side in ``state``."""
-    if op.kind is Kind.MIN_EVAL:
+    if op.kind is _MIN_EVAL:
         return op, read.v2, read.j2, state.policies.mu, state.j1
     return op, read.v1, read.j1, state.policies.nu, state.j2
+
+
+def _delays(rng, staleness):
+    """Read delays, uniform on 0..staleness, drawn ``_DELAY_CHUNK`` at a time.
+    Under numpy's PCG64 a chunk is the stream one draw per call gives."""
+    while True:
+        yield from rng.integers(0, staleness + 1, size=_DELAY_CHUNK).tolist()
 
 
 def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
@@ -280,7 +304,10 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
     an estimate of J1 within ``tol`` (checked every ``schedule.period``
     steps).  With a positive ``schedule.staleness``, each step reads table
     snapshots up to that many updates old (delay drawn uniformly per step
-    from a seeded generator), emulating communication delays.  Returns
+    from a seeded generator), emulating communication delays.  The delays
+    are drawn ``_DELAY_CHUNK`` per generator call; under PCG64, numpy's
+    default, that is the same stream as one ``rng.integers`` call per step,
+    so a run does not depend on the chunk size.  Returns
     (certified state, trace): the state with that estimate as J1, and
     ``trace_out`` with one :class:`TraceRow` per step appended, or [] (and
     no change probe computed) without it.  Raises
@@ -292,6 +319,13 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
     under any schedule it would rewrite what J holds.  Skipped steps still
     count in ``t``, take their delay draw and ring slot, and trace 0.0 unprobed.
 
+    A step costs what it changes.  It writes its subset into copies of the
+    tables it updates and checks only those entries for finiteness.  It
+    reads the guard its read state holds (:class:`AlgoState`), and the state
+    it makes keeps every guard whose two tables it shares.  So a guard is
+    built about once per change of the two tables it combines (a delayed
+    read may land on an older state first), not once per step.
+
     A block-parallel sweep needs no executor of its own.  An operation
     writes its side's entries on its subset and reads, of its own side,
     only its policy there; the rest comes from the opposite side.  So
@@ -300,20 +334,19 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
     """
     state = initial_state(problem) if init is None else init
     staleness = schedule.staleness
-    rng = np.random.default_rng(seed)
-    ring = deque([state], maxlen=staleness + 1)
+    delays = _delays(np.random.default_rng(seed), staleness) if staleness > 0 else None
+    # padded with the start state, which a delay past the steps taken reads
+    ring = deque([state] * (staleness + 1), maxlen=staleness + 1)
     trace = [] if trace_out is None else trace_out
     check_every = max(1, schedule.period)
     if init is not None and (done := _converged(problem, state, tol)):
         return done, trace
     t0, step, memo = state.t, 0, {1: (None,), 2: (None,)}   # (None,) matches no op
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
-        read = state
-        if staleness > 0:
-            delay = int(rng.integers(0, staleness + 1))
-            read = ring[max(0, len(ring) - 1 - delay)]
-        side, r1, r2 = op.kind.side, 0.0, 0.0
-        evaluates = op.kind in (Kind.MIN_EVAL, Kind.MAX_EVAL)
+        read = state if delays is None else ring[-1 - next(delays)]
+        kind, r1, r2 = op.kind, 0.0, 0.0
+        side = 1 if kind is _MIN_EVAL or kind is _MIN_IMPROVE else 2
+        evaluates = kind is _MIN_EVAL or kind is _MAX_EVAL
         if not (evaluates and all(map(operator.is_, memo[side], _eval_inputs(op, read, state)))):
             new = _apply(problem, state, op, read)
             if trace_out is not None:
@@ -323,7 +356,8 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
             if evaluates:
                 memo[side] = _eval_inputs(op, read, state)
         if trace_out is not None:
-            trace.append(TraceRow(step, op.kind.value, op.label, r1, r2))
+            # ``_value_`` is ``kind.value`` without the property's ~0.15 us
+            trace.append(TraceRow(step, kind._value_, op.label, r1, r2))
         ring.append(state)
         if step % check_every == 0 and (done := _converged(problem, state, tol)):
             return replace(done, t=t0 + step), trace

@@ -168,8 +168,8 @@ def _solve(loaded, problem, scale, algo, args):
         status, bound = PIStatus.CONVERGED, args.tol
     except MaxStepsExceeded as exc:
         state, trace, status, bound = exc.state, exc.trace, PIStatus.MAX_ITERS, None
-    rows = [(r.step, r.kind, r.subset, r.residual1, r.residual2) for r in trace]
-    return _outcome(problem, scale, state.j1, status, state.t, rows, bound)
+    # trace rows are (step, kind, subset, residual1, residual2) tuples already
+    return _outcome(problem, scale, state.j1, status, state.t, trace, bound)
 
 
 def _write_values(path, values):

@@ -24,7 +24,7 @@ weighted sup-norms, which is the norm in which the contraction guarantees
 hold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,8 +73,17 @@ class ValueTable:
         object.__setattr__(self, "values", v)
         if v.shape != (self.space.size,):
             raise ValueError("need one value per state")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("table entries must be finite")
+
+    @classmethod
+    def _trusted(cls, space, values):
+        """A table of a float array of the right shape known to be finite,
+        built without the checks of ``__post_init__``."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "space", space)
+        object.__setattr__(table, "values", values)
+        return table
 
     @classmethod
     def zeros(cls, space):
@@ -84,23 +93,28 @@ class ValueTable:
         return float(np.max(np.abs(self.values) / self.space.weights))
 
     def diff_norm(self, other):
-        return float(np.max(np.abs(self.values - other.values) / self.space.weights))
+        return float((np.abs(self.values - other.values) / self.space.weights).max())
 
     # richer table types distinguish the exact norm from a cheap certified
     # upper bound, used in stopping rules and trace rows; for plain tables
     # the two coincide
     diff_bound = diff_norm
 
+    # two finite tables combine into a finite one, and an update checks the
+    # entries it writes: the entries kept were checked when they were built
+
     def pointwise_min(self, other):
-        return ValueTable(self.space, np.minimum(self.values, other.values))
+        return ValueTable._trusted(self.space, np.minimum(self.values, other.values))
 
     def pointwise_max(self, other):
-        return ValueTable(self.space, np.maximum(self.values, other.values))
+        return ValueTable._trusted(self.space, np.maximum(self.values, other.values))
 
     def with_updates(self, subset, new_values):
         out = self.values.copy()
         out[subset] = new_values
-        return ValueTable(self.space, out)
+        if not np.isfinite(out[subset]).all():
+            raise ValueError("table entries must be finite")
+        return ValueTable._trusted(self.space, out)
 
     def le(self, other, slack=1e-12):
         """Pointwise <= check; returns (ok, witness)."""
@@ -471,8 +485,14 @@ def certify(problem, j1):
 
 
 def _iterate(problem, j1, tol, max_iters, policies):
-    """The loop of :func:`value_iterate` and :func:`policy_pair_value`, kept
-    apart so that a hook or profiler on either one sees only its own calls."""
+    """The loop of :func:`value_iterate`, :func:`policy_pair_value` and
+    Hoffman-Karp's evaluation, kept apart so that a hook or profiler on
+    any of them sees only its own calls.  Returns a :class:`VIResult`
+    with j2 None: each caller builds the j2 it reads, if any.
+
+    A sweep that maps J1 onto itself bit for bit (``r == 0``) repeats
+    forever, so with its bound still above tol the bound is the problem's
+    rounding floor and :class:`MaxItersExceeded` is raised at once."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     j1 = problem.zero1() if j1 is None else j1
@@ -481,9 +501,11 @@ def _iterate(problem, j1, tol, max_iters, policies):
         estimate, bound, r, j1, _ = _sweep(problem, j1, policies)
         residuals.append(r)
         if bound <= tol:
-            j2 = (problem.t2_greedy(estimate)[0] if policies is None or policies.nu is None
-                  else problem.t2_policy(policies.nu, estimate))
-            return VIResult(estimate, j2, k, tuple(residuals), bound)
+            return VIResult(estimate, None, k, tuple(residuals), bound)
+        if r == 0.0:
+            raise MaxItersExceeded(
+                f"value iteration bound {bound:.3e} > {tol:.3e} is the rounding floor: "
+                f"sweep {k} maps J1 onto itself")
     raise MaxItersExceeded(
         f"value iteration bound {bound:.3e} > {tol:.3e} after {max_iters} sweeps"
     )
@@ -496,17 +518,20 @@ def value_iterate(problem, j1_0=None, tol=1e-8, max_iters=10**6):
     ``residuals[k]`` is ``r`` of the k-th sweep.  Returns the certified
     estimate, ``j2 = T2`` of it and the bound as ``error_bound``.  Raises
     ``ValueError`` unless ``0 < tol < inf`` and :class:`MaxItersExceeded`
-    when the budget runs out.
+    when the budget runs out or a sweep leaves J1 unchanged above tol.
     """
-    return _iterate(problem, j1_0, tol, max_iters, None)
+    result = _iterate(problem, j1_0, tol, max_iters, None)
+    return replace(result, j2=problem.t2_greedy(result.j1)[0])
 
 
 def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None):
     """Tables ``(j1, j2)`` of a fixed policy pair: the loop of
     :func:`value_iterate` on ``T1^mu(T2^nu J1)``, which shifts by the same
-    g, with ``j2 = T2^nu`` of the estimate."""
-    result = _iterate(problem, j1_0, tol, max_iters, policies)
-    return result.j1, result.j2
+    g, with ``j2 = T2^nu`` of the estimate (``T2`` with nu None)."""
+    j1 = _iterate(problem, j1_0, tol, max_iters, policies).j1
+    j2 = (problem.t2_greedy(j1)[0] if policies.nu is None
+          else problem.t2_policy(policies.nu, j1))
+    return j1, j2
 
 
 def estimate_modulus(problem, samples=100, seed=0):

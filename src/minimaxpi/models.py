@@ -248,21 +248,34 @@ class ColumnMaxTable:
         cols = np.asarray(self.cols, dtype=float)
         if cols.ndim != 3 or cols.shape[0] != self.space.size or 0 in cols.shape[1:]:
             raise ValueError("need a (states, n, width) bundle array with n, width >= 1")
-        if not np.all(np.isfinite(cols)):
+        if not np.isfinite(cols).all():
             raise ValueError("bundle entries must be finite")
         object.__setattr__(self, "cols", cols)
+
+    @classmethod
+    def _trusted(cls, space, cols):
+        """A table of a bundle array of the right shape known to be finite,
+        built without the checks of ``__post_init__``."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "space", space)
+        object.__setattr__(table, "cols", cols)
+        return table
 
     def value_at(self, x, u):
         return float(np.max(_readings(np.asarray(u), self.cols[x])))
 
     def pointwise_max(self, other):
-        return ColumnMaxTable(self.space, np.concatenate((self.cols, other.cols), axis=2))
+        """Both bundles at once; finite as both tables are."""
+        return ColumnMaxTable._trusted(self.space, np.concatenate((self.cols, other.cols), axis=2))
 
     def with_updates(self, subset, entries):
-        """Replace the bundles of ``subset``; a one-column entry fills them."""
+        """Replace the bundles of ``subset``; a one-column entry fills them.
+        Only the written bundles are checked: the others were at their build."""
         out = self.cols.copy()
         out[subset] = entries
-        return ColumnMaxTable(self.space, out)
+        if not np.isfinite(out[subset]).all():
+            raise ValueError("bundle entries must be finite")
+        return ColumnMaxTable._trusted(self.space, out)
 
     def diff_norm(self, other):
         if self is other:

@@ -344,6 +344,8 @@ REPLAY_SCHEDULES = {
     "partitioned": partitioned(),
     **{f"delayed:B={b},{name}": delayed(inner, b) for b in (1, 3)
        for name, inner in (("partitioned", partitioned()), ("random", random_fair(4)))},
+    # runs past the first chunk of delay draws on every case
+    "delayed:B=2,partitioned:p=8": delayed(partitioned(8), 2),
 }
 
 
@@ -351,7 +353,8 @@ REPLAY_SCHEDULES = {
 def test_skipped_evaluations_change_nothing(name, monkeypatch):
     """``run`` skips evaluations whose inputs are unchanged; a loop that
     applies every step ends bit-identical: tables, policies, ``t`` and
-    trace rows.  A schedule of fresh operation objects skips nothing."""
+    trace rows.  A schedule of fresh operation objects skips nothing.  The
+    loop draws one delay per step, ``run`` a chunk at a time."""
     cases = block_cases()
     cases["control"] = minimax_control_to_problem(random_control_model(
         np.random.default_rng(17), states=4, alpha=0.7, max_u=3, max_v=3, stochastic=True))
@@ -366,10 +369,40 @@ def test_skipped_evaluations_change_nothing(name, monkeypatch):
             assert_same_state(state, expected)
             assert state.t == expected.t == len(rows), label
             assert list(map(repr, trace)) == list(map(repr, rows)), label
+            if label == "delayed:B=2,partitioned:p=8":
+                assert state.t > async_pi._DELAY_CHUNK
             if copies or label in ("round_robin:k=0", "round_robin:k=1"):
                 assert len(applied) == state.t, label
             else:
                 assert len(applied) < state.t, label
+
+
+@pytest.mark.parametrize("name", ["tabular", "markov"])
+def test_kept_guards_match_fresh_ones(name, monkeypatch):
+    """Every state of a delayed run, those read included, holds guards equal
+    bit for bit to freshly built ones, the state ``_converged`` returns too.
+    A step keeps the guards its tables allow, so fewer are built than read.
+    The random schedule interleaves the sides, the partitioned one does not."""
+    problem = block_cases()[name]
+    states, apply = [], async_pi._apply
+
+    def recording(problem, state, op, read):
+        new = apply(problem, state, op, read)
+        states.extend((read, new))
+        return new
+
+    monkeypatch.setattr(async_pi, "_apply", recording)
+    for inner in (partitioned(), random_fair(4)):
+        states.clear()
+        done, _ = run(problem, delayed(inner, 3), tol=1e-8, seed=9)
+        assert "guard1" not in vars(done) and "guard2" not in vars(done)
+        kept = {id(vars(s)[g]) for s in states for g in ("guard1", "guard2") if g in vars(s)}
+        assert 0 < len(kept) < len(states) // 2, inner.name
+        for state in states + [done]:
+            assert np.array_equal(entries(state.guard1),
+                                  entries(state.v1.pointwise_min(state.j1))), inner.name
+            assert np.array_equal(entries(state.guard2),
+                                  entries(state.v2.pointwise_max(state.j2))), inner.name
 
 
 class TestStopCheck:

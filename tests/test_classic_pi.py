@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from minimaxpi import classic_pi
+from minimaxpi import classic_pi, core
 from minimaxpi.core import certify, value_iterate
 from minimaxpi.classic_pi import (PIStatus, detect_cycle, find_oscillating_game,
                                   hoffman_karp, naive_separated_pi,
@@ -77,6 +77,29 @@ class TestHoffmanKarp:
         b, bound_b, r_b = certify(problem, naive_separated_pi(problem).values[0])
         assert r_a == r_b == 0.0
         assert 0.0 < a.diff_norm(b) <= bound_a + bound_b
+
+    def test_one_maximizer_sweep_per_composite_sweep(self, monkeypatch):
+        """HK keeps only J1 of each evaluation, so no evaluation ends with a
+        T2 sweep of its estimate: every ``t2_greedy`` call is the maximizer
+        half of one composite sweep (HK's own or an evaluation's)."""
+        calls = {"sweep": 0, "t2": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        sweep = counted("sweep", core._sweep)
+        monkeypatch.setattr(core, "_sweep", sweep)
+        monkeypatch.setattr(classic_pi, "_sweep", sweep)
+        monkeypatch.setattr(core.HalfStageProblem, "t2_greedy",
+                            counted("t2", core.HalfStageProblem.t2_greedy))
+        for kind, problem in hk_problems().items():
+            calls.update(sweep=0, t2=0)
+            result = hoffman_karp(problem, tol=1e-9)
+            assert result.status is PIStatus.CONVERGED, kind
+            assert calls["t2"] == calls["sweep"] > result.iterations, kind
 
     def test_monotone_improvement(self, monkeypatch):
         """J1 after each evaluation is nonincreasing, up to the two

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,21 @@ class TestValueIterate:
                 value_iterate(problem, tol=tol)
             with pytest.raises(ValueError):
                 policy_pair_value(problem, pair, tol=tol)
+
+    def test_tol_below_the_rounding_floor_raises_at_once(self):
+        """A sweep that maps J1 onto itself bit for bit repeats forever, so a
+        bound still above tol then is the floor, and the loop says so at once
+        instead of sweeping to ``max_iters``.  Just above it, the run certifies."""
+        problem = separated_model_to_problem(
+            random_separated_model(np.random.default_rng(3), 6, 5, 0.9))
+        for solve in (lambda tol: value_iterate(problem, tol=tol, max_iters=10**4),
+                      lambda tol: policy_pair_value(problem, problem.first_policies(),
+                                                    tol=tol, max_iters=10**4)):
+            with pytest.raises(MaxItersExceeded, match="rounding floor") as info:
+                solve(1e-15)
+            floor, sweeps = re.search(r"bound (\S+) > .* sweep (\d+) ", str(info.value)).groups()
+            assert int(sweeps) < 1000
+            solve(1.01 * float(floor))
 
 
 class TestEstimateModulus:

@@ -379,6 +379,26 @@ class TestValidation:
         assert a.value_at(0, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["values", "bundles"])
+def test_updates_check_the_entries_they_write(kind, bad):
+    """``with_updates`` checks only what it writes, so a non-finite entry
+    written into either table kind still raises; the table is unchanged."""
+    space = WeightedSpace.unit(3)
+    if kind == "values":
+        start, good, wrong = ValueTable(space, [1.0, 2.0, 3.0]), [4.0, 5.0], [4.0, bad]
+        entries = start.values
+    else:   # a one-column entry fills a bundle
+        start = ColumnMaxTable(space, np.zeros((3, 2, 2)))
+        good, wrong = np.ones((2, 2, 1)), np.array([[[1.0], [1.0]], [[1.0], [bad]]])
+        entries = start.cols
+    before = entries.copy()
+    start.with_updates([0, 2], good)
+    with pytest.raises(ValueError, match="finite"):
+        start.with_updates([0, 2], wrong)
+    assert np.array_equal(entries, before)
+
+
 class TestColumnBundles:
     """The fixed-shape bundle array: a narrower bundle is stored with a
     column repeated, so repeating columns may change no reading."""
