@@ -78,7 +78,7 @@ def hoffman_karp(problem, tol=1e-8, max_iters=10**4):
     """
     j1, residuals, mu = problem.zero1(), [], None
     for t in range(1, max_iters + 1):
-        estimate, bound, r, _, mu = _sweep(problem, j1, None)
+        estimate, bound, r, _, mu, _ = _sweep(problem, j1, None)
         residuals.append(r)
         if bound <= tol:
             return PIResult(estimate, PolicyPair(mu, None), t, PIStatus.CONVERGED, None,

@@ -219,11 +219,11 @@ class SeparatedProblem(HalfStageProblem):
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "actions1", tuple(tuple(a) for a in self.actions1))
-        object.__setattr__(self, "actions2", tuple(tuple(a) for a in self.actions2))
+        object.__setattr__(self, "actions1", tuple(map(tuple, self.actions1)))
+        object.__setattr__(self, "actions2", tuple(map(tuple, self.actions2)))
         if len(self.actions1) != self.space1.size or len(self.actions2) != self.space2.size:
             raise ValueError("need one action list per state")
-        if any(len(a) == 0 for a in self.actions1 + self.actions2):
+        if not all(map(len, self.actions1 + self.actions2)):
             raise ValueError("action lists must be nonempty")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("asserted modulus must lie in [0, 1)")
@@ -407,8 +407,9 @@ class TabularProblem(SeparatedProblem):
     def __post_init__(self):
         xi1, xi2 = self.space1.weights, self.space2.weights
         for side, stage in ((1, self.stage1), (2, self.stage2)):
-            counts = stage.live().sum(axis=1)
-            object.__setattr__(self, f"actions{side}", tuple(tuple(range(c)) for c in counts))
+            counts = stage.live().sum(axis=1).tolist()
+            ranges = {c: tuple(range(c)) for c in set(counts)}   # one tuple per count, shared
+            object.__setattr__(self, f"actions{side}", tuple(map(ranges.__getitem__, counts)))
             object.__setattr__(self, f"eval{side}", stage.evaluate)
         modulus = max(self.stage1.scale * self.stage1.reach(xi1, xi2),
                       self.stage2.scale * self.stage2.reach(xi2, xi1))
@@ -452,8 +453,8 @@ def span_bound(g, step, weights, sup):
 
 def _sweep(problem, j1, policies):
     """One composite sweep ``t = T1(T2 J1)`` and its certificate:
-    ``(estimate, bound, r, t, mu)`` as :func:`certify` says, with mu the
-    minimizer's picks.
+    ``(estimate, bound, r, t, mu, floor)`` as :func:`certify` says, with
+    mu the minimizer's picks and floor the bound's rounding part at r = 0.
 
     ``policies`` None is the greedy sweep; a pair fixes both sides, and a
     half-fixed pair ``(mu, None)`` gives ``T1^mu(T2 J1)``, the
@@ -467,8 +468,10 @@ def _sweep(problem, j1, policies):
     # the sweep's own rounding, a few ulps of the tables it reads and writes
     # (|t| <= |J1| + r), moves a fixed point by up to that over one minus
     # either contraction
-    bound += 4 * np.finfo(float).eps * (j1.norm() + r) / (1.0 - max(a2, g or 0.0))
-    return (t if offset is None else ValueTable(j1.space, t.values + offset)), bound, r, t, mu
+    ulps, norm, slack = 4 * np.finfo(float).eps, j1.norm(), 1.0 - max(a2, g or 0.0)
+    bound += ulps * (norm + r) / slack
+    estimate = t if offset is None else ValueTable(j1.space, t.values + offset)
+    return estimate, bound, r, t, mu, ulps * norm / slack
 
 
 def certify(problem, j1):
@@ -490,22 +493,26 @@ def _iterate(problem, j1, tol, max_iters, policies):
     any of them sees only its own calls.  Returns a :class:`VIResult`
     with j2 None: each caller builds the j2 it reads, if any.
 
-    A sweep that maps J1 onto itself bit for bit (``r == 0``) repeats
-    forever, so with its bound still above tol the bound is the problem's
-    rounding floor and :class:`MaxItersExceeded` is raised at once."""
+    The bound never falls below its r-free rounding part, the floor
+    ``4 eps |J1| / (1 - max(g, alpha**2))``.  Once that floor exceeds tol
+    and a sweep moves J1 by no more than it (``r`` at or below the floor,
+    as when J1 repeats or wanders by a few ulps), sweeping on cannot
+    certify tol: :class:`MaxItersExceeded` is raised at once, naming the
+    floor."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     j1 = problem.zero1() if j1 is None else j1
     residuals, bound = [], np.inf   # the message's bound when max_iters < 1
     for k in range(1, max_iters + 1):
-        estimate, bound, r, j1, _ = _sweep(problem, j1, policies)
+        estimate, bound, r, t, _, floor = _sweep(problem, j1, policies)
         residuals.append(r)
         if bound <= tol:
             return VIResult(estimate, None, k, tuple(residuals), bound)
-        if r == 0.0:
+        if r <= floor and floor > tol:
             raise MaxItersExceeded(
-                f"value iteration bound {bound:.3e} > {tol:.3e} is the rounding floor: "
-                f"sweep {k} maps J1 onto itself")
+                f"value iteration bound {bound:.3e} > {tol:.3e} is held by the rounding "
+                f"floor {floor:.3e}: sweep {k} moves J1 by {r:.3e}, no more than the floor")
+        j1 = t
     raise MaxItersExceeded(
         f"value iteration bound {bound:.3e} > {tol:.3e} after {max_iters} sweeps"
     )

@@ -64,10 +64,11 @@ class NonContractive(MinimaxPIError):
 class InputFieldError(MinimaxPIError, ValueError):
     """A model or aggregation input is malformed; ``field`` names it, down
     to the first bad entry where there is one (``payoffs[0][1][0]``,
-    ``next1[2][0]``, ``outcomes[0][0][1]``, ``reps1``, ``phi2``)."""
+    ``next1[2][0]``, ``outcomes[0][0][1]``, ``reps1``, ``phi2``).  The
+    message starts with the field unless ``prefix`` is false."""
 
-    def __init__(self, field, message):
-        super().__init__(f"{field} {message}")
+    def __init__(self, field, message, prefix=True):
+        super().__init__(f"{field} {message}" if prefix else message)
         self.field = field
 
 

@@ -11,9 +11,18 @@ tables are stored per game state as bundles of matrix columns, one
 (states, n, width) array per table, and evaluated lazily at any mixed
 strategy, with the minimizer's improvement solved exactly by LP (one
 batched call over a whole subset) rather than by discretizing the simplex.
+
+The two control models are held as flat arrays: per-state (and per-pair,
+per-cell) counts plus every entry in order.  Their constructors read the
+nested lists in one pass, check each invariant with one array expression
+and name the first bad entry from its flat index; the arrays go to
+:meth:`HalfStage.from_ragged` as they are.  The nested per-entry views
+(``next1``, ``outcomes``, ...) are built only when read.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress
 
 import numpy as np
 
@@ -23,6 +32,7 @@ from .errors import InputFieldError, InvalidBeta, MaxItersExceeded, NonContracti
 from .matrix_game import _TIE, min_simplex_max_linear, solve_matrix_game
 
 _PROB_TOL = 1e-10
+_SEQUENCES = {list, tuple, np.ndarray}
 
 
 def _checked(arr, ok, field, message):
@@ -37,18 +47,72 @@ def _finite(values, field):
     return _checked(arr, np.isfinite(arr), field, "must be finite")
 
 
-def _refuse(named, ok, message):
-    """Check ``ok`` on all the ``(field, array)`` pairs at once, and array
-    by array only to name the first bad entry when that fails."""
-    if not np.all(ok(np.concatenate([a for _, a in named]))):
-        for field, a in named:
-            _checked(a, ok(a), field, message)
+def _owners(i, *levels):
+    """Flat entry i with its owner at each level above it, outermost first;
+    ``levels`` are the count arrays of the levels, from the outermost in."""
+    at = [i]
+    for counts in reversed(levels):
+        at.insert(0, int(np.searchsorted(np.cumsum(counts), at[0], side="right")))
+    return at
 
 
-def _refuse_targets(named, size):
+def _index(i, *levels):
+    """The nested index ``[a][b]...`` of flat entry i (see :func:`_owners`)."""
+    at = _owners(i, *levels)
+    local = [at[0]] + [at[k + 1] - int(np.sum(counts[:at[k]])) for k, counts in enumerate(levels)]
+    return "".join(f"[{k}]" for k in local)
+
+
+def _refuse(field, ok, message, *levels):
+    """:class:`InputFieldError` naming, under ``field``, the first flat
+    entry where ``ok`` fails (see :func:`_owners` for ``levels``)."""
+    if not ok.all():
+        raise InputFieldError(field + _index(int(np.argmin(ok)), *levels), message)
+
+
+def _refuse_targets(field, targets, size, *levels):
     """Next states must be integers in [0, size): never truncated."""
-    _refuse(named, lambda a: (a >= 0) & (a < size) & (a == np.floor(a)),
-            f"next state must be an integer in [0, {size})")
+    _refuse(field, (targets >= 0) & (targets < size) & (targets == np.floor(targets)),
+            f"next state must be an integer in [0, {size})", *levels)
+
+
+def _first(mask):
+    """Index of the first true entry of ``mask``, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def _sizes(items):
+    """The length of each item, or -1 for an item that is not a list."""
+    return np.fromiter((len(item) if type(item) in _SEQUENCES else -1 for item in items),
+                       int, len(items))
+
+
+def _numbers(field, rows, sizes):
+    """Every entry of the lists among ``rows`` in order, as floats (a null
+    reads as NaN); ``sizes`` are the rows' :func:`_sizes`.
+    :class:`InputFieldError` under ``field`` unless each entry is a number."""
+    lists = sizes > 0
+    try:
+        return np.fromiter(chain.from_iterable(compress(rows, lists)), float,
+                           int(sizes[lists].sum()))
+    except (TypeError, ValueError):
+        raise InputFieldError(field, "entries must be numbers") from None
+
+
+def _per_run(ufunc, values, counts, empty):
+    """``ufunc`` reduced over each run of ``values`` that ``counts`` gives,
+    ``empty`` for a run of none."""
+    out = np.full(counts.size, empty)
+    live = counts > 0
+    if live.any():
+        out[live] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[live])
+    return out
+
+
+def _runs(items, counts):
+    """``items`` cut into consecutive runs of ``counts``, as a tuple."""
+    ends = np.cumsum(counts).tolist()
+    return tuple(items[end - n:end] for end, n in zip(ends, counts.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -77,26 +141,28 @@ class DiscountedMarkovGame:
     _modulus: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _finite(self.payoffs, "payoffs")
-        q = _finite(self.transitions, "transitions")
-        object.__setattr__(self, "payoffs", a)
-        object.__setattr__(self, "transitions", q)
+        a = np.asarray(self.payoffs, dtype=float)
+        q = np.asarray(self.transitions, dtype=float)
         if a.ndim != 3:
             raise ValueError("payoffs must have shape (states, n, m)")
         s, n, m = a.shape
         if q.shape != (s, n, m, s):
             raise ValueError("transitions must have shape (states, n, m, states)")
+        sums = q.sum(axis=3)
+        off = np.abs(sums - 1.0)
+        if not self.terminating and not np.all(off <= _PROB_TOL):   # NaN sums fail too
+            x, i, j = np.argwhere(~(off <= _PROB_TOL))[0]
+            raise InputFieldError(f"transitions[{x}][{i}][{j}]",
+                                  f"row sums to {sums[x, i, j]!r}, expected 1", prefix=False)
+        object.__setattr__(self, "payoffs", _finite(a, "payoffs"))
+        object.__setattr__(self, "transitions", _finite(q, "transitions"))
         if np.min(q) < -_PROB_TOL:
             raise ValueError("transition probabilities must be nonnegative")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("discount must lie in (0, 1)")
-        sums = q.sum(axis=3)
-        off_one = np.max(np.abs(sums - 1.0))
-        if self.terminating:
-            if np.max(sums) > 1.0 + _PROB_TOL:
-                raise ValueError("terminating rows must sum to at most 1")
-        elif off_one > _PROB_TOL:
-            raise ValueError("transition rows must sum to 1")
+        off_one = np.max(off)
+        if self.terminating and np.max(sums) > 1.0 + _PROB_TOL:
+            raise ValueError("terminating rows must sum to at most 1")
         space = (WeightedSpace.unit(s) if self.weights is None
                  else WeightedSpace(s, self.weights))
         object.__setattr__(self, "space", space)
@@ -445,54 +511,66 @@ def separate_markov_game(game, beta=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeparatedMinimaxModel:
     """Alternating-move control: the players own disjoint state spaces.
 
     ``next1[x1][u]`` is the maximizer state reached by the minimizer's move
     u with stage cost ``cost1[x1][u]``; ``next2``/``cost2`` mirror.
+
+    The model is held flat: ``moves1[x1]`` counts the moves of x1, and
+    ``targets1``/``costs1`` list every move's next state and cost in
+    (state, move) order.  ``next1``, ``cost1``, ``next2`` and ``cost2`` are
+    per-state views of those arrays, built when first read.
     """
 
     space1: WeightedSpace
     space2: WeightedSpace
-    next1: tuple
-    cost1: tuple
-    next2: tuple
-    cost2: tuple
     alpha: float
+    moves1: np.ndarray
+    targets1: np.ndarray
+    costs1: np.ndarray
+    moves2: np.ndarray
+    targets2: np.ndarray
+    costs2: np.ndarray
 
-    def __post_init__(self):
-        if len(self.next1) != self.space1.size or len(self.next2) != self.space2.size:
+    def __init__(self, space1, space2, next1, cost1, next2, cost2, alpha):
+        if len(next1) != space1.size or len(next2) != space2.size:
             raise ValueError("need one move list per state")
-        for side, targets in (("1", self.space2.size), ("2", self.space1.size)):
-            nxt = [(f"next{side}[{x}]", np.asarray(a, dtype=float))
-                   for x, a in enumerate(getattr(self, "next" + side))]
-            cst = [(f"cost{side}[{x}]", np.asarray(c, dtype=float))
-                   for x, c in enumerate(getattr(self, "cost" + side))]
-            for (_, a), (_, c) in zip(nxt, cst):
-                if a.ndim != 1 or a.size == 0 or a.shape != c.shape:
-                    raise ValueError("each state needs matching nonempty move/cost lists")
-            _refuse_targets(nxt, targets)
-            _refuse(cst, np.isfinite, "must be finite")
-            object.__setattr__(self, "next" + side, tuple(a.astype(int) for _, a in nxt))
-            object.__setattr__(self, "cost" + side, tuple(c for _, c in cst))
-        if not 0.0 < self.alpha < 1.0:
+        fields = {"space1": space1, "space2": space2, "alpha": alpha}
+        for side, nexts, costs, size in (("1", next1, cost1, space2.size),
+                                         ("2", next2, cost2, space1.size)):
+            moves, counts = _sizes(nexts), _sizes(costs)
+            targets = _numbers("next" + side, nexts, moves)
+            costs = _numbers("cost" + side, costs, counts)
+            if not (moves.shape == counts.shape and np.all((moves > 0) & (moves == counts))):
+                raise ValueError("each state needs matching nonempty move/cost lists")
+            _refuse_targets("next" + side, targets, size, moves)
+            _refuse("cost" + side, np.isfinite(costs), "must be finite", moves)
+            fields.update({"moves" + side: moves, "targets" + side: targets.astype(int),
+                           "costs" + side: costs})
+        if not 0.0 < alpha < 1.0:
             raise ValueError("discount must lie in (0, 1)")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    next1 = cached_property(lambda self: _runs(self.targets1, self.moves1))
+    cost1 = cached_property(lambda self: _runs(self.costs1, self.moves1))
+    next2 = cached_property(lambda self: _runs(self.targets2, self.moves2))
+    cost2 = cached_property(lambda self: _runs(self.costs2, self.moves2))
 
 
-def _sure_moves(nexts, costs, scale, pad):
+def _sure_moves(moves, targets, costs, scale, pad):
     """A half-stage whose every move has one sure outcome."""
-    targets = np.concatenate(nexts)
-    return HalfStage.from_ragged([a.size for a in nexts], np.ones(targets.size, dtype=int),
-                                 np.ones(targets.size), np.concatenate(costs), targets,
-                                 scale, pad)
+    return HalfStage.from_ragged(moves, np.ones(targets.size, dtype=int),
+                                 np.ones(targets.size), costs, targets, scale, pad)
 
 
 def separated_model_to_problem(model):
     """Tabulate an alternating-move control model as a separated problem:
     one sure outcome per move, both sides scaled by the discount."""
-    stage1 = _sure_moves(model.next1, model.cost1, model.alpha, np.inf)
-    stage2 = _sure_moves(model.next2, model.cost2, model.alpha, -np.inf)
+    stage1 = _sure_moves(model.moves1, model.targets1, model.costs1, model.alpha, np.inf)
+    stage2 = _sure_moves(model.moves2, model.targets2, model.costs2, model.alpha, -np.inf)
     return TabularProblem(space1=model.space1, space2=model.space2,
                           stage1=stage1, stage2=stage2)
 
@@ -502,7 +580,16 @@ def separated_model_to_problem(model):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _list_faults(counts, empty, not_list, *levels):
+    """``(walk key, error)`` of the first empty list and of the first item
+    that is not a list, if any; ``counts`` are the items' :func:`_sizes`,
+    ``levels`` as in :func:`_owners`."""
+    return [(tuple(_owners(i, *levels)), ValueError(message))
+            for i, message in ((_first(counts == 0), empty), (_first(counts < 0), not_list))
+            if i is not None]
+
+
+@dataclass(frozen=True, init=False)
 class MinimaxControlModel:
     """Discounted control against an antagonist choosing after the controller.
 
@@ -510,41 +597,75 @@ class MinimaxControlModel:
     triples; a single triple with probability one is the deterministic
     case, several triples fold a finite stochastic disturbance into exact
     expectations.
+
+    The model is held flat: ``controls[x]`` counts the controls u of x,
+    ``moves[p]`` the adversary moves v of the p-th pair (x, u), and
+    ``branches[c]`` the triples of the c-th cell (x, u, v), each in that
+    order; ``triples`` is the (n, 3) array of all triples.  ``outcomes`` is
+    the nested view of those arrays, built when first read.
     """
 
     space: WeightedSpace
-    outcomes: tuple
     alpha: float
+    controls: np.ndarray
+    moves: np.ndarray
+    branches: np.ndarray
+    triples: np.ndarray
 
-    def __post_init__(self):
-        if len(self.outcomes) != self.space.size:
+    def __init__(self, space, outcomes, alpha):
+        if len(outcomes) != space.size:
             raise ValueError("need outcome lists for every state")
-        canon, named = [], []
-        for x, per_u in enumerate(self.outcomes):
-            if len(per_u) == 0:
-                raise ValueError("every state needs at least one control")
-            rows = []
-            for per_v in per_u:
-                if len(per_v) == 0:
-                    raise ValueError("every (state, control) needs an adversary move")
-                cells = []
-                for triples in per_v:
-                    here = f"outcomes[{x}][{len(rows)}][{len(cells)}]"
-                    arr = np.asarray(triples, dtype=float).reshape(-1, 3)
-                    # written so that a NaN probability fails too
-                    if not (abs(arr[:, 0].sum() - 1.0) <= _PROB_TOL
-                            and np.min(arr[:, 0]) >= -_PROB_TOL):
-                        raise InputFieldError(here, "must be a nonnegative distribution "
-                                              "summing to 1")
-                    cells.append(arr)
-                    named.append((here, arr))
-                rows.append(tuple(cells))
-            canon.append(tuple(rows))
-        _refuse(named, np.isfinite, "must be finite")
-        _refuse_targets([(here, arr[:, 2]) for here, arr in named], self.space.size)
-        object.__setattr__(self, "outcomes", tuple(canon))
-        if not 0.0 < self.alpha < 1.0:
+        controls = _sizes(outcomes)
+        pairs = list(chain.from_iterable(compress(outcomes, controls > 0)))
+        moves = _sizes(pairs)
+        cells = list(chain.from_iterable(compress(pairs, moves > 0)))
+        branches = _sizes(cells)
+        rows = list(chain.from_iterable(compress(cells, branches > 0)))
+        widths = _sizes(rows)
+        # Faults met per state, pair or cell, in the order a walk over the
+        # nested lists meets them: keyed by (state, pair, cell) indices.
+        faults = _list_faults(controls, "every state needs at least one control",
+                              "every state needs a list of controls")
+        np.maximum(controls, 0, out=controls)
+        faults += _list_faults(moves, "every (state, control) needs an adversary move",
+                               "every (state, control) needs a list of adversary moves",
+                               controls)
+        np.maximum(moves, 0, out=moves)
+        # a cell is read up to the first that is not a list of triples
+        bad = branches < 0
+        bad[~bad] = _per_run(np.logical_or, widths != 3, branches[~bad], False)
+        c = _first(bad)
+        if c is not None:
+            faults.append((tuple(_owners(c, controls, moves)), InputFieldError(
+                "outcomes" + _index(c, controls, moves),
+                "must be a list of [probability, cost, next] triples")))
+            branches = branches[:c]
+        n = int(branches.sum())
+        triples = _numbers("outcomes", rows[:n], widths[:n]).reshape(-1, 3)
+        prob = triples[:, 0]
+        # written so that a NaN probability fails too
+        ok = ((np.abs(_per_run(np.add, prob, branches, 0.0) - 1.0) <= _PROB_TOL)
+              & (_per_run(np.minimum, prob, branches, np.inf) >= -_PROB_TOL))
+        c = _first(~ok)
+        if c is not None:
+            faults.append((tuple(_owners(c, controls, moves)),
+                           InputFieldError("outcomes" + _index(c, controls, moves),
+                                           "must be a nonnegative distribution summing to 1")))
+        if faults:
+            raise min(faults, key=lambda fault: fault[0])[1]
+        _refuse("outcomes", np.isfinite(triples).ravel(), "must be finite",
+                controls, moves, branches, np.full(len(triples), 3))
+        _refuse_targets("outcomes", triples[:, 2], space.size, controls, moves, branches)
+        if not 0.0 < alpha < 1.0:
             raise ValueError("discount must lie in (0, 1)")
+        for name, value in (("space", space), ("alpha", alpha), ("controls", controls),
+                            ("moves", moves), ("branches", branches), ("triples", triples)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def outcomes(self):
+        cells = _runs(self.triples, self.branches)
+        return _runs(_runs(cells, self.moves), self.controls)
 
     @classmethod
     def deterministic(cls, space, next_state, cost, alpha):
@@ -570,19 +691,15 @@ def minimax_control_to_problem(model, beta=None):
     draws the model's outcome triples, scaled by alpha*beta.
     """
     beta = _as_beta(beta, model.alpha)
-    controls = np.array([len(per_u) for per_u in model.outcomes])
-    pairs = [per_v for per_u in model.outcomes for per_v in per_u]
-    cells = [arr for per_v in pairs for arr in per_v]
-    triples = np.concatenate(cells)
+    pairs, triples = model.moves.size, model.triples
     ab = model.alpha * beta.beta
-    stage1 = HalfStage.from_ragged(controls, np.ones(len(pairs), dtype=int),
-                                   np.ones(len(pairs)), np.zeros(len(pairs)),
-                                   np.arange(len(pairs)), 1.0 / beta.beta, np.inf)
-    stage2 = HalfStage.from_ragged([len(per_v) for per_v in pairs],
-                                   [len(arr) for arr in cells],
+    stage1 = HalfStage.from_ragged(model.controls, np.ones(pairs, dtype=int),
+                                   np.ones(pairs), np.zeros(pairs),
+                                   np.arange(pairs), 1.0 / beta.beta, np.inf)
+    stage2 = HalfStage.from_ragged(model.moves, model.branches,
                                    triples[:, 0], triples[:, 1],
                                    triples[:, 2].astype(int), ab, -np.inf)
-    space2 = WeightedSpace(len(pairs), np.repeat(model.space.weights, controls))
+    space2 = WeightedSpace(pairs, np.repeat(model.space.weights, model.controls))
     return TabularProblem(space1=model.space, space2=space2, stage1=stage1, stage2=stage2)
 
 

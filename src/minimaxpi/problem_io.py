@@ -7,6 +7,11 @@ every invariant with the offending field in the error message;
 terminating games additionally pass a contraction screen.  Saving is
 canonical (sorted keys, repr-exact floats), so load/save round-trips are
 byte-identical.
+
+The file's lists go to the model constructors as parsed.  Separated and
+control models read them into flat arrays in one pass and check each
+invariant with one array expression over all entries, naming the first
+bad entry in the order a walk over the lists would meet it.
 """
 
 import json
@@ -78,14 +83,6 @@ def _load_markov_game(payload, terminating, path):
     if transitions.shape != payoffs.shape + (s,):
         raise ValidationError("transitions must be [state][row][col][next]",
                               f"{path}.transitions")
-    if not terminating:
-        sums = transitions.sum(axis=3)
-        bad = np.argwhere(~(np.abs(sums - 1.0) <= 1e-10))   # NaN sums fail too
-        if bad.size:
-            x, i, j = bad[0]
-            raise ValidationError(
-                f"row sums to {sums[x, i, j]!r}, expected 1",
-                f"{path}.transitions[{x}][{i}][{j}]")
     weights = _weights(payload, "weights", s, path)
     game = _build(path, DiscountedMarkovGame, payoffs, transitions, float(alpha),
                   terminating=terminating, weights=weights)
@@ -97,6 +94,14 @@ def _load_markov_game(payload, terminating, path):
     return game
 
 
+def _space(payload, key, size, path):
+    """The space of ``size`` states, weighted by ``key`` if the file gives it."""
+    weights = _weights(payload, key, size, path)
+    if weights is None:
+        return _build(path, WeightedSpace.unit, size)
+    return _build(path, WeightedSpace, size, weights)
+
+
 def _load_separated_model(payload, path):
     alpha = float(_get(payload, "alpha", path, (int, float)))
     size1 = int(_get(payload, "size1", path, int))
@@ -104,10 +109,8 @@ def _load_separated_model(payload, path):
     fields = {}
     for key in ("next1", "cost1", "next2", "cost2"):
         fields[key] = _get(payload, key, path, list)
-    w1 = _weights(payload, "weights1", size1, path)
-    w2 = _weights(payload, "weights2", size2, path)
-    space1 = WeightedSpace(size1, w1) if w1 is not None else WeightedSpace.unit(size1)
-    space2 = WeightedSpace(size2, w2) if w2 is not None else WeightedSpace.unit(size2)
+    space1 = _space(payload, "weights1", size1, path)
+    space2 = _space(payload, "weights2", size2, path)
     return _build(path, SeparatedMinimaxModel, space1, space2, fields["next1"],
                   fields["cost1"], fields["next2"], fields["cost2"], alpha)
 
@@ -115,9 +118,7 @@ def _load_separated_model(payload, path):
 def _load_minimax_control(payload, path):
     alpha = float(_get(payload, "alpha", path, (int, float)))
     outcomes = _get(payload, "outcomes", path, list)
-    size = len(outcomes)
-    weights = _weights(payload, "weights", size, path)
-    space = WeightedSpace(size, weights) if weights is not None else WeightedSpace.unit(size)
+    space = _space(payload, "weights", len(outcomes), path)
     return _build(path, MinimaxControlModel, space, outcomes, alpha)
 
 

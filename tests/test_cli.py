@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 
@@ -9,7 +11,7 @@ from minimaxpi.async_pi import Schedule, round_robin, run
 from minimaxpi.classic_pi import hoffman_karp, naive_separated_pi
 from minimaxpi.errors import NonContractive, ParseError, ValidationError
 from minimaxpi.core import ValueTable, certify, value_iterate
-from minimaxpi.models import (DiscountedMarkovGame, default_beta,
+from minimaxpi.models import (DiscountedMarkovGame, default_beta, markov_game_to_control,
                               minimax_control_to_problem,
                               separated_model_to_problem, shapley_value_iteration)
 from minimaxpi.problem_io import game_payload, load_problem, save_problem
@@ -70,6 +72,246 @@ def one_triple_control_payload(cost=1.0, target=0):
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+def separated_with(**fields):
+    """Two states per side, two moves at x1 = 0 and x2 = 1."""
+    return {"format": 1, "kind": "separated_model", "alpha": 0.5, "size1": 2, "size2": 2,
+            "next1": [[0, 1], [1]], "cost1": [[1.0, 0.0], [0.5]],
+            "next2": [[0], [1, 0]], "cost2": [[2.0], [0.0, 1.0]], **fields}
+
+
+def control_with(outcomes=None, **fields):
+    """Two states, two controls each; without ``outcomes``, six cells, one
+    of them stochastic."""
+    if outcomes is None:
+        outcomes = [[[[[1.0, 1.0, 0]], [[0.5, 1.0, 1], [0.5, 0.0, 0]]], [[[1.0, 1.0, 1]]]],
+                    [[[[1.0, 2.0, 0]]], [[[1.0, 1.0, 1]], [[1.0, 0.5, 0]]]]]
+    return {"format": 1, "kind": "minimax_control", "alpha": 0.5, "outcomes": outcomes,
+            **fields}
+
+
+def control_cell(x, u, v, triples):
+    payload = control_with()
+    payload["outcomes"][x][u][v] = triples
+    return payload
+
+
+def game_with(payoffs, transitions, **fields):
+    return {"format": 1, "kind": "discounted_markov_game", "alpha": 0.5,
+            "payoffs": payoffs, "transitions": transitions, **fields}
+
+
+# Malformed files and the exit code and stderr each gives, as recorded from
+# the per-entry loaders that the flat checks replaced: the same entry is
+# named, in the same order, when a file holds several faults.
+RECORDED_ERRORS = {
+    "sep-cost-nan-second-state": (separated_with(cost1=[[1.0, 0.0], [NAN]]),
+                                  "$.cost1[1][0]: cost1[1][0] must be finite"),
+    "sep-cost-inf-last-entry": (separated_with(cost2=[[2.0], [0.0, -INF]]),
+                                "$.cost2[1][1]: cost2[1][1] must be finite"),
+    "sep-cost-null": (separated_with(cost1=[[1.0, None], [0.5]]),
+                      "$.cost1[0][1]: cost1[0][1] must be finite"),
+    "sep-target-out-of-range-second-entry": (
+        separated_with(next1=[[0, 2], [1]]),
+        "$.next1[0][1]: next1[0][1] next state must be an integer in [0, 2)"),
+    "sep-target-fractional": (
+        separated_with(next2=[[0], [1, 0.5]]),
+        "$.next2[1][1]: next2[1][1] next state must be an integer in [0, 2)"),
+    "sep-target-negative": (
+        separated_with(next2=[[0], [-1, 0]]),
+        "$.next2[1][0]: next2[1][0] next state must be an integer in [0, 2)"),
+    "sep-target-nan": (
+        separated_with(next1=[[0, 1], [NAN]]),
+        "$.next1[1][0]: next1[1][0] next state must be an integer in [0, 2)"),
+    "sep-cost-then-later-target": (
+        separated_with(cost1=[[NAN, 0.0], [0.5]], next1=[[0, 1], [7]]),
+        "$.next1[1][0]: next1[1][0] next state must be an integer in [0, 2)"),
+    "sep-side1-cost-and-side2-target": (
+        separated_with(cost1=[[1.0, INF], [0.5]], next2=[[5], [1, 0]]),
+        "$.cost1[0][1]: cost1[0][1] must be finite"),
+    "sep-target-and-alpha": (
+        separated_with(next1=[[0, 9], [1]], alpha=1.5),
+        "$.next1[0][1]: next1[0][1] next state must be an integer in [0, 2)"),
+    "sep-cost-and-later-length": (
+        separated_with(cost1=[[1.0, NAN], [0.5, 1.0]]),
+        "$: each state needs matching nonempty move/cost lists"),
+    "sep-alpha": (separated_with(alpha=1.0), "$: discount must lie in (0, 1)"),
+    "sep-empty-next": (separated_with(next1=[]), "$: need one move list per state"),
+    "sep-empty-rows": (separated_with(next1=[[], [1]], cost1=[[], [0.5]]),
+                       "$: each state needs matching nonempty move/cost lists"),
+    "sep-empty-cost-row": (separated_with(cost1=[[1.0, 0.0], []]),
+                           "$: each state needs matching nonempty move/cost lists"),
+    "sep-lengths-differ": (separated_with(cost1=[[1.0], [0.5]]),
+                           "$: each state needs matching nonempty move/cost lists"),
+    "sep-lengths-differ-side2": (separated_with(next2=[[0, 1], [1, 0]]),
+                                 "$: each state needs matching nonempty move/cost lists"),
+    "sep-string-for-a-row": (separated_with(next1=["01", [1]]),
+                             "$: each state needs matching nonempty move/cost lists"),
+    "sep-number-for-a-row": (separated_with(next1=[0, [1]], cost1=[1.0, [0.5]]),
+                             "$: each state needs matching nonempty move/cost lists"),
+    "ctl-second-cell": (
+        control_cell(0, 0, 1, [[0.5, 1.0, 1], [0.4, 0.0, 0]]),
+        "$.outcomes[0][0][1]: outcomes[0][0][1] must be a nonnegative distribution summing to 1"),
+    "ctl-last-cell": (
+        control_cell(1, 1, 1, [[0.7, 0.5, 0]]),
+        "$.outcomes[1][1][1]: outcomes[1][1][1] must be a nonnegative distribution summing to 1"),
+    "ctl-negative-probability": (
+        control_cell(1, 0, 0, [[1.5, 2.0, 0], [-0.5, 0.0, 1]]),
+        "$.outcomes[1][0][0]: outcomes[1][0][0] must be a nonnegative distribution summing to 1"),
+    "ctl-nan-probability": (
+        control_cell(0, 1, 0, [[NAN, 1.0, 1]]),
+        "$.outcomes[0][1][0]: outcomes[0][1][0] must be a nonnegative distribution summing to 1"),
+    "ctl-target-fractional": (
+        control_cell(1, 1, 0, [[1.0, 0.0, 0.5]]),
+        "$.outcomes[1][1][0][0]: outcomes[1][1][0][0] next state must be an integer in [0, 2)"),
+    "ctl-target-out-of-range": (
+        control_cell(0, 0, 1, [[0.5, 1.0, 1], [0.5, 0.0, 2]]),
+        "$.outcomes[0][0][1][1]: outcomes[0][0][1][1] next state must be an integer in [0, 2)"),
+    "ctl-target-negative": (
+        control_cell(1, 0, 0, [[1.0, 2.0, -1]]),
+        "$.outcomes[1][0][0][0]: outcomes[1][0][0][0] next state must be an integer in [0, 2)"),
+    "ctl-cost-nan": (control_cell(1, 1, 1, [[1.0, NAN, 0]]),
+                     "$.outcomes[1][1][1][0][1]: outcomes[1][1][1][0][1] must be finite"),
+    "ctl-cost-inf": (control_cell(0, 0, 1, [[0.5, INF, 1], [0.5, 0.0, 0]]),
+                     "$.outcomes[0][0][1][0][1]: outcomes[0][0][1][0][1] must be finite"),
+    "ctl-null-cost": (control_cell(1, 0, 0, [[1.0, None, 0]]),
+                      "$.outcomes[1][0][0][0][1]: outcomes[1][0][0][0][1] must be finite"),
+    "ctl-cost-then-later-distribution": (
+        control_with([[[[[1.0, NAN, 0]], [[0.6, 0.0, 0]]]], [[[[1.0, 0.0, 1]]]]]),
+        "$.outcomes[0][0][1]: outcomes[0][0][1] must be a nonnegative distribution summing to 1"),
+    "ctl-target-then-later-cost": (
+        control_with([[[[[1.0, 0.0, 5]]]], [[[[1.0, INF, 1]]]]]),
+        "$.outcomes[1][0][0][0][1]: outcomes[1][0][0][0][1] must be finite"),
+    "ctl-distribution-then-no-control": (
+        control_with([[[[[0.6, 0.0, 0]]]], []]),
+        "$.outcomes[0][0][0]: outcomes[0][0][0] must be a nonnegative distribution summing to 1"),
+    "ctl-no-control-then-distribution": (
+        control_with([[[[[1.0, 0.0, 0]]]], [], [[[[0.6, 0.0, 0]]]]]),
+        "$: every state needs at least one control"),
+    "ctl-no-move-then-distribution": (
+        control_with([[[[[1.0, 0.0, 0]]], []], [[[[0.6, 0.0, 0]]]]]),
+        "$: every (state, control) needs an adversary move"),
+    "ctl-distribution-then-no-move": (
+        control_with([[[[[0.6, 0.0, 0]]], []], [[[[1.0, 0.0, 0]]]]]),
+        "$.outcomes[0][0][0]: outcomes[0][0][0] must be a nonnegative distribution summing to 1"),
+    "ctl-distribution-then-short-triple": (
+        control_with([[[[[0.6, 0.0, 0]], [[0.5, 1.0]]]]]),
+        "$.outcomes[0][0][0]: outcomes[0][0][0] must be a nonnegative distribution summing to 1"),
+    "ctl-target-and-alpha": (
+        control_with([[[[[1.0, 0.0, 3]]]]], alpha=2.0),
+        "$.outcomes[0][0][0][0]: outcomes[0][0][0][0] next state must be an integer in [0, 1)"),
+    "ctl-distribution-then-number-for-controls": (
+        control_with([[[[[0.6, 0.0, 0]]]], 7]),
+        "$.outcomes[0][0][0]: outcomes[0][0][0] must be a nonnegative distribution summing to 1"),
+    "ctl-distribution-then-number-for-moves": (
+        control_with([[[[[0.6, 0.0, 0]]], 3]]),
+        "$.outcomes[0][0][0]: outcomes[0][0][0] must be a nonnegative distribution summing to 1"),
+    "ctl-no-controls": (control_with([[]]), "$: every state needs at least one control"),
+    "ctl-no-moves": (control_with([[[]]]), "$: every (state, control) needs an adversary move"),
+    "ctl-no-triples": (
+        control_with([[[[]]]]),
+        "$.outcomes[0][0][0]: outcomes[0][0][0] must be a nonnegative distribution summing to 1"),
+    "ctl-alpha": (control_with(alpha=0.0), "$: discount must lie in (0, 1)"),
+    "game-row-sum": (
+        game_with([[[1.0, 0.0]], [[0.0, 1.0]]],
+                  [[[[1.0, 0.0], [0.5, 0.5]]], [[[0.25, 0.5], [0.0, 1.0]]]]),
+        "$.transitions[1][0][0]: row sums to np.float64(0.75), expected 1"),
+    "game-row-nan": (game_with([[[1.0]]], [[[[NAN]]]]),
+                     "$.transitions[0][0][0]: row sums to np.float64(nan), expected 1"),
+    "game-payoff-nan-and-row-sum": (
+        game_with([[[NAN]], [[0.0]]], [[[[1.0, 0.0]]], [[[0.0, 0.9]]]]),
+        "$.transitions[1][0][0]: row sums to np.float64(0.9), expected 1"),
+    "game-alpha-and-row-sum": (
+        game_with([[[1.0]]], [[[[0.5]]]], alpha=1.5),
+        "$.transitions[0][0][0]: row sums to np.float64(0.5), expected 1"),
+    "game-negative-probability": (
+        game_with([[[1.0]], [[0.0]]], [[[[1.5, -0.5]]], [[[0.0, 1.0]]]]),
+        "$: transition probabilities must be nonnegative"),
+}
+
+NOT_TRIPLES = "must be a list of [probability, cost, next] triples"
+
+# Files outside the format, which the per-entry loaders crashed on with a
+# traceback, refused with a numpy message or another fault's, or solved (a
+# cost list spread over the moves of other states, a cell outside the
+# triple layout), and the error naming the fault that each now exits 1 with.
+MENDED_ERRORS = {
+    "sep-length-and-later-string": (separated_with(next1=[[0], ["x"]]),
+                                          "$.next1: next1 entries must be numbers"),
+    "sep-dict-entry": (separated_with(cost1=[[1.0, {"c": 0.0}], [0.5]]),
+                       "$.cost1: cost1 entries must be numbers"),
+    "sep-list-entries": (separated_with(next1=[[[0], [1]], [1]]),
+                         "$.next1: next1 entries must be numbers"),
+    "ctl-number-for-controls": (control_with([3]), "$: every state needs a list of controls"),
+    "ctl-number-for-moves": (
+        control_with([[3]]), "$: every (state, control) needs a list of adversary moves"),
+    "ctl-number-for-moves-then-distribution": (
+        control_with([[3, [[[0.6, 0.0, 0]]]]]),
+        "$: every (state, control) needs a list of adversary moves"),
+    "ctl-two-entry-triple": (control_with([[[[[0.5, 1.0]]]]]),
+                             f"$.outcomes[0][0][0]: outcomes[0][0][0] {NOT_TRIPLES}"),
+    "ctl-short-triple-then-distribution": (
+        control_with([[[[[0.5, 1.0]], [[0.6, 0.0, 0]]]]]),
+        f"$.outcomes[0][0][0]: outcomes[0][0][0] {NOT_TRIPLES}"),
+    "ctl-four-entry-triple": (
+        control_cell(1, 0, 0, [[1.0, 2.0, 0, 5]]),
+        f"$.outcomes[1][0][0]: outcomes[1][0][0] {NOT_TRIPLES}"),
+    "ctl-empty-triple": (control_with([[[[[]]]]]),
+                         f"$.outcomes[0][0][0]: outcomes[0][0][0] {NOT_TRIPLES}"),
+    "ctl-unwrapped-triple": (control_cell(0, 1, 0, [1.0, 1.0, 1]),
+                             f"$.outcomes[0][1][0]: outcomes[0][1][0] {NOT_TRIPLES}"),
+    "ctl-nested-triple": (control_cell(1, 1, 1, [[[1.0, 0.5, 0]]]),
+                          f"$.outcomes[1][1][1]: outcomes[1][1][1] {NOT_TRIPLES}"),
+    "ctl-dict-cell": (control_cell(0, 0, 0, {"p": 1.0}),
+                      f"$.outcomes[0][0][0]: outcomes[0][0][0] {NOT_TRIPLES}"),
+    "ctl-string-entry": (control_cell(1, 0, 0, [[1.0, "x", 0]]),
+                         "$.outcomes: outcomes entries must be numbers"),
+    "sep-no-states": (separated_with(size1=0, next1=[], cost1=[]),
+                      "$: space must contain at least one state"),
+    "sep-fewer-cost-rows": (separated_with(cost1=[[1.0, 0.0]]),
+                            "$: each state needs matching nonempty move/cost lists"),
+    "sep-more-cost-rows": (separated_with(cost1=[[1.0, 0.0], [0.5], [2.0]]),
+                           "$: each state needs matching nonempty move/cost lists"),
+    "sep-no-cost-rows": (separated_with(cost2=[]),
+                         "$: each state needs matching nonempty move/cost lists"),
+    "sep-one-cost-for-three-moves": (separated_with(next1=[[0], [1, 0]], cost1=[[1.0]]),
+                                     "$: each state needs matching nonempty move/cost lists"),
+    "ctl-no-states": (control_with([]), "$: space must contain at least one state"),
+}
+
+
+def padded_stage(rows, pad):
+    """``prob``, ``cost`` and ``next`` arrays filled entry by entry from
+    nested lists: ``rows[x][a]`` lists action a's (prob, cost, next)
+    outcomes; a state's missing actions get one sure outcome at ``pad``."""
+    width = max(map(len, rows))
+    depth = max(len(outcomes) for actions in rows for outcomes in actions)
+    prob, cost = np.zeros((len(rows), width, depth)), np.zeros((len(rows), width, depth))
+    nxt = np.zeros((len(rows), width, depth), dtype=int)
+    for x, actions in enumerate(rows):
+        for a in range(width):
+            if a >= len(actions):
+                prob[x, a, 0], cost[x, a, 0] = 1.0, pad
+                continue
+            for k, (p, c, n) in enumerate(actions[a]):
+                prob[x, a, k], cost[x, a, k], nxt[x, a, k] = p, c, n
+    return prob, cost, nxt
+
+
+def assert_stage_is(stage, rows, pad):
+    for built, expected in zip((stage.prob, stage.cost, stage.next), padded_stage(rows, pad)):
+        assert built.dtype == expected.dtype and np.array_equal(built, expected)
+
+
+def solve_exit_and_stderr(tmp_path, payload):
+    path = tmp_path / "problem.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["solve", str(path), "--algo", "vi"])
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestLoadProblem:
@@ -160,8 +402,9 @@ class TestLoadProblem:
         }
         path = tmp_path / "bad_ctrl.json"
         save_problem(payload, path)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             load_problem(str(path))
+        assert err.value.path == "$.outcomes[0][0][0]"
 
     # json reads NaN and Infinity; each such file exits 1 naming the field
     def test_nan_outcome_probability_exits_1(self, tmp_path, capsys):
@@ -207,6 +450,43 @@ class TestLoadProblem:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: {field}:")
+
+
+    def test_built_separated_stages_match_the_nested_view(self, tmp_path):
+        model = random_separated_model(np.random.default_rng(21), 7, 5, max_actions=4)
+        problem = separated_model_to_problem(load_problem(write_separated(tmp_path, model)).model)
+        for stage, nexts, costs, pad in ((problem.stage1, model.next1, model.cost1, np.inf),
+                                         (problem.stage2, model.next2, model.cost2, -np.inf)):
+            assert_stage_is(stage, [[[(1.0, c, n)] for n, c in zip(nx, cx)]
+                                    for nx, cx in zip(nexts, costs)], pad)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "stochastic", "terminating-game"])
+    def test_built_control_stages_match_the_nested_view(self, tmp_path, kind):
+        rng = np.random.default_rng(22)
+        if kind == "terminating-game":
+            model = markov_game_to_control(
+                random_markov_game(rng, 4, 2, 3, alpha=0.9, terminating=True))
+        else:
+            model = random_control_model(rng, 6, max_u=3, max_v=3,
+                                         stochastic=kind == "stochastic")
+        problem = minimax_control_to_problem(
+            load_problem(write_control(tmp_path, model)).model, default_beta(model.alpha))
+        pairs = [per_v for per_u in model.outcomes for per_v in per_u]
+        offsets = np.cumsum([0] + [len(per_u) for per_u in model.outcomes])
+        assert_stage_is(problem.stage1, [[[(1.0, 0.0, offsets[x] + u)] for u in range(len(per_u))]
+                                         for x, per_u in enumerate(model.outcomes)], np.inf)
+        assert_stage_is(problem.stage2, [[cell.tolist() for cell in per_v] for per_v in pairs],
+                        -np.inf)
+
+    @pytest.mark.parametrize("case", RECORDED_ERRORS)
+    def test_malformed_file_gives_the_recorded_error(self, tmp_path, case):
+        payload, line = RECORDED_ERRORS[case]
+        assert solve_exit_and_stderr(tmp_path, payload) == (1, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("case", MENDED_ERRORS)
+    def test_file_outside_the_format_exits_1_naming_the_fault(self, tmp_path, case):
+        payload, line = MENDED_ERRORS[case]
+        assert solve_exit_and_stderr(tmp_path, payload) == (1, "", f"error: {line}\n")
 
 
 class TestScheduleParser:

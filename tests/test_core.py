@@ -318,6 +318,16 @@ class TestValueIterate:
             assert int(sweeps) < 1000
             solve(1.01 * float(floor))
 
+    def test_tol_below_the_floor_of_a_game_raises_within_the_budget(self):
+        """On a Markov game J1 wanders by a few ulps at the floor instead of
+        repeating, so the loop stops once r is at or below the floor."""
+        problem = separate_markov_game(random_markov_game(np.random.default_rng(0), 3, 2, 2))
+        with pytest.raises(MaxItersExceeded, match="rounding floor") as info:
+            value_iterate(problem, tol=1e-15, max_iters=1000)
+        bound, sweeps = re.search(r"bound (\S+) > .* sweep (\d+) ", str(info.value)).groups()
+        assert int(sweeps) < 1000
+        assert value_iterate(problem, tol=1.01 * float(bound)).error_bound <= 1.01 * float(bound)
+
 
 class TestEstimateModulus:
     def test_affine_slope(self):
