@@ -14,14 +14,15 @@ policies, which this module can certify numerically.
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import SCORE_PAD, CheckResult, PolicyPair, ValueTable, certify, update_policy
+from .core import (SCORE_PAD, CheckResult, PolicyPair, ValueTable, certify,
+                   sweep_certificate, update_policy)
 from .errors import ContractionViolation, MaxStepsExceeded
 
 _DEFAULT_EVALS = 10
@@ -60,6 +61,22 @@ class Operation:
         object.__setattr__(self, "subset", sub)
 
 
+class _Provenance(NamedTuple):
+    """Where one side's V came from, state by state.
+
+    ``source`` is a minimizer table G1 with V2 = T2(G1), or V1 = T1(T2 G1),
+    on the states ``cover`` marks (None: on none).  ``tight`` marks the
+    states whose J leaves the guard at V: J1 >= V1, or J2 <= V2."""
+
+    source: object
+    cover: np.ndarray
+    tight: np.ndarray
+
+    @classmethod
+    def unknown(cls, size):
+        return cls(None, np.zeros(size, bool), np.zeros(size, bool))
+
+
 @dataclass(frozen=True)
 class AlgoState:
     """The iterate advanced by the four operations.
@@ -68,6 +85,14 @@ class AlgoState:
     opposite side reads, are built on first use and kept.  A state made by
     :meth:`_advance` keeps the guards of its predecessor whose two tables it
     shares; one made by ``dataclasses.replace`` starts with none.
+
+    A state made by :func:`_apply` also records each side's provenance,
+    ``prov1`` and ``prov2`` (:class:`_Provenance`; None on other states).
+    Where J is tight on every state, the guard is V itself: bit for bit the
+    ``np.minimum`` or ``np.maximum`` on plain tables, and on column bundles
+    V2's columns alone, of which J2's are copies.  Where in addition V2
+    covers every state from one G1, guard2 is exactly T2(G1), and
+    ``guard2_source`` names that G1.
     """
 
     j1: ValueTable
@@ -76,19 +101,32 @@ class AlgoState:
     v2: object
     policies: PolicyPair
     t: int = 0
+    prov1: _Provenance | None = field(default=None, init=False, repr=False, compare=False)
+    prov2: _Provenance | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def guard1(self):
+        if self.prov1 is not None and self.prov1.tight.all():
+            return self.v1
         return self.v1.pointwise_min(self.j1)
 
     @cached_property
     def guard2(self):
+        if self.prov2 is not None and self.prov2.tight.all():
+            return self.v2
         return self.v2.pointwise_max(self.j2)
 
-    def _advance(self, j1, v1, j2, v2, policies):
-        """The state one step on, with these tables and policies."""
+    @cached_property
+    def guard2_source(self):
+        """G1 if guard2 is T2(G1) on every state, else None."""
+        prov = self.prov2
+        return prov.source if prov is not None and (prov.cover & prov.tight).all() else None
+
+    def _advance(self, j1, v1, j2, v2, policies, prov1, prov2):
+        """The state one step on, with these tables, policies and provenance."""
         new = AlgoState(j1, v1, j2, v2, policies, self.t + 1)
         cache, kept = self.__dict__, new.__dict__
+        kept["prov1"], kept["prov2"] = prov1, prov2
         if "guard1" in cache and j1 is self.j1 and v1 is self.v1:
             kept["guard1"] = cache["guard1"]
         if "guard2" in cache and j2 is self.j2 and v2 is self.v2:
@@ -103,23 +141,62 @@ def initial_state(problem):
                      problem.first_policies())
 
 
+def _same(a, b):
+    """Whether two minimizer tables (or None) hold the same values, so that
+    a kernel reading either gives the same bits."""
+    return a is b or (a is not None and b is not None and np.array_equal(a.values, b.values))
+
+
+def _improved(prov, subset, source):
+    """``prov`` after an improvement on ``subset`` from ``source``: J = V
+    there, and V derives from source (None: from no one table)."""
+    same = source is not None and _same(prov.source, source)
+    cover = prov.cover.copy() if same else np.zeros_like(prov.cover)
+    cover[subset] = source is not None
+    tight = prov.tight.copy()
+    tight[subset] = True
+    return _Provenance(prov.source if same else source, cover, tight)
+
+
+def _evaluated(prov, subset, tight_here):
+    """``prov`` after an evaluation on ``subset``, tight there as given."""
+    tight = prov.tight.copy()
+    tight[subset] = tight_here
+    return prov._replace(tight=tight)
+
+
 def _apply(problem, state, op, read):
-    """Advance one step, reading the opposite side's guard from ``read``."""
+    """Advance one step, reading the opposite side's guard from ``read``.
+
+    It keeps each side's provenance (:class:`AlgoState`).  An improvement
+    makes J = V on its subset; V2 derives from the guard1 read, and V1 from
+    the table ``read.guard2_source`` names.  An evaluation's J1 is tight
+    where it is at least V1, checked on the written entries; its J2 where
+    V2 derives from the guard1 read, which makes J2 one of the greedy
+    choices V2 maximises over, computed by the same kernel arithmetic."""
     subset, kind = op.subset, op.kind
     j1, v1, j2, v2, policies = state.j1, state.v1, state.j2, state.v2, state.policies
+    prov1 = state.prov1 or _Provenance.unknown(v1.space.size)
+    prov2 = state.prov2 or _Provenance.unknown(v2.space.size)
     if kind is _MIN_EVAL:
         j1 = j1.with_updates(subset, problem.min_eval_values(subset, policies.mu, read.guard2))
+        prov1 = _evaluated(prov1, subset, j1.values[subset] >= v1.values[subset])
     elif kind is _MIN_IMPROVE:
         vals, picks = problem.min_improve(subset, read.guard2)
         j1, v1 = j1.with_updates(subset, vals), v1.with_updates(subset, vals)
         policies = PolicyPair(update_policy(policies.mu, subset, picks), policies.nu)
+        prov1 = _improved(prov1, subset, read.guard2_source)
     elif kind is _MAX_EVAL:
-        j2 = j2.with_updates(subset, problem.max_eval_entries(subset, policies.nu, read.guard1))
+        guard = read.guard1
+        j2 = j2.with_updates(subset, problem.max_eval_entries(subset, policies.nu, guard))
+        prov2 = _evaluated(prov2, subset, prov2.cover[subset] & _same(prov2.source, guard))
     else:
-        entries, picks = problem.max_improve(subset, read.guard1, policies.mu)
+        guard = read.guard1
+        entries, picks = problem.max_improve(subset, guard, policies.mu)
         j2, v2 = j2.with_updates(subset, entries), v2.with_updates(subset, entries)
         policies = PolicyPair(policies.mu, update_policy(policies.nu, subset, picks))
-    return state._advance(j1, v1, j2, v2, policies)
+        prov2 = _improved(prov2, subset, guard)
+    return state._advance(j1, v1, j2, v2, policies, prov1, prov2)
 
 
 def _full1(problem):
@@ -167,8 +244,9 @@ class Schedule:
     state within any window of ``fairness_horizon`` steps.  ``period`` is
     the natural cycle length, used to pace stopping checks.  ``staleness``
     is the read-delay bound the schedule asks the executor to simulate.
-    :func:`run` can skip an evaluation only if it is yielded as the same
-    object again; the schedules below repeat theirs by list multiplication.
+    :func:`run` can skip an evaluation only if its subset is the very array
+    of an earlier operation of its side; the schedules below give a block's
+    operations one array and repeat them by list multiplication.
     """
 
     name: str
@@ -275,7 +353,8 @@ def _probe_diff(a, b):
 
 
 def _converged(problem, state, tol):
-    """Stopping certificate: the state with J1 replaced by the estimate of
+    """The stop check of :func:`run` at a period end that no certificate of
+    the run's own covers: the state with J1 replaced by the estimate of
     :func:`~minimaxpi.core.certify` if its bound is at most ``tol``, else
     None.  J2 and V2 are not gated: J2 on a game is an evaluated section
     that never matches V2 pointwise."""
@@ -283,11 +362,34 @@ def _converged(problem, state, tol):
     return replace(state, j1=estimate) if bound <= tol else None
 
 
-def _eval_inputs(op, read, state):
-    """What an evaluation reads, and the J table of its side in ``state``."""
-    if op.kind is _MIN_EVAL:
-        return op, read.v2, read.j2, state.policies.mu, state.j1
-    return op, read.v1, read.j1, state.policies.nu, state.j2
+def _own_certificate(problem, state):
+    """``(estimate, bound)`` of ``certify(G1)``, read off a state whose V1
+    is T1(T2 G1) on every state, or None.  Blocks improved from one exact
+    guard2 compose to one full-space improvement (see :func:`run`), so V1
+    is then certify's sweep of G1 bit for bit."""
+    prov = state.prov1
+    if prov is None or not prov.cover.all():
+        return None
+    return sweep_certificate(problem, prov.source, state.v1)[:2]
+
+
+def _stands_in(problem, guard1, j1):
+    """Whether a certificate of guard1 stands in for the period-end check of
+    J1: they differ by no more than the rounding floor of J1's certificate
+    (its bound for a table its sweep maps onto itself), so the certificate
+    cannot tell them apart.  On games J1's evaluated readings and guard1's
+    LP values differ by a few ulps; under staleness or random orders J1 can
+    be another table altogether."""
+    return (np.array_equal(guard1.values, j1.values)
+            or guard1.diff_norm(j1) <= sweep_certificate(problem, j1, j1)[3])
+
+
+def _eval_inputs(side, op, read, state):
+    """What an evaluation of ``side`` on ``op``'s subset reads, and the
+    side's J in ``state``."""
+    if side == 1:
+        return op.subset, read.v2, read.j2, state.policies.mu, state.j1
+    return op.subset, read.v1, read.j1, state.policies.nu, state.j2
 
 
 def _delays(rng, staleness):
@@ -300,24 +402,41 @@ def _delays(rng, staleness):
 def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     """The executor.
 
-    Applies the schedule's operations until :func:`_converged` certifies
-    an estimate of J1 within ``tol`` (checked every ``schedule.period``
-    steps).  With a positive ``schedule.staleness``, each step reads table
-    snapshots up to that many updates old (delay drawn uniformly per step
-    from a seeded generator), emulating communication delays.  The delays
-    are drawn ``_DELAY_CHUNK`` per generator call; under PCG64, numpy's
-    default, that is the same stream as one ``rng.integers`` call per step,
-    so a run does not depend on the chunk size.  Returns
-    (certified state, trace): the state with that estimate as J1, and
-    ``trace_out`` with one :class:`TraceRow` per step appended, or [] (and
-    no change probe computed) without it.  Raises
+    Applies the schedule's operations until an estimate of J1 is certified
+    within ``tol`` (below).  With a positive ``schedule.staleness``, each
+    step reads table snapshots up to that many updates old (delay drawn
+    uniformly per step from a seeded generator), emulating communication
+    delays.  The delays are drawn ``_DELAY_CHUNK`` per generator call;
+    under PCG64, numpy's default, that is the same stream as one
+    ``rng.integers`` call per step, so a run does not depend on the chunk
+    size.  Returns (certified state, trace): the state of the stopping
+    step with the estimate as J1, and ``trace_out`` with one
+    :class:`TraceRow` per step appended, the stopping step's included, or
+    [] (and no change probe computed) without it.  Raises
     :class:`MaxStepsExceeded` when the budget runs out.
 
-    An evaluation is skipped when its operation, read tables, policy and its
-    side's J are the objects its side's last applied evaluation had, J as
-    written: tables and policies are immutable and kernels deterministic, so
-    under any schedule it would rewrite what J holds.  Skipped steps still
-    count in ``t``, take their delay draw and ring slot, and trace 0.0 unprobed.
+    The run certifies itself from its own sweeps.  An improvement that
+    leaves V1 = T1(T2 G1) on every state (improved, block by block, from
+    guards that are exactly T2(G1); see :class:`AlgoState`) has done the
+    sweep of ``certify(G1)``: the run reads that certificate off (G1, V1)
+    with the same arithmetic, bit for bit, and stops if its bound is at
+    most ``tol``.  Every ``schedule.period`` steps :func:`_converged`
+    certifies J1, unless guard2 is then exactly T2 of a guard1 that stands
+    in for J1 (:func:`_stands_in`): the run's next such improvement
+    certifies guard1 for free, and the check waits for it.  A wait ends in
+    :func:`_converged` after all if guard2 stops being T2 of that guard1
+    first, on the state it began at (the check it stood in for), or if it
+    is still open at the next period end.  Under ``round_robin`` each wait
+    ends one step after it begins, and ``certify`` is never called.
+
+    An evaluation is skipped when its subset array, read tables, policy and
+    its side's J are the objects its side's last applied evaluation had, J
+    as written: tables and policies are immutable and kernels deterministic,
+    so under any schedule it would rewrite what J holds.  If the problem
+    declares ``evals_repeat_improvements``, an improvement records the same
+    objects, as the evaluation at its picks would rewrite its values.
+    Skipped steps still count in ``t``, take their delay draw and ring slot,
+    and trace 0.0 unprobed.
 
     A step costs what it changes.  It writes its subset into copies of the
     tables it updates and checks only those entries for finiteness.  It
@@ -342,24 +461,40 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
     if init is not None and (done := _converged(problem, state, tol)):
         return done, trace
     t0, step, memo = state.t, 0, {1: (None,), 2: (None,)}   # (None,) matches no op
+    repeats = problem.evals_repeat_improvements
+    wait = None   # (guard1, state) of a period end waiting for guard1's free certificate
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         read = state if delays is None else ring[-1 - next(delays)]
-        kind, r1, r2 = op.kind, 0.0, 0.0
+        kind, r1, r2, done = op.kind, 0.0, 0.0, None
         side = 1 if kind is _MIN_EVAL or kind is _MIN_IMPROVE else 2
         evaluates = kind is _MIN_EVAL or kind is _MAX_EVAL
-        if not (evaluates and all(map(operator.is_, memo[side], _eval_inputs(op, read, state)))):
+        if not (evaluates
+                and all(map(operator.is_, memo[side], _eval_inputs(side, op, read, state)))):
             new = _apply(problem, state, op, read)
             if trace_out is not None:
                 r1 = _probe_diff(state.j1, new.j1) if side == 1 else 0.0
                 r2 = _probe_diff(state.j2, new.j2) if side == 2 else 0.0
             state = new
-            if evaluates:
-                memo[side] = _eval_inputs(op, read, state)
+            if evaluates or repeats:
+                memo[side] = _eval_inputs(side, op, read, state)
+            if kind is _MIN_IMPROVE and (own := _own_certificate(problem, state)):
+                if wait and _same(state.prov1.source, wait[0]):
+                    wait = None
+                if own[1] <= tol:
+                    done = replace(state, j1=own[0])
         if trace_out is not None:
             # ``_value_`` is ``kind.value`` without the property's ~0.15 us
             trace.append(TraceRow(step, kind._value_, op.label, r1, r2))
         ring.append(state)
-        if step % check_every == 0 and (done := _converged(problem, state, tol)):
+        if done is None and wait and not _same(state.guard2_source, wait[0]):
+            wait, done = None, _converged(problem, wait[1], tol)
+        if done is None and step % check_every == 0:
+            if (wait is None and _same(state.guard2_source, state.guard1)
+                    and _stands_in(problem, state.guard1, state.j1)):
+                wait = state.guard1, state
+            else:
+                wait, done = None, _converged(problem, state, tol)
+        if done:
             return replace(done, t=t0 + step), trace
     state = replace(state, t=t0 + step)
     if done := _converged(problem, state, tol):

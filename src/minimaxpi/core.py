@@ -157,7 +157,14 @@ class HalfStageProblem:
     ``table2(entries)`` (a full maximizer table from one entry per state),
     ``zero2``, ``first_policies``, ``random_policies``, ``random_table2``
     and ``random_ordered_table2``.  The rest is written here once.
+
+    ``evals_repeat_improvements`` is a kernel contract, not an option: True
+    says that evaluating a subset at the picks an improvement returned,
+    against the same opposite table, returns the improvement's values (or
+    entries) bit for bit.  The executor then skips that evaluation.
     """
+
+    evals_repeat_improvements = False
 
     def shift(self):
         """g with ``T1 T2 (J1 + c) = T1 T2 J1 + g*c`` for constants c, or None.
@@ -208,7 +215,14 @@ class SeparatedProblem(HalfStageProblem):
     both.  ``alpha`` is the asserted contraction modulus of the joint
     fixed-policy operator; it is not enforced at construction but can be
     certified with :func:`estimate_modulus`.
+
+    Evaluations repeat improvements: both read :meth:`scores` entries, and
+    an entry is the same computation whether its action is scored alone or
+    with the state's others (one evaluator call here, elementwise array
+    arithmetic in :class:`TabularProblem`).
     """
+
+    evals_repeat_improvements = True
 
     space1: WeightedSpace
     space2: WeightedSpace
@@ -462,6 +476,15 @@ def _sweep(problem, j1, policies):
     mu, nu = (None, None) if policies is None else (policies.mu, policies.nu)
     j2 = problem.t2_greedy(j1)[0] if nu is None else problem.t2_policy(nu, j1)
     t, mu = problem.t1_greedy(j2) if mu is None else (problem.t1_policy(mu, j2), mu)
+    estimate, bound, r, floor = sweep_certificate(problem, j1, t)
+    return estimate, bound, r, t, mu, floor
+
+
+def sweep_certificate(problem, j1, t):
+    """The certificate of J1 from its composite image t, however t was
+    computed: ``(estimate, bound, r, floor)`` as :func:`_sweep` says.  The
+    arithmetic of :func:`certify`, so a t equal to its sweep's bit for bit
+    gives its certificate bit for bit."""
     r = j1.diff_norm(t)
     a2, g = problem.alpha ** 2, problem.shift()
     offset, bound = span_bound(g, t.values - j1.values, j1.space.weights, a2 * r / (1.0 - a2))
@@ -471,7 +494,7 @@ def _sweep(problem, j1, policies):
     ulps, norm, slack = 4 * np.finfo(float).eps, j1.norm(), 1.0 - max(a2, g or 0.0)
     bound += ulps * (norm + r) / slack
     estimate = t if offset is None else ValueTable(j1.space, t.values + offset)
-    return estimate, bound, r, t, mu, ulps * norm / slack
+    return estimate, bound, r, ulps * norm / slack
 
 
 def certify(problem, j1):

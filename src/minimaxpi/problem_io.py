@@ -51,11 +51,21 @@ def _get(obj, key, path, expected=None, optional=False):
     return value
 
 
+def _numbers(raw, key, path):
+    """``raw`` as a float array, or refused at ``path.key`` if it is ragged
+    or holds something other than numbers, in place of numpy's error."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key} must be a rectangular list of numbers",
+                              f"{path}.{key}") from exc
+
+
 def _weights(payload, key, size, path):
     raw = payload.get(key)
     if raw is None:
         return None
-    w = np.asarray(raw, dtype=float)
+    w = _numbers(raw, key, path)
     if w.shape != (size,) or not np.all((w > 0) & (w < np.inf)):
         raise ValidationError("weights must be positive and finite, one per state",
                               f"{path}.{key}")
@@ -75,8 +85,8 @@ def _build(path, model, *args, **kwargs):
 
 def _load_markov_game(payload, terminating, path):
     alpha = _get(payload, "alpha", path, (int, float))
-    payoffs = np.asarray(_get(payload, "payoffs", path, list), dtype=float)
-    transitions = np.asarray(_get(payload, "transitions", path, list), dtype=float)
+    payoffs = _numbers(_get(payload, "payoffs", path, list), "payoffs", path)
+    transitions = _numbers(_get(payload, "transitions", path, list), "transitions", path)
     if payoffs.ndim != 3:
         raise ValidationError("payoffs must be [state][row][col]", f"{path}.payoffs")
     s = payoffs.shape[0]

@@ -309,11 +309,17 @@ def count_applies(monkeypatch):
 
 def reference_run(problem, schedule, tol, seed, max_steps=20000):
     """The executor without its skip: ``_apply`` on every step, with the
-    same seeded delay draws, staleness ring, probe and stop checks."""
+    same seeded delay draws, staleness ring and probe, stopping on the same
+    certificates: ``certify(G1)`` after each improvement that leaves V1 at
+    T1(T2 G1) on every state, and at a period end ``_converged``, unless
+    guard2 is T2 of a guard1 within rounding of J1 and no such wait is
+    open.  A wait ends at that certificate, or in ``_converged`` of its
+    period end's state as soon as guard2 is T2 of another table, or at the
+    next period end."""
     state = initial_state(problem)
     rng = np.random.default_rng(seed)
     ring = deque([state], maxlen=schedule.staleness + 1)
-    rows = []
+    rows, wait = [], None
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         read = state
         if schedule.staleness > 0:
@@ -322,10 +328,30 @@ def reference_run(problem, schedule, tol, seed, max_steps=20000):
         rows.append(TraceRow(step, op.kind.value, op.label,
                              state.j1.diff_bound(new.j1) if op.kind.side == 1 else 0.0,
                              state.j2.diff_bound(new.j2) if op.kind.side == 2 else 0.0))
-        state = new
+        state, done = new, None
         ring.append(state)
-        if step % schedule.period == 0 and (done := _converged(problem, state, tol)):
-            return done, rows
+        prov, base = state.prov1, state.guard2_source
+        if op.kind is Kind.MIN_IMPROVE and prov.cover.all():
+            if wait is not None and np.array_equal(prov.source.values, wait[0].values):
+                wait = None
+            estimate, bound, _ = certify(problem, prov.source)
+            if bound <= tol:
+                done = replace(state, j1=estimate)
+        if done is None and wait is not None and (
+                base is None or not np.array_equal(base.values, wait[0].values)):
+            wait, done = None, _converged(problem, wait[1], tol)
+        if done is None and step % schedule.period == 0:
+            # guard1 stands in for J1 within the rounding floor of J1's certificate
+            floor = (4 * np.finfo(float).eps * state.j1.norm()
+                     / (1.0 - max(problem.alpha ** 2, problem.shift() or 0.0)))
+            if (wait is None and base is not None
+                    and np.array_equal(base.values, state.guard1.values)
+                    and state.guard1.diff_norm(state.j1) <= floor):
+                wait = state.guard1, state
+            else:
+                wait, done = None, _converged(problem, state, tol)
+        if done:
+            return replace(done, t=step), rows
     raise AssertionError("reference run did not converge")
 
 
@@ -349,16 +375,25 @@ REPLAY_SCHEDULES = {
 }
 
 
-@pytest.mark.parametrize("name", ["tabular", "closure", "aggregate", "markov", "control"])
+def five_cases():
+    """``block_cases`` and a stochastic control reduction."""
+    cases = block_cases()
+    cases["control"] = minimax_control_to_problem(random_control_model(
+        np.random.default_rng(17), states=4, alpha=0.7, max_u=3, max_v=3, stochastic=True))
+    return cases
+
+
+KINDS = ["tabular", "closure", "aggregate", "markov", "control"]
+EXPLICIT_KINDS = ["tabular", "closure", "aggregate", "control"]
+
+
+@pytest.mark.parametrize("name", KINDS)
 def test_skipped_evaluations_change_nothing(name, monkeypatch):
     """``run`` skips evaluations whose inputs are unchanged; a loop that
     applies every step ends bit-identical: tables, policies, ``t`` and
     trace rows.  A schedule of fresh operation objects skips nothing.  The
     loop draws one delay per step, ``run`` a chunk at a time."""
-    cases = block_cases()
-    cases["control"] = minimax_control_to_problem(random_control_model(
-        np.random.default_rng(17), states=4, alpha=0.7, max_u=3, max_v=3, stochastic=True))
-    problem = cases[name]
+    problem = five_cases()[name]
     applied = count_applies(monkeypatch)
     for label, schedule in REPLAY_SCHEDULES.items():
         expected, rows = reference_run(problem, schedule, 1e-8, seed=9)
@@ -371,18 +406,118 @@ def test_skipped_evaluations_change_nothing(name, monkeypatch):
             assert list(map(repr, trace)) == list(map(repr, rows)), label
             if label == "delayed:B=2,partitioned:p=8":
                 assert state.t > async_pi._DELAY_CHUNK
-            if copies or label in ("round_robin:k=0", "round_robin:k=1"):
+            if copies or label == "round_robin:k=0" or (
+                    label == "round_robin:k=1" and not problem.evals_repeat_improvements):
                 assert len(applied) == state.t, label
             else:
                 assert len(applied) < state.t, label
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_free_certificates_are_certify_bit_for_bit(name, monkeypatch):
+    """Every certificate a run reads off its own improvements is
+    ``certify(G1)``'s, estimate and bound, under full-space phases, block
+    phases and stale reads."""
+    problem = five_cases()[name]
+    seen, own = [], async_pi._own_certificate
+
+    def recording(problem, state):
+        found = own(problem, state)
+        if found is not None:
+            seen.append((state.prov1.source, found))
+        return found
+
+    monkeypatch.setattr(async_pi, "_own_certificate", recording)
+    for schedule in (round_robin(), partitioned(), delayed(round_robin(), 2)):
+        seen.clear()
+        run(problem, schedule, tol=1e-10, seed=5)
+        assert len(seen) >= 3, schedule.name
+        for source, (estimate, bound) in seen:
+            expected, expected_bound, _ = certify(problem, source)
+            assert np.array_equal(estimate.values, expected.values), schedule.name
+            assert bound == expected_bound, schedule.name
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_declared_kernels_repeat_improvements(name):
+    """A kind that declares ``evals_repeat_improvements`` evaluates, at the
+    picks of an improvement, the improvement's values bit for bit, on either
+    side and any subset.  The Markov game does not declare it: its MaxEval
+    keeps one column of the improvement's matrix."""
+    problem = five_cases()[name]
+    assert problem.evals_repeat_improvements == (name != "markov")
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        m1, m2 = problem.random_table1(rng), problem.random_table2(rng)
+        policies = problem.random_policies(rng)
+        s1, s2 = (rng.choice(space.size, int(rng.integers(1, space.size + 1)), replace=False)
+                  for space in (problem.space1, problem.space2))
+        values, picks = problem.min_improve(s1, m2)
+        mu = async_pi.update_policy(policies.mu, s1, picks)
+        repeated1 = np.array_equal(problem.min_eval_values(s1, mu, m2), values)
+        entries, picks = problem.max_improve(s2, m1, mu)
+        nu = async_pi.update_policy(policies.nu, s2, picks)
+        repeated2 = np.array_equal(problem.max_eval_entries(s2, nu, m1), entries)
+        if problem.evals_repeat_improvements:
+            assert repeated1 and repeated2
+        else:
+            assert not repeated2
+
+
+@pytest.mark.parametrize("name", EXPLICIT_KINDS)
+def test_round_robin_certifies_itself(name, monkeypatch):
+    """On an explicit kind a round-robin run applies no evaluation (each
+    repeats the improvement before it) and calls ``certify`` never: each
+    period end waits one step for the certificate its next improvement
+    completes."""
+    problem = five_cases()[name]
+    applied = count_applies(monkeypatch)
+    calls = []
+    monkeypatch.setattr(async_pi, "certify", lambda *a: calls.append(a) or certify(*a))
+    for k in (1, 10):
+        applied.clear()
+        done, _ = run(problem, round_robin(k), tol=1e-10)
+        assert calls == [], k
+        assert {op.kind for op in applied} == {Kind.MIN_IMPROVE, Kind.MAX_IMPROVE}, k
+        assert done.t % (2 * k + 2) == 1 and len(applied) == 2 * (done.t // (2 * k + 2)) + 1
+        oracle = value_iterate(problem, tol=1e-13)
+        assert np.max(np.abs(done.j1.values - oracle.j1.values)) <= 1e-10
+
+
+def test_broken_wait_makes_the_check_it_stood_in_for(monkeypatch):
+    """Each period end of this schedule waits for guard1's free certificate,
+    and each wait breaks two steps later: a max improvement between the
+    minimizer's two blocks reads a new guard1.  So no free certificate
+    comes; each wait ends in ``_converged`` of its period end's state, and
+    the run answers as one that checks every period end, two steps later."""
+    problem = block_cases()["tabular"]
+    b0, b1 = np.array_split(np.arange(problem.space1.size), 2)
+    all2 = np.arange(problem.space2.size)
+    cycle = [Operation(Kind.MIN_IMPROVE, b0), Operation(Kind.MAX_IMPROVE, all2),
+             Operation(Kind.MIN_IMPROVE, b1), Operation(Kind.MAX_IMPROVE, all2)]
+    schedule = async_pi.Schedule("interleaved", lambda p: itertools.cycle(cycle), 4, 4)
+    checked, tol = [], 1e-10
+    monkeypatch.setattr(async_pi, "_converged",
+                        lambda *a: checked.append(a[1]) or _converged(*a))
+    done, trace = run(problem, schedule, tol=tol, trace_out=[])
+    state = initial_state(problem)
+    for step, op in enumerate(itertools.cycle(cycle), 1):
+        state = _apply(problem, state, op, state)
+        if step % 4 == 0 and (expected := _converged(problem, state, tol)):
+            break
+    assert [s.t for s in checked] == list(range(4, step + 1, 4))
+    assert done.t == len(trace) == step + 2
+    assert_same_state(replace(done, t=step), expected)
 
 
 @pytest.mark.parametrize("name", ["tabular", "markov"])
 def test_kept_guards_match_fresh_ones(name, monkeypatch):
     """Every state of a delayed run, those read included, holds guards equal
     bit for bit to freshly built ones, the state ``_converged`` returns too.
-    A step keeps the guards its tables allow, so fewer are built than read.
-    The random schedule interleaves the sides, the partitioned one does not."""
+    A guard2 that is V2's bundles alone holds every column of the fresh
+    concatenation: the same readings, through fewer LP lines.  A step keeps
+    the guards its tables allow, so fewer are built than read.  The random
+    schedule interleaves the sides, the partitioned one does not."""
     problem = block_cases()[name]
     states, apply = [], async_pi._apply
 
@@ -398,11 +533,18 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
         assert "guard1" not in vars(done) and "guard2" not in vars(done)
         kept = {id(vars(s)[g]) for s in states for g in ("guard1", "guard2") if g in vars(s)}
         assert 0 < len(kept) < len(states) // 2, inner.name
+        trimmed = 0
         for state in states + [done]:
             assert np.array_equal(entries(state.guard1),
                                   entries(state.v1.pointwise_min(state.j1))), inner.name
-            assert np.array_equal(entries(state.guard2),
-                                  entries(state.v2.pointwise_max(state.j2))), inner.name
+            fresh = entries(state.v2.pointwise_max(state.j2))
+            if isinstance(state.guard2, ColumnMaxTable) and state.guard2 is state.v2:
+                trimmed += 1
+                cols = state.v2.cols
+                assert (fresh[..., None] == cols[:, :, None, :]).all(axis=1).any(axis=-1).all()
+            else:
+                assert np.array_equal(entries(state.guard2), fresh), inner.name
+        assert (trimmed > 0) == (name == "markov"), inner.name
 
 
 class TestStopCheck:
@@ -428,11 +570,12 @@ class TestStopCheck:
         problem, tol = request.getfixturevalue(name), 1e-8
         assert problem.shift() is not None
         done, _ = run(problem, round_robin(), tol=tol)
-        # replay the steps: the state the stop check saw
+        # replay to the stopping step: an improvement that left V1 = T1(T2 G1)
         state = initial_state(problem)
         for op in itertools.islice(round_robin().ops(problem), done.t):
             state = _apply(problem, state, op, state)
-        estimate, bound, _ = certify(problem, state.j1)
+        assert op.kind is Kind.MIN_IMPROVE and state.prov1.cover.all()
+        estimate, bound, _ = certify(problem, state.prov1.source)
         assert bound <= tol and not np.array_equal(estimate.values, state.j1.values)
         assert np.array_equal(done.j1.values, estimate.values)
         assert done.t == state.t and done.j2.diff_bound(state.j2) == 0.0

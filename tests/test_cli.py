@@ -278,6 +278,20 @@ MENDED_ERRORS = {
     "sep-one-cost-for-three-moves": (separated_with(next1=[[0], [1, 0]], cost1=[[1.0]]),
                                      "$: each state needs matching nonempty move/cost lists"),
     "ctl-no-states": (control_with([]), "$: space must contain at least one state"),
+    "game-ragged-payoffs": (
+        game_with([[[1.0], [2.0, 3.0]]], [[[[1.0]], [[1.0]]]]),
+        "$.payoffs: payoffs must be a rectangular list of numbers"),
+    "game-ragged-transitions": (
+        game_with([[[1.0], [2.0]]], [[[[1.0]], [[0.5, 0.5]]]]),
+        "$.transitions: transitions must be a rectangular list of numbers"),
+    "game-string-payoff": (game_with([[["a"]]], [[[[1.0]]]]),
+                           "$.payoffs: payoffs must be a rectangular list of numbers"),
+    "game-ragged-weights": (game_with([[[1.0]]], [[[[1.0]]]], weights=[[1.0], []]),
+                            "$.weights: weights must be a rectangular list of numbers"),
+    "sep-string-weights": (separated_with(weights1=["a", 1.0]),
+                           "$.weights1: weights1 must be a rectangular list of numbers"),
+    "ctl-dict-weights": (control_with(weights=[{"w": 1.0}, 1.0]),
+                         "$.weights: weights must be a rectangular list of numbers"),
 }
 
 
