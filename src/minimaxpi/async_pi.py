@@ -207,30 +207,6 @@ def _full2(problem):
     return np.arange(problem.space2.size)
 
 
-def min_eval_step(problem, state, subset=None):
-    """One evaluation sweep for the minimizer's current policy on a subset."""
-    subset = _full1(problem) if subset is None else subset
-    return _apply(problem, state, Operation(Kind.MIN_EVAL, subset), state)
-
-
-def min_improve_step(problem, state, subset=None):
-    """Greedy minimizer improvement; sets J1 = V1 and the new policy on the subset."""
-    subset = _full1(problem) if subset is None else subset
-    return _apply(problem, state, Operation(Kind.MIN_IMPROVE, subset), state)
-
-
-def max_eval_step(problem, state, subset=None):
-    """One evaluation sweep for the maximizer's current policy on a subset."""
-    subset = _full2(problem) if subset is None else subset
-    return _apply(problem, state, Operation(Kind.MAX_EVAL, subset), state)
-
-
-def max_improve_step(problem, state, subset=None):
-    """Greedy maximizer improvement; sets J2 = V2 and the new policy on the subset."""
-    subset = _full2(problem) if subset is None else subset
-    return _apply(problem, state, Operation(Kind.MAX_IMPROVE, subset), state)
-
-
 # ---------------------------------------------------------------------------
 # Schedules
 # ---------------------------------------------------------------------------
@@ -399,7 +375,7 @@ def _delays(rng, staleness):
         yield from rng.integers(0, staleness + 1, size=_DELAY_CHUNK).tolist()
 
 
-def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
+def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     """The executor.
 
     Applies the schedule's operations until an estimate of J1 is certified
@@ -451,16 +427,14 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
     same-kind operations on disjoint blocks, applied against one snapshot
     or in turn, give exactly one full-space operation: ``round_robin``.
     """
-    state = initial_state(problem) if init is None else init
+    state = initial_state(problem)
     staleness = schedule.staleness
     delays = _delays(np.random.default_rng(seed), staleness) if staleness > 0 else None
     # padded with the start state, which a delay past the steps taken reads
     ring = deque([state] * (staleness + 1), maxlen=staleness + 1)
     trace = [] if trace_out is None else trace_out
     check_every = max(1, schedule.period)
-    if init is not None and (done := _converged(problem, state, tol)):
-        return done, trace
-    t0, step, memo = state.t, 0, {1: (None,), 2: (None,)}   # (None,) matches no op
+    step, memo = 0, {1: (None,), 2: (None,)}   # (None,) matches no op
     repeats = problem.evals_repeat_improvements
     wait = None   # (guard1, state) of a period end waiting for guard1's free certificate
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
@@ -495,8 +469,8 @@ def run(problem, schedule, init=None, tol=1e-8, max_steps=10**6, seed=0, trace_o
             else:
                 wait, done = None, _converged(problem, state, tol)
         if done:
-            return replace(done, t=t0 + step), trace
-    state = replace(state, t=t0 + step)
+            return replace(done, t=step), trace
+    state = replace(state, t=step)
     if done := _converged(problem, state, tol):
         return done, trace
     raise MaxStepsExceeded(

@@ -2,13 +2,10 @@
 
 Exit codes: 0 converged, 2 cycled, 3 iteration budget exhausted, 1 for
 I/O, validation, or usage errors.  Value tables and traces are CSV with a
-header row; problem files are versioned JSON.  Set MINIMAXPI_LOG to
-debug/info/warning/error for verbosity.
+header row; problem files are versioned JSON.
 """
 
 import argparse
-import logging
-import os
 import sys
 from dataclasses import dataclass
 
@@ -24,8 +21,6 @@ from .errors import (InputFieldError, MaxItersExceeded, MaxStepsExceeded,
                      MinimaxPIError, ValidationError)
 from .problem_io import game_payload, load_problem, save_problem
 
-log = logging.getLogger("minimaxpi")
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CYCLED = 2
@@ -35,13 +30,6 @@ _ALGOS = ("vi", "hk", "poa", "naive", "async")
 _GAME_KINDS = ("discounted_markov_game", "terminating_markov_game")
 _STATUS_EXIT = {PIStatus.CONVERGED: EXIT_OK, PIStatus.CYCLED: EXIT_CYCLED,
                 PIStatus.MAX_ITERS: EXIT_MAX_ITERS}
-
-
-def _setup_logging():
-    level = os.environ.get("MINIMAXPI_LOG", "warning").lower()
-    chosen = {"debug": logging.DEBUG, "info": logging.INFO,
-              "warning": logging.WARNING, "error": logging.ERROR}.get(level, logging.WARNING)
-    logging.basicConfig(level=chosen, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _parse_params(text):
@@ -104,16 +92,14 @@ class SolveOutcome:
 
 def _half_stage_problem(loaded, args):
     """The half-stage problem of a loaded file and the scale its J1 prints
-    at: 1 for a separated model, else the split's beta (``--beta``, the
-    file's, or the default)."""
+    at: 1 for a separated model, else :func:`models.split_beta` of
+    ``--beta``, the file's, or none."""
     if loaded.kind == "separated_model":
         return models.separated_model_to_problem(loaded.model), 1.0
-    beta = args.beta if args.beta is not None else loaded.beta
-    if loaded.kind in _GAME_KINDS:
-        problem = models.separate_markov_game(loaded.model, beta)
-        return problem, problem.beta.beta
-    beta = models._as_beta(beta, loaded.model.alpha)
-    return models.minimax_control_to_problem(loaded.model, beta), beta.beta
+    beta = models.split_beta(loaded.model, args.beta if args.beta is not None else loaded.beta)
+    build = (models.separate_markov_game if loaded.kind in _GAME_KINDS
+             else models.minimax_control_to_problem)
+    return build(loaded.model, beta), beta
 
 
 def _outcome(problem, scale, j1, status, iterations, rows, bound=None):
@@ -191,8 +177,6 @@ def _write_trace(path, algorithm, rows):
 def cmd_solve(args):
     loaded = load_problem(args.problem)
     outcome = _solve(loaded, *_half_stage_problem(loaded, args), args.algo, args)
-    log.info("solve %s with %s: %s after %d iterations",
-             args.problem, args.algo, outcome.status, outcome.iterations)
     for i, v in enumerate(outcome.values):
         print(f"{i},{float(v)!r}")
     print(f"# status={outcome.status} iterations={outcome.iterations}", file=sys.stderr)
@@ -329,7 +313,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _setup_logging()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:   # argparse exits 2 on a usage error, 0 on --help

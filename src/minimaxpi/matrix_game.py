@@ -40,10 +40,11 @@ from .errors import LPNumericalFailure
 # simplex: reduced costs below -_ENTER_TOL enter (stopping far inside the
 # 1e-9 x spread accuracy the layer is tested to), column entries above
 # _PIVOT_TOL may pivot, and an answer's certified gap (normalized) is at most
-# _CERTIFY
+# _CERTIFY; the two players' values of a mixed game agree to _DUALITY
 _ENTER_TOL = 1e-13
 _PIVOT_TOL = 1e-9
 _CERTIFY = 1e-8
+_DUALITY = 1e-8
 # candidate vertices per instance up to which enumeration is used.  Measured
 # per call on a 2-core box (numpy 2.4, uniform instances), 6 lines over 3
 # strategies (83 candidates): enumeration 150 us against the simplex's 230 us
@@ -214,12 +215,12 @@ def min_simplex_max_linear(coeffs, offsets=None):
     return (float(value) if not batch else value), u.reshape(*batch, n)
 
 
-def solve_matrix_game(M, tol=1e-8):
+def solve_matrix_game(M):
     """Solve min_u max_v u'Mv over mixed strategies; u indexes rows.
 
     ``M`` has shape (..., n, m).  Pure saddles are read off directly
     (lowest-index arg ties); the other games solve both players' epigraph
-    LPs, and their values must agree to ``tol`` times the payoff spread
+    LPs, and their values must agree to ``_DUALITY`` times the payoff spread
     (plus the rounding of numbers of the payoffs' magnitude).
     """
     M = np.asarray(M, dtype=float)
@@ -245,11 +246,11 @@ def solve_matrix_game(M, tol=1e-8):
         gap = np.abs(value_min + neg_value_max)
         hi, lo = games.max(axis=(1, 2)), games.min(axis=(1, 2))
         # values far from zero carry rounding of their own magnitude
-        allowed = tol * (hi - lo) + 4 * _ULP * np.maximum(np.abs(hi), np.abs(lo))
+        allowed = _DUALITY * (hi - lo) + 4 * _ULP * np.maximum(np.abs(hi), np.abs(lo))
         worst = int(np.argmax(gap - allowed))
         if gap[worst] > allowed[worst]:
             raise LPNumericalFailure(
-                f"duality gap {gap[worst]:.3e} exceeds {tol:g} x payoff spread "
+                f"duality gap {gap[worst]:.3e} exceeds {_DUALITY:g} x payoff spread "
                 f"{hi[worst] - lo[worst]:.3e} on a {n}x{m} game")
         value[mixed] = value_min
     value = value.reshape(batch)

@@ -198,11 +198,6 @@ def stage_matrix(game, x, j, scale=None):
     return game.payoffs[x] + scale * (game.transitions[x] @ j)
 
 
-def markov_H(game, x, u, v, j):
-    """Expected stage payoff plus discounted continuation: u'(A(x) + a*sum Q J)v."""
-    return float(np.asarray(u) @ stage_matrix(game, x, j) @ np.asarray(v))
-
-
 @dataclass(frozen=True)
 class ShapleyVIResult:
     values: np.ndarray
@@ -239,32 +234,21 @@ def shapley_value_iteration(game, tol=1e-8, max_iters=10**6):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BetaScaling:
-    """Per-half-stage discount splitter; needs beta > 1 and alpha*beta < 1."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta > 1.0:
-            raise InvalidBeta(f"beta must exceed 1, got {self.beta}")
-
-    def check_against(self, alpha):
-        if not alpha * self.beta < 1.0:
-            raise InvalidBeta(f"alpha*beta = {alpha * self.beta:.6f} must be below 1")
-
-
-def default_beta(alpha):
-    """The symmetric choice: both half-stages contract at sqrt(alpha)."""
-    return BetaScaling(1.0 / np.sqrt(alpha))
-
-
-def _as_beta(beta, alpha):
+def split_beta(model, beta=None):
+    """The two-stage discount split of a game or control ``model``: ``beta``,
+    checked (beta > 1, alpha*beta < 1), or by default 1/sqrt(alpha), both
+    half-stages at sqrt(alpha).  Where the weighted modulus lies in
+    [sqrt(alpha), 1), that split would not contract: the default is then
+    1/sqrt(modulus), both half-stages at sqrt(modulus)."""
+    alpha = model.alpha
     if beta is None:
-        beta = default_beta(alpha)
-    elif not isinstance(beta, BetaScaling):
-        beta = BetaScaling(float(beta))
-    beta.check_against(alpha)
+        modulus = model.contraction_factor()
+        beta = 1.0 / np.sqrt(modulus if np.sqrt(alpha) <= modulus < 1.0 else alpha)
+    beta = float(beta)
+    if not beta > 1.0:
+        raise InvalidBeta(f"beta must exceed 1, got {beta}")
+    if not alpha * beta < 1.0:
+        raise InvalidBeta(f"alpha*beta = {alpha * beta:.6f} must be below 1")
     return beta
 
 
@@ -388,12 +372,11 @@ class MarkovSeparatedProblem(HalfStageProblem):
     """
 
     game: DiscountedMarkovGame
-    beta: BetaScaling
+    beta: float
 
     def __post_init__(self):
-        self.beta.check_against(self.game.alpha)
-        modulus = max(1.0 / self.beta.beta,
-                      self.beta.beta * self.game.contraction_factor())
+        object.__setattr__(self, "beta", split_beta(self.game, self.beta))
+        modulus = max(1.0 / self.beta, self.beta * self.game.contraction_factor())
         if modulus >= 1.0:
             raise NonContractive(
                 f"scaled half-stages have modulus {modulus:.6f} >= 1"
@@ -432,28 +415,28 @@ class MarkovSeparatedProblem(HalfStageProblem):
 
     def original_values(self, j1):
         """Game equilibrium values recovered from the minimizer's table."""
-        return self.beta.beta * j1.values
+        return self.beta * j1.values
 
     # -- half-stage kernels ---------------------------------------------------
 
     def min_eval_values(self, subset, mu, m2):
         readings = _readings(np.asarray(mu)[subset], m2.cols[subset])
-        return readings.max(axis=-1) / self.beta.beta
+        return readings.max(axis=-1) / self.beta
 
     def min_improve(self, subset, m2):
         """One LP per state, min_u max_j u'col_j, all in one batched call."""
         values, picks = min_simplex_max_linear(m2.cols[subset].transpose(0, 2, 1))
-        return values / self.beta.beta, picks
+        return values / self.beta, picks
 
     def max_eval_entries(self, subset, nu, m1):
-        mats = stage_matrix(self.game, subset, m1.values, self.game.alpha * self.beta.beta)
+        mats = stage_matrix(self.game, subset, m1.values, self.game.alpha * self.beta)
         return mats[np.arange(len(subset)), :, np.asarray(nu)[subset], None]
 
     def max_improve(self, subset, m1, mu=None):
         """The stage matrices and, per state, the first column whose reading
         mu'M_j is within ``_TIE`` x the matrix's spread of the best, so
         that rounding noise at an equalizing mu does not move the pick."""
-        mats = stage_matrix(self.game, subset, m1.values, self.game.alpha * self.beta.beta)
+        mats = stage_matrix(self.game, subset, m1.values, self.game.alpha * self.beta)
         weights = (np.full((len(subset), self.n), 1.0 / self.n) if mu is None
                    else np.asarray(mu)[subset])
         readings = (weights[:, None, :] @ mats)[:, 0]
@@ -472,7 +455,7 @@ class MarkovSeparatedProblem(HalfStageProblem):
         costs = np.einsum("xi,xij->xj", policies.mu, self.game.payoffs)[cols]
         probs = np.einsum("xi,xijy->xjy", policies.mu, self.game.transitions)[cols]
         j1 = np.linalg.solve(np.eye(s) - self.game.alpha * probs,
-                             costs / self.beta.beta)
+                             costs / self.beta)
         j1 = ValueTable(self.space1, j1)
         return j1, self.t2_policy(policies.nu, j1)
 
@@ -498,12 +481,9 @@ class MarkovSeparatedProblem(HalfStageProblem):
 
 
 def separate_markov_game(game, beta=None):
-    """Split a discounted Markov game into contractive alternating half-stages.
-    Without ``beta``: :func:`default_beta`, or 1/sqrt(modulus) where the game's
-    weighted modulus lies in [sqrt(alpha), 1), so that split does not contract."""
-    if beta is None and np.sqrt(game.alpha) <= game.contraction_factor() < 1.0:
-        beta = 1.0 / np.sqrt(game.contraction_factor())
-    return MarkovSeparatedProblem(game, _as_beta(beta, game.alpha))
+    """Split a discounted Markov game into contractive alternating half-stages
+    at :func:`split_beta`."""
+    return MarkovSeparatedProblem(game, split_beta(game, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -682,20 +662,28 @@ class MinimaxControlModel:
         )
         return cls(space, outcomes, alpha)
 
+    def contraction_factor(self):
+        """Weighted modulus of the fixed-policy stage operator: alpha times
+        the largest weighted outcome mass of a cell."""
+        w, (prob, _, nxt) = self.space.weights, self.triples.T
+        mass = _per_run(np.add, prob * w[nxt.astype(int)], self.branches, 0.0)
+        return self.alpha * float(np.max(mass / np.repeat(w, self.controls).repeat(self.moves)))
+
 
 def minimax_control_to_problem(model, beta=None):
     """Split minimax control into half-stages over explicit (x, u) pair states.
 
     The minimizer's move u at x leads surely to pair state (x, u), numbered
     in (x, u) order, read at scale 1/beta; the maximizer's move v at a pair
-    draws the model's outcome triples, scaled by alpha*beta.
+    draws the model's outcome triples, scaled by alpha*beta; the split is
+    :func:`split_beta`'s.
     """
-    beta = _as_beta(beta, model.alpha)
+    beta = split_beta(model, beta)
     pairs, triples = model.moves.size, model.triples
-    ab = model.alpha * beta.beta
+    ab = model.alpha * beta
     stage1 = HalfStage.from_ragged(model.controls, np.ones(pairs, dtype=int),
                                    np.ones(pairs), np.zeros(pairs),
-                                   np.arange(pairs), 1.0 / beta.beta, np.inf)
+                                   np.arange(pairs), 1.0 / beta, np.inf)
     stage2 = HalfStage.from_ragged(model.moves, model.branches,
                                    triples[:, 0], triples[:, 1],
                                    triples[:, 2].astype(int), ab, -np.inf)

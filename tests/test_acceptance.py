@@ -17,7 +17,7 @@ from minimaxpi.async_pi import (check_minmax_nonexpansive, delayed,
 from minimaxpi.classic_pi import (PIStatus, find_oscillating_game,
                                   hoffman_karp, pollatschek_avi_itzhak)
 from minimaxpi.core import check_monotone, value_iterate
-from minimaxpi.models import (default_beta, markov_game_to_control,
+from minimaxpi.models import (markov_game_to_control,
                               minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem,
                               shapley_value_iteration)
@@ -91,13 +91,12 @@ def _twenty_random_problems():
         rng = np.random.default_rng(3000 + seed)
         model = random_control_model(rng, states=int(rng.integers(2, 5)),
                                      alpha=0.9, stochastic=bool(seed % 2))
-        problems.append(minimax_control_to_problem(model, default_beta(0.9)))
+        problems.append(minimax_control_to_problem(model))
     for seed in range(6):
         rng = np.random.default_rng(4000 + seed)
         game = random_markov_game(rng, states=3, n=2, m=2, alpha=0.9,
                                   terminating=bool(seed % 2))
-        problems.append(minimax_control_to_problem(
-            markov_game_to_control(game), default_beta(0.9)))
+        problems.append(minimax_control_to_problem(markov_game_to_control(game)))
     return problems
 
 
@@ -147,8 +146,7 @@ def test_criterion_5_guard_and_monotonicity_suites():
                                   terminating=bool(seed))
         sep = separate_markov_game(game)
         monotone_ok &= bool(check_monotone(sep, samples=1000, seed=seed))
-        reduction = minimax_control_to_problem(markov_game_to_control(game),
-                                               default_beta(0.9))
+        reduction = minimax_control_to_problem(markov_game_to_control(game))
         monotone_ok &= bool(check_monotone(reduction, samples=1000, seed=seed))
     report(5, bool(guard) and monotone_ok,
            "1e4 quadruples pass the min/max guard inequalities; "

@@ -10,9 +10,7 @@ from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
 from minimaxpi.async_pi import (AlgoState, Kind, Operation, TraceRow, _apply, _converged,
                                 build_G, check_minmax_nonexpansive, delayed,
-                                fairness_ok, initial_state, max_eval_step,
-                                max_improve_step, min_eval_step,
-                                min_improve_step, partitioned, q_state_diff,
+                                fairness_ok, initial_state, partitioned, q_state_diff,
                                 q_zero_state, random_fair, round_robin, run,
                                 run_extended, solve_G_fixed_point,
                                 verify_uniform_contraction)
@@ -21,7 +19,7 @@ from minimaxpi.core import (PolicyPair, SeparatedProblem, ValueTable,
 from minimaxpi.errors import MaxStepsExceeded
 from minimaxpi.matrix_game import min_simplex_max_linear
 from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
-                              default_beta, markov_game_to_control,
+                              markov_game_to_control,
                               minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem,
                               shapley_value_iteration, stage_matrix)
@@ -50,7 +48,8 @@ class TestSteps:
         j2 = problem.random_table2(rng)
         state = initial_state(problem)
         state = AlgoState(state.j1, state.v1, j2, j2, state.policies, 0)
-        stepped = min_eval_step(problem, state)
+        full1 = np.arange(problem.space1.size)
+        stepped = _apply(problem, state, Operation(Kind.MIN_EVAL, full1), state)
         direct = problem.t1_policy(state.policies.mu, j2)
         assert np.allclose(stepped.j1.values, direct.values, atol=0)
         assert stepped.v1.diff_norm(state.v1) == 0.0  # untouched
@@ -63,7 +62,7 @@ class TestSteps:
         v2 = ColumnMaxTable(game_like.space2, (np.array([[3.0]]),))
         j2 = ColumnMaxTable(game_like.space2, (np.array([[5.0]]),))
         state = AlgoState(state.j1, state.v1, j2, v2, state.policies, 0)
-        stepped = min_eval_step(game_like, state)
+        stepped = _apply(game_like, state, Operation(Kind.MIN_EVAL, np.arange(1)), state)
         assert stepped.j1.values[0] == pytest.approx(4.0)
 
     def test_min_improve_picks_first_min(self):
@@ -73,7 +72,8 @@ class TestSteps:
             eval1=lambda x, u, j2: 3.0 if u == 0 else 7.0,
             eval2=lambda x, v, j1: 0.0,
             alpha=0.0)
-        state = min_improve_step(problem, initial_state(problem))
+        state = initial_state(problem)
+        state = _apply(problem, state, Operation(Kind.MIN_IMPROVE, np.arange(1)), state)
         assert state.j1.values[0] == 3.0
         assert state.v1.values[0] == 3.0
         assert state.policies.mu[0] == 0
@@ -85,14 +85,15 @@ class TestSteps:
         j2 = problem.random_table2(rng)
         v2 = problem.random_table2(rng)
         state = AlgoState(state.j1, state.v1, j2, v2, state.policies, 0)
-        stepped = min_improve_step(problem, state)
+        full1 = np.arange(problem.space1.size)
+        stepped = _apply(problem, state, Operation(Kind.MIN_IMPROVE, full1), state)
         merged = v2.pointwise_max(j2)
         step = 1e-3
         for x in range(problem.space1.size):
             best = min(merged.value_at(x, np.array([a, 1.0 - a]))
                        for a in np.arange(0.0, 1.0 + step / 2, step))
             assert stepped.j1.values[x] == pytest.approx(
-                best / problem.beta.beta, abs=1e-3)
+                best / problem.beta, abs=1e-3)
 
     def test_max_improve_matches_column_scan(self, markov_sep):
         problem = markov_sep
@@ -103,10 +104,11 @@ class TestSteps:
         mu = rng.dirichlet(np.ones(problem.n), problem.space1.size)
         state = AlgoState(j1, v1, state.j2, state.v2,
                           PolicyPair(mu, state.policies.nu), 0)
-        stepped = max_improve_step(problem, state)
+        full2 = np.arange(problem.space2.size)
+        stepped = _apply(problem, state, Operation(Kind.MAX_IMPROVE, full2), state)
         m1 = np.minimum(j1.values, v1.values)
         for x in range(problem.space2.size):
-            mat = stage_matrix(problem.game, x, m1, problem.game.alpha * problem.beta.beta)
+            mat = stage_matrix(problem.game, x, m1, problem.game.alpha * problem.beta)
             scores = mu[x] @ mat
             assert stepped.policies.nu[x] == int(np.argmax(scores))
             assert np.allclose(stepped.j2.cols[x], mat, atol=1e-12)
@@ -116,12 +118,14 @@ class TestSteps:
         """An evaluated bundle is the policy's column of the stage matrix,
         repeated across the table's fixed width."""
         problem = markov_sep
-        state = max_improve_step(problem, initial_state(problem))
-        state = min_improve_step(problem, state)
-        stepped = max_eval_step(problem, state)
+        full1, full2 = np.arange(problem.space1.size), np.arange(problem.space2.size)
+        state = initial_state(problem)
+        state = _apply(problem, state, Operation(Kind.MAX_IMPROVE, full2), state)
+        state = _apply(problem, state, Operation(Kind.MIN_IMPROVE, full1), state)
+        stepped = _apply(problem, state, Operation(Kind.MAX_EVAL, full2), state)
         m1 = np.minimum(state.j1.values, state.v1.values)
         for x in range(problem.space2.size):
-            mat = stage_matrix(problem.game, x, m1, problem.game.alpha * problem.beta.beta)
+            mat = stage_matrix(problem.game, x, m1, problem.game.alpha * problem.beta)
             column = mat[:, state.policies.nu[x]]
             assert all(np.array_equal(c, column) for c in stepped.j2.cols[x].T)
         assert stepped.j2.cols.shape == (problem.space2.size, problem.n, problem.m)
@@ -134,10 +138,11 @@ class TestSteps:
         state = AlgoState(state.j1, state.v1, problem.random_table2(rng),
                           problem.random_table2(rng),
                           problem.random_policies(rng), 0)
-        stepped = min_eval_step(problem, state)
+        full1 = np.arange(problem.space1.size)
+        stepped = _apply(problem, state, Operation(Kind.MIN_EVAL, full1), state)
         for x in range(problem.space1.size):
             merged = np.hstack((state.v2.cols[x], state.j2.cols[x]))
-            expect = float(np.max(state.policies.mu[x] @ merged)) / problem.beta.beta
+            expect = float(np.max(state.policies.mu[x] @ merged)) / problem.beta
             assert stepped.j1.values[x] == pytest.approx(expect, abs=1e-14)
 
     def test_subset_updates_leave_rest(self, explicit_problem):
@@ -148,7 +153,7 @@ class TestSteps:
                           problem.random_table2(rng), state.v2,
                           state.policies, 0)
         sub = np.array([1])
-        stepped = min_eval_step(problem, state, sub)
+        stepped = _apply(problem, state, Operation(Kind.MIN_EVAL, sub), state)
         mask = np.ones(problem.space1.size, dtype=bool)
         mask[sub] = False
         assert np.all(stepped.j1.values[mask] == state.j1.values[mask])
@@ -161,9 +166,10 @@ class TestSteps:
                           problem.random_table2(rng), problem.random_table2(rng),
                           state.policies, 0)
         sub = np.array([0, 2])
-        stepped = min_improve_step(problem, state, sub)
+        stepped = _apply(problem, state, Operation(Kind.MIN_IMPROVE, sub), state)
         assert np.all(stepped.j1.values[sub] == stepped.v1.values[sub])
-        stepped2 = max_improve_step(problem, state, np.array([1, 3]))
+        stepped2 = _apply(problem, state, Operation(Kind.MAX_IMPROVE, np.array([1, 3])),
+                          state)
         assert np.all(stepped2.j2.values[[1, 3]] == stepped2.v2.values[[1, 3]])
 
 
@@ -174,15 +180,6 @@ class TestRun:
         assert state.j1.values[0] == pytest.approx(2.0 / 3.0, abs=1e-8)
         assert state.j2.values[0] == pytest.approx(4.0 / 3.0, abs=1e-8)
         assert len(trace) == state.t
-
-    def test_fixed_point_init_terminates_immediately(self):
-        problem = scalar_problem()
-        exact = value_iterate(problem, tol=1e-13)
-        fixed = AlgoState(exact.j1, exact.j1, exact.j2, exact.j2,
-                          problem.first_policies(), 0)
-        state, trace = run(problem, round_robin(), init=fixed, tol=1e-8, trace_out=[])
-        assert state.t == 0
-        assert trace == []
 
     def test_seeded_schedules_agree(self, markov_sep):
         problem = markov_sep
@@ -628,7 +625,7 @@ class TestCertificate:
             # terminating rows lose mass: the sup-bound fallback
             assert (problem.shift() is None) == terminating
             exact = highs_game_values(game)
-            self.assert_bounds_cover_errors(problem, exact / problem.beta.beta)
+            self.assert_bounds_cover_errors(problem, exact / problem.beta)
             for tol in self.TOLS:
                 result = shapley_value_iteration(game, tol=tol)
                 assert result.error_bound <= tol
@@ -768,7 +765,7 @@ class TestExtendedOperator:
     def test_uniform_contraction_game_reduction(self):
         rng = np.random.default_rng(9)
         game = random_markov_game(rng, 3, 2, 2, alpha=0.9)
-        beta = default_beta(0.9)
+        beta = 1.0 / np.sqrt(0.9)
         problem = minimax_control_to_problem(markov_game_to_control(game), beta)
         ratio = verify_uniform_contraction(problem, 300, 2)
         assert ratio <= np.sqrt(0.9) + 1e-10

@@ -65,7 +65,7 @@ class TestHoffmanKarp:
             assert bound <= tol
             oracle = shapley_value_iteration(game, tol=1e-13).values
             gap = np.max(np.abs(problem.original_values(estimate) - oracle))
-            assert gap <= problem.beta.beta * bound + 1e-13
+            assert gap <= problem.beta * bound + 1e-13
 
     def test_floating_point_fixed_points_are_not_certified_at_zero(self):
         """hk and naive both end on exact floating-point fixed points of the

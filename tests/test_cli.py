@@ -11,7 +11,7 @@ from minimaxpi.async_pi import Schedule, round_robin, run
 from minimaxpi.classic_pi import hoffman_karp, naive_separated_pi
 from minimaxpi.errors import NonContractive, ParseError, ValidationError
 from minimaxpi.core import ValueTable, certify, value_iterate
-from minimaxpi.models import (DiscountedMarkovGame, default_beta, markov_game_to_control,
+from minimaxpi.models import (DiscountedMarkovGame, markov_game_to_control,
                               minimax_control_to_problem,
                               separated_model_to_problem, shapley_value_iteration)
 from minimaxpi.problem_io import game_payload, load_problem, save_problem
@@ -483,8 +483,7 @@ class TestLoadProblem:
         else:
             model = random_control_model(rng, 6, max_u=3, max_v=3,
                                          stochastic=kind == "stochastic")
-        problem = minimax_control_to_problem(
-            load_problem(write_control(tmp_path, model)).model, default_beta(model.alpha))
+        problem = minimax_control_to_problem(load_problem(write_control(tmp_path, model)).model)
         pairs = [per_v for per_u in model.outcomes for per_v in per_u]
         offsets = np.cumsum([0] + [len(per_u) for per_u in model.outcomes])
         assert_stage_is(problem.stage1, [[[(1.0, 0.0, offsets[x] + u)] for u in range(len(per_u))]
@@ -747,7 +746,7 @@ class TestCompareCommand:
         assert code == 0 and float(gap) <= float(gate)
         # the gate sums the certified bounds, in the printed scale
         problem = minimax_control_to_problem(model)
-        beta = default_beta(model.alpha).beta
+        beta = 1.0 / np.sqrt(model.alpha)
         vi = cli.value_iterate(problem, tol=1e-6)
         naive = certify(problem, naive_separated_pi(problem, tol=1e-6).values[0])
         assert gate == f"{beta * (vi.error_bound + naive[1]):.3e}"
@@ -786,7 +785,7 @@ class TestCompareCommand:
         result = naive_separated_pi(problem, tol=1e-6)
         j1 = certify(problem, result.values[0])[0]
         printed = (tmp_path / "vals.naive.csv").read_text().splitlines()[1:]
-        beta = default_beta(model.alpha).beta
+        beta = 1.0 / np.sqrt(model.alpha)
         assert [float(r.split(",")[1]) for r in printed] == list(beta * j1.values)
         # r of the printed table: |J1 - T1(T2 J1)|, both sweeps greedy, as async's
         residual = j1.diff_norm(problem.t1_greedy(problem.t2_greedy(j1)[0])[0])
@@ -931,11 +930,37 @@ class TestCertificate:
         printed = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()]
         problem = cli._half_stage_problem(load_problem(path),
                                           cli.build_parser().parse_args(argv))[0]
-        assert problem.beta.beta == 1.0 / np.sqrt(game.contraction_factor())
+        assert problem.beta == 1.0 / np.sqrt(game.contraction_factor())
         outcome = solve_outcome(argv)[algo]
         assert list(outcome.values) == printed
         reference = shapley_value_iteration(game, tol=1e-13).values
         assert np.max(np.abs(outcome.values - reference)) <= outcome.error_bound + 1e-13
+
+    @pytest.mark.parametrize("algo", ["vi", "hk", "naive", "async"])
+    def test_default_split_of_a_weighted_control_file(self, tmp_path, capsys, algo):
+        """The game's rule on a control file: state 0 moves to state 1 at cost
+        1, state 1 stays at cost 0, and weights [1, 1.2] at alpha 0.81 give the
+        modulus 0.972 >= sqrt(alpha).  The split 1/sqrt(alpha) would put the
+        second half-stage at 1.08, so the default is 1/sqrt(0.972)."""
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps({"format": 1, "kind": "minimax_control", "alpha": 0.81,
+                                    "weights": [1.0, 1.2],
+                                    "outcomes": [[[[[1.0, 1.0, 1]]]], [[[[1.0, 0.0, 1]]]]]}))
+        beta = float(1.0 / np.sqrt(0.81 * 1.2))
+        outcomes = []
+        for extra in ([], ["--beta", repr(beta)]):
+            argv = ["solve", str(path), "--algo", algo, "--tol", "1e-8", *extra]
+            assert cli.main(argv) == 0
+            printed = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()]
+            assert cli._half_stage_problem(load_problem(str(path)),
+                                           cli.build_parser().parse_args(argv))[1] == beta
+            outcome = solve_outcome(argv)[algo]
+            assert list(outcome.values) == printed
+            assert np.max(np.abs(outcome.values - [1.0, 0.0])) <= outcome.error_bound + 1e-13
+            outcomes.append(outcome)
+        default, explicit = outcomes
+        gap = np.max(np.abs(default.values - explicit.values))
+        assert gap <= default.error_bound + explicit.error_bound
 
     def test_async_out_of_steps_prints_a_certified_table(self, tmp_path, capsys):
         game = random_markov_game(np.random.default_rng(2), 3, 2, 2, alpha=0.9)

@@ -4,11 +4,10 @@ import pytest
 from minimaxpi.async_pi import round_robin, run
 from minimaxpi.core import check_monotone, estimate_modulus, value_iterate
 from minimaxpi.errors import InvalidBeta, NonContractive
-from minimaxpi.models import (BetaScaling, ColumnMaxTable, DiscountedMarkovGame,
-                              MinimaxControlModel, default_beta, markov_H,
+from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
                               markov_game_to_control, minimax_control_to_problem,
                               separate_markov_game, separated_model_to_problem,
-                              shapley_value_iteration, stage_matrix)
+                              shapley_value_iteration, split_beta, stage_matrix)
 from minimaxpi.core import ValueTable, WeightedSpace
 from minimaxpi.matrix_game import min_simplex_max_linear
 
@@ -25,14 +24,14 @@ def one_state_game(payoff, alpha=0.5):
 class TestMarkovH:
     def test_self_loop_arithmetic(self):
         game = one_state_game(1.0, alpha=0.5)
-        val = markov_H(game, 0, [1.0], [1.0], np.array([2.0]))
+        val = np.array([1.0]) @ stage_matrix(game, 0, np.array([2.0])) @ np.array([1.0])
         assert val == pytest.approx(2.0)
 
     def test_no_continuation_term(self):
         rng = np.random.default_rng(0)
         game = random_markov_game(rng, 2, 2, 2, alpha=0.7)
         u, v = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
-        val = markov_H(game, 1, u, v, np.zeros(2))
+        val = u @ stage_matrix(game, 1, np.zeros(2)) @ v
         assert val == pytest.approx(float(u @ game.payoffs[1] @ v), abs=1e-14)
 
     def test_double_sum_oracle(self):
@@ -46,21 +45,69 @@ class TestMarkovH:
                                + game.alpha * sum(game.transitions[x, i, k, y] * j[y]
                                                   for y in range(2)))
                 for i in range(3) for k in range(2))
-            assert markov_H(game, x, u, v, j) == pytest.approx(expect, abs=1e-12)
+            assert u @ stage_matrix(game, x, j) @ v == pytest.approx(expect, abs=1e-12)
+
+
+def weighted_pair(alpha=0.81, weights=(1.0, 1.2)):
+    """One game and one control model of the same dynamics: state 0 moves to
+    state 1 at cost 1, state 1 stays at cost 0.  Their weighted modulus is
+    alpha * weights[1] / weights[0]."""
+    transitions = np.zeros((2, 1, 1, 2))
+    transitions[..., 1] = 1.0
+    game = DiscountedMarkovGame(np.array([[[1.0]], [[0.0]]]), transitions, alpha,
+                                weights=list(weights))
+    control = MinimaxControlModel(WeightedSpace(2, list(weights)),
+                                  ((([[1.0, 1.0, 1]],),), (([[1.0, 0.0, 1]],),)), alpha)
+    return game, control
 
 
 class TestBetaScaling:
     def test_rejects_beta_below_one(self):
         with pytest.raises(InvalidBeta):
-            BetaScaling(0.9)
+            split_beta(one_state_game(1.0), 0.9)
 
     def test_rejects_product_above_one(self):
         with pytest.raises(InvalidBeta):
             separate_markov_game(one_state_game(1.0, alpha=0.9), beta=1.2)
 
     def test_default_is_symmetric(self):
-        beta = default_beta(0.81)
-        assert beta.beta == pytest.approx(1.0 / 0.9)
+        assert split_beta(one_state_game(1.0, alpha=0.81)) == pytest.approx(1.0 / 0.9)
+
+    @pytest.mark.parametrize("kind", ["game", "control"])
+    @pytest.mark.parametrize("beta, message", [
+        (1.0, "beta must exceed 1, got 1.0"),
+        (0.5, "beta must exceed 1, got 0.5"),
+        (2.0, "alpha*beta = 1.000000 must be below 1"),
+        (2.5, "alpha*beta = 1.250000 must be below 1")])
+    def test_refuses_a_split_outside_its_range(self, kind, beta, message):
+        """beta <= 1 or alpha*beta >= 1, from the function or either builder."""
+        game, control = weighted_pair(alpha=0.5)
+        model, build = ((game, separate_markov_game) if kind == "game"
+                        else (control, minimax_control_to_problem))
+        for refuse in (split_beta, build):
+            with pytest.raises(InvalidBeta) as info:
+                refuse(model, beta)
+            assert str(info.value) == message
+
+    def test_games_and_control_share_the_default_split(self):
+        """Weighted modulus 0.81 x 1.2 = 0.972 >= sqrt(0.81): the symmetric
+        split would put the second half-stage at 0.9 x 1.2 > 1, so both
+        kinds split at 1/sqrt(0.972), both half-stages at sqrt(0.972)."""
+        game, control = weighted_pair()
+        assert control.contraction_factor() == game.contraction_factor() == 0.81 * 1.2
+        assert split_beta(control) == split_beta(game) == 1.0 / np.sqrt(0.81 * 1.2)
+        for problem in (separate_markov_game(game), minimax_control_to_problem(control)):
+            assert problem.alpha == pytest.approx(np.sqrt(0.81 * 1.2), abs=1e-15)
+        # a random weighted game and its control reduction agree too
+        rng = np.random.default_rng(40)
+        game = random_markov_game(rng, 4, 2, 3, alpha=0.9)
+        game = DiscountedMarkovGame(game.payoffs, game.transitions, 0.9,
+                                    weights=rng.uniform(0.9, 1.1, 4))
+        assert np.sqrt(0.9) <= game.contraction_factor() < 1.0
+        control = markov_game_to_control(game)
+        assert control.contraction_factor() == pytest.approx(game.contraction_factor(),
+                                                             rel=1e-14)
+        assert split_beta(control) == pytest.approx(split_beta(game), rel=1e-14)
 
 
 class TestSeparateMarkovGame:
@@ -71,7 +118,7 @@ class TestSeparateMarkovGame:
         result = value_iterate(sep, tol=1e-12)
         expect_game = c / (1.0 - alpha)
         assert sep.original_values(result.j1)[0] == pytest.approx(expect_game, abs=1e-9)
-        assert result.j1.values[0] == pytest.approx(expect_game / sep.beta.beta, abs=1e-9)
+        assert result.j1.values[0] == pytest.approx(expect_game / sep.beta, abs=1e-9)
 
     def test_zero_game(self):
         sep = separate_markov_game(one_state_game(0.0))
@@ -93,7 +140,7 @@ class TestSeparateMarkovGame:
             game = random_markov_game(rng, 3, 2, 2, alpha=0.9,
                                       terminating=terminating)
             sep = separate_markov_game(game)
-            bound = max(1.0 / sep.beta.beta, game.alpha * sep.beta.beta)
+            bound = max(1.0 / sep.beta, game.alpha * sep.beta)
             assert estimate_modulus(sep, 100, 7) <= bound + 1e-10
 
     def test_monotone(self):
@@ -115,8 +162,8 @@ class TestSeparateMarkovGame:
             mu = rng.dirichlet(np.ones(2), 3)
             nu = rng.dirichlet(np.ones(2), 3)
             moved = max(
-                abs(markov_H(game, x, mu[x], nu[x], j_a)
-                    - markov_H(game, x, mu[x], nu[x], j_b))
+                abs(mu[x] @ stage_matrix(game, x, j_a) @ nu[x]
+                    - mu[x] @ stage_matrix(game, x, j_b) @ nu[x])
                 for x in range(3))
             worst = max(worst, moved / dist)
         assert worst <= 0.9 + 1e-10
@@ -143,7 +190,7 @@ class TestMarkovKernels:
     def test_batched_kernels_match_per_state_formulas(self, shape):
         rng = np.random.default_rng(sum(shape))
         problem = separate_markov_game(random_markov_game(rng, *shape, alpha=0.9))
-        game, beta = problem.game, problem.beta.beta
+        game, beta = problem.game, problem.beta
         for _ in range(20):
             subset = rng.permutation(game.state_count)[:int(rng.integers(1, game.state_count + 1))]
             pol = problem.random_policies(rng)
@@ -260,10 +307,10 @@ class TestMinimaxControl:
     def test_forced_geometric_series(self):
         model = MinimaxControlModel(
             WeightedSpace.unit(1), ((([[1.0, 1.0, 0]],),),), 0.5)
-        beta = default_beta(model.alpha)
+        beta = 1.0 / np.sqrt(model.alpha)
         problem = minimax_control_to_problem(model, beta)
         result = value_iterate(problem, tol=1e-12)
-        assert beta.beta * result.j1.values[0] == pytest.approx(2.0, abs=1e-9)
+        assert beta * result.j1.values[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_deterministic_equals_point_mass(self):
         rng = np.random.default_rng(12)
@@ -283,7 +330,7 @@ class TestMinimaxControl:
         rng = np.random.default_rng(13)
         model = random_control_model(rng, 4, alpha=0.9, max_u=2, max_v=2,
                                      stochastic=True)
-        beta = default_beta(model.alpha)
+        beta = 1.0 / np.sqrt(model.alpha)
         problem = minimax_control_to_problem(model, beta)
         result = value_iterate(problem, tol=1e-10)
         j = np.zeros(4)
@@ -296,13 +343,13 @@ class TestMinimaxControl:
                         for arr in per_u)
                     for per_u in model.outcomes[x])
             j = new
-        assert np.max(np.abs(beta.beta * result.j1.values - j)) <= 1e-6
+        assert np.max(np.abs(beta * result.j1.values - j)) <= 1e-6
 
     def test_tabular_arrays_match_outcome_lists(self):
         rng = np.random.default_rng(18)
         model = random_control_model(rng, 5, alpha=0.9, max_u=3, max_v=3,
                                      stochastic=True)
-        beta = default_beta(model.alpha)
+        beta = 1.0 / np.sqrt(model.alpha)
         problem = minimax_control_to_problem(model, beta)
         j1, j2 = problem.random_table1(rng), problem.random_table2(rng)
         pair = 0
@@ -310,12 +357,12 @@ class TestMinimaxControl:
             assert problem.actions1[x] == tuple(range(len(per_u)))
             for u, per_v in enumerate(per_u):
                 assert problem.eval1(x, u, j2.values) == pytest.approx(
-                    j2.values[pair] / beta.beta, rel=1e-15)
+                    j2.values[pair] / beta, rel=1e-15)
                 assert problem.actions2[pair] == tuple(range(len(per_v)))
                 for v, arr in enumerate(per_v):
                     nxt = arr[:, 2].astype(int)
                     expect = arr[:, 0] @ (arr[:, 1]
-                                          + model.alpha * beta.beta * j1.values[nxt])
+                                          + model.alpha * beta * j1.values[nxt])
                     assert problem.eval2(pair, v, j1.values) == pytest.approx(
                         expect, rel=1e-14, abs=1e-15)
                 pair += 1
@@ -324,16 +371,15 @@ class TestMinimaxControl:
     def test_modulus_certification(self):
         rng = np.random.default_rng(14)
         model = random_control_model(rng, 3, alpha=0.9)
-        beta = default_beta(model.alpha)
+        beta = 1.0 / np.sqrt(model.alpha)
         problem = minimax_control_to_problem(model, beta)
-        bound = max(1.0 / beta.beta, model.alpha * beta.beta)
+        bound = max(1.0 / beta, model.alpha * beta)
         assert estimate_modulus(problem, 150, 15) <= bound + 1e-10
 
     def test_game_reduction_is_monotone(self):
         rng = np.random.default_rng(16)
         game = random_markov_game(rng, 3, 2, 2, alpha=0.9, terminating=True)
-        problem = minimax_control_to_problem(markov_game_to_control(game),
-                                             default_beta(game.alpha))
+        problem = minimax_control_to_problem(markov_game_to_control(game))
         assert bool(check_monotone(problem, 200, 17))
 
 
