@@ -1,14 +1,13 @@
 """Solvers for sequential zero-sum games and minimax control.
 
 Classical policy-iteration baselines, an interleavable asynchronous
-policy iteration with certified uniform contraction, exact matrix-game
+policy iteration whose runs certify their own answers, exact matrix-game
 LP solving, and aggregation over representative states.
 """
 
 from .core import (HalfStage, HalfStageProblem, PolicyPair, SeparatedProblem,
                    TabularProblem, ValueTable, WeightedSpace, certify,
-                   check_monotone, estimate_modulus, policy_pair_value,
-                   value_iterate)
+                   policy_pair_value, value_iterate)
 from .matrix_game import SaddleSolution, min_simplex_max_linear, solve_matrix_game
 from .models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
                      SeparatedMinimaxModel, markov_game_to_control,
@@ -17,10 +16,8 @@ from .models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
 from .classic_pi import (PIResult, PIStatus, detect_cycle,
                          find_oscillating_game, hoffman_karp,
                          naive_separated_pi, pollatschek_avi_itzhak)
-from .async_pi import (AlgoState, Kind, Operation, Schedule,
-                       check_minmax_nonexpansive, delayed, initial_state,
-                       partitioned, random_fair, round_robin, run,
-                       verify_uniform_contraction)
+from .async_pi import (AlgoState, Kind, Operation, Schedule, delayed,
+                       initial_state, partitioned, random_fair, round_robin, run)
 from .aggregation import (AggregationProbabilities, RepresentativeSets,
                           build_aggregate, interpolate, lookahead_policies,
                           solve_with_aggregation)

@@ -8,7 +8,7 @@ max[V2, J2], the maximizer at min[V1, J1].  That guard is what buys
 convergence under any fair interleaving, bounded read staleness, and
 state-space partitioning: the underlying four-component operator is a
 uniform sup-norm contraction whose fixed point does not depend on the
-policies, which this module can certify numerically.
+policies.
 """
 
 import itertools
@@ -21,9 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (SCORE_PAD, CheckResult, PolicyPair, ValueTable, certify,
-                   sweep_certificate, update_policy)
-from .errors import ContractionViolation, MaxStepsExceeded
+from .core import PolicyPair, ValueTable, certify, sweep_certificate, update_policy
+from .errors import MaxStepsExceeded
 
 _DEFAULT_EVALS = 10
 
@@ -476,186 +475,3 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     raise MaxStepsExceeded(
         f"no convergence within {max_steps} steps (unfair schedule, "
         "non-contractive problem, or too-tight tol)", state=state, trace=trace)
-
-
-# ---------------------------------------------------------------------------
-# The extended four-component operator over explicit action tables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QState:
-    """State-value tables plus full per-action tables for both players.
-
-    ``q1``/``q2`` have the score primitive's layout: one row per state,
-    one column per action, padded past each state's actions with
-    ``SCORE_PAD`` of the side (+inf for q1, -inf for q2).
-    """
-
-    v1: ValueTable
-    v2: ValueTable
-    q1: np.ndarray
-    q2: np.ndarray
-
-
-def _per_action(problem, side, values):
-    """``values`` at the real actions of the score layout, padding elsewhere."""
-    return np.where(problem.action_mask(side), values, SCORE_PAD[side])
-
-
-def q_zero_state(problem):
-    return QState(problem.zero1(), problem.zero2(),
-                  _per_action(problem, 1, 0.0), _per_action(problem, 2, 0.0))
-
-
-def _action_gap(problem, side, a, b, weights):
-    live = problem.action_mask(side)
-    gap = np.abs(np.subtract(a, b, out=np.zeros(live.shape), where=live))
-    return float(np.max(gap / weights[:, None]))
-
-
-def q_state_diff(problem, a, b):
-    """Norm of Eq-style quadruple differences: the largest per-part norm."""
-    dq1 = _action_gap(problem, 1, a.q1, b.q1, problem.space1.weights)
-    dq2 = _action_gap(problem, 2, a.q2, b.q2, problem.space2.weights)
-    return max(a.v1.diff_norm(b.v1), a.v2.diff_norm(b.v2), dq1, dq2)
-
-
-def _random_q_state(problem, rng):
-    v1, v2 = problem.random_table1(rng), problem.random_table2(rng)
-    q = [_per_action(problem, side, rng.uniform(-1, 1, problem.action_mask(side).shape)
-                     * space.weights[:, None])
-         for side, space in ((1, problem.space1), (2, problem.space2))]
-    return QState(v1, v2, *q)
-
-
-def build_G(problem, policies):
-    """The four-component operator applied by the extended algorithm.
-
-    Needs explicit finite action sets so the per-action tables are plain
-    arrays; both are one full-subset call of the problem's score
-    primitive.  Returns a function mapping a :class:`QState` to the next
-    one: improvements of both players' state tables and refreshes of both
-    per-action tables, all read through the pessimism guard at the given
-    policy pair.
-    """
-    if not hasattr(problem, "scores"):
-        raise TypeError("the extended operator needs explicit finite action sets")
-    all1, all2 = _full1(problem), _full2(problem)
-
-    def apply(qs):
-        m2 = qs.v2.pointwise_max(ValueTable(problem.space2, qs.q2[all2, policies.nu]))
-        q1 = problem.scores(1, all1, m2.values)
-        m1 = qs.v1.pointwise_min(ValueTable(problem.space1, qs.q1[all1, policies.mu]))
-        q2 = problem.scores(2, all2, m1.values)
-        return QState(ValueTable(problem.space1, q1.min(axis=1)),
-                      ValueTable(problem.space2, q2.max(axis=1)), q1, q2)
-
-    return apply
-
-
-def solve_G_fixed_point(problem, policies, tol=1e-13, max_iters=10**5):
-    """Iterate the four-component operator from zero to its fixed point."""
-    apply = build_G(problem, policies)
-    qs = q_zero_state(problem)
-    for _ in range(max_iters):
-        new = apply(qs)
-        if q_state_diff(problem, qs, new) <= tol:
-            return new
-        qs = new
-    raise MaxStepsExceeded("extended operator iteration did not converge")
-
-
-def verify_uniform_contraction(problem, samples=100, seed=0, policy_trials=5):
-    """Certify the extended operator numerically.
-
-    Samples quadruple pairs under random policy pairs and returns the
-    largest contraction ratio observed; raises
-    :class:`ContractionViolation` if it exceeds the problem's modulus, or
-    if fixed points solved under distinct policy pairs disagree.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a = _random_q_state(problem, rng)
-        b = _random_q_state(problem, rng)
-        dist = q_state_diff(problem, a, b)
-        if dist <= 1e-13:
-            continue
-        pol = problem.random_policies(rng)
-        apply = build_G(problem, pol)
-        ratio = q_state_diff(problem, apply(a), apply(b)) / dist
-        if ratio > problem.alpha + 1e-10:
-            raise ContractionViolation(
-                f"ratio {ratio:.12f} exceeds modulus {problem.alpha:.12f}",
-                witness=(a, b, pol))
-        worst = max(worst, ratio)
-    fixed = [solve_G_fixed_point(problem, problem.random_policies(rng))
-             for _ in range(policy_trials)]
-    for fa, fb in itertools.combinations(fixed, 2):
-        gap = q_state_diff(problem, fa, fb)
-        if gap > 1e-8:
-            raise ContractionViolation(
-                f"fixed points differ by {gap:.3e} across policy pairs",
-                witness=(fa, fb))
-    return worst
-
-
-def run_extended(problem, ops, steps, policies=None):
-    """Apply scheduled components of the extended operator step by step.
-
-    Improvements update the state table, the per-action table, and the
-    policy together; evaluations refresh only the per-action table.
-    Yields the state after every step so reduced-space runs can be
-    compared against it.
-    """
-    qs = q_zero_state(problem)
-    pol = problem.first_policies() if policies is None else policies
-    out = [(qs, pol)]
-    for op in itertools.islice(ops, steps):
-        new = build_G(problem, pol)(qs)
-        sub = op.subset
-        if op.kind.side == 1:
-            q1 = qs.q1.copy()
-            q1[sub] = new.q1[sub]
-            qs = replace(qs, q1=q1)
-            if op.kind is Kind.MIN_IMPROVE:
-                qs = replace(qs, v1=qs.v1.with_updates(sub, new.v1.values[sub]))
-                pol = PolicyPair(update_policy(pol.mu, sub, np.argmin(new.q1[sub], axis=1)),
-                                 pol.nu)
-        else:
-            q2 = qs.q2.copy()
-            q2[sub] = new.q2[sub]
-            qs = replace(qs, q2=q2)
-            if op.kind is Kind.MAX_IMPROVE:
-                qs = replace(qs, v2=qs.v2.with_updates(sub, new.v2.values[sub]))
-                pol = PolicyPair(pol.mu,
-                                 update_policy(pol.nu, sub, np.argmax(new.q2[sub], axis=1)))
-        out.append((qs, pol))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Order-preservation of the pessimism guard
-# ---------------------------------------------------------------------------
-
-
-def check_minmax_nonexpansive(samples=10**4, seed=0):
-    """Sample table quadruples and verify the pointwise-min/max guard
-    never expands weighted sup-norm distances."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        size = int(rng.integers(1, 7))
-        xi = rng.uniform(0.5, 2.0, size)
-        v, j, vp, jp = rng.uniform(-5, 5, (4, size))
-        rhs = max(float(np.max(np.abs(v - vp) / xi)), float(np.max(np.abs(j - jp) / xi)))
-        lo = float(np.max(np.abs(np.minimum(v, j) - np.minimum(vp, jp)) / xi))
-        hi = float(np.max(np.abs(np.maximum(v, j) - np.maximum(vp, jp)) / xi))
-        if lo > rhs + 1e-12 or hi > rhs + 1e-12:
-            return CheckResult(False, {"v": v, "j": j, "vp": vp, "jp": jp,
-                                       "weights": xi, "lhs": max(lo, hi), "rhs": rhs})
-    return CheckResult(True)

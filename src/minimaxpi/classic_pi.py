@@ -23,6 +23,9 @@ from .errors import SearchFailed
 from .matrix_game import solve_matrix_game
 from .models import DiscountedMarkovGame, separate_markov_game, stage_matrix
 
+# sweeps allowed to each Hoffman-Karp evaluation: value_iterate's default
+_EVAL_SWEEPS = 10**6
+
 
 class PIStatus(Enum):
     CONVERGED = "Converged"
@@ -72,9 +75,10 @@ def hoffman_karp(problem, tol=1e-8, max_iters=10**4):
     against the maximizer's best response, ``J1 <- T1^mu(T2 J1)`` iterated
     from the current J1 until certified within tol/10.  J1 after each
     evaluation is then nonincreasing up to twice that, so no cycle
-    handling is needed.  ``values`` is the last sweep's estimate on
-    convergence, else the last evaluated J1; ``policies`` is ``(mu, None)``
-    and ``residuals[k]`` is ``r`` of the k-th sweep.
+    handling is needed.  ``max_iters`` counts iterations; each evaluation
+    may take up to ``_EVAL_SWEEPS`` sweeps.  ``values`` is the last sweep's
+    estimate on convergence, else the last evaluated J1; ``policies`` is
+    ``(mu, None)`` and ``residuals[k]`` is ``r`` of the k-th sweep.
     """
     j1, residuals, mu = problem.zero1(), [], None
     for t in range(1, max_iters + 1):
@@ -83,7 +87,7 @@ def hoffman_karp(problem, tol=1e-8, max_iters=10**4):
         if bound <= tol:
             return PIResult(estimate, PolicyPair(mu, None), t, PIStatus.CONVERGED, None,
                             tuple(residuals))
-        j1 = _iterate(problem, j1, tol / 10, max_iters, PolicyPair(mu, None)).j1
+        j1 = _iterate(problem, j1, tol / 10, _EVAL_SWEEPS, PolicyPair(mu, None)).j1
     return PIResult(j1, PolicyPair(mu, None), max_iters, PIStatus.MAX_ITERS, None,
                     tuple(residuals))
 

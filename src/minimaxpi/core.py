@@ -28,9 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegeneratePair, MaxItersExceeded, NonContractive
-
-_ZERO_DISTANCE = 1e-13
+from .errors import MaxItersExceeded, NonContractive
 
 _MASS_SLACK = 1e-12   # outcome mass this close to 1 counts as exact in a shift factor
 
@@ -116,14 +114,6 @@ class ValueTable:
             raise ValueError("table entries must be finite")
         return ValueTable._trusted(self.space, out)
 
-    def le(self, other, slack=1e-12):
-        """Pointwise <= check; returns (ok, witness)."""
-        gap = self.values - other.values
-        if np.all(gap <= slack):
-            return True, None
-        x = int(np.argmax(gap))
-        return False, {"state": x, "left": float(self.values[x]), "right": float(other.values[x])}
-
 
 @dataclass(frozen=True)
 class PolicyPair:
@@ -155,8 +145,9 @@ class HalfStageProblem:
     ``min_improve(subset, m2)`` and ``max_improve(subset, m1, mu=None)``
     returning greedy values/entries and picks.  It also supplies
     ``table2(entries)`` (a full maximizer table from one entry per state),
-    ``zero2``, ``first_policies``, ``random_policies``, ``random_table2``
-    and ``random_ordered_table2``.  The rest is written here once.
+    ``zero2`` and ``first_policies``, and may override ``shift``,
+    ``evals_repeat_improvements`` and ``joint_policy_fixed_point``.  The
+    solvers call nothing else; the rest is written here once over it.
 
     ``evals_repeat_improvements`` is a kernel contract, not an option: True
     says that evaluating a subset at the picks an improvement returned,
@@ -199,9 +190,6 @@ class HalfStageProblem:
         :func:`policy_pair_value` from j1 (zero by default)."""
         return policy_pair_value(self, policies, tol, j1_0=j1)
 
-    def random_table1(self, rng):
-        return ValueTable(self.space1, rng.uniform(-1, 1, self.space1.size) * self.space1.weights)
-
 
 @dataclass(frozen=True)
 class SeparatedProblem(HalfStageProblem):
@@ -213,8 +201,7 @@ class SeparatedProblem(HalfStageProblem):
     once per (state, action).  :class:`TabularProblem` replaces
     :meth:`scores` by padded arrays; the half-stage kernels below serve
     both.  ``alpha`` is the asserted contraction modulus of the joint
-    fixed-policy operator; it is not enforced at construction but can be
-    certified with :func:`estimate_modulus`.
+    fixed-policy operator; it is not checked at construction.
 
     Evaluations repeat improvements: both read :meth:`scores` entries, and
     an entry is the same computation whether its action is scored alone or
@@ -258,12 +245,6 @@ class SeparatedProblem(HalfStageProblem):
 
     # -- the batched score primitive ------------------------------------------
 
-    def action_mask(self, side):
-        """Which entries of the (states, widest action list) score layout
-        are real actions rather than padding."""
-        counts = np.array([len(a) for a in (self.actions1 if side == 1 else self.actions2)])
-        return np.arange(counts.max()) < counts[:, None]
-
     def scores(self, side, subset, opposite, picks=None):
         """Scores of ``side``'s states in ``subset`` against the opposite
         table's values.
@@ -295,21 +276,6 @@ class SeparatedProblem(HalfStageProblem):
 
     def max_improve(self, subset, m1, mu=None):
         return _first_extremum(self.scores(2, subset, m1.values), np.argmax)
-
-    # -- sampling hooks for the numerical certifiers -------------------------
-
-    def random_table2(self, rng):
-        return ValueTable(self.space2, rng.uniform(-1, 1, self.space2.size) * self.space2.weights)
-
-    def random_policies(self, rng):
-        mu = np.array([rng.integers(len(a)) for a in self.actions1])
-        nu = np.array([rng.integers(len(a)) for a in self.actions2])
-        return PolicyPair(mu, nu)
-
-    def random_ordered_table2(self, rng):
-        lo = self.random_table2(rng)
-        hi = ValueTable(self.space2, lo.values + rng.uniform(0, 1, self.space2.size))
-        return lo, hi
 
 
 def _first_extremum(scores, arg):
@@ -562,66 +528,3 @@ def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None):
     j2 = (problem.t2_greedy(j1)[0] if policies.nu is None
           else problem.t2_policy(policies.nu, j1))
     return j1, j2
-
-
-def estimate_modulus(problem, samples=100, seed=0):
-    """Largest observed contraction ratio of the fixed-policy joint operator.
-
-    Samples random table pairs and policy pairs and returns
-    max ||T_{mu,nu} a - T_{mu,nu} b|| / ||a - b||.  For a valid model this
-    never exceeds the asserted modulus (up to 1e-10 of float slack).
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    usable = 0
-    for _ in range(samples):
-        a1, a2 = problem.random_table1(rng), problem.random_table2(rng)
-        b1, b2 = problem.random_table1(rng), problem.random_table2(rng)
-        dist = max(a1.diff_norm(b1), a2.diff_norm(b2))
-        if dist <= _ZERO_DISTANCE:
-            continue
-        usable += 1
-        pol = problem.random_policies(rng)
-        ta1, ta2 = problem.t1_policy(pol.mu, a2), problem.t2_policy(pol.nu, a1)
-        tb1, tb2 = problem.t1_policy(pol.mu, b2), problem.t2_policy(pol.nu, b1)
-        moved = max(ta1.diff_norm(tb1), ta2.diff_norm(tb2))
-        worst = max(worst, moved / dist)
-    if usable == 0:
-        raise DegeneratePair("all sampled table pairs coincided")
-    return worst
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Boolean verdict plus the first counterexample found, if any."""
-
-    ok: bool
-    witness: dict | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_monotone(problem, samples=100, seed=0, slack=1e-9):
-    """Sample ordered tables and verify both half-stage operators preserve order."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        pol = problem.random_policies(rng)
-        lo2, hi2 = problem.random_ordered_table2(rng)
-        out_lo = problem.t1_policy(pol.mu, lo2)
-        out_hi = problem.t1_policy(pol.mu, hi2)
-        ok, w = out_lo.le(out_hi, slack)
-        if not ok:
-            return CheckResult(False, {"side": 1, **w})
-        lo1 = problem.random_table1(rng)
-        hi1 = ValueTable(problem.space1, lo1.values + rng.uniform(0, 1, problem.space1.size))
-        out_lo = problem.t2_policy(pol.nu, lo1)
-        out_hi = problem.t2_policy(pol.nu, hi1)
-        ok, w = out_lo.le(out_hi, slack)
-        if not ok:
-            return CheckResult(False, {"side": 2, **w})
-    return CheckResult(True)

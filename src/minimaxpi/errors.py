@@ -21,10 +21,6 @@ class MaxStepsExceeded(MinimaxPIError):
         self.trace = trace
 
 
-class DegeneratePair(MinimaxPIError):
-    """Every sampled pair in a modulus estimate had zero distance."""
-
-
 class LPNumericalFailure(MinimaxPIError):
     """An LP answer failed its certificate, enumeration found no vertex, or
     a game's two LP values disagree."""
@@ -32,17 +28,6 @@ class LPNumericalFailure(MinimaxPIError):
 
 class InvalidBeta(MinimaxPIError):
     """A two-stage scaling factor violates beta > 1 or alpha * beta < 1."""
-
-
-class ContractionViolation(MinimaxPIError):
-    """A sampled pair contracted by more than the asserted modulus.
-
-    Carries the offending pair for diagnosis.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class ParseError(MinimaxPIError):

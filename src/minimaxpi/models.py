@@ -345,13 +345,6 @@ class ColumnMaxTable:
     def norm(self):
         return self.diff_norm(ColumnMaxTable(self.space, np.zeros_like(self.cols[..., :1])))
 
-    def le(self, other, slack=1e-12):
-        gaps = _sup_gaps(self.cols, other.cols)
-        x = int(np.argmax(gaps > slack))
-        if gaps[x] > slack:
-            return False, {"state": x, "excess": float(gaps[x])}
-        return True, None
-
 
 # ---------------------------------------------------------------------------
 # The reformulated Markov game as a separated problem
@@ -458,26 +451,6 @@ class MarkovSeparatedProblem(HalfStageProblem):
                              costs / self.beta)
         j1 = ValueTable(self.space1, j1)
         return j1, self.t2_policy(policies.nu, j1)
-
-    # -- sampling hooks -------------------------------------------------------
-
-    def random_table2(self, rng):
-        """Bundles of 1..m random columns, padded to m with the last one."""
-        s = self.game.state_count
-        widths = rng.integers(1, self.m + 1, s)
-        cols = rng.uniform(-1, 1, (s, self.n, self.m)) * self.space2.weights[:, None, None]
-        last = np.minimum(np.arange(self.m), widths[:, None] - 1)
-        return ColumnMaxTable(self.space2, np.take_along_axis(cols, last[:, None, :], axis=2))
-
-    def random_policies(self, rng):
-        mu = rng.dirichlet(np.ones(self.n), self.game.state_count)
-        nu = rng.integers(self.m, size=self.game.state_count)
-        return PolicyPair(mu, nu)
-
-    def random_ordered_table2(self, rng):
-        lo = self.random_table2(rng)
-        shifts = rng.uniform(0, 1, self.game.state_count)
-        return lo, ColumnMaxTable(self.space2, lo.cols + shifts[:, None, None])
 
 
 def separate_markov_game(game, beta=None):
@@ -646,21 +619,6 @@ class MinimaxControlModel:
     def outcomes(self):
         cells = _runs(self.triples, self.branches)
         return _runs(_runs(cells, self.moves), self.controls)
-
-    @classmethod
-    def deterministic(cls, space, next_state, cost, alpha):
-        """Build from dense next/cost tables indexed [x][u][v]."""
-        outcomes = tuple(
-            tuple(
-                tuple(
-                    [[1.0, cost[x][u][v], next_state[x][u][v]]]
-                    for v in range(len(next_state[x][u]))
-                )
-                for u in range(len(next_state[x]))
-            )
-            for x in range(len(next_state))
-        )
-        return cls(space, outcomes, alpha)
 
     def contraction_factor(self):
         """Weighted modulus of the fixed-policy stage operator: alpha times

@@ -1,0 +1,356 @@
+"""Proof instruments: numerical checks of the properties the solvers rest on.
+
+None of this is on a solver's path.  The samplers draw random tables and
+policies of a problem from its public attributes, one sampler per problem
+kind (explicit-action problems and the reformulated Markov game);
+:func:`estimate_modulus` and :func:`check_monotone` check the fixed-policy
+half-stage operators; the extended four-component operator over explicit
+action tables (:func:`build_G`) and :func:`verify_uniform_contraction`
+check that it is a uniform contraction whose fixed point does not depend
+on the policies; :func:`check_minmax_nonexpansive` checks the pessimism
+guard.
+"""
+
+import itertools
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from minimaxpi.async_pi import Kind, _full1, _full2
+from minimaxpi.core import SCORE_PAD, PolicyPair, ValueTable, update_policy
+from minimaxpi.errors import MaxStepsExceeded, MinimaxPIError
+from minimaxpi.models import ColumnMaxTable, MarkovSeparatedProblem, _sup_gaps
+
+_ZERO_DISTANCE = 1e-13
+
+
+class DegeneratePair(MinimaxPIError):
+    """Every sampled pair in a modulus estimate had zero distance."""
+
+
+class ContractionViolation(MinimaxPIError):
+    """A sampled pair contracted by more than the asserted modulus.
+
+    Carries the offending pair for diagnosis.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+# ---------------------------------------------------------------------------
+# Samplers
+# ---------------------------------------------------------------------------
+
+
+def random_table1(problem, rng):
+    return ValueTable(problem.space1, rng.uniform(-1, 1, problem.space1.size) * problem.space1.weights)
+
+
+def random_table2(problem, rng):
+    if isinstance(problem, MarkovSeparatedProblem):
+        return _random_bundles(problem, rng)
+    return ValueTable(problem.space2, rng.uniform(-1, 1, problem.space2.size) * problem.space2.weights)
+
+
+def random_policies(problem, rng):
+    if isinstance(problem, MarkovSeparatedProblem):
+        mu = rng.dirichlet(np.ones(problem.n), problem.game.state_count)
+        nu = rng.integers(problem.m, size=problem.game.state_count)
+        return PolicyPair(mu, nu)
+    mu = np.array([rng.integers(len(a)) for a in problem.actions1])
+    nu = np.array([rng.integers(len(a)) for a in problem.actions2])
+    return PolicyPair(mu, nu)
+
+
+def random_ordered_table2(problem, rng):
+    lo = random_table2(problem, rng)
+    if isinstance(problem, MarkovSeparatedProblem):
+        shifts = rng.uniform(0, 1, problem.game.state_count)
+        return lo, ColumnMaxTable(problem.space2, lo.cols + shifts[:, None, None])
+    hi = ValueTable(problem.space2, lo.values + rng.uniform(0, 1, problem.space2.size))
+    return lo, hi
+
+
+def _random_bundles(problem, rng):
+    """Bundles of 1..m random columns, padded to m with the last one."""
+    s = problem.game.state_count
+    widths = rng.integers(1, problem.m + 1, s)
+    cols = rng.uniform(-1, 1, (s, problem.n, problem.m)) * problem.space2.weights[:, None, None]
+    last = np.minimum(np.arange(problem.m), widths[:, None] - 1)
+    return ColumnMaxTable(problem.space2, np.take_along_axis(cols, last[:, None, :], axis=2))
+
+
+def action_mask(problem, side):
+    """Which entries of the (states, widest action list) score layout
+    are real actions rather than padding."""
+    counts = np.array([len(a) for a in (problem.actions1 if side == 1 else problem.actions2)])
+    return np.arange(counts.max()) < counts[:, None]
+
+
+def le(a, b, slack=1e-12):
+    """Pointwise <= check of two tables of one kind; returns (ok, witness).
+    Column bundles compare by their largest gap over the simplex."""
+    if isinstance(a, ColumnMaxTable):
+        gaps = _sup_gaps(a.cols, b.cols)
+        x = int(np.argmax(gaps > slack))
+        if gaps[x] > slack:
+            return False, {"state": x, "excess": float(gaps[x])}
+        return True, None
+    gap = a.values - b.values
+    if np.all(gap <= slack):
+        return True, None
+    x = int(np.argmax(gap))
+    return False, {"state": x, "left": float(a.values[x]), "right": float(b.values[x])}
+
+
+# ---------------------------------------------------------------------------
+# The fixed-policy half-stage operators
+# ---------------------------------------------------------------------------
+
+
+def estimate_modulus(problem, samples=100, seed=0):
+    """Largest observed contraction ratio of the fixed-policy joint operator.
+
+    Samples random table pairs and policy pairs and returns
+    max ||T_{mu,nu} a - T_{mu,nu} b|| / ||a - b||.  For a valid model this
+    never exceeds the asserted modulus (up to 1e-10 of float slack).
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    usable = 0
+    for _ in range(samples):
+        a1, a2 = random_table1(problem, rng), random_table2(problem, rng)
+        b1, b2 = random_table1(problem, rng), random_table2(problem, rng)
+        dist = max(a1.diff_norm(b1), a2.diff_norm(b2))
+        if dist <= _ZERO_DISTANCE:
+            continue
+        usable += 1
+        pol = random_policies(problem, rng)
+        ta1, ta2 = problem.t1_policy(pol.mu, a2), problem.t2_policy(pol.nu, a1)
+        tb1, tb2 = problem.t1_policy(pol.mu, b2), problem.t2_policy(pol.nu, b1)
+        moved = max(ta1.diff_norm(tb1), ta2.diff_norm(tb2))
+        worst = max(worst, moved / dist)
+    if usable == 0:
+        raise DegeneratePair("all sampled table pairs coincided")
+    return worst
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Boolean verdict plus the first counterexample found, if any."""
+
+    ok: bool
+    witness: dict | None = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_monotone(problem, samples=100, seed=0, slack=1e-9):
+    """Sample ordered tables and verify both half-stage operators preserve order."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        pol = random_policies(problem, rng)
+        lo2, hi2 = random_ordered_table2(problem, rng)
+        out_lo = problem.t1_policy(pol.mu, lo2)
+        out_hi = problem.t1_policy(pol.mu, hi2)
+        ok, w = le(out_lo, out_hi, slack)
+        if not ok:
+            return CheckResult(False, {"side": 1, **w})
+        lo1 = random_table1(problem, rng)
+        hi1 = ValueTable(problem.space1, lo1.values + rng.uniform(0, 1, problem.space1.size))
+        out_lo = problem.t2_policy(pol.nu, lo1)
+        out_hi = problem.t2_policy(pol.nu, hi1)
+        ok, w = le(out_lo, out_hi, slack)
+        if not ok:
+            return CheckResult(False, {"side": 2, **w})
+    return CheckResult(True)
+
+
+# ---------------------------------------------------------------------------
+# The extended four-component operator over explicit action tables
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QState:
+    """State-value tables plus full per-action tables for both players.
+
+    ``q1``/``q2`` have the score primitive's layout: one row per state,
+    one column per action, padded past each state's actions with
+    ``SCORE_PAD`` of the side (+inf for q1, -inf for q2).
+    """
+
+    v1: ValueTable
+    v2: ValueTable
+    q1: np.ndarray
+    q2: np.ndarray
+
+
+def _per_action(problem, side, values):
+    """``values`` at the real actions of the score layout, padding elsewhere."""
+    return np.where(action_mask(problem, side), values, SCORE_PAD[side])
+
+
+def q_zero_state(problem):
+    return QState(problem.zero1(), problem.zero2(),
+                  _per_action(problem, 1, 0.0), _per_action(problem, 2, 0.0))
+
+
+def _action_gap(problem, side, a, b, weights):
+    live = action_mask(problem, side)
+    gap = np.abs(np.subtract(a, b, out=np.zeros(live.shape), where=live))
+    return float(np.max(gap / weights[:, None]))
+
+
+def q_state_diff(problem, a, b):
+    """Norm of Eq-style quadruple differences: the largest per-part norm."""
+    dq1 = _action_gap(problem, 1, a.q1, b.q1, problem.space1.weights)
+    dq2 = _action_gap(problem, 2, a.q2, b.q2, problem.space2.weights)
+    return max(a.v1.diff_norm(b.v1), a.v2.diff_norm(b.v2), dq1, dq2)
+
+
+def _random_q_state(problem, rng):
+    v1, v2 = random_table1(problem, rng), random_table2(problem, rng)
+    q = [_per_action(problem, side, rng.uniform(-1, 1, action_mask(problem, side).shape)
+                     * space.weights[:, None])
+         for side, space in ((1, problem.space1), (2, problem.space2))]
+    return QState(v1, v2, *q)
+
+
+def build_G(problem, policies):
+    """The four-component operator applied by the extended algorithm.
+
+    Needs explicit finite action sets so the per-action tables are plain
+    arrays; both are one full-subset call of the problem's score
+    primitive.  Returns a function mapping a :class:`QState` to the next
+    one: improvements of both players' state tables and refreshes of both
+    per-action tables, all read through the pessimism guard at the given
+    policy pair.
+    """
+    if not hasattr(problem, "scores"):
+        raise TypeError("the extended operator needs explicit finite action sets")
+    all1, all2 = _full1(problem), _full2(problem)
+
+    def apply(qs):
+        m2 = qs.v2.pointwise_max(ValueTable(problem.space2, qs.q2[all2, policies.nu]))
+        q1 = problem.scores(1, all1, m2.values)
+        m1 = qs.v1.pointwise_min(ValueTable(problem.space1, qs.q1[all1, policies.mu]))
+        q2 = problem.scores(2, all2, m1.values)
+        return QState(ValueTable(problem.space1, q1.min(axis=1)),
+                      ValueTable(problem.space2, q2.max(axis=1)), q1, q2)
+
+    return apply
+
+
+def solve_G_fixed_point(problem, policies, tol=1e-13, max_iters=10**5):
+    """Iterate the four-component operator from zero to its fixed point."""
+    apply = build_G(problem, policies)
+    qs = q_zero_state(problem)
+    for _ in range(max_iters):
+        new = apply(qs)
+        if q_state_diff(problem, qs, new) <= tol:
+            return new
+        qs = new
+    raise MaxStepsExceeded("extended operator iteration did not converge")
+
+
+def verify_uniform_contraction(problem, samples=100, seed=0, policy_trials=5):
+    """Certify the extended operator numerically.
+
+    Samples quadruple pairs under random policy pairs and returns the
+    largest contraction ratio observed; raises
+    :class:`ContractionViolation` if it exceeds the problem's modulus, or
+    if fixed points solved under distinct policy pairs disagree.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        a = _random_q_state(problem, rng)
+        b = _random_q_state(problem, rng)
+        dist = q_state_diff(problem, a, b)
+        if dist <= 1e-13:
+            continue
+        pol = random_policies(problem, rng)
+        apply = build_G(problem, pol)
+        ratio = q_state_diff(problem, apply(a), apply(b)) / dist
+        if ratio > problem.alpha + 1e-10:
+            raise ContractionViolation(
+                f"ratio {ratio:.12f} exceeds modulus {problem.alpha:.12f}",
+                witness=(a, b, pol))
+        worst = max(worst, ratio)
+    fixed = [solve_G_fixed_point(problem, random_policies(problem, rng))
+             for _ in range(policy_trials)]
+    for fa, fb in itertools.combinations(fixed, 2):
+        gap = q_state_diff(problem, fa, fb)
+        if gap > 1e-8:
+            raise ContractionViolation(
+                f"fixed points differ by {gap:.3e} across policy pairs",
+                witness=(fa, fb))
+    return worst
+
+
+def run_extended(problem, ops, steps, policies=None):
+    """Apply scheduled components of the extended operator step by step.
+
+    Improvements update the state table, the per-action table, and the
+    policy together; evaluations refresh only the per-action table.
+    Yields the state after every step so reduced-space runs can be
+    compared against it.
+    """
+    qs = q_zero_state(problem)
+    pol = problem.first_policies() if policies is None else policies
+    out = [(qs, pol)]
+    for op in itertools.islice(ops, steps):
+        new = build_G(problem, pol)(qs)
+        sub = op.subset
+        if op.kind.side == 1:
+            q1 = qs.q1.copy()
+            q1[sub] = new.q1[sub]
+            qs = replace(qs, q1=q1)
+            if op.kind is Kind.MIN_IMPROVE:
+                qs = replace(qs, v1=qs.v1.with_updates(sub, new.v1.values[sub]))
+                pol = PolicyPair(update_policy(pol.mu, sub, np.argmin(new.q1[sub], axis=1)),
+                                 pol.nu)
+        else:
+            q2 = qs.q2.copy()
+            q2[sub] = new.q2[sub]
+            qs = replace(qs, q2=q2)
+            if op.kind is Kind.MAX_IMPROVE:
+                qs = replace(qs, v2=qs.v2.with_updates(sub, new.v2.values[sub]))
+                pol = PolicyPair(pol.mu,
+                                 update_policy(pol.nu, sub, np.argmax(new.q2[sub], axis=1)))
+        out.append((qs, pol))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Order-preservation of the pessimism guard
+# ---------------------------------------------------------------------------
+
+
+def check_minmax_nonexpansive(samples=10**4, seed=0):
+    """Sample table quadruples and verify the pointwise-min/max guard
+    never expands weighted sup-norm distances."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        size = int(rng.integers(1, 7))
+        xi = rng.uniform(0.5, 2.0, size)
+        v, j, vp, jp = rng.uniform(-5, 5, (4, size))
+        rhs = max(float(np.max(np.abs(v - vp) / xi)), float(np.max(np.abs(j - jp) / xi)))
+        lo = float(np.max(np.abs(np.minimum(v, j) - np.minimum(vp, jp)) / xi))
+        hi = float(np.max(np.abs(np.maximum(v, j) - np.maximum(vp, jp)) / xi))
+        if lo > rhs + 1e-12 or hi > rhs + 1e-12:
+            return CheckResult(False, {"v": v, "j": j, "vp": vp, "jp": jp,
+                                       "weights": xi, "lhs": max(lo, hi), "rhs": rhs})
+    return CheckResult(True)

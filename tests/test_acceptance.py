@@ -10,13 +10,11 @@ import time
 import numpy as np
 
 from minimaxpi.aggregation import RepresentativeSets, solve_with_aggregation
-from minimaxpi.async_pi import (check_minmax_nonexpansive, delayed,
-                                initial_state, partitioned, random_fair,
-                                round_robin, run, run_extended,
-                                verify_uniform_contraction, _apply)
+from minimaxpi.async_pi import (delayed, initial_state, partitioned, random_fair,
+                                round_robin, run, _apply)
 from minimaxpi.classic_pi import (PIStatus, find_oscillating_game,
                                   hoffman_karp, pollatschek_avi_itzhak)
-from minimaxpi.core import check_monotone, value_iterate
+from minimaxpi.core import value_iterate
 from minimaxpi.models import (markov_game_to_control,
                               minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem,
@@ -24,6 +22,8 @@ from minimaxpi.models import (markov_game_to_control,
 
 from helpers import (random_control_model, random_markov_game,
                      random_separated_model)
+from instruments import (check_minmax_nonexpansive, check_monotone, run_extended,
+                         verify_uniform_contraction)
 
 
 def report(number, ok, detail):

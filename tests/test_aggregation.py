@@ -7,7 +7,6 @@ from minimaxpi.aggregation import (AggregationProbabilities,
                                    lookahead_policies,
                                    nearest_representative_rows,
                                    solve_with_aggregation)
-from minimaxpi.async_pi import verify_uniform_contraction
 from minimaxpi.core import WeightedSpace, policy_pair_value, value_iterate
 from minimaxpi.errors import MissingAggregationRow
 from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
@@ -15,6 +14,7 @@ from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
 
 from helpers import (closure_problem, random_control_model, random_markov_game,
                      random_separated_model)
+from instruments import action_mask, verify_uniform_contraction
 
 
 def full_identity(problem):
@@ -60,7 +60,7 @@ class TestReducedArrays:
                                                (2, reps.reps2, phi.phi1, small.space1)):
                 j = rng.uniform(-1, 1, opposite.size)
                 subset = rng.permutation(rows.size)
-                picks = rng.integers(small.action_mask(side).sum(axis=1))[subset]
+                picks = rng.integers(action_mask(small, side).sum(axis=1))[subset]
                 for got, ref in ((small.scores(side, subset, j),
                                   parent.scores(side, rows[subset], lift @ j)),
                                  (small.scores(side, subset, j, picks),

@@ -9,11 +9,8 @@ from minimaxpi import async_pi
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
 from minimaxpi.async_pi import (AlgoState, Kind, Operation, TraceRow, _apply, _converged,
-                                build_G, check_minmax_nonexpansive, delayed,
-                                fairness_ok, initial_state, partitioned, q_state_diff,
-                                q_zero_state, random_fair, round_robin, run,
-                                run_extended, solve_G_fixed_point,
-                                verify_uniform_contraction)
+                                delayed, fairness_ok, initial_state, partitioned,
+                                random_fair, round_robin, run)
 from minimaxpi.core import (PolicyPair, SeparatedProblem, ValueTable,
                             WeightedSpace, certify, policy_pair_value, value_iterate)
 from minimaxpi.errors import MaxStepsExceeded
@@ -27,6 +24,9 @@ from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxContr
 from helpers import (closure_problem, highs_game_values, random_control_model,
                      random_markov_game, random_separated_model, scalar_problem,
                      swept_j1)
+from instruments import (QState, build_G, check_minmax_nonexpansive, q_state_diff,
+                         q_zero_state, random_policies, random_table1, random_table2,
+                         run_extended, solve_G_fixed_point, verify_uniform_contraction)
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ class TestSteps:
     def test_min_eval_equals_policy_operator_when_guards_match(self, explicit_problem):
         problem = explicit_problem
         rng = np.random.default_rng(2)
-        j2 = problem.random_table2(rng)
+        j2 = random_table2(problem, rng)
         state = initial_state(problem)
         state = AlgoState(state.j1, state.v1, j2, j2, state.policies, 0)
         full1 = np.arange(problem.space1.size)
@@ -82,8 +82,8 @@ class TestSteps:
         problem = markov_sep
         rng = np.random.default_rng(4)
         state = initial_state(problem)
-        j2 = problem.random_table2(rng)
-        v2 = problem.random_table2(rng)
+        j2 = random_table2(problem, rng)
+        v2 = random_table2(problem, rng)
         state = AlgoState(state.j1, state.v1, j2, v2, state.policies, 0)
         full1 = np.arange(problem.space1.size)
         stepped = _apply(problem, state, Operation(Kind.MIN_IMPROVE, full1), state)
@@ -99,8 +99,8 @@ class TestSteps:
         problem = markov_sep
         rng = np.random.default_rng(5)
         state = initial_state(problem)
-        j1 = problem.random_table1(rng)
-        v1 = problem.random_table1(rng)
+        j1 = random_table1(problem, rng)
+        v1 = random_table1(problem, rng)
         mu = rng.dirichlet(np.ones(problem.n), problem.space1.size)
         state = AlgoState(j1, v1, state.j2, state.v2,
                           PolicyPair(mu, state.policies.nu), 0)
@@ -135,9 +135,9 @@ class TestSteps:
         problem = markov_sep
         rng = np.random.default_rng(14)
         state = initial_state(problem)
-        state = AlgoState(state.j1, state.v1, problem.random_table2(rng),
-                          problem.random_table2(rng),
-                          problem.random_policies(rng), 0)
+        state = AlgoState(state.j1, state.v1, random_table2(problem, rng),
+                          random_table2(problem, rng),
+                          random_policies(problem, rng), 0)
         full1 = np.arange(problem.space1.size)
         stepped = _apply(problem, state, Operation(Kind.MIN_EVAL, full1), state)
         for x in range(problem.space1.size):
@@ -149,8 +149,8 @@ class TestSteps:
         problem = explicit_problem
         rng = np.random.default_rng(6)
         state = initial_state(problem)
-        state = AlgoState(problem.random_table1(rng), state.v1,
-                          problem.random_table2(rng), state.v2,
+        state = AlgoState(random_table1(problem, rng), state.v1,
+                          random_table2(problem, rng), state.v2,
                           state.policies, 0)
         sub = np.array([1])
         stepped = _apply(problem, state, Operation(Kind.MIN_EVAL, sub), state)
@@ -162,8 +162,8 @@ class TestSteps:
         problem = explicit_problem
         rng = np.random.default_rng(7)
         state = initial_state(problem)
-        state = AlgoState(problem.random_table1(rng), problem.random_table1(rng),
-                          problem.random_table2(rng), problem.random_table2(rng),
+        state = AlgoState(random_table1(problem, rng), random_table1(problem, rng),
+                          random_table2(problem, rng), random_table2(problem, rng),
                           state.policies, 0)
         sub = np.array([0, 2])
         stepped = _apply(problem, state, Operation(Kind.MIN_IMPROVE, sub), state)
@@ -280,9 +280,9 @@ def test_disjoint_blocks_compose_to_one_full_operation(name):
     problem = block_cases()[name]
     rng = np.random.default_rng(16)
     for _ in range(5):
-        start = AlgoState(problem.random_table1(rng), problem.random_table1(rng),
-                          problem.random_table2(rng), problem.random_table2(rng),
-                          problem.random_policies(rng))
+        start = AlgoState(random_table1(problem, rng), random_table1(problem, rng),
+                          random_table2(problem, rng), random_table2(problem, rng),
+                          random_policies(problem, rng))
         for kind in Kind:
             size = (problem.space1 if kind.side == 1 else problem.space2).size
             cuts = np.sort(rng.choice(np.arange(1, size), int(rng.integers(1, size)),
@@ -445,8 +445,8 @@ def test_declared_kernels_repeat_improvements(name):
     assert problem.evals_repeat_improvements == (name != "markov")
     rng = np.random.default_rng(21)
     for _ in range(20):
-        m1, m2 = problem.random_table1(rng), problem.random_table2(rng)
-        policies = problem.random_policies(rng)
+        m1, m2 = random_table1(problem, rng), random_table2(problem, rng)
+        policies = random_policies(problem, rng)
         s1, s2 = (rng.choice(space.size, int(rng.integers(1, space.size + 1)), replace=False)
                   for space in (problem.space1, problem.space2))
         values, picks = problem.min_improve(s1, m2)
@@ -639,8 +639,8 @@ class TestCertificate:
         weighted = WeightedSpace(5, rng.uniform(0.95, 1.05, 5))
         # two absorbing states at costs 1 and 0: the midpoint misses by
         # exactly its bound, so a bound any smaller fails here
-        apart = MinimaxControlModel.deterministic(WeightedSpace.unit(2), [[[0]], [[1]]],
-                                                  [[[1.0]], [[0.0]]], 0.9)
+        apart = MinimaxControlModel(WeightedSpace.unit(2),
+                                    [[[[[1.0, 1.0, 0]]]], [[[[1.0, 0.0, 1]]]]], 0.9)
         problems += [
             minimax_control_to_problem(MinimaxControlModel(weighted, model.outcomes, 0.8)),
             minimax_control_to_problem(apart),
@@ -670,13 +670,13 @@ class TestCertificate:
         problems = [separated_model_to_problem(random_separated_model(rng, 6, 5)),
                     minimax_control_to_problem(random_control_model(rng, 5)),
                     minimax_control_to_problem(random_control_model(rng, 5, stochastic=True))]
-        pairs = [problem.random_policies(rng) for problem in problems]
+        pairs = [random_policies(problem, rng) for problem in problems]
         # a slow stochastic instance, where stopping on the raw residual
         # missed by up to 19 tol
         slow = minimax_control_to_problem(
             random_control_model(np.random.default_rng(0), 4, alpha=0.95, stochastic=True))
         problems.append(slow)
-        pairs.append(slow.random_policies(np.random.default_rng(1)))
+        pairs.append(random_policies(slow, np.random.default_rng(1)))
         for problem, pair in zip(problems, pairs):
             exact = self.dense_pair_j1(problem, pair)
             for tol in self.TOLS:
@@ -720,10 +720,9 @@ class TestExtendedOperator:
 
         q1 = per_action(problem.eval1, problem.actions1, exact.j2.values, np.inf)
         q2 = per_action(problem.eval2, problem.actions2, exact.j1.values, -np.inf)
-        from minimaxpi.async_pi import QState
         fixed = QState(exact.j1, exact.j2, q1, q2)
         rng = np.random.default_rng(8)
-        pol = problem.random_policies(rng)
+        pol = random_policies(problem, rng)
         out = build_G(problem, pol)(fixed)
         assert q_state_diff(problem, out, fixed) <= 1e-9
 
@@ -773,7 +772,7 @@ class TestExtendedOperator:
     def test_fixed_points_policy_independent(self, explicit_problem):
         rng = np.random.default_rng(10)
         points = [solve_G_fixed_point(explicit_problem,
-                                      explicit_problem.random_policies(rng))
+                                      random_policies(explicit_problem, rng))
                   for _ in range(3)]
         for a in points:
             for b in points:

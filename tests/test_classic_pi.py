@@ -123,6 +123,28 @@ class TestHoffmanKarp:
                 assert np.all(after.values - before.values <= 2 * tol / 10 * weights), kind
 
 
+    def test_evaluations_have_a_budget_of_their_own(self, monkeypatch):
+        """``max_iters`` counts iterations only: near discount 1 one
+        evaluation takes more sweeps than the default iteration budget,
+        and HK still converges, within tol of value iteration's answer."""
+        problem = separated_model_to_problem(
+            random_separated_model(np.random.default_rng(5), 10, 10, alpha=0.999))
+        sweeps = []
+
+        def recording(*args):
+            result = iterate(*args)
+            sweeps.append(result.iterations)
+            return result
+
+        iterate = classic_pi._iterate
+        monkeypatch.setattr(classic_pi, "_iterate", recording)
+        result = hoffman_karp(problem)
+        assert result.status is PIStatus.CONVERGED
+        assert max(sweeps) > 10**4 > result.iterations
+        exact = value_iterate(problem)
+        assert result.values.diff_norm(exact.j1) <= 1e-8 + exact.error_bound
+
+
 class TestFindOscillatingGame:
     def test_reports_the_pinned_instance(self, oscillating):
         # the benchmark's counterexample requests run exactly this instance

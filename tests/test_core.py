@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from minimaxpi.core import (HalfStage, SeparatedProblem, ValueTable, WeightedSpace,
-                            check_monotone, estimate_modulus, policy_pair_value,
-                            value_iterate)
+                            policy_pair_value, value_iterate)
 from minimaxpi.errors import MaxItersExceeded
 
+import instruments
 from helpers import (closure_problem, random_control_model, random_markov_game,
                      random_separated_model, scalar_problem)
+from instruments import (DegeneratePair, action_mask, check_monotone, estimate_modulus,
+                         random_policies, random_table1, random_table2)
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
 from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
@@ -92,8 +94,8 @@ class TestPolicyOperators:
         pol_rng = np.random.default_rng(4)
         mu = np.array([pol_rng.integers(len(a)) for a in problem.actions1])
         nu = np.array([pol_rng.integers(len(a)) for a in problem.actions2])
-        j1 = problem.random_table1(pol_rng)
-        j2 = problem.random_table2(pol_rng)
+        j1 = random_table1(problem, pol_rng)
+        j2 = random_table2(problem, pol_rng)
         out1 = problem.t1_policy(mu, j2)
         expect1 = [problem.eval1(x, problem.actions1[x][mu[x]], j2.values)
                    for x in range(problem.space1.size)]
@@ -105,8 +107,8 @@ class TestPolicyOperators:
         # both eval kernels, every model kind, random subsets in random order
         for name, problem in kernel_cases(np.random.default_rng(40)):
             for _ in range(20):
-                pol = problem.random_policies(pol_rng)
-                j1, j2 = problem.random_table1(pol_rng), problem.random_table2(pol_rng)
+                pol = random_policies(problem, pol_rng)
+                j1, j2 = random_table1(problem, pol_rng), random_table2(problem, pol_rng)
                 sub1, sub2 = random_subset(pol_rng, problem.space1.size), \
                     random_subset(pol_rng, problem.space2.size)
                 expect1 = [problem.eval1(x, problem.actions1[x][pol.mu[x]], j2.values)
@@ -131,7 +133,7 @@ def kernel_cases(rng):
     control = minimax_control_to_problem(
         random_control_model(rng, 5, max_u=3, max_v=3, stochastic=True), 1.02)
     stage2 = control.stage2
-    assert not control.action_mask(1).all() and not control.action_mask(2).all()
+    assert not action_mask(control, 1).all() and not action_mask(control, 2).all()
     assert np.any((stage2.prob == 0.0) & stage2.live()[..., None])  # ragged outcomes
     closure = closure_problem(model, separated.alpha)
     reps = RepresentativeSets(np.array([0, 2, 5]), np.array([1, 3]))
@@ -174,7 +176,7 @@ class TestGreedyOperators:
     def test_exhaustive_scan_oracle(self):
         rng = np.random.default_rng(7)
         problem = separated_model_to_problem(random_separated_model(rng, 4, 3))
-        j2 = problem.random_table2(rng)
+        j2 = random_table2(problem, rng)
         out, mu = problem.t1_greedy(j2)
         for x in range(problem.space1.size):
             scores = [problem.eval1(x, a, j2.values) for a in problem.actions1[x]]
@@ -183,7 +185,7 @@ class TestGreedyOperators:
         # both improve kernels, every model kind, random subsets in random order
         for name, problem in kernel_cases(np.random.default_rng(41)):
             for _ in range(20):
-                j1, j2 = problem.random_table1(rng), problem.random_table2(rng)
+                j1, j2 = random_table1(problem, rng), random_table2(problem, rng)
                 sub1 = random_subset(rng, problem.space1.size)
                 sub2 = random_subset(rng, problem.space2.size)
                 values1, picks1 = problem.min_improve(sub1, j2)
@@ -221,7 +223,7 @@ class TestGreedyOperators:
     def test_greedy_below_any_policy(self):
         rng = np.random.default_rng(8)
         problem = separated_model_to_problem(random_separated_model(rng, 4, 4))
-        j2 = problem.random_table2(rng)
+        j2 = random_table2(problem, rng)
         greedy, _ = problem.t1_greedy(j2)
         for trial in range(10):
             mu = np.array([rng.integers(len(a)) for a in problem.actions1])
@@ -351,8 +353,8 @@ class TestEstimateModulus:
         rng = np.random.default_rng(14)
         problem = separated_model_to_problem(random_separated_model(rng, 4, 4))
         for _ in range(100):
-            a1, a2 = problem.random_table1(rng), problem.random_table2(rng)
-            b1, b2 = problem.random_table1(rng), problem.random_table2(rng)
+            a1, a2 = random_table1(problem, rng), random_table2(problem, rng)
+            b1, b2 = random_table1(problem, rng), random_table2(problem, rng)
             dist = max(a1.diff_norm(b1), a2.diff_norm(b2))
             if dist < 1e-12:
                 continue
@@ -363,21 +365,14 @@ class TestEstimateModulus:
 
 
 class TestDegenerateSampling:
-    def test_all_identical_samples_raise(self):
+    def test_all_identical_samples_raise(self, monkeypatch):
         class Collapsed:
             space1 = WeightedSpace.unit(1)
             space2 = WeightedSpace.unit(1)
 
-            def random_table1(self, rng):
-                return table([1.0])
-
-            def random_table2(self, rng):
-                return table([2.0])
-
-            def random_policies(self, rng):
-                return None
-
-        from minimaxpi.errors import DegeneratePair
+        monkeypatch.setattr(instruments, "random_table1", lambda problem, rng: table([1.0]))
+        monkeypatch.setattr(instruments, "random_table2", lambda problem, rng: table([2.0]))
+        monkeypatch.setattr(instruments, "random_policies", lambda problem, rng: None)
         with pytest.raises(DegeneratePair):
             estimate_modulus(Collapsed(), 20, 0)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minimaxpi.async_pi import round_robin, run
-from minimaxpi.core import check_monotone, estimate_modulus, value_iterate
+from minimaxpi.core import value_iterate
 from minimaxpi.errors import InvalidBeta, NonContractive
 from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
                               markov_game_to_control, minimax_control_to_problem,
@@ -13,6 +13,8 @@ from minimaxpi.matrix_game import min_simplex_max_linear
 
 from helpers import (random_control_model, random_markov_game,
                      random_separated_model)
+from instruments import (check_monotone, estimate_modulus, le, random_ordered_table2,
+                         random_policies, random_table1, random_table2)
 
 
 def one_state_game(payoff, alpha=0.5):
@@ -171,7 +173,7 @@ class TestSeparateMarkovGame:
     def test_joint_linear_solve_matches_iteration(self):
         rng = np.random.default_rng(31)
         sep = separate_markov_game(random_markov_game(rng, 3, 2, 3, alpha=0.9))
-        pol = sep.random_policies(rng)
+        pol = random_policies(sep, rng)
         j1, j2 = sep.joint_policy_fixed_point(pol)
         i1, i2 = sep.zero1(), sep.zero2()
         for _ in range(2000):
@@ -193,9 +195,9 @@ class TestMarkovKernels:
         game, beta = problem.game, problem.beta
         for _ in range(20):
             subset = rng.permutation(game.state_count)[:int(rng.integers(1, game.state_count + 1))]
-            pol = problem.random_policies(rng)
-            m1 = problem.random_table1(rng)
-            m2 = problem.random_table2(rng)
+            pol = random_policies(problem, rng)
+            m1 = random_table1(problem, rng)
+            m2 = random_table2(problem, rng)
             mats = [stage_matrix(game, x, m1.values, game.alpha * beta) for x in subset]
             assert np.array_equal(
                 problem.min_eval_values(subset, pol.mu, m2),
@@ -219,8 +221,8 @@ class TestMarkovKernels:
     def test_full_operators_are_the_kernels_over_every_state(self):
         rng = np.random.default_rng(41)
         problem = separate_markov_game(random_markov_game(rng, 5, 3, 2, alpha=0.9))
-        pol = problem.random_policies(rng)
-        j1, j2 = problem.random_table1(rng), problem.random_table2(rng)
+        pol = random_policies(problem, rng)
+        j1, j2 = random_table1(problem, rng), random_table2(problem, rng)
         every = np.arange(5)
         assert isinstance(problem.t1_policy(pol.mu, j2), ValueTable)
         assert np.array_equal(problem.t1_policy(pol.mu, j2).values,
@@ -351,7 +353,7 @@ class TestMinimaxControl:
                                      stochastic=True)
         beta = 1.0 / np.sqrt(model.alpha)
         problem = minimax_control_to_problem(model, beta)
-        j1, j2 = problem.random_table1(rng), problem.random_table2(rng)
+        j1, j2 = random_table1(problem, rng), random_table2(problem, rng)
         pair = 0
         for x, per_u in enumerate(model.outcomes):
             assert problem.actions1[x] == tuple(range(len(per_u)))
@@ -455,8 +457,8 @@ class TestColumnBundles:
         problem = separate_markov_game(random_markov_game(rng, s, n, m, alpha=0.9))
         every = np.arange(s)
         for _ in range(10):
-            lo, hi = problem.random_ordered_table2(rng)
-            other = problem.random_table2(rng)
+            lo, hi = random_ordered_table2(problem, rng)
+            other = random_table2(problem, rng)
             # every column once, in a per-state order, then two repeats
             order = np.concatenate((rng.permuted(np.tile(np.arange(m), (s, 1)), axis=1),
                                     rng.integers(0, m, (s, 2))), axis=1)
@@ -472,8 +474,8 @@ class TestColumnBundles:
             assert np.max(np.abs(wide_values - values)) <= slack
             assert abs(wide.diff_norm(other) - lo.diff_norm(other)) <= slack
             assert wide.diff_norm(lo) <= slack
-            assert wide.le(hi, slack)[0] and lo.le(hi, slack)[0]
-            assert wide.le(lo, slack)[0] and lo.le(wide, slack)[0]
+            assert le(wide, hi, slack)[0] and le(lo, hi, slack)[0]
+            assert le(wide, lo, slack)[0] and le(lo, wide, slack)[0]
 
     @pytest.mark.parametrize("cols", [
         np.array([[[1.0, np.nan]], [[0.0, 0.0]]]),
