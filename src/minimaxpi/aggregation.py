@@ -82,12 +82,10 @@ class AggregationProbabilities:
 
 
 def nearest_representative_rows(size, reps):
-    """Point-mass rows on the closest representative by index distance."""
+    """Point-mass rows on the closest representative by index distance (first of ties)."""
     reps = np.atleast_1d(np.asarray(reps, dtype=int))
-    rows = np.zeros((size, reps.size))
-    for x in range(size):
-        rows[x, int(np.argmin(np.abs(reps - x)))] = 1.0
-    return rows
+    nearest = np.argmin(np.abs(reps[None] - np.arange(size)[:, None]), axis=1)
+    return np.eye(reps.size)[nearest]
 
 
 def default_probabilities(problem, reps):

@@ -328,11 +328,10 @@ def _probe_diff(a, b):
 
 
 def _converged(problem, state, tol):
-    """The stop check of :func:`run` at a period end that no certificate of
-    the run's own covers: the state with J1 replaced by the estimate of
-    :func:`~minimaxpi.core.certify` if its bound is at most ``tol``, else
-    None.  J2 and V2 are not gated: J2 on a game is an evaluated section
-    that never matches V2 pointwise."""
+    """The period-end check of :func:`run`: the state with J1 replaced by
+    :func:`~minimaxpi.core.certify`'s estimate if its bound is at most
+    ``tol``, else None.  J2 and V2 are not gated: J2 on a game is an
+    evaluated section that never matches V2 pointwise."""
     estimate, bound, _ = certify(problem, state.j1)
     return replace(state, j1=estimate) if bound <= tol else None
 
@@ -346,17 +345,6 @@ def _own_certificate(problem, state):
     if prov is None or not prov.cover.all():
         return None
     return sweep_certificate(problem, prov.source, state.v1)[:2]
-
-
-def _stands_in(problem, guard1, j1):
-    """Whether a certificate of guard1 stands in for the period-end check of
-    J1: they differ by no more than the rounding floor of J1's certificate
-    (its bound for a table its sweep maps onto itself), so the certificate
-    cannot tell them apart.  On games J1's evaluated readings and guard1's
-    LP values differ by a few ulps; under staleness or random orders J1 can
-    be another table altogether."""
-    return (np.array_equal(guard1.values, j1.values)
-            or guard1.diff_norm(j1) <= sweep_certificate(problem, j1, j1)[3])
 
 
 def _eval_inputs(side, op, read, state):
@@ -395,14 +383,12 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     guards that are exactly T2(G1); see :class:`AlgoState`) has done the
     sweep of ``certify(G1)``: the run reads that certificate off (G1, V1)
     with the same arithmetic, bit for bit, and stops if its bound is at
-    most ``tol``.  Every ``schedule.period`` steps :func:`_converged`
-    certifies J1, unless guard2 is then exactly T2 of a guard1 that stands
-    in for J1 (:func:`_stands_in`): the run's next such improvement
-    certifies guard1 for free, and the check waits for it.  A wait ends in
-    :func:`_converged` after all if guard2 stops being T2 of that guard1
-    first, on the state it began at (the check it stood in for), or if it
-    is still open at the next period end.  Under ``round_robin`` each wait
-    ends one step after it begins, and ``certify`` is never called.
+    most ``tol``.  A period end with no check owed leaves it to guard1's
+    certificate if guard2 is then exactly T2(guard1), which the run's next
+    improvement from that guard2 completes.  Every other period end calls
+    :func:`_converged` on its own state, so an unpaid debt is checked at the
+    next period end.  Under ``round_robin`` each debt is paid one step
+    later, and ``certify`` is never called.
 
     An evaluation is skipped when its subset array, read tables, policy and
     its side's J are the objects its side's last applied evaluation had, J
@@ -435,7 +421,7 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     check_every = max(1, schedule.period)
     step, memo = 0, {1: (None,), 2: (None,)}   # (None,) matches no op
     repeats = problem.evals_repeat_improvements
-    wait = None   # (guard1, state) of a period end waiting for guard1's free certificate
+    owed = None   # the guard1 a period end left its check to
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         read = state if delays is None else ring[-1 - next(delays)]
         kind, r1, r2, done = op.kind, 0.0, 0.0, None
@@ -451,22 +437,19 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
             if evaluates or repeats:
                 memo[side] = _eval_inputs(side, op, read, state)
             if kind is _MIN_IMPROVE and (own := _own_certificate(problem, state)):
-                if wait and _same(state.prov1.source, wait[0]):
-                    wait = None
+                if _same(state.prov1.source, owed):
+                    owed = None
                 if own[1] <= tol:
                     done = replace(state, j1=own[0])
         if trace_out is not None:
             # ``_value_`` is ``kind.value`` without the property's ~0.15 us
             trace.append(TraceRow(step, kind._value_, op.label, r1, r2))
         ring.append(state)
-        if done is None and wait and not _same(state.guard2_source, wait[0]):
-            wait, done = None, _converged(problem, wait[1], tol)
         if done is None and step % check_every == 0:
-            if (wait is None and _same(state.guard2_source, state.guard1)
-                    and _stands_in(problem, state.guard1, state.j1)):
-                wait = state.guard1, state
+            if owed is None and _same(state.guard2_source, state.guard1):
+                owed = state.guard1
             else:
-                wait, done = None, _converged(problem, state, tol)
+                owed, done = None, _converged(problem, state, tol)
         if done:
             return replace(done, t=step), trace
     state = replace(state, t=step)

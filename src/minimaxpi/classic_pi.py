@@ -92,6 +92,12 @@ def hoffman_karp(problem, tol=1e-8, max_iters=10**4):
                     tuple(residuals))
 
 
+def _check_optimistic_k(optimistic_k):
+    """Refuse zero sweeps, which evaluate nothing and would stop at once."""
+    if optimistic_k is not None and optimistic_k < 1:
+        raise ValueError(f"optimistic_k must be at least 1, got {optimistic_k}")
+
+
 def _evaluate_pair(game, mu, nu, optimistic_k, j0):
     probs = np.einsum("xi,xijy,xj->xy", mu, game.transitions, nu)
     costs = np.einsum("xi,xij,xj->x", mu, game.payoffs, nu)
@@ -145,6 +151,7 @@ def pollatschek_avi_itzhak(game, tol=1e-8, max_iters=10**4,
         new = _evaluate_pair(game, mu, nu, optimistic_k, j.values)
         return PolicyPair(mu, nu), ValueTable(game.space, new)
 
+    _check_optimistic_k(optimistic_k)
     return _all_pairs(step, ValueTable.zeros(game.space), ValueTable.diff_norm,
                       tol, max_iters, stop_on_cycle)
 
@@ -176,6 +183,7 @@ def naive_separated_pi(problem, tol=1e-8, max_iters=10**4,
     def dist(a, b):
         return max(a[0].diff_bound(b[0]), a[1].diff_bound(b[1]))
 
+    _check_optimistic_k(optimistic_k)
     return _all_pairs(step, (problem.zero1(), problem.zero2()), dist,
                       tol, max_iters, stop_on_cycle)
 

@@ -319,11 +319,15 @@ def main(argv=None):
         if exc.code in (0, None):
             raise
         return EXIT_ERROR
-    try:   # refuse a --tol or --max-steps that no solver can honour
+    try:   # refuse a --tol, --max-steps, --optimistic-k or --seed no solver can honour
         if not 0.0 < vars(args).get("tol", 1.0) < np.inf:
             raise ValidationError(f"--tol must be positive and finite, got {args.tol!r}")
         if vars(args).get("max_steps", 1) < 1:
             raise ValidationError(f"--max-steps must be at least 1, got {args.max_steps}")
+        if vars(args).get("optimistic_k") is not None and args.optimistic_k < 1:
+            raise ValidationError(f"--optimistic-k must be at least 1, got {args.optimistic_k}")
+        if vars(args).get("seed", 0) < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         return args.handler(args)
     except (MaxItersExceeded, MaxStepsExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

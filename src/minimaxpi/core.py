@@ -339,17 +339,13 @@ class HalfStage:
             p, g, n = (a.reshape(-1, depth)[rows] for a in (self.prob, self.cost, self.next))
         terms = p * (g + self.scale * opposite[n])
         total = terms[..., 0]
-        for k in range(1, terms.shape[-1]):   # in outcome order, as in evaluate
+        for k in range(1, terms.shape[-1]):   # in outcome order
             total += terms[..., k]
         return total
 
     def evaluate(self, x, a, opposite):
-        """One (state, action) score, summed outcome by outcome."""
-        p, g, n = self.prob[x, a], self.cost[x, a], self.next[x, a]
-        total = p[0] * (g[0] + self.scale * opposite[n[0]])
-        for k in range(1, p.size):
-            total += p[k] * (g[k] + self.scale * opposite[n[k]])
-        return float(total)
+        """One (state, action) score: :meth:`scores` at that pick."""
+        return float(self.scores([x], opposite, [a])[0])
 
     def shift(self):
         """``scale`` if every real action's outcome mass is 1 (to 1e-12), else None."""

@@ -5,16 +5,15 @@ instance of a batch through one code path (a single instance is the batch
 of one, bit for bit, and an instance's answer never depends on which
 instances share its batch):
 
-* :func:`min_simplex_max_linear` minimizes a pointwise max of affine
-  functions over the probability simplex, ``min_u max_l (offset_l +
-  u'coeffs_l)`` with ``coeffs`` of shape (..., L, n) and ``offsets`` of
-  shape (..., L).  This is the minimizer's policy-improvement subproblem
-  when strategies are mixed, and the exact gap between column bundles.
+* :func:`min_simplex_max_linear` minimizes a pointwise max of linear
+  functions over the probability simplex, ``min_u max_l u'coeffs_l`` with
+  ``coeffs`` of shape (..., L, n).  This is the minimizer's
+  policy-improvement subproblem when strategies are mixed, and the exact
+  gap between column bundles.
 * :func:`solve_matrix_game` solves ``min_u max_v u'Mv`` for ``M`` of shape
   (..., n, m), with optimal strategies for both players.
 
-Each instance is normalized before it is solved: the offsets fold into the
-coefficients (the strategy sums to 1), and a shift and scale map its
+Each instance is normalized before it is solved: a shift and scale map its
 entries onto [0, 1]; the value maps back affinely.  So every tolerance
 below is relative to the instance's spread, and ``val(a*M + b)`` is
 ``a*val(M) + b`` for any a > 0.  An instance with C(n+L, n) - 1 candidate
@@ -189,19 +188,16 @@ def _simplex_min_max(coeffs, spread):
     return level, u
 
 
-def min_simplex_max_linear(coeffs, offsets=None):
-    """Minimize max_l (offset_l + u'coeffs_l) over the probability simplex.
+def min_simplex_max_linear(coeffs):
+    """Minimize max_l u'coeffs_l over the probability simplex.
 
     ``coeffs`` has shape (..., L, n): L lines over n strategies per
-    instance; ``offsets`` (..., L) defaults to zero.  Returns (value,
-    u_star) with the batch shape and (..., n); a float value for a single
-    instance.
+    instance.  Returns (value, u_star) with the batch shape and (..., n);
+    a float value for a single instance.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim < 2 or 0 in coeffs.shape[-2:]:
         raise ValueError("need at least one line over at least one strategy")
-    if offsets is not None:
-        coeffs = coeffs + np.asarray(offsets, dtype=float)[..., None]
     *batch, n_lines, n = coeffs.shape
     flat = coeffs.reshape(-1, n_lines, n)
     lo = flat.min(axis=(1, 2))

@@ -342,9 +342,6 @@ class ColumnMaxTable:
                                 / self.space.weights[:, None, None]))
         return self.diff_norm(other)
 
-    def norm(self):
-        return self.diff_norm(ColumnMaxTable(self.space, np.zeros_like(self.cols[..., :1])))
-
 
 # ---------------------------------------------------------------------------
 # The reformulated Markov game as a separated problem

@@ -155,9 +155,7 @@ def load_problem(path):
         model = _load_separated_model(payload, "$")
     else:
         model = _load_minimax_control(payload, "$")
-    beta = payload.get("beta")
-    if beta is not None:
-        beta = float(beta)
+    beta = _get(payload, "beta", "$", (int, float), optional=True)
     aggregation = payload.get("aggregation")
     if aggregation is not None and not isinstance(aggregation, dict):
         raise ValidationError("aggregation must be an object", "$.aggregation")

@@ -1,11 +1,30 @@
 """Shared instance generators for the test suite."""
 
+import json
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from minimaxpi.core import SeparatedProblem, WeightedSpace
 from minimaxpi.models import (DiscountedMarkovGame, MinimaxControlModel,
                               SeparatedMinimaxModel)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def bench_file(directory, generator, *args):
+    """Path of a problem file that ``generator`` of the benchmark's
+    ``perfbench/workloads.py`` writes into ``directory`` from ``default_rng(3)``."""
+    if ROOT not in sys.path:
+        sys.path.append(ROOT)
+    from perfbench import workloads
+
+    path = os.path.join(directory, f"{generator}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(getattr(workloads, generator)(np.random.default_rng(3), *args), fh)
+    return path
 
 
 def random_markov_game(rng, states=3, n=2, m=2, alpha=0.9, terminating=False,

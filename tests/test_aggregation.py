@@ -224,6 +224,19 @@ class TestDefaults:
         assert rows[0, 0] == 1.0 and rows[4, 1] == 1.0
         assert rows[2, 0] == 1.0  # distance ties go to the lower index
 
+    def test_nearest_rows_match_a_per_state_loop(self):
+        """Bit for bit the rows of a loop over states, ties and unsorted
+        representatives included."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            size = int(rng.integers(1, 40))
+            reps = rng.choice(size, int(rng.integers(1, size + 1)), replace=False)
+            expected = np.zeros((size, reps.size))
+            for x in range(size):
+                expected[x, int(np.argmin(np.abs(reps - x)))] = 1.0
+            rows = nearest_representative_rows(size, reps)
+            assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
+
     def test_default_probabilities_shapes(self):
         rng = np.random.default_rng(10)
         problem = separated_model_to_problem(random_separated_model(rng, 4, 5))

@@ -308,15 +308,14 @@ def reference_run(problem, schedule, tol, seed, max_steps=20000):
     """The executor without its skip: ``_apply`` on every step, with the
     same seeded delay draws, staleness ring and probe, stopping on the same
     certificates: ``certify(G1)`` after each improvement that leaves V1 at
-    T1(T2 G1) on every state, and at a period end ``_converged``, unless
-    guard2 is T2 of a guard1 within rounding of J1 and no such wait is
-    open.  A wait ends at that certificate, or in ``_converged`` of its
-    period end's state as soon as guard2 is T2 of another table, or at the
-    next period end."""
+    T1(T2 G1) on every state, and at a period end ``_converged``, unless no
+    check is owed and guard2 is T2 of guard1: then the check is owed to
+    guard1's certificate, and a debt that certificate has not paid by the
+    next period end is checked there."""
     state = initial_state(problem)
     rng = np.random.default_rng(seed)
     ring = deque([state], maxlen=schedule.staleness + 1)
-    rows, wait = [], None
+    rows, owed = [], None
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         read = state
         if schedule.staleness > 0:
@@ -329,24 +328,17 @@ def reference_run(problem, schedule, tol, seed, max_steps=20000):
         ring.append(state)
         prov, base = state.prov1, state.guard2_source
         if op.kind is Kind.MIN_IMPROVE and prov.cover.all():
-            if wait is not None and np.array_equal(prov.source.values, wait[0].values):
-                wait = None
+            if owed is not None and np.array_equal(prov.source.values, owed.values):
+                owed = None
             estimate, bound, _ = certify(problem, prov.source)
             if bound <= tol:
                 done = replace(state, j1=estimate)
-        if done is None and wait is not None and (
-                base is None or not np.array_equal(base.values, wait[0].values)):
-            wait, done = None, _converged(problem, wait[1], tol)
         if done is None and step % schedule.period == 0:
-            # guard1 stands in for J1 within the rounding floor of J1's certificate
-            floor = (4 * np.finfo(float).eps * state.j1.norm()
-                     / (1.0 - max(problem.alpha ** 2, problem.shift() or 0.0)))
-            if (wait is None and base is not None
-                    and np.array_equal(base.values, state.guard1.values)
-                    and state.guard1.diff_norm(state.j1) <= floor):
-                wait = state.guard1, state
+            if (owed is None and base is not None
+                    and np.array_equal(base.values, state.guard1.values)):
+                owed = state.guard1
             else:
-                wait, done = None, _converged(problem, state, tol)
+                owed, done = None, _converged(problem, state, tol)
         if done:
             return replace(done, t=step), rows
     raise AssertionError("reference run did not converge")
@@ -465,7 +457,7 @@ def test_declared_kernels_repeat_improvements(name):
 def test_round_robin_certifies_itself(name, monkeypatch):
     """On an explicit kind a round-robin run applies no evaluation (each
     repeats the improvement before it) and calls ``certify`` never: each
-    period end waits one step for the certificate its next improvement
+    period end leaves its check to the certificate its next improvement
     completes."""
     problem = five_cases()[name]
     applied = count_applies(monkeypatch)
@@ -481,12 +473,14 @@ def test_round_robin_certifies_itself(name, monkeypatch):
         assert np.max(np.abs(done.j1.values - oracle.j1.values)) <= 1e-10
 
 
-def test_broken_wait_makes_the_check_it_stood_in_for(monkeypatch):
-    """Each period end of this schedule waits for guard1's free certificate,
-    and each wait breaks two steps later: a max improvement between the
-    minimizer's two blocks reads a new guard1.  So no free certificate
-    comes; each wait ends in ``_converged`` of its period end's state, and
-    the run answers as one that checks every period end, two steps later."""
+def test_unpaid_debt_is_checked_at_the_next_period_end(monkeypatch):
+    """Each period end of this schedule finds guard2 exactly T2(guard1), so
+    one with no check owed leaves its check to guard1's certificate.  None
+    comes: a max improvement between the minimizer's two blocks reads a new
+    guard1, so V1 never derives from one table.  The next period end finds
+    the debt unpaid and checks its own state, so ``_converged`` runs at
+    steps 8, 16, ..., and the run stops at the first of those checks that
+    certifies, as a loop that checks there."""
     problem = block_cases()["tabular"]
     b0, b1 = np.array_split(np.arange(problem.space1.size), 2)
     all2 = np.arange(problem.space2.size)
@@ -500,11 +494,11 @@ def test_broken_wait_makes_the_check_it_stood_in_for(monkeypatch):
     state = initial_state(problem)
     for step, op in enumerate(itertools.cycle(cycle), 1):
         state = _apply(problem, state, op, state)
-        if step % 4 == 0 and (expected := _converged(problem, state, tol)):
+        if step % 8 == 0 and (expected := _converged(problem, state, tol)):
             break
-    assert [s.t for s in checked] == list(range(4, step + 1, 4))
-    assert done.t == len(trace) == step + 2
-    assert_same_state(replace(done, t=step), expected)
+    assert [s.t for s in checked] == list(range(8, step + 1, 8))
+    assert done.t == len(trace) == step
+    assert_same_state(done, expected)
 
 
 @pytest.mark.parametrize("name", ["tabular", "markov"])

@@ -12,8 +12,10 @@ from minimaxpi.matrix_game import solve_matrix_game
 from minimaxpi.models import (DiscountedMarkovGame, minimax_control_to_problem,
                               separate_markov_game, separated_model_to_problem,
                               shapley_value_iteration, stage_matrix)
+from minimaxpi.problem_io import load_problem
 
-from helpers import random_control_model, random_markov_game, random_separated_model
+from helpers import (bench_file, random_control_model, random_markov_game,
+                     random_separated_model)
 
 
 def zero_game():
@@ -322,3 +324,16 @@ class TestDetectCycle:
                     expect = p
                     break
             assert found == expect
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_optimistic_k_below_one_is_refused(tmp_path, k):
+    """Zero sweeps evaluate nothing, so the all-pairs loop would report
+    convergence after one step; both solvers refuse such a k."""
+    game = load_problem(bench_file(tmp_path, "game_payload", 3, 2, 2, 0.9)).model
+    sep = load_problem(bench_file(tmp_path, "separated_payload", 5, 5, 2, 0.9)).model
+    for solve, problem in ((pollatschek_avi_itzhak, game),
+                           (naive_separated_pi, separate_markov_game(game)),
+                           (naive_separated_pi, separated_model_to_problem(sep))):
+        with pytest.raises(ValueError, match=f"optimistic_k must be at least 1, got {k}"):
+            solve(problem, optimistic_k=k)

@@ -16,7 +16,8 @@ from minimaxpi.models import (DiscountedMarkovGame, markov_game_to_control,
                               separated_model_to_problem, shapley_value_iteration)
 from minimaxpi.problem_io import game_payload, load_problem, save_problem
 
-from helpers import random_control_model, random_markov_game, random_separated_model
+from helpers import (bench_file, random_control_model, random_markov_game,
+                     random_separated_model)
 
 
 def write_game(tmp_path, game, name="game.json", **extra):
@@ -292,6 +293,10 @@ MENDED_ERRORS = {
                            "$.weights1: weights1 must be a rectangular list of numbers"),
     "ctl-dict-weights": (control_with(weights=[{"w": 1.0}, 1.0]),
                          "$.weights: weights must be a rectangular list of numbers"),
+    "game-string-beta": (game_with([[[1.0]]], [[[[1.0]]]], beta="abc"),
+                         f"$.beta: expected {(int, float)}"),
+    "sep-list-beta": (separated_with(beta=[1.5]), f"$.beta: expected {(int, float)}"),
+    "ctl-dict-beta": (control_with(beta={"b": 2}), f"$.beta: expected {(int, float)}"),
 }
 
 
@@ -650,6 +655,31 @@ class TestSolveCommand:
         assert code == cli.EXIT_ERROR and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: " + option)
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("generator,sizes,command", [
+        ("separated_payload", (5, 5, 2, 0.9), ["compare", "--algos", "vi,naive"]),
+        ("game_payload", (3, 2, 2, 0.9), ["solve", "--algo", "poa"]),
+        ("game_payload", (3, 2, 2, 0.9), ["solve", "--algo", "naive"]),
+    ], ids=["sep-compare", "game-poa", "game-naive"])
+    def test_optimistic_k_below_one_exits_1(self, tmp_path, capsys, generator, sizes,
+                                            command, k):
+        """Zero sweeps evaluate nothing: poa and naive stopped after one step
+        reporting convergence, 2.67 from vi on the separated file."""
+        path = bench_file(tmp_path, generator, *sizes)
+        code = cli.main([command[0], path, *command[1:], "--optimistic-k", k])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_ERROR and captured.out == ""
+        assert captured.err == f"error: --optimistic-k must be at least 1, got {k}\n"
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        """A delayed schedule seeds numpy's generator, which refuses -1."""
+        path = bench_file(tmp_path, "game_payload", 3, 2, 2, 0.9)
+        code = cli.main(["solve", path, "--algo", "async", "--seed", "-1",
+                         "--schedule", "delayed:B=2,inner=round_robin"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_ERROR and captured.out == ""
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
 
     def test_separated_kind_rejects_game_algorithms(self, tmp_path, capsys):
         payload = {

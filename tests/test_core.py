@@ -254,6 +254,21 @@ class TestShift:
         assert separate_markov_game(leaky).shift() is None
 
 
+def test_half_stage_evaluate_sums_outcomes_in_order():
+    """One (state, action) score is, bit for bit, the outcome-by-outcome sum."""
+    rng = np.random.default_rng(12)
+    stage = separated_model_to_problem(random_separated_model(rng, 5, 5)).stage1
+    stochastic = minimax_control_to_problem(random_control_model(rng, 4, stochastic=True)).stage2
+    for half in (stage, stochastic):
+        opposite = rng.uniform(-1, 1, int(half.next.max()) + 1)
+        for x, a in zip(*np.nonzero(half.live())):
+            p, g, n = half.prob[x, a], half.cost[x, a], half.next[x, a]
+            total = p[0] * (g[0] + half.scale * opposite[n[0]])
+            for k in range(1, p.size):
+                total += p[k] * (g[k] + half.scale * opposite[n[k]])
+            assert half.evaluate(x, a, opposite) == float(total)
+
+
 class TestValueIterate:
     def test_known_scalar_fixed_point(self):
         result = value_iterate(scalar_problem(), tol=1e-12)

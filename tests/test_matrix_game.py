@@ -110,7 +110,7 @@ class TestMinSimplexMaxLinear:
         lines = [(float(rng.uniform(-1, 1)), rng.uniform(-2, 2, 3)) for _ in range(3)]
         offsets = np.array([off for off, _ in lines])
         coeffs = np.array([cf for _, cf in lines])
-        value, u = min_simplex_max_linear(coeffs, offsets)
+        value, u = min_simplex_max_linear(coeffs + offsets[:, None])
         step = 1e-3
         best = np.inf
         for a in np.arange(0.0, 1.0 + step / 2, step):
@@ -153,8 +153,8 @@ class TestMinSimplexMaxLinear:
         assert abs(u.sum() - 1.0) <= 1e-9 and np.min(u) >= 0.0
 
     def test_repeated_and_constant_lines(self):
-        value, u = min_simplex_max_linear([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
-                                          [0.5, 0.5, -1.0])
+        # lines 0.5, 0.5 and u'[1, 1] - 1 = 0, offsets folded in
+        value, u = min_simplex_max_linear([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]])
         assert value == pytest.approx(0.5, abs=1e-12)
         assert abs(u.sum() - 1.0) <= 1e-9
 
@@ -166,7 +166,7 @@ class TestMinSimplexMaxLinear:
     def test_reported_value_is_attained(self):
         rng = np.random.default_rng(5)
         offsets, coeffs = rng.uniform(-1, 1, (40, 5)), rng.uniform(-1, 1, (40, 5, 3))
-        values, u = min_simplex_max_linear(coeffs, offsets)
+        values, u = min_simplex_max_linear(coeffs + offsets[..., None])
         attained = np.max(offsets + np.einsum("bln,bn->bl", coeffs, u), axis=1)
         assert np.max(np.abs(values - attained)) <= 1e-14
         assert np.all(u >= 0.0) and np.allclose(u.sum(axis=1), 1.0, atol=1e-15)
@@ -246,7 +246,7 @@ class TestOracle:
         for _ in range(20):
             offsets = rng.uniform(-1, 1, n_lines)
             coeffs = rng.uniform(-1, 1, (n_lines, n))
-            value, u = min_simplex_max_linear(coeffs, offsets)
+            value, u = min_simplex_max_linear(coeffs + offsets[:, None])
             scale = spread(coeffs + offsets[:, None])
             assert abs(value - highs_min_max(offsets, coeffs)) <= 1e-9 * scale
             assert value == pytest.approx(float(np.max(offsets + coeffs @ u)), abs=1e-12)
@@ -275,12 +275,13 @@ class TestBatching:
             size = int(rng.integers(1, 12))
             coeffs = rng.uniform(-1, 1, (size, n_lines, n))
             offsets = rng.uniform(-1, 1, (size, n_lines))
-            values, u = min_simplex_max_linear(coeffs, offsets)
+            lines = coeffs + offsets[..., None]
+            values, u = min_simplex_max_linear(lines)
             order = rng.permutation(size)
-            shuffled, _ = min_simplex_max_linear(coeffs[order], offsets[order])
+            shuffled, _ = min_simplex_max_linear(lines[order])
             assert np.array_equal(shuffled, values[order])
             for k in range(size):
-                value, pick = min_simplex_max_linear(coeffs[k], offsets[k])
+                value, pick = min_simplex_max_linear(lines[k])
                 assert np.array_equal(value, values[k]) and np.array_equal(pick, u[k])
 
     def test_simplex_sizes_batch_too(self):
