@@ -198,14 +198,6 @@ def _apply(problem, state, op, read):
     return state._advance(j1, v1, j2, v2, policies, prov1, prov2)
 
 
-def _full1(problem):
-    return np.arange(problem.space1.size)
-
-
-def _full2(problem):
-    return np.arange(problem.space2.size)
-
-
 # ---------------------------------------------------------------------------
 # Schedules
 # ---------------------------------------------------------------------------
@@ -213,78 +205,75 @@ def _full2(problem):
 
 @dataclass(frozen=True)
 class Schedule:
-    """An operation stream with a declared fairness horizon.
+    """An operation cycle, repeated forever.
 
-    ``ops(problem)`` yields Operations forever; every kind must touch every
-    state within any window of ``fairness_horizon`` steps.  ``period`` is
-    the natural cycle length, used to pace stopping checks.  ``staleness``
-    is the read-delay bound the schedule asks the executor to simulate.
+    ``cycle(problem)`` returns one period of Operations, and :meth:`ops`
+    repeats it, reshuffled each repetition from one generator seeded with
+    ``seed`` when that is set.  The period paces :func:`run`'s stopping
+    checks; a fair cycle touches every state with every kind, so any window
+    of one period (two when shuffled) does too.  ``staleness`` is the
+    read-delay bound the schedule asks the executor to simulate.
     :func:`run` can skip an evaluation only if its subset is the very array
-    of an earlier operation of its side; the schedules below give a block's
+    of an earlier operation of its side; the built-in cycles give a block's
     operations one array and repeat them by list multiplication.
     """
 
     name: str
-    ops: callable
-    fairness_horizon: int
-    period: int
+    cycle: callable
+    seed: int | None = None
     staleness: int = 0
 
+    def ops(self, problem):
+        """The operation stream on ``problem``."""
+        base = self.cycle(problem)
+        if self.seed is None:
+            return itertools.cycle(base)
+        return _shuffled(base, np.random.default_rng(self.seed))
 
-def _cycle_ops(problem, evals_per_improve):
+    def period(self, problem):
+        """The cycle's length on ``problem``."""
+        return len(self.cycle(problem))
+
+
+def _shuffled(base, rng):
+    """``base`` repeated, in a fresh ``rng`` permutation each time."""
+    while base:
+        for i in rng.permutation(len(base)):
+            yield base[i]
+
+
+def _block_cycle(name, blocks, evals_per_improve):
+    """A schedule whose cycle splits each space into ``min(blocks, size)``
+    blocks and, minimizer first, improves then evaluates k times on each in
+    turn.  ``blocks`` None: one block, the whole space, labelled ``all``."""
     k = evals_per_improve
-    a1, a2 = _full1(problem), _full2(problem)
-    return ([Operation(Kind.MIN_IMPROVE, a1)] + [Operation(Kind.MIN_EVAL, a1)] * k
-            + [Operation(Kind.MAX_IMPROVE, a2)] + [Operation(Kind.MAX_EVAL, a2)] * k)
+
+    def cycle(problem):
+        ops = []
+        for improve, evaluate, space in ((_MIN_IMPROVE, _MIN_EVAL, problem.space1),
+                                         (_MAX_IMPROVE, _MAX_EVAL, problem.space2)):
+            parts = np.array_split(np.arange(space.size), min(blocks or 1, space.size))
+            for i, part in enumerate(parts):
+                label = f"b{i}" if blocks else "all"
+                ops += [Operation(improve, part, label)] + [Operation(evaluate, part, label)] * k
+        return ops
+
+    return Schedule(name, cycle)
 
 
 def round_robin(evals_per_improve=_DEFAULT_EVALS):
     """Improve then evaluate k times, minimizer first, over the full spaces."""
-    period = 2 * (evals_per_improve + 1)
-
-    def ops(problem):
-        return itertools.cycle(_cycle_ops(problem, evals_per_improve))
-
-    return Schedule(f"round_robin:k={evals_per_improve}", ops, period, period)
+    return _block_cycle(f"round_robin:k={evals_per_improve}", None, evals_per_improve)
 
 
 def random_fair(seed, evals_per_improve=_DEFAULT_EVALS):
-    """Seeded shuffle of each round-robin cycle; fairness horizon two cycles."""
-    period = 2 * (evals_per_improve + 1)
-
-    def ops(problem):
-        rng = np.random.default_rng(seed)
-        base = _cycle_ops(problem, evals_per_improve)
-
-        def gen():
-            while True:
-                order = rng.permutation(len(base))
-                for i in order:
-                    yield base[i]
-
-        return gen()
-
-    return Schedule(f"random:seed={seed}", ops, 2 * period, period)
+    """Round robin's cycle, reshuffled each repetition."""
+    return replace(round_robin(evals_per_improve), name=f"random:seed={seed}", seed=seed)
 
 
 def partitioned(blocks=4, evals_per_improve=_DEFAULT_EVALS):
     """Block-cyclic sweep: each space is split into blocks worked in turn."""
-
-    def ops(problem):
-        k = evals_per_improve
-        parts1 = np.array_split(_full1(problem), min(blocks, problem.space1.size))
-        parts2 = np.array_split(_full2(problem), min(blocks, problem.space2.size))
-        cycle = []
-        for i, b in enumerate(parts1):
-            cycle.append(Operation(Kind.MIN_IMPROVE, b, f"b{i}"))
-            cycle.extend([Operation(Kind.MIN_EVAL, b, f"b{i}")] * k)
-        for i, b in enumerate(parts2):
-            cycle.append(Operation(Kind.MAX_IMPROVE, b, f"b{i}"))
-            cycle.extend([Operation(Kind.MAX_EVAL, b, f"b{i}")] * k)
-        return itertools.cycle(cycle)
-
-    period = 2 * blocks * (evals_per_improve + 1)
-    return Schedule(f"partitioned:p={blocks}", ops, period, period)
+    return _block_cycle(f"partitioned:p={blocks}", blocks, evals_per_improve)
 
 
 def delayed(inner, staleness):
@@ -293,20 +282,15 @@ def delayed(inner, staleness):
                    staleness=int(staleness))
 
 
-def fairness_ok(schedule, problem, steps=None):
-    """Check the declared horizon on a produced prefix of the schedule."""
-    horizon = schedule.fairness_horizon
-    steps = 3 * horizon if steps is None else steps
-    prefix = list(itertools.islice(schedule.ops(problem), steps))
+def fairness_ok(schedule, problem):
+    """Whether every window of one period (two when shuffled) in the
+    schedule's first three touches every state with every kind."""
+    horizon = schedule.period(problem) * (1 if schedule.seed is None else 2)
+    prefix = list(itertools.islice(schedule.ops(problem), 3 * horizon))
     sizes = {1: problem.space1.size, 2: problem.space2.size}
-    for start in range(steps - horizon + 1):
-        window = prefix[start : start + horizon]
-        seen = {(kind, x) for op in window for kind in [op.kind] for x in op.subset}
-        for kind in Kind:
-            for x in range(sizes[kind.side]):
-                if (kind, x) not in seen:
-                    return False
-    return True
+    every = {(kind, x) for kind in Kind for x in range(sizes[kind.side])}
+    return all(every <= {(op.kind, x) for op in prefix[start : start + horizon] for x in op.subset}
+               for start in range(2 * horizon + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +402,7 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     # padded with the start state, which a delay past the steps taken reads
     ring = deque([state] * (staleness + 1), maxlen=staleness + 1)
     trace = [] if trace_out is None else trace_out
-    check_every = max(1, schedule.period)
+    check_every = schedule.period(problem)
     step, memo = 0, {1: (None,), 2: (None,)}   # (None,) matches no op
     repeats = problem.evals_repeat_improvements
     owed = None   # the guard1 a period end left its check to

@@ -32,16 +32,20 @@ _STATUS_EXIT = {PIStatus.CONVERGED: EXIT_OK, PIStatus.CYCLED: EXIT_CYCLED,
                 PIStatus.MAX_ITERS: EXIT_MAX_ITERS}
 
 
-def _parse_params(text):
+_SCHEDULE_PARAMS = {"round_robin": ("k",), "random": ("seed", "k"),
+                    "partitioned": ("p", "k"), "delayed": ("B", "inner")}
+
+
+def _parse_params(name, text):
     params = {}
-    if text:
-        for item in text.split(","):
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValidationError(f"bad schedule parameter {item!r}")
-            params[key] = value
+    for item in filter(None, text.split(",")):
+        key, _, value = item.partition("=")
+        if not value:
+            raise ValidationError(f"bad schedule parameter {item!r}")
+        if key not in _SCHEDULE_PARAMS[name]:
+            raise ValidationError(f"schedule parameter {key} is not one of {name}'s: "
+                                  + ", ".join(_SCHEDULE_PARAMS[name]))
+        params[key] = value
     return params
 
 
@@ -56,17 +60,24 @@ def _int_param(params, key, default, low):
 
 def parse_schedule(spec):
     """Build a schedule from the mini-language, e.g. ``round_robin:k=10``,
-    ``random:seed=7``, ``partitioned:p=4``, ``delayed:B=3,inner=round_robin``."""
+    ``random:seed=7``, ``partitioned:p=4``, ``delayed:B=3,inner=round_robin``.
+    A parameter the schedule does not take, and a delayed inner schedule,
+    are refused."""
     if spec is None:
         return async_pi.round_robin()
     name, _, rest = spec.partition(":")
+    if name not in _SCHEDULE_PARAMS:
+        raise ValidationError(f"unknown schedule {name!r}")
     if name == "delayed":
-        if "inner=" not in rest:
+        head, found, inner_spec = rest.partition("inner=")
+        if not found:
             raise ValidationError("delayed schedule needs inner=<spec>")
-        head, inner_spec = rest.split("inner=", 1)
-        params = _parse_params(head.rstrip(","))
+        params = _parse_params(name, head.rstrip(","))
+        if inner_spec.partition(":")[0] == "delayed":
+            raise ValidationError(f"schedule parameter inner must not be delayed, "
+                                  f"got {inner_spec!r}")
         return async_pi.delayed(parse_schedule(inner_spec), _int_param(params, "B", "1", 0))
-    params = _parse_params(rest)
+    params = _parse_params(name, rest)
     k = _int_param(params, "k", "10", 0)
     if name == "round_robin":
         return async_pi.round_robin(k)
@@ -74,9 +85,7 @@ def parse_schedule(spec):
         if "seed" not in params:
             raise ValidationError("random schedule needs seed=<int>")
         return async_pi.random_fair(_int_param(params, "seed", None, 0), k)
-    if name == "partitioned":
-        return async_pi.partitioned(_int_param(params, "p", "4", 1), k)
-    raise ValidationError(f"unknown schedule {name!r}")
+    return async_pi.partitioned(_int_param(params, "p", "4", 1), k)
 
 
 @dataclass

@@ -153,7 +153,7 @@ class DiscountedMarkovGame:
         if not self.terminating and not np.all(off <= _PROB_TOL):   # NaN sums fail too
             x, i, j = np.argwhere(~(off <= _PROB_TOL))[0]
             raise InputFieldError(f"transitions[{x}][{i}][{j}]",
-                                  f"row sums to {sums[x, i, j]!r}, expected 1", prefix=False)
+                                  f"row sums to {float(sums[x, i, j])}, expected 1", prefix=False)
         object.__setattr__(self, "payoffs", _finite(a, "payoffs"))
         object.__setattr__(self, "transitions", _finite(q, "transitions"))
         if np.min(q) < -_PROB_TOL:
@@ -453,7 +453,7 @@ class MarkovSeparatedProblem(HalfStageProblem):
 def separate_markov_game(game, beta=None):
     """Split a discounted Markov game into contractive alternating half-stages
     at :func:`split_beta`."""
-    return MarkovSeparatedProblem(game, split_beta(game, beta))
+    return MarkovSeparatedProblem(game, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,22 @@ from minimaxpi.models import (DiscountedMarkovGame, MinimaxControlModel,
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def bench_file(directory, generator, *args):
-    """Path of a problem file that ``generator`` of the benchmark's
-    ``perfbench/workloads.py`` writes into ``directory`` from ``default_rng(3)``."""
+def bench_payload(generator, *args, seed=3):
+    """The payload ``generator`` of the benchmark's ``perfbench/workloads.py``
+    draws from ``default_rng(seed)``."""
     if ROOT not in sys.path:
         sys.path.append(ROOT)
     from perfbench import workloads
 
+    return getattr(workloads, generator)(np.random.default_rng(seed), *args)
+
+
+def bench_file(directory, generator, *args):
+    """Path of a problem file holding ``bench_payload(generator, *args)``,
+    written into ``directory``."""
     path = os.path.join(directory, f"{generator}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(getattr(workloads, generator)(np.random.default_rng(3), *args), fh)
+        json.dump(bench_payload(generator, *args), fh)
     return path
 
 

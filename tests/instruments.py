@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from minimaxpi.async_pi import Kind, _full1, _full2
+from minimaxpi.async_pi import Kind
 from minimaxpi.core import SCORE_PAD, PolicyPair, ValueTable, update_policy
 from minimaxpi.errors import MaxStepsExceeded, MinimaxPIError
 from minimaxpi.models import ColumnMaxTable, MarkovSeparatedProblem, _sup_gaps
@@ -236,7 +236,7 @@ def build_G(problem, policies):
     """
     if not hasattr(problem, "scores"):
         raise TypeError("the extended operator needs explicit finite action sets")
-    all1, all2 = _full1(problem), _full2(problem)
+    all1, all2 = np.arange(problem.space1.size), np.arange(problem.space2.size)
 
     def apply(qs):
         m2 = qs.v2.pointwise_max(ValueTable(problem.space2, qs.q2[all2, policies.nu]))

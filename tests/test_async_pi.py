@@ -21,7 +21,7 @@ from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxContr
                               separated_model_to_problem,
                               shapley_value_iteration, stage_matrix)
 
-from helpers import (closure_problem, highs_game_values, random_control_model,
+from helpers import (bench_payload, closure_problem, highs_game_values, random_control_model,
                      random_markov_game, random_separated_model, scalar_problem,
                      swept_j1)
 from instruments import (QState, build_G, check_minmax_nonexpansive, q_state_diff,
@@ -209,13 +209,11 @@ class TestRun:
 
     def test_unfair_schedule_exhausts_budget(self, explicit_problem):
         from minimaxpi.async_pi import Schedule
-        import itertools as it
 
-        def ops(problem):
-            sub = np.arange(problem.space1.size)
-            return it.repeat(Operation(Kind.MIN_EVAL, sub))
+        def cycle(problem):
+            return [Operation(Kind.MIN_EVAL, np.arange(problem.space1.size))] * 4
 
-        lopsided = Schedule("min-eval-only", ops, 10**9, 4)
+        lopsided = Schedule("min-eval-only", cycle)
         with pytest.raises(MaxStepsExceeded) as exc:
             run(explicit_problem, lopsided, tol=1e-10, max_steps=500, trace_out=[])
         # all but the first step are skipped, yet each counts and traces
@@ -333,7 +331,7 @@ def reference_run(problem, schedule, tol, seed, max_steps=20000):
             estimate, bound, _ = certify(problem, prov.source)
             if bound <= tol:
                 done = replace(state, j1=estimate)
-        if done is None and step % schedule.period == 0:
+        if done is None and step % schedule.period(problem) == 0:
             if (owed is None and base is not None
                     and np.array_equal(base.values, state.guard1.values)):
                 owed = state.guard1
@@ -344,11 +342,16 @@ def reference_run(problem, schedule, tol, seed, max_steps=20000):
     raise AssertionError("reference run did not converge")
 
 
+class FreshCopies(async_pi.Schedule):
+    """A schedule that yields every operation as a new object."""
+
+    def ops(self, problem):
+        return (Operation(op.kind, op.subset.copy(), op.label) for op in super().ops(problem))
+
+
 def fresh_copies(schedule):
     """``schedule`` with every operation yielded as a new object."""
-    def ops(problem):
-        return (Operation(op.kind, op.subset.copy(), op.label) for op in schedule.ops(problem))
-    return replace(schedule, name="fresh:" + schedule.name, ops=ops)
+    return FreshCopies(**{**vars(schedule), "name": "fresh:" + schedule.name})
 
 
 REPLAY_SCHEDULES = {
@@ -473,6 +476,25 @@ def test_round_robin_certifies_itself(name, monkeypatch):
         assert np.max(np.abs(done.j1.values - oracle.j1.values)) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_partitioned_period_is_the_cycle_its_split_makes(seed, monkeypatch):
+    """``partitioned:p=8`` splits a 6-state game's spaces into 6 blocks
+    each, and its period is that cycle: 2 sides x 6 blocks x (1 + k).  So
+    every period end ends a maximizer phase, and the run, delayed or not,
+    is stopped by its own certificates without calling ``certify``."""
+    payload = bench_payload("game_payload", 6, 3, 3, 0.9, True, seed=seed)
+    problem = separate_markov_game(DiscountedMarkovGame(
+        payload["payoffs"], payload["transitions"], payload["alpha"]))
+    calls = []
+    monkeypatch.setattr(async_pi, "certify", lambda *a: calls.append(a) or certify(*a))
+    for schedule in (partitioned(8), delayed(partitioned(8), 2)):
+        cycle = schedule.cycle(problem)
+        assert schedule.period(problem) == len(cycle) == 2 * 6 * 11, schedule.name
+        assert {op.label for op in cycle} == {f"b{i}" for i in range(6)}
+        run(problem, schedule, tol=1e-8)
+        assert calls == [], schedule.name
+
+
 def test_unpaid_debt_is_checked_at_the_next_period_end(monkeypatch):
     """Each period end of this schedule finds guard2 exactly T2(guard1), so
     one with no check owed leaves its check to guard1's certificate.  None
@@ -486,7 +508,7 @@ def test_unpaid_debt_is_checked_at_the_next_period_end(monkeypatch):
     all2 = np.arange(problem.space2.size)
     cycle = [Operation(Kind.MIN_IMPROVE, b0), Operation(Kind.MAX_IMPROVE, all2),
              Operation(Kind.MIN_IMPROVE, b1), Operation(Kind.MAX_IMPROVE, all2)]
-    schedule = async_pi.Schedule("interleaved", lambda p: itertools.cycle(cycle), 4, 4)
+    schedule = async_pi.Schedule("interleaved", lambda p: cycle)
     checked, tol = [], 1e-10
     monkeypatch.setattr(async_pi, "_converged",
                         lambda *a: checked.append(a[1]) or _converged(*a))
@@ -683,6 +705,21 @@ class TestSchedules:
         assert fairness_ok(round_robin(3), explicit_problem)
         assert fairness_ok(random_fair(0, 3), explicit_problem)
         assert fairness_ok(partitioned(2, 2), explicit_problem)
+        assert fairness_ok(delayed(partitioned(8), 2), explicit_problem)
+
+    def test_unfair_cycles(self, explicit_problem):
+        """A cycle that leaves out a kind, or a state of one, is unfair,
+        shuffled or not."""
+        problem = explicit_problem
+        all1, all2 = np.arange(problem.space1.size), np.arange(problem.space2.size)
+        fair = [Operation(Kind.MIN_IMPROVE, all1), Operation(Kind.MIN_EVAL, all1),
+                Operation(Kind.MAX_IMPROVE, all2), Operation(Kind.MAX_EVAL, all2)]
+        assert fairness_ok(async_pi.Schedule("fair", lambda p: fair), problem)
+        for unfair in ([Operation(Kind.MIN_EVAL, all1)] * 4, fair[:3],
+                       fair[:3] + [Operation(Kind.MAX_EVAL, all2[1:])]):
+            for seed in (None, 0):
+                assert not fairness_ok(async_pi.Schedule("unfair", lambda p: unfair, seed),
+                                       problem)
 
     def test_trace_is_deterministic(self, markov_sep):
         a = run(markov_sep, random_fair(3), tol=1e-9, seed=5, trace_out=[])[1]

@@ -217,15 +217,15 @@ RECORDED_ERRORS = {
     "game-row-sum": (
         game_with([[[1.0, 0.0]], [[0.0, 1.0]]],
                   [[[[1.0, 0.0], [0.5, 0.5]]], [[[0.25, 0.5], [0.0, 1.0]]]]),
-        "$.transitions[1][0][0]: row sums to np.float64(0.75), expected 1"),
+        "$.transitions[1][0][0]: row sums to 0.75, expected 1"),
     "game-row-nan": (game_with([[[1.0]]], [[[[NAN]]]]),
-                     "$.transitions[0][0][0]: row sums to np.float64(nan), expected 1"),
+                     "$.transitions[0][0][0]: row sums to nan, expected 1"),
     "game-payoff-nan-and-row-sum": (
         game_with([[[NAN]], [[0.0]]], [[[[1.0, 0.0]]], [[[0.0, 0.9]]]]),
-        "$.transitions[1][0][0]: row sums to np.float64(0.9), expected 1"),
+        "$.transitions[1][0][0]: row sums to 0.9, expected 1"),
     "game-alpha-and-row-sum": (
         game_with([[[1.0]]], [[[[0.5]]]], alpha=1.5),
-        "$.transitions[0][0][0]: row sums to np.float64(0.5), expected 1"),
+        "$.transitions[0][0][0]: row sums to 0.5, expected 1"),
     "game-negative-probability": (
         game_with([[[1.0]], [[0.0]]], [[[[1.5, -0.5]]], [[[0.0, 1.0]]]]),
         "$: transition probabilities must be nonnegative"),
@@ -511,7 +511,8 @@ class TestScheduleParser:
     def test_round_robin_params(self):
         sched = cli.parse_schedule("round_robin:k=5")
         assert isinstance(sched, Schedule)
-        assert sched.period == 12
+        problem = separated_model_to_problem(random_separated_model(np.random.default_rng(0)))
+        assert sched.period(problem) == 12
 
     def test_random_requires_seed(self):
         with pytest.raises(ValidationError):
@@ -533,7 +534,8 @@ class TestScheduleParser:
     @pytest.mark.parametrize("spec, param", [
         ("round_robin:k=abc", "k"), ("random:seed=x", "seed"), ("partitioned:p=0", "p"),
         ("round_robin:k=-1", "k"), ("delayed:B=-1,inner=round_robin", "B"),
-        ("random:seed=-1", "seed"),
+        ("random:seed=-1", "seed"), ("round_robin:k=3,seed=4", "seed"),
+        ("partitioned:p=4,q=9", "q"), ("delayed:B=3,inner=delayed:B=2,inner=round_robin", "inner"),
     ])
     def test_bad_parameter_exits_1_naming_it(self, tmp_path, capsys, spec, param):
         path = write_game(tmp_path, random_markov_game(np.random.default_rng(1), 2, 2, 2))
