@@ -10,9 +10,9 @@ from .core import (HalfStage, HalfStageProblem, PolicyPair, SeparatedProblem,
                    policy_pair_value, value_iterate)
 from .matrix_game import SaddleSolution, min_simplex_max_linear, solve_matrix_game
 from .models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
-                     SeparatedMinimaxModel, markov_game_to_control,
-                     minimax_control_to_problem, separate_markov_game,
-                     separated_model_to_problem, shapley_value_iteration, split_beta)
+                     SeparatedMinimaxModel, minimax_control_to_problem,
+                     separate_markov_game, separated_model_to_problem,
+                     shapley_value_iteration, split_beta)
 from .classic_pi import (PIResult, PIStatus, detect_cycle,
                          find_oscillating_game, hoffman_karp,
                          naive_separated_pi, pollatschek_avi_itzhak)

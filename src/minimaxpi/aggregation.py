@@ -155,16 +155,11 @@ def lookahead_policies(problem, j1_full, j2_full):
 
 @dataclass(frozen=True)
 class AggregateSolution:
-    """Reduced-problem tables, their lifts, the lookahead pair, and its
-    exactly evaluated cost alongside the true fixed point."""
+    """The lifted minimizer table, the lookahead pair's evaluated cost, and
+    that cost's distance to the true fixed point."""
 
-    j1_tilde: ValueTable
-    j2_tilde: ValueTable
     j1_full: ValueTable
-    j2_full: ValueTable
-    policies: PolicyPair
     pair_value1: ValueTable
-    exact_j1: ValueTable
     gap: float
 
 
@@ -181,6 +176,4 @@ def solve_with_aggregation(problem, reps, phi=None, tol=1e-9, max_steps=10**6):
     policies = lookahead_policies(problem, j1_full, j2_full)
     pair_j1, _ = policy_pair_value(problem, policies, tol=tol)
     exact = value_iterate(problem, tol=tol)
-    gap = pair_j1.diff_norm(exact.j1)
-    return AggregateSolution(state.j1, state.j2, j1_full, j2_full,
-                             policies, pair_j1, exact.j1, gap)
+    return AggregateSolution(j1_full, pair_j1, pair_j1.diff_norm(exact.j1))

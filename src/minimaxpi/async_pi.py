@@ -21,10 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PolicyPair, ValueTable, certify, sweep_certificate, update_policy
+from .core import PolicyPair, ValueTable, certify, check_floor, sweep_certificate, update_policy
 from .errors import MaxStepsExceeded
 
-_DEFAULT_EVALS = 10
+DEFAULT_EVALS, DEFAULT_BLOCKS = 10, 4   # evaluations per improvement, partitioned blocks
 
 _DELAY_CHUNK = 256   # read delays drawn per generator call
 
@@ -261,17 +261,17 @@ def _block_cycle(name, blocks, evals_per_improve):
     return Schedule(name, cycle)
 
 
-def round_robin(evals_per_improve=_DEFAULT_EVALS):
+def round_robin(evals_per_improve=DEFAULT_EVALS):
     """Improve then evaluate k times, minimizer first, over the full spaces."""
     return _block_cycle(f"round_robin:k={evals_per_improve}", None, evals_per_improve)
 
 
-def random_fair(seed, evals_per_improve=_DEFAULT_EVALS):
+def random_fair(seed, evals_per_improve=DEFAULT_EVALS):
     """Round robin's cycle, reshuffled each repetition."""
     return replace(round_robin(evals_per_improve), name=f"random:seed={seed}", seed=seed)
 
 
-def partitioned(blocks=4, evals_per_improve=_DEFAULT_EVALS):
+def partitioned(blocks=DEFAULT_BLOCKS, evals_per_improve=DEFAULT_EVALS):
     """Block-cyclic sweep: each space is split into blocks worked in turn."""
     return _block_cycle(f"partitioned:p={blocks}", blocks, evals_per_improve)
 
@@ -280,17 +280,6 @@ def delayed(inner, staleness):
     """Ask the executor to read tables up to ``staleness`` updates stale."""
     return replace(inner, name=f"delayed:B={staleness},inner={inner.name}",
                    staleness=int(staleness))
-
-
-def fairness_ok(schedule, problem):
-    """Whether every window of one period (two when shuffled) in the
-    schedule's first three touches every state with every kind."""
-    horizon = schedule.period(problem) * (1 if schedule.seed is None else 2)
-    prefix = list(itertools.islice(schedule.ops(problem), 3 * horizon))
-    sizes = {1: problem.space1.size, 2: problem.space2.size}
-    every = {(kind, x) for kind in Kind for x in range(sizes[kind.side])}
-    return all(every <= {(op.kind, x) for op in prefix[start : start + horizon] for x in op.subset}
-               for start in range(2 * horizon + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +303,24 @@ def _probe_diff(a, b):
 def _converged(problem, state, tol):
     """The period-end check of :func:`run`: the state with J1 replaced by
     :func:`~minimaxpi.core.certify`'s estimate if its bound is at most
-    ``tol``, else None.  J2 and V2 are not gated: J2 on a game is an
-    evaluated section that never matches V2 pointwise."""
-    estimate, bound, _ = certify(problem, state.j1)
+    ``tol``, else None; :func:`~minimaxpi.core.check_floor` applies, with
+    the floor J1's certificate at r = 0.  J2 and V2 are not gated: J2 on a
+    game is an evaluated section that never matches V2 pointwise."""
+    estimate, bound, r = certify(problem, state.j1)
+    floor = sweep_certificate(problem, state.j1, state.j1)[3]
+    check_floor("async", "a stop check's sweep", bound, tol, r, floor)
     return replace(state, j1=estimate) if bound <= tol else None
 
 
 def _own_certificate(problem, state):
-    """``(estimate, bound)`` of ``certify(G1)``, read off a state whose V1
-    is T1(T2 G1) on every state, or None.  Blocks improved from one exact
-    guard2 compose to one full-space improvement (see :func:`run`), so V1
-    is then certify's sweep of G1 bit for bit."""
+    """The certificate of G1 (:func:`~minimaxpi.core.sweep_certificate`)
+    read off a state whose V1 is T1(T2 G1) on every state, or None.  Blocks
+    improved from one exact guard2 compose to one full-space improvement
+    (see :func:`run`), so V1 is then certify's sweep of G1 bit for bit."""
     prov = state.prov1
     if prov is None or not prov.cover.all():
         return None
-    return sweep_certificate(problem, prov.source, state.v1)[:2]
+    return sweep_certificate(problem, prov.source, state.v1)
 
 
 def _eval_inputs(side, op, read, state):
@@ -360,7 +352,8 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     step with the estimate as J1, and ``trace_out`` with one
     :class:`TraceRow` per step appended, the stopping step's included, or
     [] (and no change probe computed) without it.  Raises
-    :class:`MaxStepsExceeded` when the budget runs out.
+    :class:`MaxStepsExceeded` when the budget runs out; every check below
+    follows :func:`~minimaxpi.core.check_floor`.
 
     The run certifies itself from its own sweeps.  An improvement that
     leaves V1 = T1(T2 G1) on every state (improved, block by block, from
@@ -423,6 +416,7 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
             if kind is _MIN_IMPROVE and (own := _own_certificate(problem, state)):
                 if _same(state.prov1.source, owed):
                     owed = None
+                check_floor("async", "a stop check's sweep", own[1], tol, *own[2:])
                 if own[1] <= tol:
                     done = replace(state, j1=own[0])
         if trace_out is not None:

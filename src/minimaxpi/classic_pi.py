@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PolicyPair, ValueTable, _iterate, _sweep
+from .core import PolicyPair, ValueTable, _iterate, _sweep, check_floor
 from .errors import SearchFailed
 from .matrix_game import solve_matrix_game
 from .models import DiscountedMarkovGame, separate_markov_game, stage_matrix
@@ -73,21 +73,24 @@ def hoffman_karp(problem, tol=1e-8, max_iters=10**4):
     Its certificate (:func:`minimaxpi.core.certify`'s) stops the run once
     the bound is at most tol; else its minimizer picks mu are priced
     against the maximizer's best response, ``J1 <- T1^mu(T2 J1)`` iterated
-    from the current J1 until certified within tol/10.  J1 after each
-    evaluation is then nonincreasing up to twice that, so no cycle
-    handling is needed.  ``max_iters`` counts iterations; each evaluation
-    may take up to ``_EVAL_SWEEPS`` sweeps.  ``values`` is the last sweep's
-    estimate on convergence, else the last evaluated J1; ``policies`` is
-    ``(mu, None)`` and ``residuals[k]`` is ``r`` of the k-th sweep.
+    from the current J1 until certified within tol/10 or held by its floor.
+    J1 after each evaluation is then nonincreasing up to twice that, so no
+    cycle handling is needed; the sweeps follow :func:`~minimaxpi.core.check_floor`.
+    ``max_iters`` counts iterations; each evaluation may take up to
+    ``_EVAL_SWEEPS`` sweeps.  ``values`` is the last sweep's estimate on
+    convergence, else the last evaluated J1; ``policies`` is ``(mu, None)``
+    and ``residuals[k]`` is ``r`` of the k-th sweep.
     """
     j1, residuals, mu = problem.zero1(), [], None
     for t in range(1, max_iters + 1):
-        estimate, bound, r, _, mu, _ = _sweep(problem, j1, None)
+        estimate, bound, r, _, mu, floor = _sweep(problem, j1, None)
         residuals.append(r)
         if bound <= tol:
             return PIResult(estimate, PolicyPair(mu, None), t, PIStatus.CONVERGED, None,
                             tuple(residuals))
-        j1 = _iterate(problem, j1, tol / 10, _EVAL_SWEEPS, PolicyPair(mu, None)).j1
+        check_floor("Hoffman-Karp", f"iteration {t}", bound, tol, r, floor)
+        j1 = _iterate(problem, j1, tol / 10, _EVAL_SWEEPS, PolicyPair(mu, None),
+                      floor_ends=True).j1
     return PIResult(j1, PolicyPair(mu, None), max_iters, PIStatus.MAX_ITERS, None,
                     tuple(residuals))
 

@@ -50,8 +50,8 @@ def _parse_params(name, text):
 
 
 def _int_param(params, key, default, low):
-    """Schedule parameter ``key``: an integer of at least ``low`` (>= 0)."""
-    text = params.get(key, default)
+    """Schedule parameter ``key`` (``default`` if absent), an integer >= ``low`` >= 0."""
+    text = params.get(key, str(default))
     if not text.isdecimal() or int(text) < low:
         raise ValidationError(f"schedule parameter {key} must be an integer >= {low}, "
                               f"got {text!r}")
@@ -76,16 +76,16 @@ def parse_schedule(spec):
         if inner_spec.partition(":")[0] == "delayed":
             raise ValidationError(f"schedule parameter inner must not be delayed, "
                                   f"got {inner_spec!r}")
-        return async_pi.delayed(parse_schedule(inner_spec), _int_param(params, "B", "1", 0))
+        return async_pi.delayed(parse_schedule(inner_spec), _int_param(params, "B", 1, 0))
     params = _parse_params(name, rest)
-    k = _int_param(params, "k", "10", 0)
+    k = _int_param(params, "k", async_pi.DEFAULT_EVALS, 0)
     if name == "round_robin":
         return async_pi.round_robin(k)
     if name == "random":
         if "seed" not in params:
             raise ValidationError("random schedule needs seed=<int>")
         return async_pi.random_fair(_int_param(params, "seed", None, 0), k)
-    return async_pi.partitioned(_int_param(params, "p", "4", 1), k)
+    return async_pi.partitioned(_int_param(params, "p", async_pi.DEFAULT_BLOCKS, 1), k)
 
 
 @dataclass

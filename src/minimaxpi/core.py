@@ -472,7 +472,16 @@ def certify(problem, j1):
     return _sweep(problem, j1, None)[:3]
 
 
-def _iterate(problem, j1, tol, max_iters, policies):
+def check_floor(loop, step, bound, tol, r, floor):
+    """Raise :class:`MaxItersExceeded` if the floor exceeds tol and ``step``
+    moved J1 by no more than it: ``loop`` cannot certify tol by stepping on."""
+    if r <= floor and floor > tol:
+        raise MaxItersExceeded(
+            f"{loop} bound {bound:.3e} > {tol:.3e} is held by the rounding floor "
+            f"{floor:.3e}: {step} moves J1 by {r:.3e}, no more than the floor")
+
+
+def _iterate(problem, j1, tol, max_iters, policies, floor_ends=False):
     """The loop of :func:`value_iterate`, :func:`policy_pair_value` and
     Hoffman-Karp's evaluation, kept apart so that a hook or profiler on
     any of them sees only its own calls.  Returns a :class:`VIResult`
@@ -482,8 +491,8 @@ def _iterate(problem, j1, tol, max_iters, policies):
     ``4 eps |J1| / (1 - max(g, alpha**2))``.  Once that floor exceeds tol
     and a sweep moves J1 by no more than it (``r`` at or below the floor,
     as when J1 repeats or wanders by a few ulps), sweeping on cannot
-    certify tol: :class:`MaxItersExceeded` is raised at once, naming the
-    floor."""
+    certify tol: :func:`check_floor` raises at once or, with ``floor_ends``,
+    the result is returned there, its bound above tol."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     j1 = problem.zero1() if j1 is None else j1
@@ -491,28 +500,24 @@ def _iterate(problem, j1, tol, max_iters, policies):
     for k in range(1, max_iters + 1):
         estimate, bound, r, t, _, floor = _sweep(problem, j1, policies)
         residuals.append(r)
-        if bound <= tol:
+        if bound <= tol or floor_ends and r <= floor and floor > tol:
             return VIResult(estimate, None, k, tuple(residuals), bound)
-        if r <= floor and floor > tol:
-            raise MaxItersExceeded(
-                f"value iteration bound {bound:.3e} > {tol:.3e} is held by the rounding "
-                f"floor {floor:.3e}: sweep {k} moves J1 by {r:.3e}, no more than the floor")
+        check_floor("value iteration", f"sweep {k}", bound, tol, r, floor)
         j1 = t
     raise MaxItersExceeded(
-        f"value iteration bound {bound:.3e} > {tol:.3e} after {max_iters} sweeps"
-    )
+        f"value iteration bound {bound:.3e} > {tol:.3e} after {max_iters} sweeps")
 
 
-def value_iterate(problem, j1_0=None, tol=1e-8, max_iters=10**6):
-    """Iterate ``J1 <- T1(T2 J1)`` from j1_0 (zero by default) until
-    :func:`certify`'s bound is at most tol.
+def value_iterate(problem, tol=1e-8, max_iters=10**6):
+    """Iterate ``J1 <- T1(T2 J1)`` from zero until :func:`certify`'s bound
+    is at most tol.
 
     ``residuals[k]`` is ``r`` of the k-th sweep.  Returns the certified
     estimate, ``j2 = T2`` of it and the bound as ``error_bound``.  Raises
     ``ValueError`` unless ``0 < tol < inf`` and :class:`MaxItersExceeded`
-    when the budget runs out or a sweep leaves J1 unchanged above tol.
+    when the budget runs out or the floor holds the bound (:func:`check_floor`).
     """
-    result = _iterate(problem, j1_0, tol, max_iters, None)
+    result = _iterate(problem, None, tol, max_iters, None)
     return replace(result, j2=problem.t2_greedy(result.j1)[0])
 
 

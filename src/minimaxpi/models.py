@@ -311,9 +311,6 @@ class ColumnMaxTable:
         object.__setattr__(table, "cols", cols)
         return table
 
-    def value_at(self, x, u):
-        return float(np.max(_readings(np.asarray(u), self.cols[x])))
-
     def pointwise_max(self, other):
         """Both bundles at once; finite as both tables are."""
         return ColumnMaxTable._trusted(self.space, np.concatenate((self.cols, other.cols), axis=2))
@@ -402,10 +399,6 @@ class MarkovSeparatedProblem(HalfStageProblem):
 
     def shift(self):   # 1/beta times alpha*beta
         return self.game.shift()
-
-    def original_values(self, j1):
-        """Game equilibrium values recovered from the minimizer's table."""
-        return self.beta * j1.values
 
     # -- half-stage kernels ---------------------------------------------------
 
@@ -645,33 +638,3 @@ def minimax_control_to_problem(model, beta=None):
     space2 = WeightedSpace(pairs, np.repeat(model.space.weights, model.controls))
     return TabularProblem(space1=model.space, space2=space2, stage1=stage1, stage2=stage2)
 
-
-def markov_game_to_control(game):
-    """Pure-strategy reduction of a Markov game to a minimax control model.
-
-    Substochastic rows gain an absorbing cost-free terminal state so the
-    stage operator is reproduced exactly for pure policy pairs.
-    """
-    s, (n, m) = game.state_count, game.moves
-    deficit = 1.0 - game.transitions.sum(axis=3)
-    terminal = bool(np.max(deficit) > _PROB_TOL)
-    size = s + 1 if terminal else s
-    xi = game.space.weights
-    weights = np.append(xi, np.min(xi)) if terminal else xi
-    outcomes = []
-    for x in range(s):
-        per_u = []
-        for i in range(n):
-            per_v = []
-            for j in range(m):
-                cost = game.payoffs[x, i, j]
-                triples = [[p, cost, y] for y, p in enumerate(game.transitions[x, i, j])
-                           if p > _PROB_TOL]
-                if terminal and deficit[x, i, j] > _PROB_TOL:
-                    triples.append([deficit[x, i, j], cost, s])
-                per_v.append(triples)
-            per_u.append(tuple(per_v))
-        outcomes.append(tuple(per_u))
-    if terminal:
-        outcomes.append((([[1.0, 0.0, s]],),))
-    return MinimaxControlModel(WeightedSpace(size, weights), tuple(outcomes), game.alpha)

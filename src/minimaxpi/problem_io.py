@@ -181,7 +181,7 @@ def save_problem(payload, path):
         fh.write("\n")
 
 
-def game_payload(game, beta=None, aggregation=None):
+def game_payload(game):
     """Serialize a Markov game back into the file schema."""
     kind = "terminating_markov_game" if game.terminating else "discounted_markov_game"
     payload = {
@@ -193,8 +193,4 @@ def game_payload(game, beta=None, aggregation=None):
     }
     if game.weights is not None:
         payload["weights"] = game.weights.tolist()
-    if beta is not None:
-        payload["beta"] = beta
-    if aggregation is not None:
-        payload["aggregation"] = aggregation
     return payload

@@ -8,7 +8,11 @@ half-stage operators; the extended four-component operator over explicit
 action tables (:func:`build_G`) and :func:`verify_uniform_contraction`
 check that it is a uniform contraction whose fixed point does not depend
 on the policies; :func:`check_minmax_nonexpansive` checks the pessimism
-guard.
+guard.  Three more read a model or a schedule the solvers never read that
+way: :func:`value_at` reads a column bundle at one strategy,
+:func:`fairness_ok` checks a schedule's fairness horizon, and
+:func:`markov_game_to_control` reduces a Markov game to pure-strategy
+control.
 """
 
 import itertools
@@ -17,9 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from minimaxpi.async_pi import Kind
-from minimaxpi.core import SCORE_PAD, PolicyPair, ValueTable, update_policy
+from minimaxpi.core import SCORE_PAD, PolicyPair, ValueTable, WeightedSpace, update_policy
 from minimaxpi.errors import MaxStepsExceeded, MinimaxPIError
-from minimaxpi.models import ColumnMaxTable, MarkovSeparatedProblem, _sup_gaps
+from minimaxpi.models import (_PROB_TOL, ColumnMaxTable, MarkovSeparatedProblem,
+                              MinimaxControlModel, _readings, _sup_gaps)
 
 _ZERO_DISTANCE = 1e-13
 
@@ -354,3 +359,55 @@ def check_minmax_nonexpansive(samples=10**4, seed=0):
             return CheckResult(False, {"v": v, "j": j, "vp": vp, "jp": jp,
                                        "weights": xi, "lhs": max(lo, hi), "rhs": rhs})
     return CheckResult(True)
+
+
+# ---------------------------------------------------------------------------
+# Readings, schedules and reductions the solvers never make
+# ---------------------------------------------------------------------------
+
+
+def value_at(table, x, u):
+    """A column-bundle table's value at state x and strategy u: max_j u'col_j."""
+    return float(np.max(_readings(np.asarray(u), table.cols[x])))
+
+
+def fairness_ok(schedule, problem):
+    """Whether every window of one period (two when shuffled) in the
+    schedule's first three touches every state with every kind."""
+    horizon = schedule.period(problem) * (1 if schedule.seed is None else 2)
+    prefix = list(itertools.islice(schedule.ops(problem), 3 * horizon))
+    sizes = {1: problem.space1.size, 2: problem.space2.size}
+    every = {(kind, x) for kind in Kind for x in range(sizes[kind.side])}
+    return all(every <= {(op.kind, x) for op in prefix[start : start + horizon] for x in op.subset}
+               for start in range(2 * horizon + 1))
+
+
+def markov_game_to_control(game):
+    """Pure-strategy reduction of a Markov game to a minimax control model.
+
+    Substochastic rows gain an absorbing cost-free terminal state so the
+    stage operator is reproduced exactly for pure policy pairs.
+    """
+    s, (n, m) = game.state_count, game.moves
+    deficit = 1.0 - game.transitions.sum(axis=3)
+    terminal = bool(np.max(deficit) > _PROB_TOL)
+    size = s + 1 if terminal else s
+    xi = game.space.weights
+    weights = np.append(xi, np.min(xi)) if terminal else xi
+    outcomes = []
+    for x in range(s):
+        per_u = []
+        for i in range(n):
+            per_v = []
+            for j in range(m):
+                cost = game.payoffs[x, i, j]
+                triples = [[p, cost, y] for y, p in enumerate(game.transitions[x, i, j])
+                           if p > _PROB_TOL]
+                if terminal and deficit[x, i, j] > _PROB_TOL:
+                    triples.append([deficit[x, i, j], cost, s])
+                per_v.append(triples)
+            per_u.append(tuple(per_v))
+        outcomes.append(tuple(per_u))
+    if terminal:
+        outcomes.append((([[1.0, 0.0, s]],),))
+    return MinimaxControlModel(WeightedSpace(size, weights), tuple(outcomes), game.alpha)

@@ -15,15 +15,14 @@ from minimaxpi.async_pi import (delayed, initial_state, partitioned, random_fair
 from minimaxpi.classic_pi import (PIStatus, find_oscillating_game,
                                   hoffman_karp, pollatschek_avi_itzhak)
 from minimaxpi.core import value_iterate
-from minimaxpi.models import (markov_game_to_control,
-                              minimax_control_to_problem, separate_markov_game,
+from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem,
                               shapley_value_iteration)
 
 from helpers import (random_control_model, random_markov_game,
                      random_separated_model)
-from instruments import (check_minmax_nonexpansive, check_monotone, run_extended,
-                         verify_uniform_contraction)
+from instruments import (check_minmax_nonexpansive, check_monotone, markov_game_to_control,
+                         run_extended, verify_uniform_contraction)
 
 
 def report(number, ok, detail):
@@ -44,10 +43,10 @@ def test_criterion_1_fixed_point_agreement():
         sep = separate_markov_game(game)
         hk = hoffman_karp(sep, tol=1e-8)
         assert hk.status is PIStatus.CONVERGED
-        scaled = sep.original_values(value_iterate(sep, tol=1e-9).j1)
+        scaled = sep.beta * value_iterate(sep, tol=1e-9).j1.values
         state, _ = run(sep, round_robin(), tol=1e-8)
-        asynchronous = sep.original_values(state.j1)
-        tables = [stage_vi, sep.original_values(hk.values), asynchronous, scaled]
+        asynchronous = sep.beta * state.j1.values
+        tables = [stage_vi, sep.beta * hk.values.values, asynchronous, scaled]
         for a, b in itertools.combinations(tables, 2):
             worst = max(worst, float(np.max(np.abs(a - b))))
     elapsed = time.time() - started
@@ -72,7 +71,7 @@ def test_criterion_2_oscillation_vs_convergence(tmp_path):
     oracle = shapley_value_iteration(game, tol=1e-11).values
     sep = separate_markov_game(game)
     state, _ = run(sep, round_robin(), tol=1e-8, max_steps=10**4 - 1)
-    gap = float(np.max(np.abs(sep.original_values(state.j1) - oracle)))
+    gap = float(np.max(np.abs(sep.beta * state.j1.values - oracle)))
     report(2, cycles and persistent and gap <= 1e-6 and state.t < 10**4,
            f"period-2 cycle held for 1e4 iterations (residual spread "
            f"{max(tail) - min(tail):.1e}); asynchronous run reached the "

@@ -9,24 +9,25 @@ from minimaxpi import async_pi
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
 from minimaxpi.async_pi import (AlgoState, Kind, Operation, TraceRow, _apply, _converged,
-                                delayed, fairness_ok, initial_state, partitioned,
+                                delayed, initial_state, partitioned,
                                 random_fair, round_robin, run)
 from minimaxpi.core import (PolicyPair, SeparatedProblem, ValueTable,
                             WeightedSpace, certify, policy_pair_value, value_iterate)
 from minimaxpi.errors import MaxStepsExceeded
 from minimaxpi.matrix_game import min_simplex_max_linear
 from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
-                              markov_game_to_control,
                               minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem,
                               shapley_value_iteration, stage_matrix)
+from minimaxpi.problem_io import load_problem
 
-from helpers import (bench_payload, closure_problem, highs_game_values, random_control_model,
-                     random_markov_game, random_separated_model, scalar_problem,
-                     swept_j1)
-from instruments import (QState, build_G, check_minmax_nonexpansive, q_state_diff,
-                         q_zero_state, random_policies, random_table1, random_table2,
-                         run_extended, solve_G_fixed_point, verify_uniform_contraction)
+from helpers import (bench_file, bench_payload, closure_problem, highs_game_values,
+                     random_control_model, random_markov_game, random_separated_model,
+                     scalar_problem, swept_j1)
+from instruments import (QState, build_G, check_minmax_nonexpansive, fairness_ok,
+                         markov_game_to_control, q_state_diff, q_zero_state,
+                         random_policies, random_table1, random_table2, run_extended,
+                         solve_G_fixed_point, value_at, verify_uniform_contraction)
 
 
 @pytest.fixture
@@ -90,7 +91,7 @@ class TestSteps:
         merged = v2.pointwise_max(j2)
         step = 1e-3
         for x in range(problem.space1.size):
-            best = min(merged.value_at(x, np.array([a, 1.0 - a]))
+            best = min(value_at(merged, x, np.array([a, 1.0 - a]))
                        for a in np.arange(0.0, 1.0 + step / 2, step))
             assert stepped.j1.values[x] == pytest.approx(
                 best / problem.beta, abs=1e-3)
@@ -408,7 +409,7 @@ def test_skipped_evaluations_change_nothing(name, monkeypatch):
 @pytest.mark.parametrize("name", KINDS)
 def test_free_certificates_are_certify_bit_for_bit(name, monkeypatch):
     """Every certificate a run reads off its own improvements is
-    ``certify(G1)``'s, estimate and bound, under full-space phases, block
+    ``certify(G1)``'s, estimate, bound and r, under full-space phases, block
     phases and stale reads."""
     problem = five_cases()[name]
     seen, own = [], async_pi._own_certificate
@@ -424,10 +425,11 @@ def test_free_certificates_are_certify_bit_for_bit(name, monkeypatch):
         seen.clear()
         run(problem, schedule, tol=1e-10, seed=5)
         assert len(seen) >= 3, schedule.name
-        for source, (estimate, bound) in seen:
-            expected, expected_bound, _ = certify(problem, source)
+        for source, (estimate, bound, r, _) in seen:
+            expected, expected_bound, expected_r = certify(problem, source)
             assert np.array_equal(estimate.values, expected.values), schedule.name
             assert bound == expected_bound, schedule.name
+            assert r == expected_r, schedule.name
 
 
 @pytest.mark.parametrize("name", KINDS)
@@ -493,6 +495,36 @@ def test_partitioned_period_is_the_cycle_its_split_makes(seed, monkeypatch):
         assert {op.label for op in cycle} == {f"b{i}" for i in range(6)}
         run(problem, schedule, tol=1e-8)
         assert calls == [], schedule.name
+
+
+@pytest.fixture(scope="module")
+def bench_explicit(tmp_path_factory):
+    """The benchmark's separated and control generators at their sizes."""
+    directory = tmp_path_factory.mktemp("bench")
+    sep = load_problem(bench_file(directory, "separated_payload", 250, 250, 3, 0.9))
+    control = load_problem(bench_file(directory, "control_payload", 100, 3, 3, 0.9))
+    return {"sep": separated_model_to_problem(sep.model),
+            "control": minimax_control_to_problem(control.model)}
+
+
+@pytest.mark.parametrize("name", ["sep", "control"])
+def test_delays_up_to_k_read_nothing_stale(name, bench_explicit):
+    """Under a ``round_robin`` or ``partitioned`` inner on an explicit kind,
+    the k evaluations after each improvement are skipped, so with k >= B the
+    B+1 states a delayed read can reach are one state: the delayed run is
+    the undelayed one, J1 bits, steps and trace rows.  With k < B a read
+    can land before the last improvement, and here it does."""
+    problem = bench_explicit[name]
+    blocks8, blocks4 = (lambda k: partitioned(8, k)), (lambda k: partitioned(4, k))
+    for inner, staleness, ks in ((blocks8, 3, (3, 10)), (round_robin, 5, (5,)),
+                                 (blocks4, 2, (2,))):
+        for k in ks:
+            plain, plain_rows = run(problem, inner(k), trace_out=[])
+            late, late_rows = run(problem, delayed(inner(k), staleness), trace_out=[])
+            assert late.j1.values.tobytes() == plain.j1.values.tobytes(), (staleness, k)
+            assert (late.t, late_rows) == (plain.t, plain_rows), (staleness, k)
+    plain, late = run(problem, blocks8(2))[0], run(problem, delayed(blocks8(2), 3))[0]
+    assert late.t != plain.t
 
 
 def test_unpaid_debt_is_checked_at_the_next_period_end(monkeypatch):

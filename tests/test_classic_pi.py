@@ -53,7 +53,7 @@ class TestHoffmanKarp:
         problem = separate_markov_game(game)
         result = hoffman_karp(problem, tol=1e-10)
         assert result.status is PIStatus.CONVERGED
-        assert problem.original_values(result.values)[0] == pytest.approx(0.0, abs=1e-9)
+        assert problem.beta * result.values.values[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_agrees_with_stage_value_iteration(self):
         tol = 1e-9
@@ -66,7 +66,7 @@ class TestHoffmanKarp:
             estimate, bound, _ = certify(problem, result.values)
             assert bound <= tol
             oracle = shapley_value_iteration(game, tol=1e-13).values
-            gap = np.max(np.abs(problem.original_values(estimate) - oracle))
+            gap = np.max(np.abs(problem.beta * estimate.values - oracle))
             assert gap <= problem.beta * bound + 1e-13
 
     def test_floating_point_fixed_points_are_not_certified_at_zero(self):
@@ -108,8 +108,8 @@ class TestHoffmanKarp:
         evaluations' certified accuracy of tol/10 each, on every kind."""
         tol, evaluated = 1e-9, []
 
-        def recording(*args):
-            result = iterate(*args)
+        def recording(*args, **kwargs):
+            result = iterate(*args, **kwargs)
             evaluated.append(result.j1)
             return result
 
@@ -133,8 +133,8 @@ class TestHoffmanKarp:
             random_separated_model(np.random.default_rng(5), 10, 10, alpha=0.999))
         sweeps = []
 
-        def recording(*args):
-            result = iterate(*args)
+        def recording(*args, **kwargs):
+            result = iterate(*args, **kwargs)
             sweeps.append(result.iterations)
             return result
 
@@ -234,7 +234,7 @@ class TestPollatschekAviItzhak:
             problem = separate_markov_game(game)
             hk = hoffman_karp(problem, tol=tol)
             assert hk.status is PIStatus.CONVERGED
-            tables = [problem.original_values(hk.values)]
+            tables = [problem.beta * hk.values.values]
             poa = pollatschek_avi_itzhak(game, tol=tol, max_iters=300)
             if poa.status is PIStatus.CONVERGED:
                 tables.append(poa.values.values)

@@ -11,18 +11,18 @@ from minimaxpi.async_pi import Schedule, round_robin, run
 from minimaxpi.classic_pi import hoffman_karp, naive_separated_pi
 from minimaxpi.errors import NonContractive, ParseError, ValidationError
 from minimaxpi.core import ValueTable, certify, value_iterate
-from minimaxpi.models import (DiscountedMarkovGame, markov_game_to_control,
-                              minimax_control_to_problem,
+from minimaxpi.models import (DiscountedMarkovGame, minimax_control_to_problem,
                               separated_model_to_problem, shapley_value_iteration)
 from minimaxpi.problem_io import game_payload, load_problem, save_problem
 
 from helpers import (bench_file, random_control_model, random_markov_game,
                      random_separated_model)
+from instruments import markov_game_to_control
 
 
 def write_game(tmp_path, game, name="game.json", **extra):
     path = tmp_path / name
-    save_problem(game_payload(game, **extra), path)
+    save_problem({**game_payload(game), **extra}, path)
     return str(path)
 
 
@@ -361,7 +361,7 @@ class TestLoadProblem:
         game = random_markov_game(rng, 3, 2, 2, alpha=0.9)
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        save_problem(game_payload(game, beta=1.03), first)
+        save_problem({**game_payload(game), "beta": 1.03}, first)
         loaded = load_problem(str(first))
         save_problem(loaded.payload, second)
         assert first.read_bytes() == second.read_bytes()
@@ -674,6 +674,28 @@ class TestSolveCommand:
         assert code == cli.EXIT_ERROR and captured.out == ""
         assert captured.err == f"error: --optimistic-k must be at least 1, got {k}\n"
 
+    @pytest.mark.parametrize("generator,sizes", [
+        ("separated_payload", (250, 250, 3, 0.9)), ("control_payload", (100, 3, 3, 0.9)),
+    ], ids=["sep", "control"])
+    def test_tol_at_the_rounding_floor(self, tmp_path, capsys, generator, sizes):
+        """hk's evaluations aim at tol/10 but end at their own rounding
+        floor, so hk certifies the tols vi does; below the floor hk and async
+        refuse tol at once, as vi does, with one line naming tol and floor.
+        Without these rules hk fails at 1e-13 naming tol/10, and async runs
+        out its step budget at 1e-15."""
+        path = bench_file(tmp_path, generator, *sizes)
+        for algo in ("vi", "hk", "async"):
+            assert cli.main(["solve", path, "--algo", algo, "--tol", "1e-13"]) == cli.EXIT_OK
+        capsys.readouterr()
+        for algo, loop in (("vi", "value iteration"), ("hk", "Hoffman-Karp"), ("async", "async")):
+            code = cli.main(["solve", path, "--algo", algo, "--tol", "1e-15",
+                             "--max-steps", "100000"])
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_MAX_ITERS and captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"error: {loop} bound ")
+            assert " > 1.000e-15 is held by the rounding floor " in line
+
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         """A delayed schedule seeds numpy's generator, which refuses -1."""
         path = bench_file(tmp_path, "game_payload", 3, 2, 2, 0.9)
@@ -794,8 +816,8 @@ class TestCompareCommand:
     def test_pair_beyond_its_gate_fails(self, tmp_path, capsys, monkeypatch):
         real = cli.value_iterate
 
-        def off_by_1e3(problem, j1_0=None, tol=1e-8, max_iters=10**6):
-            result = real(problem, j1_0, tol, max_iters)
+        def off_by_1e3(problem, tol=1e-8, max_iters=10**6):
+            result = real(problem, tol, max_iters)
             return type(result)(ValueTable(result.j1.space, result.j1.values + 1e-3),
                                 result.j2, result.iterations, result.residuals,
                                 result.error_bound)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minimaxpi.core import (HalfStage, SeparatedProblem, ValueTable, WeightedSpace,
-                            policy_pair_value, value_iterate)
+                            _iterate, policy_pair_value, value_iterate)
 from minimaxpi.errors import MaxItersExceeded
 
 import instruments
@@ -276,9 +276,10 @@ class TestValueIterate:
         assert result.j2.values[0] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
     def test_start_at_fixed_point(self):
+        # the warm start Hoffman-Karp's evaluations take
         problem = scalar_problem()
         exact = value_iterate(problem, tol=1e-14)
-        again = value_iterate(problem, j1_0=exact.j1, tol=1e-8)
+        again = _iterate(problem, exact.j1, 1e-8, 10**6, None)
         assert again.iterations <= 1
         assert again.j1.values[0] == pytest.approx(exact.j1.values[0], abs=1e-12)
 

@@ -5,16 +5,17 @@ from minimaxpi.async_pi import round_robin, run
 from minimaxpi.core import value_iterate
 from minimaxpi.errors import InvalidBeta, NonContractive
 from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
-                              markov_game_to_control, minimax_control_to_problem,
-                              separate_markov_game, separated_model_to_problem,
-                              shapley_value_iteration, split_beta, stage_matrix)
+                              minimax_control_to_problem, separate_markov_game,
+                              separated_model_to_problem, shapley_value_iteration,
+                              split_beta, stage_matrix)
 from minimaxpi.core import ValueTable, WeightedSpace
 from minimaxpi.matrix_game import min_simplex_max_linear
 
 from helpers import (random_control_model, random_markov_game,
                      random_separated_model)
-from instruments import (check_monotone, estimate_modulus, le, random_ordered_table2,
-                         random_policies, random_table1, random_table2)
+from instruments import (check_monotone, estimate_modulus, le, markov_game_to_control,
+                         random_ordered_table2, random_policies, random_table1,
+                         random_table2, value_at)
 
 
 def one_state_game(payoff, alpha=0.5):
@@ -119,7 +120,7 @@ class TestSeparateMarkovGame:
         sep = separate_markov_game(game)  # beta = 1/sqrt(alpha)
         result = value_iterate(sep, tol=1e-12)
         expect_game = c / (1.0 - alpha)
-        assert sep.original_values(result.j1)[0] == pytest.approx(expect_game, abs=1e-9)
+        assert sep.beta * result.j1.values[0] == pytest.approx(expect_game, abs=1e-9)
         assert result.j1.values[0] == pytest.approx(expect_game / sep.beta, abs=1e-9)
 
     def test_zero_game(self):
@@ -134,7 +135,7 @@ class TestSeparateMarkovGame:
         oracle = shapley_value_iteration(game, tol=1e-12)
         sep = separate_markov_game(game)
         result = value_iterate(sep, tol=1e-10)
-        assert np.max(np.abs(sep.original_values(result.j1) - oracle.values)) <= 1e-6
+        assert np.max(np.abs(sep.beta * result.j1.values - oracle.values)) <= 1e-6
 
     def test_modulus_certification(self):
         rng = np.random.default_rng(6)
@@ -201,7 +202,7 @@ class TestMarkovKernels:
             mats = [stage_matrix(game, x, m1.values, game.alpha * beta) for x in subset]
             assert np.array_equal(
                 problem.min_eval_values(subset, pol.mu, m2),
-                [m2.value_at(x, pol.mu[x]) / beta for x in subset])
+                [value_at(m2, x, pol.mu[x]) / beta for x in subset])
             guard = m2.pointwise_max(problem.t2_policy(pol.nu, m1))
             for table in (m2, guard):
                 values, picks = problem.min_improve(subset, table)
@@ -423,8 +424,8 @@ class TestValidation:
         b = ColumnMaxTable(space, (np.array([[0.0], [0.0]]),))
         # max of the two pennies columns is |u1 - u2|, peaking at the vertices
         assert a.diff_norm(b) == pytest.approx(1.0, abs=1e-9)
-        assert a.value_at(0, np.array([0.5, 0.5])) == pytest.approx(0.0)
-        assert a.value_at(0, np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert value_at(a, 0, np.array([0.5, 0.5])) == pytest.approx(0.0)
+        assert value_at(a, 0, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -468,7 +469,7 @@ class TestColumnBundles:
             slack = 1e-12 * spread
             for x in every:
                 u = rng.dirichlet(np.ones(n))
-                assert wide.value_at(x, u) == lo.value_at(x, u)
+                assert value_at(wide, x, u) == value_at(lo, x, u)
             wide_values, _ = problem.min_improve(every, wide)
             values, _ = problem.min_improve(every, lo)
             assert np.max(np.abs(wide_values - values)) <= slack
