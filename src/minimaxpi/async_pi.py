@@ -35,10 +35,6 @@ class Kind(Enum):
     MAX_EVAL = "MaxEval"
     MAX_IMPROVE = "MaxImprove"
 
-    @property
-    def side(self):
-        return 1 if self in (Kind.MIN_EVAL, Kind.MIN_IMPROVE) else 2
-
 
 # the members under plain names: the executor tests kinds by identity, and a
 # member looked up on its Enum class costs about 0.2 us

@@ -7,21 +7,18 @@ and the cheap all-pairs scheme (exact or optimistic evaluation) that
 amounts to Newton's method on the value equation and may cycle between
 policy pairs instead of converging.  Both all-pairs methods, on Markov
 games and on separated problems, run one loop that owns the residuals
-and the cycle test.  A grid search runs that scheme itself over 2x2
-one-state candidates and returns the first instance on which it cycles
-with period 2.
+and the cycle test.  A fixed 2x2 one-state game, on which that scheme
+cycles with period 2, is the oscillating instance.
 """
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import PolicyPair, ValueTable, _iterate, _sweep, check_floor
-from .errors import SearchFailed
+from .core import PolicyPair, ValueTable, _iterate, _sweep, check_floor, sweep_certificate
 from .matrix_game import solve_matrix_game
-from .models import DiscountedMarkovGame, separate_markov_game, stage_matrix
+from .models import DiscountedMarkovGame, stage_matrix
 
 # sweeps allowed to each Hoffman-Karp evaluation: value_iterate's default
 _EVAL_SWEEPS = 10**6
@@ -112,14 +109,16 @@ def _evaluate_pair(game, mu, nu, optimistic_k, j0):
     return j
 
 
-def _all_pairs(step, values, dist, tol, max_iters, stop_on_cycle):
+def _all_pairs(loop, step, values, dist, floor, tol, max_iters, stop_on_cycle):
     """All-pairs policy iteration from ``values``; ``step(values)`` improves
     and then evaluates, returning ``(policies, new values)``.
 
     Stops when a step moves the values by at most tol (``dist``).  A
     policy pair that recurs at a lag p >= 2 with values within tol of
     their earlier visit is a cycle: reported at once, or, with
-    ``stop_on_cycle`` off, as the status after the whole budget.
+    ``stop_on_cycle`` off, as the status after the whole budget.  Before
+    that stop, :func:`~minimaxpi.core.check_floor` applies to the values'
+    rounding floor, ``floor(values)``.
     """
     residuals, sigs, hist = [], [], []
     policies = cycle = None
@@ -127,6 +126,7 @@ def _all_pairs(step, values, dist, tol, max_iters, stop_on_cycle):
         policies, new = step(values)
         residuals.append(dist(new, values))
         values = new
+        check_floor(loop, f"iteration {t}", None, tol, residuals[-1], floor(values), "its values")
         if residuals[-1] <= tol:
             return PIResult(values, policies, t, PIStatus.CONVERGED, None, tuple(residuals))
         sigs.append(_strategy_signature(policies.mu, policies.nu))
@@ -147,15 +147,18 @@ def pollatschek_avi_itzhak(game, tol=1e-8, max_iters=10**4,
     Evaluation solves the linear fixed point of the current policy pair
     (or runs ``optimistic_k`` value-iteration sweeps).  Fast when it
     converges, but the underlying Newton iteration may oscillate; a
-    repeated (policies, values) state is reported as a cycle.
+    repeated (policies, values) state is reported as a cycle.  Values J
+    have the rounding floor ``4 eps |J| / (1 - contraction_factor())``.
     """
     def step(j):
         mu, nu = _saddle_sweep(game, j.values)
         new = _evaluate_pair(game, mu, nu, optimistic_k, j.values)
         return PolicyPair(mu, nu), ValueTable(game.space, new)
 
+    per_norm = 4 * np.finfo(float).eps / (1.0 - game.contraction_factor())
     _check_optimistic_k(optimistic_k)
-    return _all_pairs(step, ValueTable.zeros(game.space), ValueTable.diff_norm,
+    return _all_pairs("Pollatschek-Avi-Itzhak", step, ValueTable.zeros(game.space),
+                      ValueTable.diff_norm, lambda j: per_norm * j.norm(),
                       tol, max_iters, stop_on_cycle)
 
 
@@ -173,8 +176,10 @@ def naive_separated_pi(problem, tol=1e-8, max_iters=10**4,
     """All-pairs policy iteration on a separated problem, without safeguards.
 
     Greedy improvement against the last evaluated tables followed by joint
-    evaluation of the new pair.  Shares the oscillation risk of the
-    all-pairs scheme, and its loop.
+    evaluation of the new pair, which ends at its rounding floor if that
+    exceeds tol/10.  Shares the oscillation risk of the all-pairs scheme,
+    and its loop; tables ``(J1, J2)`` have :func:`~minimaxpi.core.certify`'s
+    floor of J1.
     """
     def step(tables):
         j1, j2 = tables
@@ -187,59 +192,38 @@ def naive_separated_pi(problem, tol=1e-8, max_iters=10**4,
         return max(a[0].diff_bound(b[0]), a[1].diff_bound(b[1]))
 
     _check_optimistic_k(optimistic_k)
-    return _all_pairs(step, (problem.zero1(), problem.zero2()), dist,
+    return _all_pairs("naive policy iteration", step, (problem.zero1(), problem.zero2()),
+                      dist, lambda tables: sweep_certificate(problem, tables[0], tables[0])[3],
                       tol, max_iters, stop_on_cycle)
 
 
 # ---------------------------------------------------------------------------
-# Constructing an oscillating instance
+# The oscillating instance
 # ---------------------------------------------------------------------------
 
-_G_GRID = (-2, -1, 0, 1, 2)
-_P_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
+# a 2x2 one-state game: stage payoffs and per-pair effective discounts
+_CYCLE_PAYOFFS = ((0, -1), (-2, -1))
+_CYCLE_DISCOUNTS = ((0.8, 0.8), (0.2, 0.7))
 _ENCODE_ALPHA = 0.9
 
 
-def _encode_candidate(g, p):
-    payoffs = g.reshape(1, 2, 2)
-    transitions = (p / _ENCODE_ALPHA).reshape(1, 2, 2, 1)
-    return DiscountedMarkovGame(payoffs, transitions, _ENCODE_ALPHA, terminating=True)
-
-
 def find_oscillating_game():
-    """Grid-search a 2x2 one-state instance on which all-pairs PI cycles.
-
-    Effective per-pair discounts live on a 0.1-step grid below 1, so every
-    candidate passes the contraction screen.  Candidates are visited in a
-    golden-ratio stride order; each is run through
-    :func:`pollatschek_avi_itzhak` and then :func:`naive_separated_pi`,
-    and the first on which the former cycles with period 2 and the latter
-    cycles too is returned together with the cycle report.
+    """The 2x2 one-state terminating game on which all-pairs PI cycles,
+    each discount p encoded at alpha 0.9 as transition mass ``p / 0.9``,
+    and the report of one :func:`pollatschek_avi_itzhak` run on it.
     """
-    g_combos = list(itertools.product(_G_GRID, repeat=4))
-    p_combos = list(itertools.product(_P_GRID, repeat=4))
-    total = len(g_combos) * len(p_combos)
-    stride = 2_654_435_761 % total  # golden-ratio stride, coprime to the grid size
-    idx = 0
-    for _ in range(total):
-        idx = (idx + stride) % total
-        g = np.array(g_combos[idx // len(p_combos)], dtype=float).reshape(2, 2)
-        p = np.array(p_combos[idx % len(p_combos)], dtype=float).reshape(2, 2)
-        game = _encode_candidate(g, p)
-        exact = pollatschek_avi_itzhak(game, tol=1e-9, max_iters=300)
-        if exact.status is not PIStatus.CYCLED or exact.cycle_length != 2:
-            continue
-        naive = naive_separated_pi(separate_markov_game(game), tol=1e-9, max_iters=300)
-        if naive.status is not PIStatus.CYCLED:
-            continue
-        # one more improvement+evaluation from the cycle maps onto its other point
-        here = exact.values.values
-        there = _evaluate_pair(game, *_saddle_sweep(game, here), None, here)
-        report = {
-            "payoffs": g.tolist(),
-            "stage_discounts": p.tolist(),
-            "cycle_length": exact.cycle_length,
-            "cycling_values": sorted((float(here[0]), float(there[0]))),
-        }
-        return game, report
-    raise SearchFailed("no cycling instance found in the grid")
+    g = np.array(_CYCLE_PAYOFFS, dtype=float)
+    p = np.array(_CYCLE_DISCOUNTS, dtype=float)
+    game = DiscountedMarkovGame(g.reshape(1, 2, 2), (p / _ENCODE_ALPHA).reshape(1, 2, 2, 1),
+                                _ENCODE_ALPHA, terminating=True)
+    exact = pollatschek_avi_itzhak(game, tol=1e-9, max_iters=300)
+    # one more improvement+evaluation from the cycle maps onto its other point
+    here = exact.values.values
+    there = _evaluate_pair(game, *_saddle_sweep(game, here), None, here)
+    report = {
+        "payoffs": g.tolist(),
+        "stage_discounts": p.tolist(),
+        "cycle_length": exact.cycle_length,
+        "cycling_values": sorted((float(here[0]), float(there[0]))),
+    }
+    return game, report

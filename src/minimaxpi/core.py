@@ -186,9 +186,10 @@ class HalfStageProblem:
         return self.table2(entries), nu
 
     def joint_policy_fixed_point(self, policies, tol=1e-10, j1=None):
-        """Tables of a fixed policy pair, certified within ``tol`` by
-        :func:`policy_pair_value` from j1 (zero by default)."""
-        return policy_pair_value(self, policies, tol, j1_0=j1)
+        """Tables of a fixed policy pair by :func:`policy_pair_value` from j1
+        (zero by default), certified within ``tol`` or ended at the rounding
+        floor if that exceeds tol, as Hoffman-Karp's evaluations end."""
+        return policy_pair_value(self, policies, tol, j1_0=j1, floor_ends=True)
 
 
 @dataclass(frozen=True)
@@ -343,10 +344,6 @@ class HalfStage:
             total += terms[..., k]
         return total
 
-    def evaluate(self, x, a, opposite):
-        """One (state, action) score: :meth:`scores` at that pick."""
-        return float(self.scores([x], opposite, [a])[0])
-
     def shift(self):
         """``scale`` if every real action's outcome mass is 1 (to 1e-12), else None."""
         mass = self.prob.sum(axis=-1)[self.live()]
@@ -364,17 +361,17 @@ class HalfStage:
 class TabularProblem(SeparatedProblem):
     """A separated problem held as one :class:`HalfStage` per side.
 
-    Actions are numbered 0..n-1 per state.  ``eval1``/``eval2`` read the
-    same arrays one (state, action) at a time, for per-state oracles.
-    ``alpha`` is derived, not asserted: the larger ``scale * reach`` of
-    the two stages.  At 1 or above, construction raises
-    :class:`NonContractive`.
+    Actions are numbered 0..n-1 per state, and :meth:`scores` reads the
+    stages alone: the closure adapter's ``actions1/2`` and ``eval1/2`` are
+    None here.  ``alpha`` is derived, not asserted: the larger
+    ``scale * reach`` of the two stages.  At 1 or above, construction
+    raises :class:`NonContractive`.
     """
 
-    actions1: tuple = field(init=False)
-    actions2: tuple = field(init=False)
-    eval1: callable = field(init=False, repr=False)
-    eval2: callable = field(init=False, repr=False)
+    actions1: tuple = field(init=False, default=None, repr=False, compare=False)
+    actions2: tuple = field(init=False, default=None, repr=False, compare=False)
+    eval1: callable = field(init=False, default=None, repr=False, compare=False)
+    eval2: callable = field(init=False, default=None, repr=False, compare=False)
     alpha: float = field(init=False)
     stage1: HalfStage
     stage2: HalfStage
@@ -382,11 +379,10 @@ class TabularProblem(SeparatedProblem):
 
     def __post_init__(self):
         xi1, xi2 = self.space1.weights, self.space2.weights
-        for side, stage in ((1, self.stage1), (2, self.stage2)):
-            counts = stage.live().sum(axis=1).tolist()
-            ranges = {c: tuple(range(c)) for c in set(counts)}   # one tuple per count, shared
-            object.__setattr__(self, f"actions{side}", tuple(map(ranges.__getitem__, counts)))
-            object.__setattr__(self, f"eval{side}", stage.evaluate)
+        if len(self.stage1.prob) != self.space1.size or len(self.stage2.prob) != self.space2.size:
+            raise ValueError("need one action list per state")
+        if not (self.stage1.live().any(axis=1).all() and self.stage2.live().any(axis=1).all()):
+            raise ValueError("action lists must be nonempty")
         modulus = max(self.stage1.scale * self.stage1.reach(xi1, xi2),
                       self.stage2.scale * self.stage2.reach(xi2, xi1))
         if modulus >= 1.0:
@@ -394,7 +390,6 @@ class TabularProblem(SeparatedProblem):
         object.__setattr__(self, "alpha", modulus)
         g1, g2 = self.stage1.shift(), self.stage2.shift()
         object.__setattr__(self, "_shift", None if g1 is None or g2 is None else g1 * g2)
-        super().__post_init__()
 
     def scores(self, side, subset, opposite, picks=None):
         return (self.stage1 if side == 1 else self.stage2).scores(subset, opposite, picks)
@@ -472,13 +467,15 @@ def certify(problem, j1):
     return _sweep(problem, j1, None)[:3]
 
 
-def check_floor(loop, step, bound, tol, r, floor):
+def check_floor(loop, step, bound, tol, r, floor, table="J1"):
     """Raise :class:`MaxItersExceeded` if the floor exceeds tol and ``step``
-    moved J1 by no more than it: ``loop`` cannot certify tol by stepping on."""
+    moved ``table`` by no more than it: ``loop`` cannot certify tol by
+    stepping on.  ``bound`` None is a loop that holds no certificate."""
     if r <= floor and floor > tol:
-        raise MaxItersExceeded(
-            f"{loop} bound {bound:.3e} > {tol:.3e} is held by the rounding floor "
-            f"{floor:.3e}: {step} moves J1 by {r:.3e}, no more than the floor")
+        held = (f"tol {tol:.3e} is below" if bound is None
+                else f"bound {bound:.3e} > {tol:.3e} is held by")
+        raise MaxItersExceeded(f"{loop} {held} the rounding floor {floor:.3e}: {step} moves "
+                               f"{table} by {r:.3e}, no more than the floor")
 
 
 def _iterate(problem, j1, tol, max_iters, policies, floor_ends=False):
@@ -521,11 +518,13 @@ def value_iterate(problem, tol=1e-8, max_iters=10**6):
     return replace(result, j2=problem.t2_greedy(result.j1)[0])
 
 
-def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None):
+def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None,
+                      floor_ends=False):
     """Tables ``(j1, j2)`` of a fixed policy pair: the loop of
     :func:`value_iterate` on ``T1^mu(T2^nu J1)``, which shifts by the same
-    g, with ``j2 = T2^nu`` of the estimate (``T2`` with nu None)."""
-    j1 = _iterate(problem, j1_0, tol, max_iters, policies).j1
+    g, with ``j2 = T2^nu`` of the estimate (``T2`` with nu None).
+    ``floor_ends`` is :func:`_iterate`'s."""
+    j1 = _iterate(problem, j1_0, tol, max_iters, policies, floor_ends).j1
     j2 = (problem.t2_greedy(j1)[0] if policies.nu is None
           else problem.t2_policy(policies.nu, j1))
     return j1, j2

@@ -60,6 +60,3 @@ class InputFieldError(MinimaxPIError, ValueError):
 class MissingAggregationRow(MinimaxPIError):
     """A reachable state has no aggregation-probability row."""
 
-
-class SearchFailed(MinimaxPIError):
-    """The oscillation-instance grid search exhausted the grid without a hit."""

@@ -41,9 +41,11 @@ from .errors import LPNumericalFailure
 # _PIVOT_TOL may pivot, and an answer's certified gap (normalized) is at most
 # _CERTIFY; the two players' values of a mixed game agree to _DUALITY
 _ENTER_TOL = 1e-13
-_PIVOT_TOL = 1e-9
+_PIVOT_TOL = 1e-13
 _CERTIFY = 1e-8
 _DUALITY = 1e-8
+# simplex passes, each ended by rebuilding the tableau from the instance's data
+_PASSES = 8
 # candidate vertices per instance up to which enumeration is used.  Measured
 # per call on a 2-core box (numpy 2.4, uniform instances), 6 lines over 3
 # strategies (83 candidates): enumeration 150 us against the simplex's 230 us
@@ -135,50 +137,63 @@ def _simplex_min_max(coeffs, spread):
     C x <= 1, x >= 0`` (C the (L, n) lines) is feasible at the slack basis
     and bounded; at its optimum ``u = x / 1'x`` (Dantzig 1951).  Each
     instance pivots by Bland's rule (Bland 1977: lowest entering column,
-    ratio-test ties to the lowest basic index).  The final objective row prices
-    the slack columns at the lines' dual weights ``w``, which certifies the
-    answer two-sided: ``max_l u'c_l - min_i w'c_i`` bounds its error.
+    ratio-test ties to the lowest basic index) until it stops; then its
+    tableau is rebuilt from its own data at the basis reached, free of the
+    rounding the pivots left, and pivoting resumes from it, for at most
+    ``_PASSES`` passes.  The objective row prices the slack columns at the
+    lines' dual weights ``w``, which certifies the answer two-sided:
+    ``max_l u'c_l - min_i w'c_i`` bounds its error; a rebuilt tableau is
+    kept only where it is certified no worse.
     Returns (attained values (B,), strategies (B, n)).
     """
     batch, n_lines, n = coeffs.shape
     width = n + n_lines
-    tab = np.zeros((batch, n_lines + 1, width + 1))
-    tab[:, :-1, :n] = coeffs + 1.0
-    tab[:, :-1, n:width] = np.eye(n_lines)
-    tab[:, :-1, -1] = 1.0
-    tab[:, -1, :n] = -1.0
-    basis = np.tile(np.arange(n, width), (batch, 1))
-    live = np.arange(batch)
+    start = np.zeros((batch, n_lines + 1, width + 1))
+    start[:, :-1, :n] = coeffs + 1.0
+    start[:, :-1, n:width] = np.eye(n_lines)
+    start[:, :-1, -1] = 1.0
+    start[:, -1, :n] = -1.0
+    tab, basis = start.copy(), np.tile(np.arange(n, width), (batch, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(50 * width):
-            t = tab[live]
-            enters = t[:, -1, :width] < -_ENTER_TOL
-            col = np.argmax(enters, axis=1)
-            column = t[np.arange(live.size), :-1, col]
-            # a basic value rounded below 0 counts as 0
-            ratio = np.where(column > _PIVOT_TOL, np.maximum(t[:, :-1, -1], 0.0) / column, np.inf)
-            best = ratio.min(axis=1, keepdims=True)
-            row = np.argmin(np.where(ratio <= best, basis[live], width), axis=1)
-            # optimal instances stop, and so does one without a pivot row:
-            # its certificate judges it
-            go = np.flatnonzero(enters.any(axis=1) & np.isfinite(best[:, 0]))
-            if not go.size:
+        for _ in range(_PASSES):
+            live = np.arange(batch)
+            for step in range(50 * width):
+                t = tab[live]
+                enters = t[:, -1, :width] < -_ENTER_TOL
+                col = np.argmax(enters, axis=1)
+                column = t[np.arange(live.size), :-1, col]
+                # a basic value rounded below 0 counts as 0
+                ratio = np.where(column > _PIVOT_TOL, np.maximum(t[:, :-1, -1], 0.0) / column,
+                                 np.inf)
+                best = ratio.min(axis=1, keepdims=True)
+                row = np.argmin(np.where(ratio <= best, basis[live], width), axis=1)
+                # optimal instances stop, and so does one without a pivot row:
+                # its certificate judges it
+                go = np.flatnonzero(enters.any(axis=1) & np.isfinite(best[:, 0]))
+                if not go.size:
+                    break
+                live, t, col, row = live[go], t[go], col[go], row[go]
+                k = np.arange(live.size)
+                pivot = t[k, row] / t[k, row, col][:, None]
+                t -= t[k, :, col][:, :, None] * pivot[:, None, :]
+                t[k, row] = pivot
+                tab[live] = t
+                basis[live, row] = col
+            if step == 0:   # no pivot since the last rebuild
                 break
-            live, t, col, row = live[go], t[go], col[go], row[go]
-            k = np.arange(live.size)
-            pivot = t[k, row] / t[k, row, col][:, None]
-            t -= t[k, :, col][:, :, None] * pivot[:, None, :]
-            t[k, row] = pivot
-            tab[live] = t
-            basis[live, row] = col
-        x = np.zeros((batch, width))
-        np.put_along_axis(x, basis, tab[:, :-1, -1], axis=1)
-        x = np.clip(x[:, :n], 0.0, None)
-        u = x / x.sum(axis=1, keepdims=True)
-        w = np.clip(tab[:, -1, n:width], 0.0, None)
-        w /= w.sum(axis=1, keepdims=True)
-        level = (u[:, None, :] * coeffs).sum(axis=-1).max(axis=-1)
-        floor = (w[:, :, None] * coeffs).sum(axis=1).min(axis=-1)
+            # B^-1 [A | 1] and c_B B^-1 [A | 1] - c, at a basis the rounding
+            # has not made singular
+            system = np.take_along_axis(start[:, :-1, :-1], basis[:, None, :], axis=2)
+            ok = np.abs(np.linalg.det(system)) > _SINGULAR
+            new = tab.copy()
+            new[ok, :-1] = np.linalg.solve(system[ok], start[ok, :-1])
+            new[ok, -1] = start[ok, -1] + ((basis[ok] < n)[:, None, :] @ new[ok, :-1])[:, 0]
+            level, floor, _ = _certified(new, basis, coeffs)
+            old_level, old_floor, _ = _certified(tab, basis, coeffs)
+            keep = ~(level - floor <= old_level - old_floor)
+            new[keep] = tab[keep]
+            tab = new
+        level, floor, u = _certified(tab, basis, coeffs)
     bad = np.flatnonzero(~(level - floor <= _CERTIFY))
     if bad.size:
         raise LPNumericalFailure(
@@ -186,6 +201,21 @@ def _simplex_min_max(coeffs, spread):
             f"x spread; {n_lines} lines over {n} strategies, payoff spread "
             f"{spread[bad[0]]:.3e})")
     return level, u
+
+
+def _certified(tab, basis, coeffs):
+    """A simplex tableau's answer: the attained level of its strategy u,
+    the floor its dual weights certify, and u."""
+    batch, n_lines, n = coeffs.shape
+    x = np.zeros((batch, n + n_lines))
+    np.put_along_axis(x, basis, tab[:, :-1, -1], axis=1)
+    x = np.clip(x[:, :n], 0.0, None)
+    u = x / x.sum(axis=1, keepdims=True)
+    w = np.clip(tab[:, -1, n:n + n_lines], 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    level = (u[:, None, :] * coeffs).sum(axis=-1).max(axis=-1)
+    floor = (w[:, :, None] * coeffs).sum(axis=1).min(axis=-1)
+    return level, floor, u
 
 
 def min_simplex_max_linear(coeffs):

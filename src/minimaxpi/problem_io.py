@@ -37,7 +37,6 @@ class LoadedProblem:
     model: object
     beta: float | None
     aggregation: dict | None
-    payload: dict
 
 
 def _get(obj, key, path, expected=None, optional=False):
@@ -159,7 +158,7 @@ def load_problem(path):
     aggregation = payload.get("aggregation")
     if aggregation is not None and not isinstance(aggregation, dict):
         raise ValidationError("aggregation must be an object", "$.aggregation")
-    return LoadedProblem(kind, model, beta, aggregation, payload)
+    return LoadedProblem(kind, model, beta, aggregation)
 
 
 def _canonical(obj):

@@ -2,7 +2,8 @@
 
 None of this is on a solver's path.  The samplers draw random tables and
 policies of a problem from its public attributes, one sampler per problem
-kind (explicit-action problems and the reformulated Markov game);
+kind (explicit-action problems, whose actions are counted from their
+unpadded scores, and the reformulated Markov game);
 :func:`estimate_modulus` and :func:`check_monotone` check the fixed-policy
 half-stage operators; the extended four-component operator over explicit
 action tables (:func:`build_G`) and :func:`verify_uniform_contraction`
@@ -64,8 +65,8 @@ def random_policies(problem, rng):
         mu = rng.dirichlet(np.ones(problem.n), problem.game.state_count)
         nu = rng.integers(problem.m, size=problem.game.state_count)
         return PolicyPair(mu, nu)
-    mu = np.array([rng.integers(len(a)) for a in problem.actions1])
-    nu = np.array([rng.integers(len(a)) for a in problem.actions2])
+    mu = np.array([rng.integers(c) for c in action_counts(problem, 1)])
+    nu = np.array([rng.integers(c) for c in action_counts(problem, 2)])
     return PolicyPair(mu, nu)
 
 
@@ -87,11 +88,29 @@ def _random_bundles(problem, rng):
     return ColumnMaxTable(problem.space2, np.take_along_axis(cols, last[:, None, :], axis=2))
 
 
+def action_counts(problem, side):
+    """Each of ``side``'s states' number of actions: the finite entries of
+    its row of the unpadded score layout, against a zero opposite table."""
+    size, opposite = ((problem.space1.size, problem.space2.size) if side == 1
+                      else (problem.space2.size, problem.space1.size))
+    return np.isfinite(problem.scores(side, np.arange(size), np.zeros(opposite))).sum(1)
+
+
 def action_mask(problem, side):
     """Which entries of the (states, widest action list) score layout
     are real actions rather than padding."""
-    counts = np.array([len(a) for a in (problem.actions1 if side == 1 else problem.actions2)])
+    counts = action_counts(problem, side)
     return np.arange(counts.max()) < counts[:, None]
+
+
+def score_at(problem, side, x, a, opposite):
+    """One (state, action) score: the score primitive at one pick."""
+    return float(problem.scores(side, [x], opposite, [a])[0])
+
+
+def side_of(kind):
+    """The player an operation kind acts for: 1 minimizes, 2 maximizes."""
+    return 1 if kind in (Kind.MIN_EVAL, Kind.MIN_IMPROVE) else 2
 
 
 def le(a, b, slack=1e-12):
@@ -317,7 +336,7 @@ def run_extended(problem, ops, steps, policies=None):
     for op in itertools.islice(ops, steps):
         new = build_G(problem, pol)(qs)
         sub = op.subset
-        if op.kind.side == 1:
+        if side_of(op.kind) == 1:
             q1 = qs.q1.copy()
             q1[sub] = new.q1[sub]
             qs = replace(qs, q1=q1)
@@ -377,7 +396,7 @@ def fairness_ok(schedule, problem):
     horizon = schedule.period(problem) * (1 if schedule.seed is None else 2)
     prefix = list(itertools.islice(schedule.ops(problem), 3 * horizon))
     sizes = {1: problem.space1.size, 2: problem.space2.size}
-    every = {(kind, x) for kind in Kind for x in range(sizes[kind.side])}
+    every = {(kind, x) for kind in Kind for x in range(sizes[side_of(kind)])}
     return all(every <= {(op.kind, x) for op in prefix[start : start + horizon] for x in op.subset}
                for start in range(2 * horizon + 1))
 

@@ -14,7 +14,7 @@ from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
 
 from helpers import (closure_problem, random_control_model, random_markov_game,
                      random_separated_model)
-from instruments import action_mask, verify_uniform_contraction
+from instruments import action_counts, action_mask, score_at, verify_uniform_contraction
 
 
 def full_identity(problem):
@@ -101,11 +101,12 @@ class TestBuildAggregate:
         result = value_iterate(small, tol=1e-12)
         # scalar fixed-point oracle: iterate the two 1-state maps directly
         j1 = j2 = 0.0
+        count1, count2 = action_counts(problem, 1)[1], action_counts(problem, 2)[2]
         for _ in range(2000):
-            j1 = min(problem.eval1(1, a, np.full(problem.space2.size, j2))
-                     for a in problem.actions1[1])
-            j2 = max(problem.eval2(2, a, np.full(problem.space1.size, j1))
-                     for a in problem.actions2[2])
+            j1 = min(score_at(problem, 1, 1, a, np.full(problem.space2.size, j2))
+                     for a in range(count1))
+            j2 = max(score_at(problem, 2, 2, a, np.full(problem.space1.size, j1))
+                     for a in range(count2))
         assert result.j1.values[0] == pytest.approx(j1, abs=1e-9)
         assert result.j2.values[0] == pytest.approx(j2, abs=1e-9)
 

@@ -24,10 +24,11 @@ from minimaxpi.problem_io import load_problem
 from helpers import (bench_file, bench_payload, closure_problem, highs_game_values,
                      random_control_model, random_markov_game, random_separated_model,
                      scalar_problem, swept_j1)
-from instruments import (QState, build_G, check_minmax_nonexpansive, fairness_ok,
+from instruments import (QState, action_counts, build_G, check_minmax_nonexpansive, fairness_ok,
                          markov_game_to_control, q_state_diff, q_zero_state,
                          random_policies, random_table1, random_table2, run_extended,
-                         solve_G_fixed_point, value_at, verify_uniform_contraction)
+                         score_at, side_of, solve_G_fixed_point, value_at,
+                         verify_uniform_contraction)
 
 
 @pytest.fixture
@@ -283,7 +284,7 @@ def test_disjoint_blocks_compose_to_one_full_operation(name):
                           random_table2(problem, rng), random_table2(problem, rng),
                           random_policies(problem, rng))
         for kind in Kind:
-            size = (problem.space1 if kind.side == 1 else problem.space2).size
+            size = (problem.space1 if side_of(kind) == 1 else problem.space2).size
             cuts = np.sort(rng.choice(np.arange(1, size), int(rng.integers(1, size)),
                                       replace=False))
             blocks = np.split(rng.permutation(size), cuts)
@@ -321,8 +322,8 @@ def reference_run(problem, schedule, tol, seed, max_steps=20000):
             read = ring[max(0, len(ring) - 1 - int(rng.integers(0, schedule.staleness + 1)))]
         new = _apply(problem, state, op, read)
         rows.append(TraceRow(step, op.kind.value, op.label,
-                             state.j1.diff_bound(new.j1) if op.kind.side == 1 else 0.0,
-                             state.j2.diff_bound(new.j2) if op.kind.side == 2 else 0.0))
+                             state.j1.diff_bound(new.j1) if side_of(op.kind) == 1 else 0.0,
+                             state.j2.diff_bound(new.j2) if side_of(op.kind) == 2 else 0.0))
         state, done = new, None
         ring.append(state)
         prov, base = state.prov1, state.guard2_source
@@ -775,14 +776,15 @@ class TestExtendedOperator:
         problem = explicit_problem
         exact = value_iterate(problem, tol=1e-13)
 
-        def per_action(evaluate, actions, opposite, pad):
-            rows = np.full((len(actions), max(map(len, actions))), pad)
-            for x, acts in enumerate(actions):
-                rows[x, :len(acts)] = [evaluate(x, a, opposite) for a in acts]
+        def per_action(side, opposite, pad):
+            counts = action_counts(problem, side)
+            rows = np.full((counts.size, counts.max()), pad)
+            for x, count in enumerate(counts):
+                rows[x, :count] = [score_at(problem, side, x, a, opposite) for a in range(count)]
             return rows
 
-        q1 = per_action(problem.eval1, problem.actions1, exact.j2.values, np.inf)
-        q2 = per_action(problem.eval2, problem.actions2, exact.j1.values, -np.inf)
+        q1 = per_action(1, exact.j2.values, np.inf)
+        q2 = per_action(2, exact.j1.values, -np.inf)
         fixed = QState(exact.j1, exact.j2, q1, q2)
         rng = np.random.default_rng(8)
         pol = random_policies(problem, rng)

@@ -159,6 +159,17 @@ class TestFindOscillatingGame:
         assert np.allclose(game.alpha * game.transitions[0, :, :, 0],
                            report["stage_discounts"], rtol=0, atol=1e-15)
 
+    def test_the_instance_is_data_with_one_poa_run(self, monkeypatch):
+        """The game is built from its two literals: one PoA run reports its
+        cycle, and no search or naive run screens it."""
+        calls = []
+        for name in ("pollatschek_avi_itzhak", "naive_separated_pi"):
+            solve = getattr(classic_pi, name)
+            monkeypatch.setattr(classic_pi, name, lambda *a, _name=name, _solve=solve, **k:
+                                calls.append(_name) or _solve(*a, **k))
+        find_oscillating_game()
+        assert calls == ["pollatschek_avi_itzhak"]
+
 
 class TestPollatschekAviItzhak:
     def test_zero_game(self):

@@ -363,7 +363,7 @@ class TestLoadProblem:
         second = tmp_path / "b.json"
         save_problem({**game_payload(game), "beta": 1.03}, first)
         loaded = load_problem(str(first))
-        save_problem(loaded.payload, second)
+        save_problem({**game_payload(loaded.model), "beta": loaded.beta}, second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_terminating_contraction_screen(self, tmp_path):
@@ -695,6 +695,45 @@ class TestSolveCommand:
             (line,) = captured.err.splitlines()
             assert line.startswith(f"error: {loop} bound ")
             assert " > 1.000e-15 is held by the rounding floor " in line
+
+    @pytest.mark.parametrize("generator,sizes", [
+        ("separated_payload", (250, 250, 3, 0.9)), ("control_payload", (100, 3, 3, 0.9)),
+    ], ids=["sep", "control"])
+    def test_naive_at_the_rounding_floor(self, tmp_path, capsys, generator, sizes):
+        """naive's pair evaluations end at their rounding floor, as hk's do,
+        so naive certifies 1e-13 where vi does; below the floor of the J1 it
+        prints, an iteration that moves its tables by no more than that floor
+        ends the run at once.  Without the first rule naive fails at 1e-13
+        naming tol/10; without the second it exits 0 at 1e-15, its bound
+        above tol."""
+        path = bench_file(tmp_path, generator, *sizes)
+        assert cli.main(["solve", path, "--algo", "naive", "--tol", "1e-13"]) == cli.EXIT_OK
+        capsys.readouterr()
+        for tol in ("1e-15", "1e-17"):
+            code = cli.main(["solve", path, "--algo", "naive", "--tol", tol])
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_MAX_ITERS and captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"error: naive policy iteration tol {float(tol):.3e} "
+                                   "is below the rounding floor ")
+
+    @pytest.mark.parametrize("sizes", [(10, 3, 3, 0.9, True), (4, 2, 2, 0.9)],
+                             ids=["cyclic-10", "small-4"])
+    def test_poa_at_the_rounding_floor(self, tmp_path, capsys, sizes):
+        """Below the rounding floor of the game values, ``4 eps |J| / (1 - a)``,
+        poa stops at the first iteration that moves them by no more than the
+        floor, instead of running out its budget with no message; above it,
+        nothing changes."""
+        path = bench_file(tmp_path, "game_payload", *sizes)
+        assert cli.main(["solve", path, "--algo", "poa", "--tol", "1e-13"]) == cli.EXIT_OK
+        capsys.readouterr()
+        for tol in ("1e-15", "1e-17"):
+            code = cli.main(["solve", path, "--algo", "poa", "--tol", tol, "--max-steps", "3000"])
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_MAX_ITERS and captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"error: Pollatschek-Avi-Itzhak tol {float(tol):.3e} "
+                                   "is below the rounding floor ")
 
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         """A delayed schedule seeds numpy's generator, which refuses -1."""

@@ -10,8 +10,9 @@ from minimaxpi.errors import MaxItersExceeded
 import instruments
 from helpers import (closure_problem, random_control_model, random_markov_game,
                      random_separated_model, scalar_problem)
-from instruments import (DegeneratePair, action_mask, check_monotone, estimate_modulus,
-                         random_policies, random_table1, random_table2)
+from instruments import (DegeneratePair, action_counts, action_mask, check_monotone,
+                         estimate_modulus, random_policies, random_table1, random_table2,
+                         score_at)
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
 from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
@@ -92,17 +93,15 @@ class TestPolicyOperators:
         rng = np.random.default_rng(3)
         problem = separated_model_to_problem(random_separated_model(rng, 3, 3))
         pol_rng = np.random.default_rng(4)
-        mu = np.array([pol_rng.integers(len(a)) for a in problem.actions1])
-        nu = np.array([pol_rng.integers(len(a)) for a in problem.actions2])
+        pol = random_policies(problem, pol_rng)
+        mu, nu = pol.mu, pol.nu
         j1 = random_table1(problem, pol_rng)
         j2 = random_table2(problem, pol_rng)
         out1 = problem.t1_policy(mu, j2)
-        expect1 = [problem.eval1(x, problem.actions1[x][mu[x]], j2.values)
-                   for x in range(problem.space1.size)]
+        expect1 = [score_at(problem, 1, x, mu[x], j2.values) for x in range(problem.space1.size)]
         assert np.allclose(out1.values, expect1, atol=0, rtol=0)
         out2 = problem.t2_policy(nu, j1)
-        expect2 = [problem.eval2(x, problem.actions2[x][nu[x]], j1.values)
-                   for x in range(problem.space2.size)]
+        expect2 = [score_at(problem, 2, x, nu[x], j1.values) for x in range(problem.space2.size)]
         assert np.allclose(out2.values, expect2, atol=0, rtol=0)
         # both eval kernels, every model kind, random subsets in random order
         for name, problem in kernel_cases(np.random.default_rng(40)):
@@ -111,10 +110,8 @@ class TestPolicyOperators:
                 j1, j2 = random_table1(problem, pol_rng), random_table2(problem, pol_rng)
                 sub1, sub2 = random_subset(pol_rng, problem.space1.size), \
                     random_subset(pol_rng, problem.space2.size)
-                expect1 = [problem.eval1(x, problem.actions1[x][pol.mu[x]], j2.values)
-                           for x in sub1]
-                expect2 = [problem.eval2(x, problem.actions2[x][pol.nu[x]], j1.values)
-                           for x in sub2]
+                expect1 = [score_at(problem, 1, x, pol.mu[x], j2.values) for x in sub1]
+                expect2 = [score_at(problem, 2, x, pol.nu[x], j1.values) for x in sub2]
                 got1 = problem.min_eval_values(sub1, pol.mu, j2)
                 got2 = problem.max_eval_entries(sub2, pol.nu, j1)
                 assert np.array_equal(got1, expect1), name
@@ -178,8 +175,9 @@ class TestGreedyOperators:
         problem = separated_model_to_problem(random_separated_model(rng, 4, 3))
         j2 = random_table2(problem, rng)
         out, mu = problem.t1_greedy(j2)
+        counts = action_counts(problem, 1)
         for x in range(problem.space1.size):
-            scores = [problem.eval1(x, a, j2.values) for a in problem.actions1[x]]
+            scores = [score_at(problem, 1, x, a, j2.values) for a in range(counts[x])]
             assert out.values[x] == min(scores)
             assert mu[x] == int(np.argmin(scores))
         # both improve kernels, every model kind, random subsets in random order
@@ -190,12 +188,13 @@ class TestGreedyOperators:
                 sub2 = random_subset(rng, problem.space2.size)
                 values1, picks1 = problem.min_improve(sub1, j2)
                 values2, picks2 = problem.max_improve(sub2, j1)
+                counts1, counts2 = action_counts(problem, 1), action_counts(problem, 2)
                 for i, x in enumerate(sub1):
-                    scores = [problem.eval1(x, a, j2.values) for a in problem.actions1[x]]
+                    scores = [score_at(problem, 1, x, a, j2.values) for a in range(counts1[x])]
                     assert values1[i] == min(scores), name
                     assert picks1[i] == int(np.argmin(scores)), name
                 for i, x in enumerate(sub2):
-                    scores = [problem.eval2(x, a, j1.values) for a in problem.actions2[x]]
+                    scores = [score_at(problem, 2, x, a, j1.values) for a in range(counts2[x])]
                     assert values2[i] == max(scores), name
                     assert picks2[i] == int(np.argmax(scores)), name
 
@@ -225,8 +224,9 @@ class TestGreedyOperators:
         problem = separated_model_to_problem(random_separated_model(rng, 4, 4))
         j2 = random_table2(problem, rng)
         greedy, _ = problem.t1_greedy(j2)
+        counts = action_counts(problem, 1)
         for trial in range(10):
-            mu = np.array([rng.integers(len(a)) for a in problem.actions1])
+            mu = np.array([rng.integers(c) for c in counts])
             fixed = problem.t1_policy(mu, j2)
             assert np.all(greedy.values <= fixed.values + 1e-12)
 
@@ -266,7 +266,7 @@ def test_half_stage_evaluate_sums_outcomes_in_order():
             total = p[0] * (g[0] + half.scale * opposite[n[0]])
             for k in range(1, p.size):
                 total += p[k] * (g[k] + half.scale * opposite[n[k]])
-            assert half.evaluate(x, a, opposite) == float(total)
+            assert half.scores([x], opposite, [a])[0] == total
 
 
 class TestValueIterate:

@@ -201,6 +201,26 @@ class TestSimplex:
         value, _ = min_simplex_max_linear(coeffs)
         assert abs(value - oracle) <= 1e-9 * spread(coeffs)
 
+    @pytest.mark.parametrize("M", [
+        [[0, 0, 3, 3, 3], [3, 3, 3, 3, 3], [3, 3, 0, 1e-8, 0], [3, 3, 3, 3, 3], [3, 3, 3, 3, 3]],
+        [[3, 0, 0, 0, 0], [1e-9, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1e-9, 0, 0, 0]],
+    ], ids=["tiny-pivot", "tiny-entries"])
+    def test_degenerate_games_agree_with_enumeration(self, M):
+        """Regressions, both players' LPs of 5x5 games: on the first a pivot
+        of 3e-9 left rounding that failed the certificate (gap 1.5e-8 x
+        spread, so the game raised); on the second, column entries of 3e-10
+        (normalized) could not pivot, and the simplex stopped 1.7e-10 x
+        spread off.  Rebuilt tableaus and pivots down to 1e-13 give both to
+        rounding."""
+        M = np.array(M, dtype=float)
+        assert comb(5 + 5, 5) - 1 > _ENUM_BUDGET
+        for coeffs in (M.T, -M):
+            unit = (coeffs - coeffs.min()) / spread(coeffs)
+            simplex, _ = _simplex_min_max(unit[None], np.ones(1))
+            enumerated, _ = _enumerate_min_max(unit[None])
+            assert abs(simplex[0] - enumerated[0]) <= 1e-12
+        assert abs(game_value(-M.T) + game_value(M)) <= 1e-12 * spread(M)
+
     def test_near_degenerate_sets_answer_or_raise(self):
         # every third instance takes its entries from {0, 1e-8, 1/2, 1}
         rng = np.random.default_rng(1)

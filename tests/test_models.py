@@ -13,9 +13,9 @@ from minimaxpi.matrix_game import min_simplex_max_linear
 
 from helpers import (random_control_model, random_markov_game,
                      random_separated_model)
-from instruments import (check_monotone, estimate_modulus, le, markov_game_to_control,
-                         random_ordered_table2, random_policies, random_table1,
-                         random_table2, value_at)
+from instruments import (action_counts, check_monotone, estimate_modulus, le,
+                         markov_game_to_control, random_ordered_table2, random_policies,
+                         random_table1, random_table2, score_at, value_at)
 
 
 def one_state_game(payoff, alpha=0.5):
@@ -356,17 +356,18 @@ class TestMinimaxControl:
         problem = minimax_control_to_problem(model, beta)
         j1, j2 = random_table1(problem, rng), random_table2(problem, rng)
         pair = 0
+        counts1, counts2 = action_counts(problem, 1), action_counts(problem, 2)
         for x, per_u in enumerate(model.outcomes):
-            assert problem.actions1[x] == tuple(range(len(per_u)))
+            assert counts1[x] == len(per_u)
             for u, per_v in enumerate(per_u):
-                assert problem.eval1(x, u, j2.values) == pytest.approx(
+                assert score_at(problem, 1, x, u, j2.values) == pytest.approx(
                     j2.values[pair] / beta, rel=1e-15)
-                assert problem.actions2[pair] == tuple(range(len(per_v)))
+                assert counts2[pair] == len(per_v)
                 for v, arr in enumerate(per_v):
                     nxt = arr[:, 2].astype(int)
                     expect = arr[:, 0] @ (arr[:, 1]
                                           + model.alpha * beta * j1.values[nxt])
-                    assert problem.eval2(pair, v, j1.values) == pytest.approx(
+                    assert score_at(problem, 2, pair, v, j1.values) == pytest.approx(
                         expect, rel=1e-14, abs=1e-15)
                 pair += 1
         assert pair == problem.space2.size

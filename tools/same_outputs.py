@@ -6,12 +6,13 @@ For each seed, each tree runs in a fresh process: it writes both
 workloads' problem files with ``perfbench/workloads.py`` (this checkout's,
 read only), writes the counterexample file with its own
 ``minimaxpi counterexample``, and runs every request through its own
-``minimaxpi.cli.main`` in process.  Paths are relative to a fresh working
-directory, so the two trees see the same command lines.  Per request the
-script compares the exit code, stdout, stderr and the bytes of every file
-the request writes; it prints the requests that differ, with the number
-of ``certify`` calls the async stop check made on each side, and exits 1
-if any differ.
+``minimaxpi.cli.main`` in process, together with ``EXTRA``: requests on
+the same files for the CLI paths the benchmark does not take.  Paths are
+relative to a fresh working directory, so the two trees see the same
+command lines.  Per request the script compares the exit code, stdout,
+stderr and the bytes of every file the request writes; it prints the
+requests that differ, with the number of ``certify`` calls the async stop
+check made on each side, and exits 1 if any differ.
 """
 
 import argparse
@@ -27,6 +28,16 @@ import tempfile
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sep-control", "games")
 COUNTEREXAMPLE = ("counterexample", "--out", "counterexample.json")
+# (name, file, command, options): run at the workloads' tol
+EXTRA = (
+    ("sep.naive", "sep.json", "solve", ("--algo", "naive")),
+    ("control.naive", "control.json", "solve", ("--algo", "naive")),
+    ("game0.naive", "game0.json", "solve", ("--algo", "naive")),
+    ("sep.hk", "sep.json", "solve", ("--algo", "hk")),
+    ("control.compare", "control.json", "compare", ("--algos", "vi,hk,naive,async")),
+    ("small1.compare", "small1.json", "compare", ("--algos", "vi,hk,poa,naive,async")),
+    ("game1.poa.k5", "game1.json", "solve", ("--algo", "poa", "--optimistic-k", "5")),
+)
 
 
 def _digest(path):
@@ -71,6 +82,9 @@ def child(root, seed):
     for name in WORKLOADS:
         for request in workloads.BUILDERS[name](seed, ".").requests:
             results[request.name] = _run_request(cli, request.argv, request.outputs)
+    for name, path, command, options in EXTRA:
+        argv = (command, os.path.join(".", path), *options, "--tol", repr(workloads.TOL))
+        results[name] = _run_request(cli, argv, ())
     json.dump(results, sys.stdout)
 
 
