@@ -113,7 +113,7 @@ def _reduced_stage(stage, rows, phi, pad):
                                  cost[act, k], r, stage.scale, pad)
 
 
-def build_aggregate(problem, reps, phi=None):
+def build_aggregate(problem, reps, phi):
     """The reduced tabular problem over the representatives.
 
     A representative's move reaches the opposite representatives through
@@ -125,7 +125,6 @@ def build_aggregate(problem, reps, phi=None):
     """
     if not isinstance(problem, TabularProblem):
         raise TypeError("aggregation needs a tabular problem")
-    phi = default_probabilities(problem, reps) if phi is None else phi
     for side, space in (("1", problem.space1), ("2", problem.space2)):
         r, rows = getattr(reps, "reps" + side), getattr(phi, "phi" + side)
         if np.min(r) < 0 or np.max(r) >= space.size:
@@ -174,6 +173,6 @@ def solve_with_aggregation(problem, reps, phi=None, tol=1e-9, max_steps=10**6):
     j1_full = ValueTable(problem.space1, interpolate(state.j1.values, phi.phi1))
     j2_full = ValueTable(problem.space2, interpolate(state.j2.values, phi.phi2))
     policies = lookahead_policies(problem, j1_full, j2_full)
-    pair_j1, _ = policy_pair_value(problem, policies, tol=tol)
+    pair_j1 = policy_pair_value(problem, policies, tol=tol)
     exact = value_iterate(problem, tol=tol)
     return AggregateSolution(j1_full, pair_j1, pair_j1.diff_norm(exact.j1))

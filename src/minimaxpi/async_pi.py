@@ -327,11 +327,11 @@ def _eval_inputs(side, op, read, state):
     return op.subset, read.v1, read.j1, state.policies.nu, state.j2
 
 
-def _delays(rng, staleness):
-    """Read delays, uniform on 0..staleness, drawn ``_DELAY_CHUNK`` at a time.
-    Under numpy's PCG64 a chunk is the stream one draw per call gives."""
+def _delays(rng, staleness, depth):
+    """Read delays, uniform on 0..staleness and cut to ``depth``, drawn
+    ``_DELAY_CHUNK`` at a time: under PCG64, the stream of one draw per call."""
     while True:
-        yield from rng.integers(0, staleness + 1, size=_DELAY_CHUNK).tolist()
+        yield from np.minimum(rng.integers(0, staleness + 1, size=_DELAY_CHUNK), depth).tolist()
 
 
 def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
@@ -387,9 +387,11 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     """
     state = initial_state(problem)
     staleness = schedule.staleness
-    delays = _delays(np.random.default_rng(seed), staleness) if staleness > 0 else None
-    # padded with the start state, which a delay past the steps taken reads
-    ring = deque([state] * (staleness + 1), maxlen=staleness + 1)
+    # padded with the start state, which any delay of at least the steps
+    # taken reads: the ring stops at the budget, and delays are cut to it
+    depth = min(staleness, max_steps)
+    delays = _delays(np.random.default_rng(seed), staleness, depth) if staleness > 0 else None
+    ring = deque([state] * (depth + 1), maxlen=depth + 1)
     trace = [] if trace_out is None else trace_out
     check_every = schedule.period(problem)
     step, memo = 0, {1: (None,), 2: (None,)}   # (None,) matches no op

@@ -16,12 +16,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PolicyPair, ValueTable, _iterate, _sweep, check_floor, sweep_certificate
+from .core import (_EVAL_SWEEPS, PolicyPair, ValueTable, _iterate, _sweep, check_floor,
+                   sweep_certificate)
 from .matrix_game import solve_matrix_game
 from .models import DiscountedMarkovGame, stage_matrix
-
-# sweeps allowed to each Hoffman-Karp evaluation: value_iterate's default
-_EVAL_SWEEPS = 10**6
 
 
 class PIStatus(Enum):
@@ -33,7 +31,6 @@ class PIStatus(Enum):
 @dataclass(frozen=True)
 class PIResult:
     values: object
-    policies: object
     iterations: int
     status: PIStatus
     cycle_length: int | None
@@ -75,21 +72,18 @@ def hoffman_karp(problem, tol=1e-8, max_iters=10**4):
     cycle handling is needed; the sweeps follow :func:`~minimaxpi.core.check_floor`.
     ``max_iters`` counts iterations; each evaluation may take up to
     ``_EVAL_SWEEPS`` sweeps.  ``values`` is the last sweep's estimate on
-    convergence, else the last evaluated J1; ``policies`` is ``(mu, None)``
-    and ``residuals[k]`` is ``r`` of the k-th sweep.
+    convergence, else the last evaluated J1; ``residuals[k]`` is the k-th sweep's r.
     """
-    j1, residuals, mu = problem.zero1(), [], None
+    j1, residuals = problem.zero1(), []
     for t in range(1, max_iters + 1):
         estimate, bound, r, _, mu, floor = _sweep(problem, j1, None)
         residuals.append(r)
         if bound <= tol:
-            return PIResult(estimate, PolicyPair(mu, None), t, PIStatus.CONVERGED, None,
-                            tuple(residuals))
+            return PIResult(estimate, t, PIStatus.CONVERGED, None, tuple(residuals))
         check_floor("Hoffman-Karp", f"iteration {t}", bound, tol, r, floor)
         j1 = _iterate(problem, j1, tol / 10, _EVAL_SWEEPS, PolicyPair(mu, None),
                       floor_ends=True).j1
-    return PIResult(j1, PolicyPair(mu, None), max_iters, PIStatus.MAX_ITERS, None,
-                    tuple(residuals))
+    return PIResult(j1, max_iters, PIStatus.MAX_ITERS, None, tuple(residuals))
 
 
 def _check_optimistic_k(optimistic_k):
@@ -109,39 +103,32 @@ def _evaluate_pair(game, mu, nu, optimistic_k, j0):
     return j
 
 
-def _all_pairs(loop, step, values, dist, floor, tol, max_iters, stop_on_cycle):
+def _all_pairs(loop, step, values, dist, floor, tol, max_iters):
     """All-pairs policy iteration from ``values``; ``step(values)`` improves
     and then evaluates, returning ``(policies, new values)``.
 
-    Stops when a step moves the values by at most tol (``dist``).  A
-    policy pair that recurs at a lag p >= 2 with values within tol of
-    their earlier visit is a cycle: reported at once, or, with
-    ``stop_on_cycle`` off, as the status after the whole budget.  Before
-    that stop, :func:`~minimaxpi.core.check_floor` applies to the values'
-    rounding floor, ``floor(values)``.
+    Stops when a step moves the values by at most tol (``dist``), and at a
+    cycle: a policy pair that recurs at a lag p >= 2 with values within tol
+    of their earlier visit.  Before that, :func:`~minimaxpi.core.check_floor`
+    applies to the values' rounding floor, ``floor(values)``.
     """
     residuals, sigs, hist = [], [], []
-    policies = cycle = None
     for t in range(1, max_iters + 1):
         policies, new = step(values)
         residuals.append(dist(new, values))
         values = new
         check_floor(loop, f"iteration {t}", None, tol, residuals[-1], floor(values), "its values")
         if residuals[-1] <= tol:
-            return PIResult(values, policies, t, PIStatus.CONVERGED, None, tuple(residuals))
+            return PIResult(values, t, PIStatus.CONVERGED, None, tuple(residuals))
         sigs.append(_strategy_signature(policies.mu, policies.nu))
         hist.append(values)
         p = detect_cycle(sigs)
         if p is not None and p >= 2 and dist(values, hist[-1 - p]) <= tol:
-            if stop_on_cycle:
-                return PIResult(values, policies, t, PIStatus.CYCLED, p, tuple(residuals))
-            cycle = cycle or p
-    status = PIStatus.MAX_ITERS if cycle is None else PIStatus.CYCLED
-    return PIResult(values, policies, max_iters, status, cycle, tuple(residuals))
+            return PIResult(values, t, PIStatus.CYCLED, p, tuple(residuals))
+    return PIResult(values, max_iters, PIStatus.MAX_ITERS, None, tuple(residuals))
 
 
-def pollatschek_avi_itzhak(game, tol=1e-8, max_iters=10**4,
-                           optimistic_k=None, stop_on_cycle=True):
+def pollatschek_avi_itzhak(game, tol=1e-8, max_iters=10**4, optimistic_k=None):
     """All-pairs policy iteration: saddle improvement, then pair evaluation.
 
     Evaluation solves the linear fixed point of the current policy pair
@@ -159,7 +146,7 @@ def pollatschek_avi_itzhak(game, tol=1e-8, max_iters=10**4,
     _check_optimistic_k(optimistic_k)
     return _all_pairs("Pollatschek-Avi-Itzhak", step, ValueTable.zeros(game.space),
                       ValueTable.diff_norm, lambda j: per_norm * j.norm(),
-                      tol, max_iters, stop_on_cycle)
+                      tol, max_iters)
 
 
 def _joint_evaluate(problem, policies, tol, optimistic_k, j1, j2):
@@ -171,8 +158,7 @@ def _joint_evaluate(problem, policies, tol, optimistic_k, j1, j2):
     return problem.joint_policy_fixed_point(policies, tol, j1)
 
 
-def naive_separated_pi(problem, tol=1e-8, max_iters=10**4,
-                       optimistic_k=None, stop_on_cycle=True):
+def naive_separated_pi(problem, tol=1e-8, max_iters=10**4, optimistic_k=None):
     """All-pairs policy iteration on a separated problem, without safeguards.
 
     Greedy improvement against the last evaluated tables followed by joint
@@ -194,7 +180,7 @@ def naive_separated_pi(problem, tol=1e-8, max_iters=10**4,
     _check_optimistic_k(optimistic_k)
     return _all_pairs("naive policy iteration", step, (problem.zero1(), problem.zero2()),
                       dist, lambda tables: sweep_certificate(problem, tables[0], tables[0])[3],
-                      tol, max_iters, stop_on_cycle)
+                      tol, max_iters)
 
 
 # ---------------------------------------------------------------------------

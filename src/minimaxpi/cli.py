@@ -45,6 +45,8 @@ def _parse_params(name, text):
         if key not in _SCHEDULE_PARAMS[name]:
             raise ValidationError(f"schedule parameter {key} is not one of {name}'s: "
                                   + ", ".join(_SCHEDULE_PARAMS[name]))
+        if key in params:
+            raise ValidationError(f"schedule parameter {key} is given twice")
         params[key] = value
     return params
 
@@ -61,8 +63,8 @@ def _int_param(params, key, default, low):
 def parse_schedule(spec):
     """Build a schedule from the mini-language, e.g. ``round_robin:k=10``,
     ``random:seed=7``, ``partitioned:p=4``, ``delayed:B=3,inner=round_robin``.
-    A parameter the schedule does not take, and a delayed inner schedule,
-    are refused."""
+    A parameter the schedule does not take or that is given twice, and a
+    delayed inner schedule, are refused."""
     if spec is None:
         return async_pi.round_robin()
     name, _, rest = spec.partition(":")
@@ -76,7 +78,10 @@ def parse_schedule(spec):
         if inner_spec.partition(":")[0] == "delayed":
             raise ValidationError(f"schedule parameter inner must not be delayed, "
                                   f"got {inner_spec!r}")
-        return async_pi.delayed(parse_schedule(inner_spec), _int_param(params, "B", 1, 0))
+        staleness = _int_param(params, "B", 1, 0)
+        if staleness >= 2**63:   # numpy's generator draws no wider bound
+            raise ValidationError(f"schedule parameter B must be below 2**63, got {staleness}")
+        return async_pi.delayed(parse_schedule(inner_spec), staleness)
     params = _parse_params(name, rest)
     k = _int_param(params, "k", async_pi.DEFAULT_EVALS, 0)
     if name == "round_robin":

@@ -24,13 +24,14 @@ weighted sup-norms, which is the norm in which the contraction guarantees
 hold.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MaxItersExceeded, NonContractive
 
 _MASS_SLACK = 1e-12   # outcome mass this close to 1 counts as exact in a shift factor
+_EVAL_SWEEPS = 10**6   # sweeps allowed to each evaluation of a fixed pair or half-pair
 
 # padding of the score layout past a state's actions: never a minimizer's
 # or a maximizer's pick
@@ -186,10 +187,11 @@ class HalfStageProblem:
         return self.table2(entries), nu
 
     def joint_policy_fixed_point(self, policies, tol=1e-10, j1=None):
-        """Tables of a fixed policy pair by :func:`policy_pair_value` from j1
-        (zero by default), certified within ``tol`` or ended at the rounding
-        floor if that exceeds tol, as Hoffman-Karp's evaluations end."""
-        return policy_pair_value(self, policies, tol, j1_0=j1, floor_ends=True)
+        """Tables ``(j1, T2^nu j1)`` of a fixed policy pair, j1 by :func:`policy_pair_value`
+        from j1 (zero by default), certified within ``tol`` or ended at the
+        rounding floor if that exceeds tol, as Hoffman-Karp's evaluations end."""
+        j1 = policy_pair_value(self, policies, tol, j1_0=j1, floor_ends=True)
+        return j1, self.t2_policy(policies.nu, j1)
 
 
 @dataclass(frozen=True)
@@ -401,7 +403,6 @@ class TabularProblem(SeparatedProblem):
 @dataclass(frozen=True)
 class VIResult:
     j1: object
-    j2: object
     iterations: int
     residuals: tuple
     error_bound: float
@@ -480,9 +481,8 @@ def check_floor(loop, step, bound, tol, r, floor, table="J1"):
 
 def _iterate(problem, j1, tol, max_iters, policies, floor_ends=False):
     """The loop of :func:`value_iterate`, :func:`policy_pair_value` and
-    Hoffman-Karp's evaluation, kept apart so that a hook or profiler on
-    any of them sees only its own calls.  Returns a :class:`VIResult`
-    with j2 None: each caller builds the j2 it reads, if any.
+    Hoffman-Karp's evaluation, returning a :class:`VIResult`; kept apart
+    so that a hook or profiler on any of them sees only its own calls.
 
     The bound never falls below its r-free rounding part, the floor
     ``4 eps |J1| / (1 - max(g, alpha**2))``.  Once that floor exceeds tol
@@ -498,7 +498,7 @@ def _iterate(problem, j1, tol, max_iters, policies, floor_ends=False):
         estimate, bound, r, t, _, floor = _sweep(problem, j1, policies)
         residuals.append(r)
         if bound <= tol or floor_ends and r <= floor and floor > tol:
-            return VIResult(estimate, None, k, tuple(residuals), bound)
+            return VIResult(estimate, k, tuple(residuals), bound)
         check_floor("value iteration", f"sweep {k}", bound, tol, r, floor)
         j1 = t
     raise MaxItersExceeded(
@@ -510,21 +510,15 @@ def value_iterate(problem, tol=1e-8, max_iters=10**6):
     is at most tol.
 
     ``residuals[k]`` is ``r`` of the k-th sweep.  Returns the certified
-    estimate, ``j2 = T2`` of it and the bound as ``error_bound``.  Raises
+    estimate as ``j1`` and its bound as ``error_bound``.  Raises
     ``ValueError`` unless ``0 < tol < inf`` and :class:`MaxItersExceeded`
     when the budget runs out or the floor holds the bound (:func:`check_floor`).
     """
-    result = _iterate(problem, None, tol, max_iters, None)
-    return replace(result, j2=problem.t2_greedy(result.j1)[0])
+    return _iterate(problem, None, tol, max_iters, None)
 
 
-def policy_pair_value(problem, policies, tol=1e-10, max_iters=10**6, j1_0=None,
-                      floor_ends=False):
-    """Tables ``(j1, j2)`` of a fixed policy pair: the loop of
-    :func:`value_iterate` on ``T1^mu(T2^nu J1)``, which shifts by the same
-    g, with ``j2 = T2^nu`` of the estimate (``T2`` with nu None).
-    ``floor_ends`` is :func:`_iterate`'s."""
-    j1 = _iterate(problem, j1_0, tol, max_iters, policies, floor_ends).j1
-    j2 = (problem.t2_greedy(j1)[0] if policies.nu is None
-          else problem.t2_policy(policies.nu, j1))
-    return j1, j2
+def policy_pair_value(problem, policies, tol=1e-10, j1_0=None, floor_ends=False):
+    """The minimizer table of a fixed policy pair: :func:`value_iterate`'s loop
+    on ``T1^mu(T2^nu J1)``, which shifts by the same g, from ``j1_0`` (zero by
+    default) within ``_EVAL_SWEEPS`` sweeps; ``floor_ends`` is :func:`_iterate`'s."""
+    return _iterate(problem, j1_0, tol, _EVAL_SWEEPS, policies, floor_ends).j1

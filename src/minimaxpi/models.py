@@ -27,7 +27,7 @@ from itertools import chain, compress
 import numpy as np
 
 from .core import (_MASS_SLACK, HalfStage, HalfStageProblem, PolicyPair, TabularProblem,
-                   ValueTable, WeightedSpace, span_bound)
+                   ValueTable, VIResult, WeightedSpace, span_bound)
 from .errors import InputFieldError, InvalidBeta, MaxItersExceeded, NonContractive
 from .matrix_game import _TIE, min_simplex_max_linear, solve_matrix_game
 
@@ -198,23 +198,16 @@ def stage_matrix(game, x, j, scale=None):
     return game.payoffs[x] + scale * (game.transitions[x] @ j)
 
 
-@dataclass(frozen=True)
-class ShapleyVIResult:
-    values: np.ndarray
-    iterations: int
-    residuals: tuple
-    error_bound: float
-
-
 def shapley_value_iteration(game, tol=1e-8, max_iters=10**6):
     """Stage-game value iteration until the values are certified within tol:
     the stage-form reference that the tests compare the CLI's solvers with
     (the CLI's ``vi`` runs :func:`value_iterate` on the separated game).
 
     Each sweep replaces J(x) with the exact value of the matrix game formed
-    by the current continuation.  Returns the values of the smaller bound,
-    ``|d|*a/(1-a)`` for a sweep moving them by d (``a`` the game's modulus)
-    or :func:`span_bound`'s, with that bound as ``error_bound``.
+    by the current continuation.  Returns a :class:`~minimaxpi.core.VIResult`,
+    its ``j1`` the values on ``game.space`` of the smaller bound, ``|d|*a/(1-a)``
+    for a sweep moving them by d (``a`` the game's modulus) or
+    :func:`span_bound`'s, with that bound as ``error_bound``.
     """
     xi, g, a = game.space.weights, game.shift(), game.contraction_factor()
     per_step = a / (1.0 - a) if a < 1.0 else np.inf   # sup-norm error per unit of step
@@ -225,7 +218,8 @@ def shapley_value_iteration(game, tol=1e-8, max_iters=10**6):
         offset, bound = span_bound(g, new - j, xi, residuals[-1] * per_step)
         j = new
         if bound <= tol:
-            return ShapleyVIResult(j if offset is None else j + offset, k, tuple(residuals), bound)
+            values = ValueTable(game.space, j if offset is None else j + offset)
+            return VIResult(values, k, tuple(residuals), bound)
     raise MaxItersExceeded("stage-game value iteration did not reach tol")
 
 

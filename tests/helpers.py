@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from minimaxpi import classic_pi
 from minimaxpi.core import SeparatedProblem, WeightedSpace
 from minimaxpi.models import (DiscountedMarkovGame, MinimaxControlModel,
                               SeparatedMinimaxModel)
@@ -31,6 +32,20 @@ def bench_file(directory, generator, *args):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(bench_payload(generator, *args), fh)
     return path
+
+
+def blind_to_cycles(monkeypatch):
+    """Make all-pairs policy iteration run its whole budget: its cycle test
+    sees no repeat.  Returns the list into which each call appends the lag
+    :func:`~minimaxpi.classic_pi.detect_cycle` would have returned."""
+    lags, detect = [], classic_pi.detect_cycle
+
+    def blind(history):
+        lags.append(detect(history))
+        return None
+
+    monkeypatch.setattr(classic_pi, "detect_cycle", blind)
+    return lags
 
 
 def random_markov_game(rng, states=3, n=2, m=2, alpha=0.9, terminating=False,

@@ -97,7 +97,7 @@ class TestBuildAggregate:
         rng = np.random.default_rng(1)
         problem = separated_model_to_problem(random_separated_model(rng, 3, 3))
         reps = RepresentativeSets(np.array([1]), np.array([2]))
-        small = build_aggregate(problem, reps)
+        small = build_aggregate(problem, reps, default_probabilities(problem, reps))
         result = value_iterate(small, tol=1e-12)
         # scalar fixed-point oracle: iterate the two 1-state maps directly
         j1 = j2 = 0.0
@@ -108,14 +108,14 @@ class TestBuildAggregate:
             j2 = max(score_at(problem, 2, 2, a, np.full(problem.space1.size, j1))
                      for a in range(count2))
         assert result.j1.values[0] == pytest.approx(j1, abs=1e-9)
-        assert result.j2.values[0] == pytest.approx(j2, abs=1e-9)
+        assert small.t2_greedy(result.j1)[0].values[0] == pytest.approx(j2, abs=1e-9)
 
     def test_hard_partition_matches_direct_substitution(self):
         rng = np.random.default_rng(2)
         model = random_separated_model(rng, 4, 4)
         problem = separated_model_to_problem(model)
         reps = RepresentativeSets(np.array([0, 2]), np.array([1, 3]))
-        small = build_aggregate(problem, reps)  # nearest-representative rows
+        small = build_aggregate(problem, reps, default_probabilities(problem, reps))
         reduced = value_iterate(small, tol=1e-11)
 
         # direct substitution: reroute every transition to its nearest
@@ -130,9 +130,11 @@ class TestBuildAggregate:
         cost2 = tuple(model.cost2[x] for x in reps.reps2)
         rerouted = type(model)(WeightedSpace.unit(2), WeightedSpace.unit(2),
                                next1, cost1, next2, cost2, model.alpha)
-        oracle = value_iterate(separated_model_to_problem(rerouted), tol=1e-11)
+        direct = separated_model_to_problem(rerouted)
+        oracle = value_iterate(direct, tol=1e-11)
         assert np.max(np.abs(reduced.j1.values - oracle.j1.values)) <= 1e-9
-        assert np.max(np.abs(reduced.j2.values - oracle.j2.values)) <= 1e-9
+        assert np.max(np.abs(small.t2_greedy(reduced.j1)[0].values
+                             - direct.t2_greedy(oracle.j1)[0].values)) <= 1e-9
 
     def test_missing_row_rejected(self):
         rng = np.random.default_rng(3)
@@ -152,13 +154,13 @@ class TestBuildAggregate:
         for parent in (closure, markov):
             reps = RepresentativeSets(np.array([0]), np.array([0]))
             with pytest.raises(TypeError):
-                build_aggregate(parent, reps)
+                build_aggregate(parent, reps, default_probabilities(parent, reps))
 
     def test_aggregate_inherits_contraction(self):
         rng = np.random.default_rng(4)
         problem = separated_model_to_problem(random_separated_model(rng, 4, 4))
         reps = RepresentativeSets(np.array([0, 3]), np.array([0, 2]))
-        small = build_aggregate(problem, reps)
+        small = build_aggregate(problem, reps, default_probabilities(problem, reps))
         assert verify_uniform_contraction(small, 200, 5) <= problem.alpha + 1e-10
 
 
@@ -196,8 +198,8 @@ class TestLookahead:
         problem = separated_model_to_problem(random_separated_model(rng, 3, 4))
         tol = 1e-11
         exact = value_iterate(problem, tol=tol)
-        policies = lookahead_policies(problem, exact.j1, exact.j2)
-        j1_pair, _ = policy_pair_value(problem, policies, tol=tol)
+        policies = lookahead_policies(problem, exact.j1, problem.t2_greedy(exact.j1)[0])
+        j1_pair = policy_pair_value(problem, policies, tol=tol)
         assert j1_pair.diff_norm(exact.j1) <= 100 * tol
 
     def test_singleton_actions_forced(self):

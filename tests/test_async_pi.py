@@ -508,6 +508,23 @@ def bench_explicit(tmp_path_factory):
             "control": minimax_control_to_problem(control.model)}
 
 
+def test_the_delay_ring_stops_at_the_step_budget(markov_sep, monkeypatch):
+    """A delay of at least the steps taken reads the start state, so the
+    ring holds at most the budget's states plus one, however large B is.
+    Cutting the delays to the budget changes no step: a 50-step run traces
+    the first 50 rows of a 200-step run."""
+    depths, ring = [], async_pi.deque
+    monkeypatch.setattr(async_pi, "deque",
+                        lambda items, maxlen: depths.append(maxlen) or ring(items, maxlen=maxlen))
+    rows = {}
+    for steps in (50, 200):
+        with pytest.raises(MaxStepsExceeded) as info:
+            run(markov_sep, delayed(round_robin(), 10**6), max_steps=steps, trace_out=[])
+        rows[steps] = info.value.trace
+    assert depths == [51, 201]
+    assert rows[200][:50] == rows[50]
+
+
 @pytest.mark.parametrize("name", ["sep", "control"])
 def test_delays_up_to_k_read_nothing_stale(name, bench_explicit):
     """Under a ``round_robin`` or ``partitioned`` inner on an explicit kind,
@@ -599,16 +616,17 @@ class TestStopCheck:
     def test_plain_tables_gate_j1_alone(self, explicit_problem):
         problem, tol = explicit_problem, 1e-8
         exact = value_iterate(problem, tol=1e-14)
-        _, mu = problem.t1_greedy(exact.j2)
+        j2 = problem.t2_greedy(exact.j1)[0]
+        _, mu = problem.t1_greedy(j2)
         _, nu = problem.t2_greedy(exact.j1)
-        state = AlgoState(exact.j1, exact.j1, exact.j2, exact.j2, PolicyPair(mu, nu), 0)
+        state = AlgoState(exact.j1, exact.j1, j2, j2, PolicyPair(mu, nu), 0)
         assert _converged(problem, state, tol)
         # a move m at one state moves T1(T2 J1) by 0 to alpha**2 m, so the
         # step's span and r are at least m (1 - alpha**2): the sup bound is
         # >= m and the span bound (g = alpha**2 here) >= alpha**2 m / 2
         m = 3 * tol / problem.alpha ** 2
         moved = AlgoState(exact.j1.with_updates([1], [exact.j1.values[1] + m]),
-                          exact.j1, exact.j2, exact.j2, PolicyPair(mu, nu), 0)
+                          exact.j1, j2, j2, PolicyPair(mu, nu), 0)
         assert not _converged(problem, moved, tol)
 
     @pytest.mark.parametrize("name", ["explicit_problem", "markov_sep"])
@@ -678,7 +696,7 @@ class TestCertificate:
             for tol in self.TOLS:
                 result = shapley_value_iteration(game, tol=tol)
                 assert result.error_bound <= tol
-                assert np.max(np.abs(result.values - exact)) <= result.error_bound + 1e-11
+                assert np.max(np.abs(result.j1.values - exact)) <= result.error_bound + 1e-11
 
     def test_control_problems_against_plain_sweeps(self):
         rng = np.random.default_rng(23)
@@ -729,7 +747,7 @@ class TestCertificate:
         for problem, pair in zip(problems, pairs):
             exact = self.dense_pair_j1(problem, pair)
             for tol in self.TOLS:
-                j1, _ = policy_pair_value(problem, pair, tol=tol)
+                j1 = policy_pair_value(problem, pair, tol=tol)
                 assert np.max(np.abs(j1.values - exact) / problem.space1.weights) <= tol
 
 
@@ -783,9 +801,10 @@ class TestExtendedOperator:
                 rows[x, :count] = [score_at(problem, side, x, a, opposite) for a in range(count)]
             return rows
 
-        q1 = per_action(1, exact.j2.values, np.inf)
+        j2 = problem.t2_greedy(exact.j1)[0]
+        q1 = per_action(1, j2.values, np.inf)
         q2 = per_action(2, exact.j1.values, -np.inf)
-        fixed = QState(exact.j1, exact.j2, q1, q2)
+        fixed = QState(exact.j1, j2, q1, q2)
         rng = np.random.default_rng(8)
         pol = random_policies(problem, rng)
         out = build_G(problem, pol)(fixed)

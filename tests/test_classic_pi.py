@@ -14,8 +14,8 @@ from minimaxpi.models import (DiscountedMarkovGame, minimax_control_to_problem,
                               shapley_value_iteration, stage_matrix)
 from minimaxpi.problem_io import load_problem
 
-from helpers import (bench_file, random_control_model, random_markov_game,
-                     random_separated_model)
+from helpers import (bench_file, blind_to_cycles, random_control_model,
+                     random_markov_game, random_separated_model)
 
 
 def zero_game():
@@ -65,7 +65,7 @@ class TestHoffmanKarp:
             assert result.status is PIStatus.CONVERGED
             estimate, bound, _ = certify(problem, result.values)
             assert bound <= tol
-            oracle = shapley_value_iteration(game, tol=1e-13).values
+            oracle = shapley_value_iteration(game, tol=1e-13).j1.values
             gap = np.max(np.abs(problem.beta * estimate.values - oracle))
             assert gap <= problem.beta * bound + 1e-13
 
@@ -207,12 +207,15 @@ class TestPollatschekAviItzhak:
             j_val = values[pair]
         assert seen[-1] == seen[-3] and seen[-1] != seen[-2]
 
-    def test_no_convergence_within_budget(self, oscillating):
+    def test_no_convergence_within_budget(self, oscillating, monkeypatch):
         game, _ = oscillating
-        result = pollatschek_avi_itzhak(game, tol=1e-9, max_iters=10**4,
-                                        stop_on_cycle=False)
-        assert result.status is PIStatus.CYCLED
-        assert result.cycle_length == 2
+        first = pollatschek_avi_itzhak(game, tol=1e-9)
+        assert first.status is PIStatus.CYCLED and first.cycle_length == 2
+        lags = blind_to_cycles(monkeypatch)
+        result = pollatschek_avi_itzhak(game, tol=1e-9, max_iters=10**4)
+        assert result.status is PIStatus.MAX_ITERS
+        assert result.iterations == len(result.residuals) == 10**4
+        assert lags[-1] == first.cycle_length
         assert min(result.residuals) > 1e-9
 
     def test_converged_runs_match_oracle(self):
@@ -225,7 +228,7 @@ class TestPollatschekAviItzhak:
                 continue
             converged += 1
             oracle = shapley_value_iteration(game, tol=1e-11)
-            assert np.max(np.abs(result.values.values - oracle.values)) <= 1e-6
+            assert np.max(np.abs(result.values.values - oracle.j1.values)) <= 1e-6
         assert converged >= 3
 
     def test_optimistic_matches_exact_in_the_limit(self):
@@ -273,15 +276,16 @@ class TestNaiveSeparatedPI:
         assert result.status is PIStatus.CYCLED
         assert result.cycle_length >= 2
 
-    def test_no_convergence_within_budget(self, oscillating):
+    def test_no_convergence_within_budget(self, oscillating, monkeypatch):
         game, _ = oscillating
         problem = separate_markov_game(game)
         first = naive_separated_pi(problem, tol=1e-9)
-        result = naive_separated_pi(problem, tol=1e-9, max_iters=300,
-                                    stop_on_cycle=False)
-        assert result.status is PIStatus.CYCLED
-        assert result.cycle_length == first.cycle_length
+        assert first.status is PIStatus.CYCLED
+        lags = blind_to_cycles(monkeypatch)
+        result = naive_separated_pi(problem, tol=1e-9, max_iters=300)
+        assert result.status is PIStatus.MAX_ITERS
         assert result.iterations == len(result.residuals) == 300
+        assert lags[-1] == first.cycle_length
         assert min(result.residuals) > 1e-9
 
     def test_converged_runs_match_value_iteration(self):

@@ -536,6 +536,10 @@ class TestScheduleParser:
         ("round_robin:k=-1", "k"), ("delayed:B=-1,inner=round_robin", "B"),
         ("random:seed=-1", "seed"), ("round_robin:k=3,seed=4", "seed"),
         ("partitioned:p=4,q=9", "q"), ("delayed:B=3,inner=delayed:B=2,inner=round_robin", "inner"),
+        # a repeated parameter, and a bound numpy's generator cannot draw
+        ("random:seed=1,seed=2", "seed"), ("partitioned:p=4,p=8", "p"),
+        ("delayed:B=1,B=2,inner=round_robin", "B"),
+        ("delayed:B=9223372036854775808,inner=round_robin", "B"),
     ])
     def test_bad_parameter_exits_1_naming_it(self, tmp_path, capsys, spec, param):
         path = write_game(tmp_path, random_markov_game(np.random.default_rng(1), 2, 2, 2))
@@ -580,7 +584,7 @@ class TestSolveCommand:
         oracle = shapley_value_iteration(loaded.model, tol=1e-11)
         rows = out_file.read_text().strip().splitlines()[1:]
         values = np.array([float(r.split(",")[1]) for r in rows])
-        assert np.max(np.abs(values - oracle.values)) <= 1e-6
+        assert np.max(np.abs(values - oracle.j1.values)) <= 1e-6
 
     def test_max_iters_exit_code(self, tmp_path, capsys):
         game = random_markov_game(np.random.default_rng(2), 3, 2, 2, alpha=0.9)
@@ -621,7 +625,7 @@ class TestSolveCommand:
         assert code == 0
         oracle = shapley_value_iteration(game, tol=1e-11)
         values = np.array([float(l.split(",")[1]) for l in out.strip().splitlines()])
-        assert np.max(np.abs(values - oracle.values)) <= 1e-6
+        assert np.max(np.abs(values - oracle.j1.values)) <= 1e-6
 
     @pytest.mark.parametrize("command,extra", [
         pytest.param(["solve", "--algo", "vi"], ["--no-such-flag"], id="extra0"),
@@ -858,8 +862,7 @@ class TestCompareCommand:
         def off_by_1e3(problem, tol=1e-8, max_iters=10**6):
             result = real(problem, tol, max_iters)
             return type(result)(ValueTable(result.j1.space, result.j1.values + 1e-3),
-                                result.j2, result.iterations, result.residuals,
-                                result.error_bound)
+                                result.iterations, result.residuals, result.error_bound)
 
         monkeypatch.setattr(cli, "value_iterate", off_by_1e3)
         path = write_control(tmp_path, slow_control_model())
@@ -999,7 +1002,7 @@ class TestCertificate:
         if kind in ("separated", "control"):
             reference = scale * value_iterate(problem, tol=1e-13).j1.values
         else:
-            reference = shapley_value_iteration(game, tol=1e-13).values
+            reference = shapley_value_iteration(game, tol=1e-13).j1.values
         assert np.max(np.abs(outcome.values - reference)) <= outcome.error_bound + 1e-13
         if algo == "hk":   # certify's bound of hk's own table, at most tol
             bound = certify(problem, hoffman_karp(problem, tol=1e-8).values)[1]
@@ -1026,7 +1029,7 @@ class TestCertificate:
         assert problem.beta == 1.0 / np.sqrt(game.contraction_factor())
         outcome = solve_outcome(argv)[algo]
         assert list(outcome.values) == printed
-        reference = shapley_value_iteration(game, tol=1e-13).values
+        reference = shapley_value_iteration(game, tol=1e-13).j1.values
         assert np.max(np.abs(outcome.values - reference)) <= outcome.error_bound + 1e-13
 
     @pytest.mark.parametrize("algo", ["vi", "hk", "naive", "async"])
@@ -1063,7 +1066,7 @@ class TestCertificate:
         capsys.readouterr()
         outcome = solve_outcome(argv)["async"]
         assert outcome.status == "MaxIters" and np.isfinite(outcome.residual())
-        reference = shapley_value_iteration(game, tol=1e-13).values
+        reference = shapley_value_iteration(game, tol=1e-13).j1.values
         assert np.max(np.abs(outcome.values - reference)) <= outcome.error_bound < np.inf
 
     def test_compare_gates_every_pair_at_its_certified_bounds(self, tmp_path, capsys):
@@ -1074,7 +1077,7 @@ class TestCertificate:
         assert cli.main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         outcomes = solve_outcome(argv)
-        reference = shapley_value_iteration(game, tol=1e-13).values
+        reference = shapley_value_iteration(game, tol=1e-13).j1.values
         # naive cycles here: its table is certified too, but not gated
         converged = [a for a, o in outcomes.items() if o.status == "Converged"]
         assert converged == ["vi", "hk", "poa", "async"]

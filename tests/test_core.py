@@ -14,7 +14,7 @@ from instruments import (DegeneratePair, action_counts, action_mask, check_monot
                          estimate_modulus, random_policies, random_table1, random_table2,
                          score_at)
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
-                                   build_aggregate)
+                                   build_aggregate, default_probabilities)
 from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem)
 
@@ -144,7 +144,8 @@ def kernel_cases(rng):
         ("separated", separated),
         ("control", control),
         ("closure", closure),
-        ("aggregate point-mass", build_aggregate(separated, reps)),
+        ("aggregate point-mass",
+         build_aggregate(separated, reps, default_probabilities(separated, reps))),
         ("aggregate dense", build_aggregate(control, pair_reps, AggregationProbabilities(
             dense(5, 3), dense(control.space2.size, pair_reps.reps2.size)))),
     ]
@@ -217,7 +218,7 @@ class TestGreedyOperators:
         assert np.array_equal(swept[0][0], swept[1][0])
         assert np.array_equal(swept[0][1], swept[1][1])
         assert np.array_equal(a.j1.values, swept[0][0])
-        assert np.array_equal(a.j2.values, swept[0][1])
+        assert np.array_equal(closure.t2_greedy(a.j1)[0].values, swept[0][1])
 
     def test_greedy_below_any_policy(self):
         rng = np.random.default_rng(8)
@@ -271,9 +272,18 @@ def test_half_stage_evaluate_sums_outcomes_in_order():
 
 class TestValueIterate:
     def test_known_scalar_fixed_point(self):
-        result = value_iterate(scalar_problem(), tol=1e-12)
+        problem = scalar_problem()
+        result = value_iterate(problem, tol=1e-12)
         assert result.j1.values[0] == pytest.approx(2.0 / 3.0, abs=1e-10)
-        assert result.j2.values[0] == pytest.approx(4.0 / 3.0, abs=1e-10)
+        assert problem.t2_greedy(result.j1)[0].values[0] == pytest.approx(4.0 / 3.0, abs=1e-10)
+
+    def test_pair_value_is_its_loops_certified_j1(self):
+        problem = scalar_problem()
+        pair = problem.first_policies()
+        j1 = policy_pair_value(problem, pair, tol=1e-12)
+        assert isinstance(j1, ValueTable) and j1.space is problem.space1
+        loop = _iterate(problem, None, 1e-12, 10**6, pair)
+        assert j1.values.tobytes() == loop.j1.values.tobytes()
 
     def test_start_at_fixed_point(self):
         # the warm start Hoffman-Karp's evaluations take
@@ -293,7 +303,7 @@ class TestValueIterate:
         for _ in range(10**4):
             j1, j2 = problem.t1_greedy(j2)[0], problem.t2_greedy(j1)[0]
         assert result.j1.diff_norm(j1) <= 10 * tol
-        assert result.j2.diff_norm(j2) <= 10 * tol
+        assert problem.t2_greedy(result.j1)[0].diff_norm(j2) <= 10 * tol
 
     def test_geometric_residual_decay(self):
         # each iteration is one composite sweep, which contracts at alpha**2
@@ -312,8 +322,6 @@ class TestValueIterate:
         for max_iters in (0, -1):
             with pytest.raises(MaxItersExceeded):
                 value_iterate(problem, max_iters=max_iters)
-            with pytest.raises(MaxItersExceeded):
-                policy_pair_value(problem, pair, max_iters=max_iters)
         # a tol no bound can meet is refused before any sweep
         for tol in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
@@ -329,7 +337,7 @@ class TestValueIterate:
             random_separated_model(np.random.default_rng(3), 6, 5, 0.9))
         for solve in (lambda tol: value_iterate(problem, tol=tol, max_iters=10**4),
                       lambda tol: policy_pair_value(problem, problem.first_policies(),
-                                                    tol=tol, max_iters=10**4)):
+                                                    tol=tol)):
             with pytest.raises(MaxItersExceeded, match="rounding floor") as info:
                 solve(1e-15)
             floor, sweeps = re.search(r"bound (\S+) > .* sweep (\d+) ", str(info.value)).groups()

@@ -127,7 +127,7 @@ class TestSeparateMarkovGame:
         sep = separate_markov_game(one_state_game(0.0))
         result = value_iterate(sep, tol=1e-12)
         assert abs(result.j1.values[0]) <= 1e-12
-        assert np.max(np.abs(result.j2.cols)) <= 1e-12
+        assert np.max(np.abs(sep.t2_greedy(result.j1)[0].cols)) <= 1e-12
 
     def test_scaling_identity_vs_stage_value_iteration(self):
         rng = np.random.default_rng(5)
@@ -135,7 +135,7 @@ class TestSeparateMarkovGame:
         oracle = shapley_value_iteration(game, tol=1e-12)
         sep = separate_markov_game(game)
         result = value_iterate(sep, tol=1e-10)
-        assert np.max(np.abs(sep.beta * result.j1.values - oracle.values)) <= 1e-6
+        assert np.max(np.abs(sep.beta * result.j1.values - oracle.j1.values)) <= 1e-6
 
     def test_modulus_certification(self):
         rng = np.random.default_rng(6)
@@ -266,17 +266,19 @@ class TestSeparatedModel:
                              model.next2,
                              tuple(np.zeros_like(c) for c in model.cost2),
                              model.alpha)
-        result = value_iterate(separated_model_to_problem(zeroed), tol=1e-12)
-        assert result.j1.norm() <= 1e-12 and result.j2.norm() <= 1e-12
+        problem = separated_model_to_problem(zeroed)
+        result = value_iterate(problem, tol=1e-12)
+        assert result.j1.norm() <= 1e-12 and problem.t2_greedy(result.j1)[0].norm() <= 1e-12
 
     def test_two_state_chain(self):
         model = random_separated_model(np.random.default_rng(0), 1, 1)
         chain = type(model)(model.space1, model.space2,
                             (np.array([0]),), (np.array([1.0]),),
                             (np.array([0]),), (np.array([2.0]),), 0.5)
-        result = value_iterate(separated_model_to_problem(chain), tol=1e-12)
+        problem = separated_model_to_problem(chain)
+        result = value_iterate(problem, tol=1e-12)
         assert result.j1.values[0] == pytest.approx(8.0 / 3.0, abs=1e-10)
-        assert result.j2.values[0] == pytest.approx(10.0 / 3.0, abs=1e-10)
+        assert problem.t2_greedy(result.j1)[0].values[0] == pytest.approx(10.0 / 3.0, abs=1e-10)
 
     def test_ties_pick_the_first_move(self):
         model = random_separated_model(np.random.default_rng(0), 1, 1)
@@ -303,7 +305,7 @@ class TestSeparatedModel:
                                for a in range(model.next2[x].size)) for x in range(4)])
             j1, j2 = n1, n2
         assert np.max(np.abs(result.j1.values - j1)) <= 1e-6
-        assert np.max(np.abs(result.j2.values - j2)) <= 1e-6
+        assert np.max(np.abs(problem.t2_greedy(result.j1)[0].values - j2)) <= 1e-6
 
 
 class TestMinimaxControl:

@@ -68,6 +68,16 @@ def problems():
 
 
 @pytest.mark.parametrize("kind", ["control", "game"])
+def test_value_iteration_builds_one_greedy_maximizer_table_per_sweep(kind):
+    """vi's answer is its certified J1 alone: no T2 of it after the last sweep."""
+    wrapped, calls = Protocol(problems()[kind]), []
+    improve = wrapped.max_improve
+    wrapped.max_improve = lambda *args: calls.append(1) or improve(*args)
+    result = value_iterate(wrapped)
+    assert len(calls) == result.iterations
+
+
+@pytest.mark.parametrize("kind", ["control", "game"])
 @pytest.mark.parametrize("algo", list(SOLVERS))
 def test_solvers_read_only_the_protocol(kind, algo):
     problem = problems()[kind]
