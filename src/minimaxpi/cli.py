@@ -60,6 +60,14 @@ def _int_param(params, key, default, low):
     return int(text)
 
 
+def _below_2_63(key, value):
+    """``value``, refused from 2**63 up: numpy's generator draws no wider
+    bound (B), and a cycle repeats an operation no more often (k)."""
+    if value >= 2**63:
+        raise ValidationError(f"schedule parameter {key} must be below 2**63, got {value}")
+    return value
+
+
 def parse_schedule(spec):
     """Build a schedule from the mini-language, e.g. ``round_robin:k=10``,
     ``random:seed=7``, ``partitioned:p=4``, ``delayed:B=3,inner=round_robin``.
@@ -78,12 +86,10 @@ def parse_schedule(spec):
         if inner_spec.partition(":")[0] == "delayed":
             raise ValidationError(f"schedule parameter inner must not be delayed, "
                                   f"got {inner_spec!r}")
-        staleness = _int_param(params, "B", 1, 0)
-        if staleness >= 2**63:   # numpy's generator draws no wider bound
-            raise ValidationError(f"schedule parameter B must be below 2**63, got {staleness}")
+        staleness = _below_2_63("B", _int_param(params, "B", 1, 0))
         return async_pi.delayed(parse_schedule(inner_spec), staleness)
     params = _parse_params(name, rest)
-    k = _int_param(params, "k", async_pi.DEFAULT_EVALS, 0)
+    k = _below_2_63("k", _int_param(params, "k", async_pi.DEFAULT_EVALS, 0))
     if name == "round_robin":
         return async_pi.round_robin(k)
     if name == "random":

@@ -540,6 +540,11 @@ class TestScheduleParser:
         ("random:seed=1,seed=2", "seed"), ("partitioned:p=4,p=8", "p"),
         ("delayed:B=1,B=2,inner=round_robin", "B"),
         ("delayed:B=9223372036854775808,inner=round_robin", "B"),
+        # a cycle that repeats an evaluation 2**63 times or more
+        ("round_robin:k=9223372036854775808", "k"),
+        ("random:seed=1,k=9223372036854775808", "k"),
+        ("partitioned:p=4,k=9223372036854775808", "k"),
+        ("delayed:B=3,inner=round_robin:k=9223372036854775808", "k"),
     ])
     def test_bad_parameter_exits_1_naming_it(self, tmp_path, capsys, spec, param):
         path = write_game(tmp_path, random_markov_game(np.random.default_rng(1), 2, 2, 2))
