@@ -1,6 +1,7 @@
 """Distributed optimistic policy iteration with interleavable operations.
 
-The solver state is two table pairs plus a policy pair.  Each step applies
+The solver state is two table pairs plus a policy pair, which the
+executor keeps in private arrays and writes in place.  Each step applies
 one of four operations (an evaluation sweep or a policy improvement, for
 either player) to any subset of that player's states, reading the other
 side through a pessimism guard: the minimizer prices continuations at
@@ -12,16 +13,14 @@ policies.
 """
 
 import itertools
-import operator
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import PolicyPair, ValueTable, certify, check_floor, sweep_certificate, update_policy
+from .core import PolicyPair, ValueTable, certify, check_floor, sweep_certificate
 from .errors import MaxStepsExceeded
 
 DEFAULT_EVALS, DEFAULT_BLOCKS = 10, 4   # evaluations per improvement, partitioned blocks
@@ -43,7 +42,8 @@ _MIN_EVAL, _MIN_IMPROVE, _MAX_EVAL, _MAX_IMPROVE = Kind
 
 @dataclass(frozen=True)
 class Operation:
-    """One scheduled step: an operation kind aimed at a state subset."""
+    """One scheduled step: an operation kind aimed at a state subset,
+    distinct nonnegative state indices."""
 
     kind: Kind
     subset: np.ndarray
@@ -53,42 +53,18 @@ class Operation:
         sub = np.atleast_1d(np.asarray(self.subset, dtype=int))
         if sub.size == 0:
             raise ValueError("operation subsets must be nonempty")
+        # an increasing subset, as the built-in cycles make, needs no sort
+        distinct = (np.diff(sub) > 0).all() or np.unique(sub).size == sub.size
+        if sub.min() < 0 or not distinct:
+            raise ValueError("operation subsets must be distinct nonnegative state indices")
         object.__setattr__(self, "subset", sub)
-
-
-class _Provenance(NamedTuple):
-    """Where one side's V came from, state by state.
-
-    ``source`` is a minimizer table G1 with V2 = T2(G1), or V1 = T1(T2 G1),
-    on the states ``cover`` marks (None: on none).  ``tight`` marks the
-    states whose J leaves the guard at V: J1 >= V1, or J2 <= V2."""
-
-    source: object
-    cover: np.ndarray
-    tight: np.ndarray
-
-    @classmethod
-    def unknown(cls, size):
-        return cls(None, np.zeros(size, bool), np.zeros(size, bool))
 
 
 @dataclass(frozen=True)
 class AlgoState:
-    """The iterate advanced by the four operations.
-
-    ``guard1 = min[V1, J1]`` and ``guard2 = max[V2, J2]``, the tables the
-    opposite side reads, are built on first use and kept.  A state made by
-    :meth:`_advance` keeps the guards of its predecessor whose two tables it
-    shares; one made by ``dataclasses.replace`` starts with none.
-
-    A state made by :func:`_apply` also records each side's provenance,
-    ``prov1`` and ``prov2`` (:class:`_Provenance`; None on other states).
-    Where J is tight on every state, the guard is V itself: bit for bit the
-    ``np.minimum`` or ``np.maximum`` on plain tables, and on column bundles
-    V2's columns alone, of which J2's are copies.  Where in addition V2
-    covers every state from one G1, guard2 is exactly T2(G1), and
-    ``guard2_source`` names that G1.
-    """
+    """The iterate the four operations advance, as :func:`run` hands it
+    out at a stop check and at its end: tables and policies of its own,
+    and the step count ``t``."""
 
     j1: ValueTable
     v1: ValueTable
@@ -96,37 +72,6 @@ class AlgoState:
     v2: object
     policies: PolicyPair
     t: int = 0
-    prov1: _Provenance | None = field(default=None, init=False, repr=False, compare=False)
-    prov2: _Provenance | None = field(default=None, init=False, repr=False, compare=False)
-
-    @cached_property
-    def guard1(self):
-        if self.prov1 is not None and self.prov1.tight.all():
-            return self.v1
-        return self.v1.pointwise_min(self.j1)
-
-    @cached_property
-    def guard2(self):
-        if self.prov2 is not None and self.prov2.tight.all():
-            return self.v2
-        return self.v2.pointwise_max(self.j2)
-
-    @cached_property
-    def guard2_source(self):
-        """G1 if guard2 is T2(G1) on every state, else None."""
-        prov = self.prov2
-        return prov.source if prov is not None and (prov.cover & prov.tight).all() else None
-
-    def _advance(self, j1, v1, j2, v2, policies, prov1, prov2):
-        """The state one step on, with these tables, policies and provenance."""
-        new = AlgoState(j1, v1, j2, v2, policies, self.t + 1)
-        cache, kept = self.__dict__, new.__dict__
-        kept["prov1"], kept["prov2"] = prov1, prov2
-        if "guard1" in cache and j1 is self.j1 and v1 is self.v1:
-            kept["guard1"] = cache["guard1"]
-        if "guard2" in cache and j2 is self.j2 and v2 is self.v2:
-            kept["guard2"] = cache["guard2"]
-        return new
 
 
 def initial_state(problem):
@@ -142,56 +87,199 @@ def _same(a, b):
     return a is b or (a is not None and b is not None and np.array_equal(a.values, b.values))
 
 
-def _improved(prov, subset, source):
-    """``prov`` after an improvement on ``subset`` from ``source``: J = V
-    there, and V derives from source (None: from no one table)."""
-    same = source is not None and _same(prov.source, source)
-    cover = prov.cover.copy() if same else np.zeros_like(prov.cover)
-    cover[subset] = source is not None
-    tight = prov.tight.copy()
-    tight[subset] = True
-    return _Provenance(prov.source if same else source, cover, tight)
+def _check_finite(entries):
+    """Refuse a kernel's output unless every entry is finite."""
+    finite = np.isfinite(entries)
+    if np.count_nonzero(finite) < finite.size:
+        raise ValueError("table entries must be finite")
 
 
-def _evaluated(prov, subset, tight_here):
-    """``prov`` after an evaluation on ``subset``, tight there as given."""
-    tight = prov.tight.copy()
-    tight[subset] = tight_here
-    return prov._replace(tight=tight)
+def _flag(flags, count, subset, value):
+    """Set ``flags``, of which ``count`` are set, to ``value`` (a bool, or
+    one per state) on ``subset``; the new count."""
+    if value is True or value is False:
+        if count == (len(flags) if value else 0):   # nothing to change
+            return count
+        before = np.count_nonzero(flags[subset])
+        flags[subset] = value
+        return count + len(subset) * value - before
+    before = np.count_nonzero(flags[subset])
+    flags[subset] = value
+    return count + np.count_nonzero(value) - before
 
 
-def _apply(problem, state, op, read):
-    """Advance one step, reading the opposite side's guard from ``read``.
+class _Read(NamedTuple):
+    """What a step reads of the opposite side as an earlier step left it:
+    the :class:`_Side` attributes of the same names."""
 
-    It keeps each side's provenance (:class:`AlgoState`).  An improvement
-    makes J = V on its subset; V2 derives from the guard1 read, and V1 from
-    the table ``read.guard2_source`` names.  An evaluation's J1 is tight
-    where it is at least V1, checked on the written entries; its J2 where
-    V2 derives from the guard1 read, which makes J2 one of the greedy
-    choices V2 maximises over, computed by the same kernel arithmetic."""
-    subset, kind = op.subset, op.kind
-    j1, v1, j2, v2, policies = state.j1, state.v1, state.j2, state.v2, state.policies
-    prov1 = state.prov1 or _Provenance.unknown(v1.space.size)
-    prov2 = state.prov2 or _Provenance.unknown(v2.space.size)
+    guard: object
+    source: object
+    version: int
+    writes: int
+
+
+class _Undo(NamedTuple):
+    """One applied step's record: the side it wrote, its subset, the rows
+    of J and V (None: V unwritten) there before, and what the side handed
+    out before (:class:`_Read`), its guard aside (``whole``: it was V)."""
+
+    side: object
+    subset: np.ndarray
+    j: np.ndarray
+    v: np.ndarray | None
+    whole: bool
+    source: object
+    version: int
+    writes: int
+
+
+class _Side:
+    """One player's part of :func:`run`'s private iterate.
+
+    ``j``, ``v`` and ``g`` are tables only the executor holds: J, V and the
+    guard ``pick(V, J)`` (on column bundles, both bundles side by side),
+    each step rewriting its subset in place.  ``tight`` marks the states
+    whose J leaves the guard at V (J1 >= V1, or J2 <= V2), and ``cover``
+    those whose V derives from ``origin``, a copy of a minimizer guard G1
+    (V2 = T2(G1), or V1 = T1(T2 G1)); ``n_tight`` and ``n_cover`` count
+    them, and ``origin_version`` is the opposite side's ``version`` the
+    copy was taken at.
+
+    What the opposite side reads: ``guard``, which is V where J is tight on
+    every state (bit for bit the ``np.minimum`` or ``np.maximum`` on plain
+    tables; on column bundles V2's columns alone, of which J2's are
+    copies), else ``g``; ``source``, the origin where in addition V derives
+    from it on every state, else None; ``version``, which counts the writes
+    that may have changed ``guard``; and ``writes``, which counts them all.
+    """
+
+    def __init__(self, j, v, policy, pick, keep):
+        self.j, self.v, self.policy, self.pick = j.copy(), v.copy(), np.array(policy), pick
+        self.g = self.v.guard(self.j, pick)
+        self.size, self.keep = j.space.size, keep
+        self.tight, self.cover = np.zeros(self.size, bool), np.zeros(self.size, bool)
+        self.n_tight = self.n_cover = self.writes = self.version = 0
+        self.origin = self.origin_version = None
+        self.memo = (None,)   # (subset, read writes, own writes) run may skip at
+        self._handed_out()
+
+    def _handed_out(self):
+        """Set ``guard`` and ``source`` from the flag counts."""
+        whole = self.n_tight == self.size
+        self.guard = self.v if whole else self.g
+        self.source = self.origin if whole and self.n_cover == self.size else None
+
+    def _undo(self, subset, improved):
+        """The :class:`_Undo` of a write to ``subset`` about to be made, if
+        the side ``keep``s them, else None."""
+        if not self.keep:
+            return None
+        return _Undo(self, subset, self.j._rows(subset),
+                     self.v._rows(subset) if improved else None,
+                     self.guard is self.v, self.source, self.version, self.writes)
+
+    def evaluated(self, subset, entries, tight):
+        """Write an evaluation's ``entries`` to J on ``subset``, tight there
+        as ``tight`` says (None: where J1 >= V1); returns :meth:`_undo`'s."""
+        _check_finite(entries)
+        undo, whole, v_rows = self._undo(subset, False), self.guard is self.v, self.v._rows(subset)
+        if tight is None:
+            tight = entries >= v_rows
+        self.j._write(subset, entries)
+        self.g._guard_rows(subset, v_rows, entries, self.pick)
+        self.n_tight = _flag(self.tight, self.n_tight, subset, tight)
+        self.writes += 1
+        if not (whole and self.n_tight == self.size):   # else V was and is read
+            self.version += 1
+        self._handed_out()
+        return undo
+
+    def improved(self, subset, entries, picks, origin, same):
+        """Write an improvement's ``entries`` to J and V and its ``picks``
+        to the policy on ``subset``, V there derived from ``origin`` (None:
+        from no one table); ``same``: ``origin`` holds the values of the
+        side's.  Returns :meth:`_undo`'s."""
+        _check_finite(entries)
+        undo = self._undo(subset, True)
+        self.j._write(subset, entries)
+        self.v._write(subset, entries)
+        self.g._guard_rows(subset, entries, entries, self.pick)
+        self.policy[subset] = picks
+        self.n_tight = _flag(self.tight, self.n_tight, subset, True)
+        if not same:
+            self.cover[:] = False
+            self.n_cover, self.origin = 0, origin
+        self.n_cover = _flag(self.cover, self.n_cover, subset, origin is not None)
+        self.writes += 1
+        self.version += 1
+        self._handed_out()
+        return undo
+
+    def before(self, ring, delay):
+        """What the side handed out ``delay`` steps back, as a :class:`_Read`,
+        for a side written since: J and V rebuilt from copies and the undo
+        records of the ``ring``'s last ``delay`` steps, and the guard from
+        them.  Each table takes its old rows in one write, newest first, so
+        that where subsets overlap the oldest lands last."""
+        undos = [undo for _, _, undo in itertools.islice(reversed(ring), delay)
+                 if undo is not None and undo.side is self]
+        j, v, first = self.j.copy(), self.v.copy(), undos[-1]
+        j._write(np.concatenate([u.subset for u in undos]), np.concatenate([u.j for u in undos]))
+        improved = [u for u in undos if u.v is not None]
+        if improved:
+            v._write(np.concatenate([u.subset for u in improved]),
+                     np.concatenate([u.v for u in improved]))
+        return _Read(v if first.whole else v.guard(j, self.pick),
+                     first.source, first.version, first.writes)
+
+
+class _Iterate:
+    """:func:`run`'s private iterate: the minimizer's and the maximizer's
+    :class:`_Side`, which ``keep`` undo records if a trace or a delayed
+    read needs them."""
+
+    def __init__(self, state, keep):
+        self.one = _Side(state.j1, state.v1, state.policies.mu, np.minimum, keep)
+        self.two = _Side(state.j2, state.v2, state.policies.nu, np.maximum, keep)
+
+    def state(self, t):
+        """An :class:`AlgoState` of copies of the iterate, at step ``t``."""
+        one, two = self.one, self.two
+        return AlgoState(one.j.copy(), one.v.copy(), two.j.copy(), two.v.copy(),
+                         PolicyPair(one.policy.copy(), two.policy.copy()), t)
+
+
+def _apply(problem, iterate, op, read):
+    """Advance ``iterate`` one step in place, reading the opposite side as
+    ``read`` (that :class:`_Side`, or a :class:`_Read` of it as an earlier
+    step left it); returns the step's :class:`_Undo`, or None if the
+    iterate keeps none.
+
+    An improvement makes J = V on its subset; V2 derives from the guard1
+    read, and V1 from the table ``read.source`` names.  An evaluation's J1
+    is tight where it is at least V1; its J2 where V2 derives from the
+    guard1 read, which makes J2 one of the greedy choices V2 maximises
+    over, computed by the same kernel arithmetic."""
+    subset, kind, one, two = op.subset, op.kind, iterate.one, iterate.two
     if kind is _MIN_EVAL:
-        j1 = j1.with_updates(subset, problem.min_eval_values(subset, policies.mu, read.guard2))
-        prov1 = _evaluated(prov1, subset, j1.values[subset] >= v1.values[subset])
-    elif kind is _MIN_IMPROVE:
-        vals, picks = problem.min_improve(subset, read.guard2)
-        j1, v1 = j1.with_updates(subset, vals), v1.with_updates(subset, vals)
-        policies = PolicyPair(update_policy(policies.mu, subset, picks), policies.nu)
-        prov1 = _improved(prov1, subset, read.guard2_source)
-    elif kind is _MAX_EVAL:
-        guard = read.guard1
-        j2 = j2.with_updates(subset, problem.max_eval_entries(subset, policies.nu, guard))
-        prov2 = _evaluated(prov2, subset, prov2.cover[subset] & _same(prov2.source, guard))
+        return one.evaluated(subset, problem.min_eval_values(subset, one.policy, read.guard),
+                             None)
+    if kind is _MIN_IMPROVE:
+        source = read.source
+        entries, picks = problem.min_improve(subset, read.guard)
+        return one.improved(subset, entries, picks, source,
+                            source is not None and _same(one.origin, source))
+    same = two.origin_version == read.version or _same(two.origin, read.guard)
+    if kind is _MAX_EVAL:
+        undo = two.evaluated(subset, problem.max_eval_entries(subset, two.policy, read.guard),
+                             two.cover[subset] & same)
     else:
-        guard = read.guard1
-        entries, picks = problem.max_improve(subset, guard, policies.mu)
-        j2, v2 = j2.with_updates(subset, entries), v2.with_updates(subset, entries)
-        policies = PolicyPair(policies.mu, update_policy(policies.nu, subset, picks))
-        prov2 = _improved(prov2, subset, guard)
-    return state._advance(j1, v1, j2, v2, policies, prov1, prov2)
+        entries, picks = problem.max_improve(subset, read.guard, one.policy)
+        undo = two.improved(subset, entries, picks, two.origin if same else read.guard.copy(),
+                            same)
+    if same or kind is _MAX_IMPROVE:   # the origin holds the guard's values
+        two.origin_version = read.version
+    return undo
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +379,10 @@ class TraceRow(NamedTuple):
     residual2: float
 
 
-def _probe_diff(a, b):
-    """Change gauge for trace rows: the tables' ``diff_bound``."""
-    return a.diff_bound(b)
+def _probe_diff(table, undo):
+    """Change gauge for trace rows: the table's ``diff_bound`` against
+    itself before the step, computed on the step's subset."""
+    return table._diff_rows(undo.subset, undo.j)
 
 
 def _converged(problem, state, tol):
@@ -308,23 +397,16 @@ def _converged(problem, state, tol):
     return replace(state, j1=estimate) if bound <= tol else None
 
 
-def _own_certificate(problem, state):
+def _own_certificate(problem, iterate):
     """The certificate of G1 (:func:`~minimaxpi.core.sweep_certificate`)
-    read off a state whose V1 is T1(T2 G1) on every state, or None.  Blocks
-    improved from one exact guard2 compose to one full-space improvement
-    (see :func:`run`), so V1 is then certify's sweep of G1 bit for bit."""
-    prov = state.prov1
-    if prov is None or not prov.cover.all():
+    read off an iterate whose V1 is T1(T2 G1) on every state, or None.
+    Blocks improved from one exact guard2 compose to one full-space
+    improvement (see :func:`run`), so V1 is then certify's sweep of G1 bit
+    for bit."""
+    one = iterate.one
+    if one.n_cover < one.size:
         return None
-    return sweep_certificate(problem, prov.source, state.v1)
-
-
-def _eval_inputs(side, op, read, state):
-    """What an evaluation of ``side`` on ``op``'s subset reads, and the
-    side's J in ``state``."""
-    if side == 1:
-        return op.subset, read.v2, read.j2, state.policies.mu, state.j1
-    return op.subset, read.v1, read.j1, state.policies.nu, state.j2
+    return sweep_certificate(problem, one.origin, one.v.copy())
 
 
 def _delays(rng, staleness, depth):
@@ -339,45 +421,48 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
 
     Applies the schedule's operations until an estimate of J1 is certified
     within ``tol`` (below).  With a positive ``schedule.staleness``, each
-    step reads table snapshots up to that many updates old (delay drawn
-    uniformly per step from a seeded generator), emulating communication
-    delays.  The delays are drawn ``_DELAY_CHUNK`` per generator call;
-    under PCG64, numpy's default, that is the same stream as one
-    ``rng.integers`` call per step, so a run does not depend on the chunk
-    size.  Returns (certified state, trace): the state of the stopping
-    step with the estimate as J1, and ``trace_out`` with one
-    :class:`TraceRow` per step appended, the stopping step's included, or
-    [] (and no change probe computed) without it.  Raises
+    step reads the opposite side as it stood up to that many steps before
+    (delay drawn uniformly per step from a seeded generator), emulating
+    communication delays.  The delays are drawn ``_DELAY_CHUNK`` per
+    generator call; under PCG64, numpy's default, that is the same stream
+    as one ``rng.integers`` call per step, so a run does not depend on the
+    chunk size.  Returns (certified state, trace): the :class:`AlgoState`
+    of the stopping step with the estimate as J1, and ``trace_out`` with
+    one :class:`TraceRow` per step appended, the stopping step's included,
+    or [] (and no change probe computed) without it.  Raises
     :class:`MaxStepsExceeded` when the budget runs out; every check below
     follows :func:`~minimaxpi.core.check_floor`.
 
     The run certifies itself from its own sweeps.  An improvement that
     leaves V1 = T1(T2 G1) on every state (improved, block by block, from
-    guards that are exactly T2(G1); see :class:`AlgoState`) has done the
-    sweep of ``certify(G1)``: the run reads that certificate off (G1, V1)
-    with the same arithmetic, bit for bit, and stops if its bound is at
-    most ``tol``.  A period end with no check owed leaves it to guard1's
+    guards that are exactly T2(G1); see :class:`_Side`) has done the sweep
+    of ``certify(G1)``: the run reads that certificate off (G1, V1) with
+    the same arithmetic, bit for bit, and stops if its bound is at most
+    ``tol``.  A period end with no check owed leaves it to guard1's
     certificate if guard2 is then exactly T2(guard1), which the run's next
     improvement from that guard2 completes.  Every other period end calls
     :func:`_converged` on its own state, so an unpaid debt is checked at the
     next period end.  Under ``round_robin`` each debt is paid one step
     later, and ``certify`` is never called.
 
-    An evaluation is skipped when its subset array, read tables, policy and
-    its side's J are the objects its side's last applied evaluation had, J
-    as written: tables and policies are immutable and kernels deterministic,
-    so under any schedule it would rewrite what J holds.  If the problem
-    declares ``evals_repeat_improvements``, an improvement records the same
-    objects, as the evaluation at its picks would rewrite its values.
-    Skipped steps still count in ``t``, take their delay draw and ring slot,
-    and trace 0.0 unprobed.
+    An evaluation is skipped when its subset array is the one its side's
+    last applied evaluation had and neither side was written since, the
+    opposite side as read: kernels are deterministic, so under any
+    schedule it would rewrite what J holds.  If the problem declares
+    ``evals_repeat_improvements``, an improvement counts as such an
+    evaluation, as the evaluation at its picks would rewrite its values.
+    Skipped steps still count in ``t``, take their delay draw and ring
+    slot, and trace 0.0 unprobed.
 
-    A step costs what it changes.  It writes its subset into copies of the
-    tables it updates and checks only those entries for finiteness.  It
-    reads the guard its read state holds (:class:`AlgoState`), and the state
-    it makes keeps every guard whose two tables it shares.  So a guard is
-    built about once per change of the two tables it combines (a delayed
-    read may land on an older state first), not once per step.
+    A step costs its kernel.  The iterate is private (:class:`_Iterate`):
+    each side's J, V and guard are arrays the step writes on its subset
+    in place, after one finiteness check of the kernel's output, together
+    with the side's policy and its tight and cover flags, whose counts say
+    when a guard is V itself and when V derives from one table.  A
+    delayed read costs nothing unless the opposite side was written
+    within its delay; then that side is rebuilt from copies and the ring's
+    undo records.  An :class:`AlgoState` of copies is built only at period
+    ends and at the end of the run.
 
     A block-parallel sweep needs no executor of its own.  An operation
     writes its side's entries on its subset and reads, of its own side,
@@ -385,50 +470,66 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     same-kind operations on disjoint blocks, applied against one snapshot
     or in turn, give exactly one full-space operation: ``round_robin``.
     """
-    state = initial_state(problem)
-    staleness = schedule.staleness
-    # padded with the start state, which any delay of at least the steps
-    # taken reads: the ring stops at the budget, and delays are cut to it
-    depth = min(staleness, max_steps)
-    delays = _delays(np.random.default_rng(seed), staleness, depth) if staleness > 0 else None
-    ring = deque([state] * (depth + 1), maxlen=depth + 1)
-    trace = [] if trace_out is None else trace_out
+    tracing, staleness = trace_out is not None, schedule.staleness
+    iterate = _Iterate(initial_state(problem), tracing or staleness > 0)
+    one, two = iterate.one, iterate.two
+    # per kind, keyed by its value (an Enum member hashes in Python, ~0.4
+    # us): the side it writes, the side it reads and that side's slot in a
+    # ring entry, and whether it evaluates
+    roles = {_MIN_EVAL._value_: (one, two, 1, True), _MIN_IMPROVE._value_: (one, two, 1, False),
+             _MAX_EVAL._value_: (two, one, 0, True), _MAX_IMPROVE._value_: (two, one, 0, False)}
+    delays = None
+    if staleness > 0:
+        # (writes of each side, undo record) per step, padded with the
+        # start, which any delay of at least the steps taken reads: the
+        # ring stops at the budget, and delays are cut to it
+        depth = min(staleness, max_steps)
+        delays = _delays(np.random.default_rng(seed), staleness, depth)
+        ring = deque([(0, 0, None)] * (depth + 1), maxlen=depth + 1)
+    trace = trace_out if tracing else []
+    # a TraceRow built without its generated ``__new__``'s ~0.3 us
+    row = tuple.__new__
     check_every = schedule.period(problem)
-    step, memo = 0, {1: (None,), 2: (None,)}   # (None,) matches no op
-    repeats = problem.evals_repeat_improvements
+    step, repeats = 0, problem.evals_repeat_improvements
     owed = None   # the guard1 a period end left its check to
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
-        read = state if delays is None else ring[-1 - next(delays)]
-        kind, r1, r2, done = op.kind, 0.0, 0.0, None
-        side = 1 if kind is _MIN_EVAL or kind is _MIN_IMPROVE else 2
-        evaluates = kind is _MIN_EVAL or kind is _MAX_EVAL
-        if not (evaluates
-                and all(map(operator.is_, memo[side], _eval_inputs(side, op, read, state)))):
-            new = _apply(problem, state, op, read)
-            if trace_out is not None:
-                r1 = _probe_diff(state.j1, new.j1) if side == 1 else 0.0
-                r2 = _probe_diff(state.j2, new.j2) if side == 2 else 0.0
-            state = new
+        kind = op.kind
+        name = kind._value_   # ``kind.value`` without the property's ~0.15 us
+        own, other, at, evaluates = roles[name]
+        read, undo, done = other, None, None
+        if delays is not None:
+            delay = next(delays)
+            if ring[-1 - delay][at] != read.writes:   # written within the delay
+                read = other.before(ring, delay)
+        last = own.memo
+        if evaluates and last[0] is op.subset and last[1] == read.writes \
+                and last[2] == own.writes:
+            if tracing:
+                trace.append(row(TraceRow, (step, name, op.label, 0.0, 0.0)))
+        else:
+            undo = _apply(problem, iterate, op, read)
             if evaluates or repeats:
-                memo[side] = _eval_inputs(side, op, read, state)
-            if kind is _MIN_IMPROVE and (own := _own_certificate(problem, state)):
-                if _same(state.prov1.source, owed):
+                own.memo = (op.subset, read.writes, own.writes)
+            if tracing:
+                probe = _probe_diff(own.j, undo)
+                trace.append(row(TraceRow, (step, name, op.label,
+                                            *((probe, 0.0) if own is one else (0.0, probe)))))
+            if kind is _MIN_IMPROVE and (cert := _own_certificate(problem, iterate)):
+                if _same(one.origin, owed):
                     owed = None
-                check_floor("async", "a stop check's sweep", own[1], tol, *own[2:])
-                if own[1] <= tol:
-                    done = replace(state, j1=own[0])
-        if trace_out is not None:
-            # ``_value_`` is ``kind.value`` without the property's ~0.15 us
-            trace.append(TraceRow(step, kind._value_, op.label, r1, r2))
-        ring.append(state)
+                check_floor("async", "a stop check's sweep", cert[1], tol, *cert[2:])
+                if cert[1] <= tol:
+                    done = replace(iterate.state(step), j1=cert[0])
+        if delays is not None:
+            ring.append((one.writes, two.writes, undo))
         if done is None and step % check_every == 0:
-            if owed is None and _same(state.guard2_source, state.guard1):
-                owed = state.guard1
+            if owed is None and _same(two.source, one.guard):
+                owed = one.guard.copy()
             else:
-                owed, done = None, _converged(problem, state, tol)
+                owed, done = None, _converged(problem, iterate.state(step), tol)
         if done:
-            return replace(done, t=step), trace
-    state = replace(state, t=step)
+            return done, trace
+    state = iterate.state(step)
     if done := _converged(problem, state, tol):
         return done, trace
     raise MaxStepsExceeded(

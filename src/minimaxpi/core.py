@@ -99,21 +99,31 @@ class ValueTable:
     # the two coincide
     diff_bound = diff_norm
 
-    # two finite tables combine into a finite one, and an update checks the
-    # entries it writes: the entries kept were checked when they were built
+    def copy(self):
+        return ValueTable._trusted(self.space, self.values.copy())
 
-    def pointwise_min(self, other):
-        return ValueTable._trusted(self.space, np.minimum(self.values, other.values))
+    def guard(self, other, pick):
+        """The pessimism guard ``pick(V, J)`` of V = self and J = other,
+        ``pick`` being ``np.minimum`` or ``np.maximum``; finite as both are."""
+        return ValueTable._trusted(self.space, pick(self.values, other.values))
 
-    def pointwise_max(self, other):
-        return ValueTable._trusted(self.space, np.maximum(self.values, other.values))
+    # the executor's iterate: tables it alone holds, written in place on a
+    # step's subset once it has checked the kernel's output
 
-    def with_updates(self, subset, new_values):
-        out = self.values.copy()
-        out[subset] = new_values
-        if not np.isfinite(out[subset]).all():
-            raise ValueError("table entries must be finite")
-        return ValueTable._trusted(self.space, out)
+    def _rows(self, subset):
+        return self.values[subset]
+
+    def _write(self, subset, rows):
+        self.values[subset] = rows
+
+    def _guard_rows(self, subset, v_rows, j_rows, pick):
+        """This guard (:meth:`guard`) rewritten on ``subset`` from V's and
+        J's rows, which are one array after an improvement."""
+        self.values[subset] = j_rows if v_rows is j_rows else pick(v_rows, j_rows)
+
+    def _diff_rows(self, subset, rows):
+        """:meth:`diff_norm` against this table with ``rows`` on ``subset``."""
+        return float((np.abs(rows - self.values[subset]) / self.space.weights[subset]).max())
 
 
 @dataclass(frozen=True)
@@ -127,13 +137,6 @@ class PolicyPair:
 
     mu: np.ndarray
     nu: np.ndarray
-
-
-def update_policy(policy, subset, entries):
-    """Functional update of a policy array on a state subset."""
-    out = np.array(policy, copy=True)
-    out[subset] = entries
-    return out
 
 
 class HalfStageProblem:

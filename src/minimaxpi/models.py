@@ -305,18 +305,33 @@ class ColumnMaxTable:
         object.__setattr__(table, "cols", cols)
         return table
 
-    def pointwise_max(self, other):
-        """Both bundles at once; finite as both tables are."""
+    def copy(self):
+        return ColumnMaxTable._trusted(self.space, self.cols.copy())
+
+    def guard(self, other, pick):
+        """The pessimism guard max[V, J] of V = self and J = other (``pick``
+        is ``np.maximum``): both bundles side by side, 2m columns; finite as
+        both tables are."""
         return ColumnMaxTable._trusted(self.space, np.concatenate((self.cols, other.cols), axis=2))
 
-    def with_updates(self, subset, entries):
-        """Replace the bundles of ``subset``; a one-column entry fills them.
-        Only the written bundles are checked: the others were at their build."""
-        out = self.cols.copy()
-        out[subset] = entries
-        if not np.isfinite(out[subset]).all():
-            raise ValueError("bundle entries must be finite")
-        return ColumnMaxTable._trusted(self.space, out)
+    # the executor's iterate, as on ValueTable: a one-column entry fills a bundle
+
+    def _rows(self, subset):
+        return self.cols[subset]
+
+    def _write(self, subset, rows):
+        self.cols[subset] = rows
+
+    def _guard_rows(self, subset, v_rows, j_rows, pick):
+        """This guard (:meth:`guard`) rewritten on ``subset`` from V's and J's rows."""
+        width = self.cols.shape[2] // 2
+        self.cols[subset, :, :width] = v_rows
+        self.cols[subset, :, width:] = j_rows
+
+    def _diff_rows(self, subset, rows):
+        """:meth:`diff_bound` against this table with ``rows`` on ``subset``."""
+        return float(np.max(np.abs(rows - self.cols[subset])
+                            / self.space.weights[subset, None, None]))
 
     def diff_norm(self, other):
         if self is other:

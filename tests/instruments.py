@@ -14,15 +14,23 @@ way: :func:`value_at` reads a column bundle at one strategy,
 :func:`fairness_ok` checks a schedule's fairness horizon, and
 :func:`markov_game_to_control` reduces a Markov game to pure-strategy
 control.
+
+The functional step, :func:`apply_step` on a :class:`StepState`, is the
+executor's reference: immutable tables, policies and provenance, a new
+state per step, guards built on first use.  :func:`minimaxpi.async_pi.run`
+writes the same steps into private arrays, and the tests replay it against
+this step bit for bit.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from minimaxpi.async_pi import Kind
-from minimaxpi.core import SCORE_PAD, PolicyPair, ValueTable, WeightedSpace, update_policy
+from minimaxpi.async_pi import AlgoState, Kind, initial_state
+from minimaxpi.core import SCORE_PAD, PolicyPair, ValueTable, WeightedSpace
 from minimaxpi.errors import MaxStepsExceeded, MinimaxPIError
 from minimaxpi.models import (_PROB_TOL, ColumnMaxTable, MarkovSeparatedProblem,
                               MinimaxControlModel, _readings, _sup_gaps)
@@ -263,9 +271,9 @@ def build_G(problem, policies):
     all1, all2 = np.arange(problem.space1.size), np.arange(problem.space2.size)
 
     def apply(qs):
-        m2 = qs.v2.pointwise_max(ValueTable(problem.space2, qs.q2[all2, policies.nu]))
+        m2 = pointwise_max(qs.v2, ValueTable(problem.space2, qs.q2[all2, policies.nu]))
         q1 = problem.scores(1, all1, m2.values)
-        m1 = qs.v1.pointwise_min(ValueTable(problem.space1, qs.q1[all1, policies.mu]))
+        m1 = pointwise_min(qs.v1, ValueTable(problem.space1, qs.q1[all1, policies.mu]))
         q2 = problem.scores(2, all2, m1.values)
         return QState(ValueTable(problem.space1, q1.min(axis=1)),
                       ValueTable(problem.space2, q2.max(axis=1)), q1, q2)
@@ -341,7 +349,7 @@ def run_extended(problem, ops, steps, policies=None):
             q1[sub] = new.q1[sub]
             qs = replace(qs, q1=q1)
             if op.kind is Kind.MIN_IMPROVE:
-                qs = replace(qs, v1=qs.v1.with_updates(sub, new.v1.values[sub]))
+                qs = replace(qs, v1=with_updates(qs.v1, sub, new.v1.values[sub]))
                 pol = PolicyPair(update_policy(pol.mu, sub, np.argmin(new.q1[sub], axis=1)),
                                  pol.nu)
         else:
@@ -349,7 +357,7 @@ def run_extended(problem, ops, steps, policies=None):
             q2[sub] = new.q2[sub]
             qs = replace(qs, q2=q2)
             if op.kind is Kind.MAX_IMPROVE:
-                qs = replace(qs, v2=qs.v2.with_updates(sub, new.v2.values[sub]))
+                qs = replace(qs, v2=with_updates(qs.v2, sub, new.v2.values[sub]))
                 pol = PolicyPair(pol.mu,
                                  update_policy(pol.nu, sub, np.argmax(new.q2[sub], axis=1)))
         out.append((qs, pol))
@@ -430,3 +438,176 @@ def markov_game_to_control(game):
     if terminal:
         outcomes.append((([[1.0, 0.0, s]],),))
     return MinimaxControlModel(WeightedSpace(size, weights), tuple(outcomes), game.alpha)
+
+
+# ---------------------------------------------------------------------------
+# The functional step: the executor's reference
+# ---------------------------------------------------------------------------
+
+
+def update_policy(policy, subset, entries):
+    """Functional update of a policy array on a state subset."""
+    out = np.array(policy, copy=True)
+    out[subset] = entries
+    return out
+
+
+def with_updates(table, subset, entries):
+    """``table`` with the entries of ``subset`` replaced; a one-column entry
+    fills a bundle.  Only the written entries are checked: the others were
+    at the table's build."""
+    if isinstance(table, ColumnMaxTable):
+        out = table.cols.copy()
+        out[subset] = entries
+        if not np.isfinite(out[subset]).all():
+            raise ValueError("bundle entries must be finite")
+        return ColumnMaxTable._trusted(table.space, out)
+    out = table.values.copy()
+    out[subset] = entries
+    if not np.isfinite(out[subset]).all():
+        raise ValueError("table entries must be finite")
+    return ValueTable._trusted(table.space, out)
+
+
+def pointwise_min(a, b):
+    """min[a, b] of two plain tables; finite as both are."""
+    return ValueTable._trusted(a.space, np.minimum(a.values, b.values))
+
+
+def pointwise_max(a, b):
+    """max[a, b] of two plain tables, or of two bundle tables both bundles
+    at once; finite as both are."""
+    if isinstance(a, ColumnMaxTable):
+        return ColumnMaxTable._trusted(a.space, np.concatenate((a.cols, b.cols), axis=2))
+    return ValueTable._trusted(a.space, np.maximum(a.values, b.values))
+
+
+class _Provenance(NamedTuple):
+    """Where one side's V came from, state by state.
+
+    ``source`` is a minimizer table G1 with V2 = T2(G1), or V1 = T1(T2 G1),
+    on the states ``cover`` marks (None: on none).  ``tight`` marks the
+    states whose J leaves the guard at V: J1 >= V1, or J2 <= V2."""
+
+    source: object
+    cover: np.ndarray
+    tight: np.ndarray
+
+    @classmethod
+    def unknown(cls, size):
+        return cls(None, np.zeros(size, bool), np.zeros(size, bool))
+
+
+@dataclass(frozen=True)
+class StepState(AlgoState):
+    """The iterate advanced by the four operations, as an immutable value.
+
+    ``guard1 = min[V1, J1]`` and ``guard2 = max[V2, J2]``, the tables the
+    opposite side reads, are built on first use and kept.  A state made by
+    :meth:`_advance` keeps the guards of its predecessor whose two tables it
+    shares; one made by ``dataclasses.replace`` starts with none.
+
+    A state made by :func:`apply_step` also records each side's provenance,
+    ``prov1`` and ``prov2`` (:class:`_Provenance`; None on other states).
+    Where J is tight on every state, the guard is V itself: bit for bit the
+    ``np.minimum`` or ``np.maximum`` on plain tables, and on column bundles
+    V2's columns alone, of which J2's are copies.  Where in addition V2
+    covers every state from one G1, guard2 is exactly T2(G1), and
+    ``guard2_source`` names that G1.
+    """
+
+    prov1: _Provenance | None = field(default=None, init=False, repr=False, compare=False)
+    prov2: _Provenance | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def guard1(self):
+        if self.prov1 is not None and self.prov1.tight.all():
+            return self.v1
+        return pointwise_min(self.v1, self.j1)
+
+    @cached_property
+    def guard2(self):
+        if self.prov2 is not None and self.prov2.tight.all():
+            return self.v2
+        return pointwise_max(self.v2, self.j2)
+
+    @cached_property
+    def guard2_source(self):
+        """G1 if guard2 is T2(G1) on every state, else None."""
+        prov = self.prov2
+        return prov.source if prov is not None and (prov.cover & prov.tight).all() else None
+
+    def _advance(self, j1, v1, j2, v2, policies, prov1, prov2):
+        """The state one step on, with these tables, policies and provenance."""
+        new = StepState(j1, v1, j2, v2, policies, self.t + 1)
+        cache, kept = self.__dict__, new.__dict__
+        kept["prov1"], kept["prov2"] = prov1, prov2
+        if "guard1" in cache and j1 is self.j1 and v1 is self.v1:
+            kept["guard1"] = cache["guard1"]
+        if "guard2" in cache and j2 is self.j2 and v2 is self.v2:
+            kept["guard2"] = cache["guard2"]
+        return new
+
+
+def initial_step_state(problem):
+    """:func:`~minimaxpi.async_pi.initial_state` as a :class:`StepState`."""
+    start = initial_state(problem)
+    return StepState(start.j1, start.v1, start.j2, start.v2, start.policies)
+
+
+def _same(a, b):
+    """Whether two minimizer tables (or None) hold the same values, so that
+    a kernel reading either gives the same bits."""
+    return a is b or (a is not None and b is not None and np.array_equal(a.values, b.values))
+
+
+def _improved(prov, subset, source):
+    """``prov`` after an improvement on ``subset`` from ``source``: J = V
+    there, and V derives from source (None: from no one table)."""
+    same = source is not None and _same(prov.source, source)
+    cover = prov.cover.copy() if same else np.zeros_like(prov.cover)
+    cover[subset] = source is not None
+    tight = prov.tight.copy()
+    tight[subset] = True
+    return _Provenance(prov.source if same else source, cover, tight)
+
+
+def _evaluated(prov, subset, tight_here):
+    """``prov`` after an evaluation on ``subset``, tight there as given."""
+    tight = prov.tight.copy()
+    tight[subset] = tight_here
+    return prov._replace(tight=tight)
+
+
+def apply_step(problem, state, op, read):
+    """Advance one step, reading the opposite side's guard from ``read``.
+
+    It keeps each side's provenance (:class:`StepState`).  An improvement
+    makes J = V on its subset; V2 derives from the guard1 read, and V1 from
+    the table ``read.guard2_source`` names.  An evaluation's J1 is tight
+    where it is at least V1, checked on the written entries; its J2 where
+    V2 derives from the guard1 read, which makes J2 one of the greedy
+    choices V2 maximises over, computed by the same kernel arithmetic."""
+    subset, kind = op.subset, op.kind
+    j1, v1, j2, v2, policies = state.j1, state.v1, state.j2, state.v2, state.policies
+    prov1 = state.prov1 or _Provenance.unknown(v1.space.size)
+    prov2 = state.prov2 or _Provenance.unknown(v2.space.size)
+    if kind is Kind.MIN_EVAL:
+        j1 = with_updates(j1, subset, problem.min_eval_values(subset, policies.mu, read.guard2))
+        prov1 = _evaluated(prov1, subset, j1.values[subset] >= v1.values[subset])
+    elif kind is Kind.MIN_IMPROVE:
+        vals, picks = problem.min_improve(subset, read.guard2)
+        j1, v1 = with_updates(j1, subset, vals), with_updates(v1, subset, vals)
+        policies = PolicyPair(update_policy(policies.mu, subset, picks), policies.nu)
+        prov1 = _improved(prov1, subset, read.guard2_source)
+    elif kind is Kind.MAX_EVAL:
+        guard = read.guard1
+        j2 = with_updates(j2, subset, problem.max_eval_entries(subset, policies.nu, guard))
+        prov2 = _evaluated(prov2, subset, prov2.cover[subset] & _same(prov2.source, guard))
+    else:
+        guard = read.guard1
+        entries, picks = problem.max_improve(subset, guard, policies.mu)
+        j2, v2 = with_updates(j2, subset, entries), with_updates(v2, subset, entries)
+        policies = PolicyPair(policies.mu, update_policy(policies.nu, subset, picks))
+        prov2 = _improved(prov2, subset, guard)
+    return state._advance(j1, v1, j2, v2, policies, prov1, prov2)

@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from minimaxpi.aggregation import RepresentativeSets, solve_with_aggregation
-from minimaxpi.async_pi import (delayed, initial_state, partitioned, random_fair,
-                                round_robin, run, _apply)
+from minimaxpi.async_pi import delayed, partitioned, random_fair, round_robin, run
 from minimaxpi.classic_pi import (PIStatus, find_oscillating_game,
                                   hoffman_karp, pollatschek_avi_itzhak)
 from minimaxpi.core import value_iterate
@@ -21,8 +20,9 @@ from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
 
 from helpers import (blind_to_cycles, random_control_model, random_markov_game,
                      random_separated_model)
-from instruments import (check_minmax_nonexpansive, check_monotone, markov_game_to_control,
-                         run_extended, verify_uniform_contraction)
+from instruments import (apply_step, check_minmax_nonexpansive, check_monotone,
+                         initial_step_state, markov_game_to_control, run_extended,
+                         verify_uniform_contraction)
 
 
 def report(number, ok, detail):
@@ -162,10 +162,10 @@ def test_criterion_6_reduced_space_equivalence():
     steps = 200
     ops = list(itertools.islice(round_robin(2).ops(problem), steps))
     extended = run_extended(problem, iter(ops), steps)
-    state = initial_state(problem)
+    state = initial_step_state(problem)
     worst = 0.0
     for k, op in enumerate(ops):
-        state = _apply(problem, state, op, state)
+        state = apply_step(problem, state, op, state)
         qs, pol = extended[k + 1]
         qhat1 = np.array([qs.q1[x][pol.mu[x]] for x in range(problem.space1.size)])
         qhat2 = np.array([qs.q2[x][pol.nu[x]] for x in range(problem.space2.size)])

@@ -8,9 +8,8 @@ import pytest
 from minimaxpi import async_pi
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
-from minimaxpi.async_pi import (AlgoState, Kind, Operation, TraceRow, _apply, _converged,
-                                delayed, initial_state, partitioned,
-                                random_fair, round_robin, run)
+from minimaxpi.async_pi import (AlgoState, Kind, Operation, TraceRow, _converged,
+                                delayed, partitioned, random_fair, round_robin, run)
 from minimaxpi.core import (PolicyPair, SeparatedProblem, ValueTable,
                             WeightedSpace, certify, policy_pair_value, value_iterate)
 from minimaxpi.errors import MaxStepsExceeded
@@ -24,11 +23,12 @@ from minimaxpi.problem_io import load_problem
 from helpers import (bench_file, bench_payload, closure_problem, highs_game_values,
                      random_control_model, random_markov_game, random_separated_model,
                      scalar_problem, swept_j1)
-from instruments import (QState, action_counts, build_G, check_minmax_nonexpansive, fairness_ok,
-                         markov_game_to_control, q_state_diff, q_zero_state,
-                         random_policies, random_table1, random_table2, run_extended,
-                         score_at, side_of, solve_G_fixed_point, value_at,
-                         verify_uniform_contraction)
+from instruments import (QState, StepState, action_counts, apply_step, build_G,
+                         check_minmax_nonexpansive, fairness_ok, initial_step_state,
+                         markov_game_to_control, pointwise_max, pointwise_min, q_state_diff,
+                         q_zero_state, random_policies, random_table1, random_table2,
+                         run_extended, score_at, side_of, solve_G_fixed_point, update_policy,
+                         value_at, verify_uniform_contraction, with_updates)
 
 
 @pytest.fixture
@@ -48,10 +48,10 @@ class TestSteps:
         problem = explicit_problem
         rng = np.random.default_rng(2)
         j2 = random_table2(problem, rng)
-        state = initial_state(problem)
-        state = AlgoState(state.j1, state.v1, j2, j2, state.policies, 0)
+        state = initial_step_state(problem)
+        state = StepState(state.j1, state.v1, j2, j2, state.policies, 0)
         full1 = np.arange(problem.space1.size)
-        stepped = _apply(problem, state, Operation(Kind.MIN_EVAL, full1), state)
+        stepped = apply_step(problem, state, Operation(Kind.MIN_EVAL, full1), state)
         direct = problem.t1_policy(state.policies.mu, j2)
         assert np.allclose(stepped.j1.values, direct.values, atol=0)
         assert stepped.v1.diff_norm(state.v1) == 0.0  # untouched
@@ -60,11 +60,11 @@ class TestSteps:
         game_like = separate_markov_game(
             random_markov_game(np.random.default_rng(3), 1, 1, 1, alpha=0.5),
             beta=1.25)
-        state = initial_state(game_like)
+        state = initial_step_state(game_like)
         v2 = ColumnMaxTable(game_like.space2, (np.array([[3.0]]),))
         j2 = ColumnMaxTable(game_like.space2, (np.array([[5.0]]),))
-        state = AlgoState(state.j1, state.v1, j2, v2, state.policies, 0)
-        stepped = _apply(game_like, state, Operation(Kind.MIN_EVAL, np.arange(1)), state)
+        state = StepState(state.j1, state.v1, j2, v2, state.policies, 0)
+        stepped = apply_step(game_like, state, Operation(Kind.MIN_EVAL, np.arange(1)), state)
         assert stepped.j1.values[0] == pytest.approx(4.0)
 
     def test_min_improve_picks_first_min(self):
@@ -74,8 +74,8 @@ class TestSteps:
             eval1=lambda x, u, j2: 3.0 if u == 0 else 7.0,
             eval2=lambda x, v, j1: 0.0,
             alpha=0.0)
-        state = initial_state(problem)
-        state = _apply(problem, state, Operation(Kind.MIN_IMPROVE, np.arange(1)), state)
+        state = initial_step_state(problem)
+        state = apply_step(problem, state, Operation(Kind.MIN_IMPROVE, np.arange(1)), state)
         assert state.j1.values[0] == 3.0
         assert state.v1.values[0] == 3.0
         assert state.policies.mu[0] == 0
@@ -83,13 +83,13 @@ class TestSteps:
     def test_min_improve_matches_grid_oracle(self, markov_sep):
         problem = markov_sep
         rng = np.random.default_rng(4)
-        state = initial_state(problem)
+        state = initial_step_state(problem)
         j2 = random_table2(problem, rng)
         v2 = random_table2(problem, rng)
-        state = AlgoState(state.j1, state.v1, j2, v2, state.policies, 0)
+        state = StepState(state.j1, state.v1, j2, v2, state.policies, 0)
         full1 = np.arange(problem.space1.size)
-        stepped = _apply(problem, state, Operation(Kind.MIN_IMPROVE, full1), state)
-        merged = v2.pointwise_max(j2)
+        stepped = apply_step(problem, state, Operation(Kind.MIN_IMPROVE, full1), state)
+        merged = pointwise_max(v2, j2)
         step = 1e-3
         for x in range(problem.space1.size):
             best = min(value_at(merged, x, np.array([a, 1.0 - a]))
@@ -100,14 +100,14 @@ class TestSteps:
     def test_max_improve_matches_column_scan(self, markov_sep):
         problem = markov_sep
         rng = np.random.default_rng(5)
-        state = initial_state(problem)
+        state = initial_step_state(problem)
         j1 = random_table1(problem, rng)
         v1 = random_table1(problem, rng)
         mu = rng.dirichlet(np.ones(problem.n), problem.space1.size)
-        state = AlgoState(j1, v1, state.j2, state.v2,
+        state = StepState(j1, v1, state.j2, state.v2,
                           PolicyPair(mu, state.policies.nu), 0)
         full2 = np.arange(problem.space2.size)
-        stepped = _apply(problem, state, Operation(Kind.MAX_IMPROVE, full2), state)
+        stepped = apply_step(problem, state, Operation(Kind.MAX_IMPROVE, full2), state)
         m1 = np.minimum(j1.values, v1.values)
         for x in range(problem.space2.size):
             mat = stage_matrix(problem.game, x, m1, problem.game.alpha * problem.beta)
@@ -121,10 +121,10 @@ class TestSteps:
         repeated across the table's fixed width."""
         problem = markov_sep
         full1, full2 = np.arange(problem.space1.size), np.arange(problem.space2.size)
-        state = initial_state(problem)
-        state = _apply(problem, state, Operation(Kind.MAX_IMPROVE, full2), state)
-        state = _apply(problem, state, Operation(Kind.MIN_IMPROVE, full1), state)
-        stepped = _apply(problem, state, Operation(Kind.MAX_EVAL, full2), state)
+        state = initial_step_state(problem)
+        state = apply_step(problem, state, Operation(Kind.MAX_IMPROVE, full2), state)
+        state = apply_step(problem, state, Operation(Kind.MIN_IMPROVE, full1), state)
+        stepped = apply_step(problem, state, Operation(Kind.MAX_EVAL, full2), state)
         m1 = np.minimum(state.j1.values, state.v1.values)
         for x in range(problem.space2.size):
             mat = stage_matrix(problem.game, x, m1, problem.game.alpha * problem.beta)
@@ -136,12 +136,12 @@ class TestSteps:
     def test_min_eval_matches_per_state_formula(self, markov_sep):
         problem = markov_sep
         rng = np.random.default_rng(14)
-        state = initial_state(problem)
-        state = AlgoState(state.j1, state.v1, random_table2(problem, rng),
+        state = initial_step_state(problem)
+        state = StepState(state.j1, state.v1, random_table2(problem, rng),
                           random_table2(problem, rng),
                           random_policies(problem, rng), 0)
         full1 = np.arange(problem.space1.size)
-        stepped = _apply(problem, state, Operation(Kind.MIN_EVAL, full1), state)
+        stepped = apply_step(problem, state, Operation(Kind.MIN_EVAL, full1), state)
         for x in range(problem.space1.size):
             merged = np.hstack((state.v2.cols[x], state.j2.cols[x]))
             expect = float(np.max(state.policies.mu[x] @ merged)) / problem.beta
@@ -150,12 +150,12 @@ class TestSteps:
     def test_subset_updates_leave_rest(self, explicit_problem):
         problem = explicit_problem
         rng = np.random.default_rng(6)
-        state = initial_state(problem)
-        state = AlgoState(random_table1(problem, rng), state.v1,
+        state = initial_step_state(problem)
+        state = StepState(random_table1(problem, rng), state.v1,
                           random_table2(problem, rng), state.v2,
                           state.policies, 0)
         sub = np.array([1])
-        stepped = _apply(problem, state, Operation(Kind.MIN_EVAL, sub), state)
+        stepped = apply_step(problem, state, Operation(Kind.MIN_EVAL, sub), state)
         mask = np.ones(problem.space1.size, dtype=bool)
         mask[sub] = False
         assert np.all(stepped.j1.values[mask] == state.j1.values[mask])
@@ -163,14 +163,14 @@ class TestSteps:
     def test_improvement_coupling_on_subset(self, explicit_problem):
         problem = explicit_problem
         rng = np.random.default_rng(7)
-        state = initial_state(problem)
-        state = AlgoState(random_table1(problem, rng), random_table1(problem, rng),
+        state = initial_step_state(problem)
+        state = StepState(random_table1(problem, rng), random_table1(problem, rng),
                           random_table2(problem, rng), random_table2(problem, rng),
                           state.policies, 0)
         sub = np.array([0, 2])
-        stepped = _apply(problem, state, Operation(Kind.MIN_IMPROVE, sub), state)
+        stepped = apply_step(problem, state, Operation(Kind.MIN_IMPROVE, sub), state)
         assert np.all(stepped.j1.values[sub] == stepped.v1.values[sub])
-        stepped2 = _apply(problem, state, Operation(Kind.MAX_IMPROVE, np.array([1, 3])),
+        stepped2 = apply_step(problem, state, Operation(Kind.MAX_IMPROVE, np.array([1, 3])),
                           state)
         assert np.all(stepped2.j2.values[[1, 3]] == stepped2.v2.values[[1, 3]])
 
@@ -199,15 +199,15 @@ class TestRun:
 
     def test_conservatism_along_trajectory(self, explicit_problem):
         problem = explicit_problem
-        state = initial_state(problem)
+        state = initial_step_state(problem)
         ops = round_robin(3).ops(problem)
         for _ in range(40):
             op = next(ops)
-            merged = state.v2.pointwise_max(state.j2)
+            merged = pointwise_max(state.v2, state.j2)
             assert np.all(merged.values >= state.j2.values - 1e-15)
-            floor = state.v1.pointwise_min(state.j1)
+            floor = pointwise_min(state.v1, state.j1)
             assert np.all(floor.values <= state.j1.values + 1e-15)
-            state = _apply(problem, state, op, state)
+            state = apply_step(problem, state, op, state)
 
     def test_unfair_schedule_exhausts_budget(self, explicit_problem):
         from minimaxpi.async_pi import Schedule
@@ -280,7 +280,7 @@ def test_disjoint_blocks_compose_to_one_full_operation(name):
     problem = block_cases()[name]
     rng = np.random.default_rng(16)
     for _ in range(5):
-        start = AlgoState(random_table1(problem, rng), random_table1(problem, rng),
+        start = StepState(random_table1(problem, rng), random_table1(problem, rng),
                           random_table2(problem, rng), random_table2(problem, rng),
                           random_policies(problem, rng))
         for kind in Kind:
@@ -288,11 +288,11 @@ def test_disjoint_blocks_compose_to_one_full_operation(name):
             cuts = np.sort(rng.choice(np.arange(1, size), int(rng.integers(1, size)),
                                       replace=False))
             blocks = np.split(rng.permutation(size), cuts)
-            full = _apply(problem, start, Operation(kind, np.arange(size)), start)
+            full = apply_step(problem, start, Operation(kind, np.arange(size)), start)
             for jacobi in (True, False):
                 state = start
                 for block in blocks:
-                    state = _apply(problem, state, Operation(kind, block),
+                    state = apply_step(problem, state, Operation(kind, block),
                                    start if jacobi else state)
                 assert_same_state(state, full)
 
@@ -304,23 +304,26 @@ def count_applies(monkeypatch):
     return calls
 
 
-def reference_run(problem, schedule, tol, seed, max_steps=20000):
-    """The executor without its skip: ``_apply`` on every step, with the
-    same seeded delay draws, staleness ring and probe, stopping on the same
-    certificates: ``certify(G1)`` after each improvement that leaves V1 at
-    T1(T2 G1) on every state, and at a period end ``_converged``, unless no
-    check is owed and guard2 is T2 of guard1: then the check is owed to
-    guard1's certificate, and a debt that certificate has not paid by the
-    next period end is checked there."""
-    state = initial_state(problem)
+def reference_run(problem, schedule, tol, seed, max_steps=20000, steps=None):
+    """The executor without its skip, on the functional step: ``apply_step``
+    on every step, with the same seeded delay draws, staleness ring and
+    probe, stopping on the same certificates: ``certify(G1)`` after each
+    improvement that leaves V1 at T1(T2 G1) on every state, and at a period
+    end ``_converged``, unless no check is owed and guard2 is T2 of guard1:
+    then the check is owed to guard1's certificate, and a debt that
+    certificate has not paid by the next period end is checked there.
+    ``steps``, if given, receives each step's (read state, new state)."""
+    state = initial_step_state(problem)
     rng = np.random.default_rng(seed)
     ring = deque([state], maxlen=schedule.staleness + 1)
-    rows, owed = [], None
+    rows, owed, period = [], None, schedule.period(problem)
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         read = state
         if schedule.staleness > 0:
             read = ring[max(0, len(ring) - 1 - int(rng.integers(0, schedule.staleness + 1)))]
-        new = _apply(problem, state, op, read)
+        new = apply_step(problem, state, op, read)
+        if steps is not None:
+            steps.append((read, new))
         rows.append(TraceRow(step, op.kind.value, op.label,
                              state.j1.diff_bound(new.j1) if side_of(op.kind) == 1 else 0.0,
                              state.j2.diff_bound(new.j2) if side_of(op.kind) == 2 else 0.0))
@@ -333,7 +336,7 @@ def reference_run(problem, schedule, tol, seed, max_steps=20000):
             estimate, bound, _ = certify(problem, prov.source)
             if bound <= tol:
                 done = replace(state, j1=estimate)
-        if done is None and step % schedule.period(problem) == 0:
+        if done is None and step % period == 0:
             if (owed is None and base is not None
                     and np.array_equal(base.values, state.guard1.values)):
                 owed = state.guard1
@@ -356,6 +359,23 @@ def fresh_copies(schedule):
     return FreshCopies(**{**vars(schedule), "name": "fresh:" + schedule.name})
 
 
+def straddling(problem):
+    """Each kind on the two halves of its side and on a window across
+    them, improving once and evaluating twice on each."""
+    cycle = []
+    for improve, evaluate, space in ((Kind.MIN_IMPROVE, Kind.MIN_EVAL, problem.space1),
+                                     (Kind.MAX_IMPROVE, Kind.MAX_EVAL, problem.space2)):
+        half = space.size // 2
+        for label, part in (("lo", np.arange(half)), ("hi", np.arange(half, space.size)),
+                            ("mid", np.arange(space.size // 4, space.size // 4 + half))):
+            cycle += [Operation(improve, part, label)] + [Operation(evaluate, part, label)] * 2
+    return cycle
+
+
+# reads delayed past the opposite side's last write, which run rebuilds
+# from its undo records
+LATE_READS = "delayed:B=5,straddling"
+
 REPLAY_SCHEDULES = {
     "round_robin:k=0": round_robin(0),
     "round_robin:k=1": round_robin(1),
@@ -366,6 +386,7 @@ REPLAY_SCHEDULES = {
        for name, inner in (("partitioned", partitioned()), ("random", random_fair(4)))},
     # runs past the first chunk of delay draws on every case
     "delayed:B=2,partitioned:p=8": delayed(partitioned(8), 2),
+    LATE_READS: delayed(async_pi.Schedule("straddling", straddling, seed=3), 5),
 }
 
 
@@ -388,13 +409,17 @@ def test_skipped_evaluations_change_nothing(name, monkeypatch):
     trace rows.  A schedule of fresh operation objects skips nothing.  The
     loop draws one delay per step, ``run`` a chunk at a time."""
     problem = five_cases()[name]
-    applied = count_applies(monkeypatch)
+    applied, rebuilt, rebuild = count_applies(monkeypatch), [], async_pi._Side.before
+    monkeypatch.setattr(async_pi._Side, "before", lambda *a: rebuilt.append(1) or rebuild(*a))
     for label, schedule in REPLAY_SCHEDULES.items():
         expected, rows = reference_run(problem, schedule, 1e-8, seed=9)
         for copies in (False, True):
             applied.clear()
+            rebuilt.clear()
             state, trace = run(problem, fresh_copies(schedule) if copies else schedule,
                                tol=1e-8, seed=9, trace_out=[])
+            if label == LATE_READS:
+                assert len(rebuilt) > 10, label
             assert_same_state(state, expected)
             assert state.t == expected.t == len(rows), label
             assert list(map(repr, trace)) == list(map(repr, rows)), label
@@ -415,10 +440,10 @@ def test_free_certificates_are_certify_bit_for_bit(name, monkeypatch):
     problem = five_cases()[name]
     seen, own = [], async_pi._own_certificate
 
-    def recording(problem, state):
-        found = own(problem, state)
+    def recording(problem, iterate):
+        found = own(problem, iterate)
         if found is not None:
-            seen.append((state.prov1.source, found))
+            seen.append((iterate.one.origin, found))
         return found
 
     monkeypatch.setattr(async_pi, "_own_certificate", recording)
@@ -448,10 +473,10 @@ def test_declared_kernels_repeat_improvements(name):
         s1, s2 = (rng.choice(space.size, int(rng.integers(1, space.size + 1)), replace=False)
                   for space in (problem.space1, problem.space2))
         values, picks = problem.min_improve(s1, m2)
-        mu = async_pi.update_policy(policies.mu, s1, picks)
+        mu = update_policy(policies.mu, s1, picks)
         repeated1 = np.array_equal(problem.min_eval_values(s1, mu, m2), values)
         entries, picks = problem.max_improve(s2, m1, mu)
-        nu = async_pi.update_policy(policies.nu, s2, picks)
+        nu = update_policy(policies.nu, s2, picks)
         repeated2 = np.array_equal(problem.max_eval_entries(s2, nu, m1), entries)
         if problem.evals_repeat_improvements:
             assert repeated1 and repeated2
@@ -563,9 +588,9 @@ def test_unpaid_debt_is_checked_at_the_next_period_end(monkeypatch):
     monkeypatch.setattr(async_pi, "_converged",
                         lambda *a: checked.append(a[1]) or _converged(*a))
     done, trace = run(problem, schedule, tol=tol, trace_out=[])
-    state = initial_state(problem)
+    state = initial_step_state(problem)
     for step, op in enumerate(itertools.cycle(cycle), 1):
-        state = _apply(problem, state, op, state)
+        state = apply_step(problem, state, op, state)
         if step % 8 == 0 and (expected := _converged(problem, state, tol)):
             break
     assert [s.t for s in checked] == list(range(8, step + 1, 8))
@@ -575,39 +600,57 @@ def test_unpaid_debt_is_checked_at_the_next_period_end(monkeypatch):
 
 @pytest.mark.parametrize("name", ["tabular", "markov"])
 def test_kept_guards_match_fresh_ones(name, monkeypatch):
-    """Every state of a delayed run, those read included, holds guards equal
-    bit for bit to freshly built ones, the state ``_converged`` returns too.
-    A guard2 that is V2's bundles alone holds every column of the fresh
-    concatenation: the same readings, through fewer LP lines.  A step keeps
-    the guards its tables allow, so fewer are built than read.  The random
-    schedule interleaves the sides, the partitioned one does not."""
+    """After every step of a delayed run, each guard the iterate keeps is
+    what the functional step's state gives, bit for bit: V alone where J is
+    tight on every state, else ``np.minimum``, ``np.maximum`` or the two
+    bundles side by side; so is every guard a step reads, rebuilt or not,
+    and every source it reads.  The random schedule interleaves the sides
+    and reads past the opposite side's writes; the partitioned one does
+    not."""
     problem = block_cases()[name]
-    states, apply = [], async_pi._apply
+    taken, checked, apply = [], [], async_pi._apply
 
-    def recording(problem, state, op, read):
-        new = apply(problem, state, op, read)
-        states.extend((read, new))
-        return new
+    class Counted(async_pi.Schedule):
+        def ops(self, problem):
+            for op in super().ops(problem):
+                taken.append(op)
+                yield op
+
+    def same_guard(view, guard):
+        return (view.guard is not None and type(view.guard) is type(guard)
+                and np.array_equal(entries(view.guard), entries(guard)))
+
+    def recording(problem, iterate, op, read):
+        undo = apply(problem, iterate, op, read)
+        was, now = steps[len(taken) - 1]
+        one, two = iterate.one, iterate.two
+        assert same_guard(one, now.guard1) and same_guard(two, now.guard2)
+        assert (one.guard is one.v) == bool(now.prov1.tight.all())
+        assert (two.guard is two.v) == bool(now.prov2.tight.all())
+        assert (one.n_tight, one.n_cover) == (now.prov1.tight.sum(), now.prov1.cover.sum())
+        assert (two.n_tight, two.n_cover) == (now.prov2.tight.sum(), now.prov2.cover.sum())
+        source = now.guard2_source
+        assert (two.source is None) == (source is None)
+        assert source is None or np.array_equal(two.source.values, source.values)
+        if side_of(op.kind) == 1:
+            assert same_guard(read, was.guard2)
+            late = was.guard2_source
+            assert (read.source is None) == (late is None)
+            assert late is None or np.array_equal(read.source.values, late.values)
+        else:
+            assert same_guard(read, was.guard1)
+        checked.append(read is not (two if side_of(op.kind) == 1 else one))
+        return undo
 
     monkeypatch.setattr(async_pi, "_apply", recording)
     for inner in (partitioned(), random_fair(4)):
-        states.clear()
-        done, _ = run(problem, delayed(inner, 3), tol=1e-8, seed=9)
-        assert "guard1" not in vars(done) and "guard2" not in vars(done)
-        kept = {id(vars(s)[g]) for s in states for g in ("guard1", "guard2") if g in vars(s)}
-        assert 0 < len(kept) < len(states) // 2, inner.name
-        trimmed = 0
-        for state in states + [done]:
-            assert np.array_equal(entries(state.guard1),
-                                  entries(state.v1.pointwise_min(state.j1))), inner.name
-            fresh = entries(state.v2.pointwise_max(state.j2))
-            if isinstance(state.guard2, ColumnMaxTable) and state.guard2 is state.v2:
-                trimmed += 1
-                cols = state.v2.cols
-                assert (fresh[..., None] == cols[:, :, None, :]).all(axis=1).any(axis=-1).all()
-            else:
-                assert np.array_equal(entries(state.guard2), fresh), inner.name
-        assert (trimmed > 0) == (name == "markov"), inner.name
+        schedule = delayed(inner, 3)
+        steps, checked[:] = [], []
+        expected, _ = reference_run(problem, schedule, 1e-8, seed=9, steps=steps)
+        taken.clear()
+        done, _ = run(problem, Counted(**vars(schedule)), tol=1e-8, seed=9)
+        assert done.t == expected.t and checked, inner.name
+        assert any(checked) == (inner.seed is not None), inner.name
 
 
 class TestStopCheck:
@@ -625,7 +668,7 @@ class TestStopCheck:
         # step's span and r are at least m (1 - alpha**2): the sup bound is
         # >= m and the span bound (g = alpha**2 here) >= alpha**2 m / 2
         m = 3 * tol / problem.alpha ** 2
-        moved = AlgoState(exact.j1.with_updates([1], [exact.j1.values[1] + m]),
+        moved = AlgoState(with_updates(exact.j1, [1], [exact.j1.values[1] + m]),
                           exact.j1, j2, j2, PolicyPair(mu, nu), 0)
         assert not _converged(problem, moved, tol)
 
@@ -635,16 +678,16 @@ class TestStopCheck:
         assert problem.shift() is not None
         done, _ = run(problem, round_robin(), tol=tol)
         # replay to the stopping step: an improvement that left V1 = T1(T2 G1)
-        state = initial_state(problem)
+        state = initial_step_state(problem)
         for op in itertools.islice(round_robin().ops(problem), done.t):
-            state = _apply(problem, state, op, state)
+            state = apply_step(problem, state, op, state)
         assert op.kind is Kind.MIN_IMPROVE and state.prov1.cover.all()
         estimate, bound, _ = certify(problem, state.prov1.source)
         assert bound <= tol and not np.array_equal(estimate.values, state.j1.values)
         assert np.array_equal(done.j1.values, estimate.values)
         assert done.t == state.t and done.j2.diff_bound(state.j2) == 0.0
         assert bool(_converged(problem, state, tol))
-        assert not _converged(problem, initial_state(problem), tol)
+        assert not _converged(problem, async_pi.initial_state(problem), tol)
 
     def test_bundle_section_of_converged_envelope_passes(self, markov_sep):
         problem, tol = markov_sep, 1e-8
@@ -652,7 +695,7 @@ class TestStopCheck:
         j1 = solved.j1
         v2, nu = problem.t2_greedy(j1, solved.policies.mu)
         j2 = ColumnMaxTable(problem.space2, tuple(c[:, [k]] for c, k in zip(v2.cols, nu)))
-        _, mu = problem.t1_greedy(v2.pointwise_max(j2))
+        _, mu = problem.t1_greedy(pointwise_max(v2, j2))
         state = AlgoState(j1, j1, j2, v2, PolicyPair(mu, nu), 0)
         assert all(c.shape == (problem.n, 1) for c in state.j2.cols)
         thr = tol * min(1.0, (1.0 - problem.alpha) / problem.alpha)
@@ -772,6 +815,14 @@ class TestSchedules:
                 assert not fairness_ok(async_pi.Schedule("unfair", lambda p: unfair, seed),
                                        problem)
 
+    def test_operation_subsets_are_distinct_states(self):
+        """A subset names each state at most once, as ``run`` counts the
+        tight and covered states by the entries a step writes."""
+        assert list(Operation(Kind.MIN_EVAL, [2, 0, 1]).subset) == [2, 0, 1]
+        for bad in ([1, 1], [0, 2, 0], [0, -1], []):
+            with pytest.raises(ValueError, match="operation subsets must be"):
+                Operation(Kind.MIN_EVAL, bad)
+
     def test_trace_is_deterministic(self, markov_sep):
         a = run(markov_sep, random_fair(3), tol=1e-9, seed=5, trace_out=[])[1]
         b = run(markov_sep, random_fair(3), tol=1e-9, seed=5, trace_out=[])[1]
@@ -871,9 +922,9 @@ class TestReducedSpaceEquivalence:
         import itertools as it
         ops = list(it.islice(round_robin(2).ops(problem), steps))
         extended = run_extended(problem, iter(ops), steps)
-        state = initial_state(problem)
+        state = initial_step_state(problem)
         for k, op in enumerate(ops):
-            state = _apply(problem, state, op, state)
+            state = apply_step(problem, state, op, state)
             qs, pol = extended[k + 1]
             qhat1 = np.array([qs.q1[x][pol.mu[x]]
                               for x in range(problem.space1.size)])
@@ -891,7 +942,7 @@ class TestMinMaxNonexpansive:
     def test_equal_quadruple(self):
         space = WeightedSpace.unit(3)
         v = ValueTable(space, np.array([1.0, -2.0, 0.5]))
-        assert v.pointwise_min(v).diff_norm(v.pointwise_min(v)) == 0.0
+        assert pointwise_min(v, v).diff_norm(pointwise_min(v, v)) == 0.0
 
     def test_single_state_arithmetic(self):
         lhs = abs(min(5.0, 1.0) - min(0.0, 0.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minimaxpi import async_pi
 from minimaxpi.async_pi import round_robin, run
 from minimaxpi.core import value_iterate
 from minimaxpi.errors import InvalidBeta, NonContractive
@@ -14,8 +15,9 @@ from minimaxpi.matrix_game import min_simplex_max_linear
 from helpers import (random_control_model, random_markov_game,
                      random_separated_model)
 from instruments import (action_counts, check_monotone, estimate_modulus, le,
-                         markov_game_to_control, random_ordered_table2, random_policies,
-                         random_table1, random_table2, score_at, value_at)
+                         markov_game_to_control, pointwise_max, random_ordered_table2,
+                         random_policies, random_table1, random_table2, score_at, value_at,
+                         with_updates)
 
 
 def one_state_game(payoff, alpha=0.5):
@@ -203,7 +205,7 @@ class TestMarkovKernels:
             assert np.array_equal(
                 problem.min_eval_values(subset, pol.mu, m2),
                 [value_at(m2, x, pol.mu[x]) / beta for x in subset])
-            guard = m2.pointwise_max(problem.t2_policy(pol.nu, m1))
+            guard = pointwise_max(m2, problem.t2_policy(pol.nu, m1))
             for table in (m2, guard):
                 values, picks = problem.min_improve(subset, table)
                 for i, x in enumerate(subset):
@@ -253,7 +255,7 @@ class TestMarkovKernels:
         for _ in range(200):
             x = int(rng.integers(10))
             ulp = np.nextafter(solved.j1.values[x], rng.choice([-np.inf, np.inf]))
-            moved = solved.j1.with_updates([x], [ulp])
+            moved = with_updates(solved.j1, [x], [ulp])
             assert np.array_equal(problem.max_improve(every, moved, mu)[1], picks)
 
 
@@ -434,8 +436,10 @@ class TestValidation:
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kind", ["values", "bundles"])
 def test_updates_check_the_entries_they_write(kind, bad):
-    """``with_updates`` checks only what it writes, so a non-finite entry
-    written into either table kind still raises; the table is unchanged."""
+    """The executor's in-place write checks the kernel's output before it
+    writes anything, so a non-finite entry for either table kind raises
+    and leaves J, V, the guard and the policy as they were; a finite one
+    is written, and the table the side was built from is never touched."""
     space = WeightedSpace.unit(3)
     if kind == "values":
         start, good, wrong = ValueTable(space, [1.0, 2.0, 3.0]), [4.0, 5.0], [4.0, bad]
@@ -444,11 +448,22 @@ def test_updates_check_the_entries_they_write(kind, bad):
         start = ColumnMaxTable(space, np.zeros((3, 2, 2)))
         good, wrong = np.ones((2, 2, 1)), np.array([[[1.0], [1.0]], [[1.0], [bad]]])
         entries = start.cols
-    before = entries.copy()
-    start.with_updates([0, 2], good)
+
+    def tables(side):
+        return [(t.cols if kind == "bundles" else t.values).copy()
+                for t in (side.j, side.v, side.g)] + [side.policy.copy()]
+
+    given = entries.copy()
+    side = async_pi._Side(start, start, np.zeros(3, dtype=int), np.maximum, True)
+    side.improved(np.array([0, 2]), np.asarray(good), np.ones(2, dtype=int), None, False)
+    written = tables(side)
+    assert all(np.array_equal(t[[0, 2]], np.broadcast_to(good, t[[0, 2]].shape))
+               for t in written[:2])
+    assert list(written[3]) == [1, 0, 1]
     with pytest.raises(ValueError, match="finite"):
-        start.with_updates([0, 2], wrong)
-    assert np.array_equal(entries, before)
+        side.improved(np.array([0, 2]), np.asarray(wrong), np.ones(2, dtype=int), None, False)
+    assert all(np.array_equal(a, b) for a, b in zip(tables(side), written))
+    assert np.array_equal(entries, given)
 
 
 class TestColumnBundles:
