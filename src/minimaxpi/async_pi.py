@@ -26,6 +26,7 @@ from .errors import MaxStepsExceeded
 DEFAULT_EVALS, DEFAULT_BLOCKS = 10, 4   # evaluations per improvement, partitioned blocks
 
 _DELAY_CHUNK = 256   # read delays drawn per generator call
+_SNAP_WRITES = 16    # most undo records a rebuilt delayed read replays
 
 
 class Kind(Enum):
@@ -119,11 +120,12 @@ class _Read(NamedTuple):
 
 
 class _Undo(NamedTuple):
-    """One applied step's record: the side it wrote, its subset, the rows
-    of J and V (None: V unwritten) there before, and what the side handed
-    out before (:class:`_Read`), its guard aside (``whole``: it was V)."""
+    """One applied step's record of the side it wrote: its subset, the rows
+    of J and V (None: V unwritten) there before, what the side handed out
+    before (:class:`_Read`), its guard aside (``whole``: it was V), and
+    ``snap``, copies of the whole of J and V before, or None; a record
+    with copies holds no rows."""
 
-    side: object
     subset: np.ndarray
     j: np.ndarray
     v: np.ndarray | None
@@ -131,6 +133,7 @@ class _Undo(NamedTuple):
     source: object
     version: int
     writes: int
+    snap: tuple | None = None
 
 
 class _Side:
@@ -145,6 +148,15 @@ class _Side:
     them, and ``origin_version`` is the opposite side's ``version`` the
     copy was taken at.
 
+    Under delayed reads, which reach back at most ``depth`` writes, the
+    side keeps its last undo records in ``log``, oldest first.  It puts
+    copies of J and V in a record (``_Undo.snap``) once the records a
+    rebuild (:meth:`before`) might undo since the last copies hold as many
+    rows as the side has states or, with ``depth`` at least
+    ``_SNAP_WRITES``, number that many.  So a rebuild undoes no more than
+    that, and a side whose delays reach back only a few small writes
+    makes no copies.
+
     What the opposite side reads: ``guard``, which is V where J is tight on
     every state (bit for bit the ``np.minimum`` or ``np.maximum`` on plain
     tables; on column bundles V2's columns alone, of which J2's are
@@ -153,12 +165,17 @@ class _Side:
     that may have changed ``guard``; and ``writes``, which counts them all.
     """
 
-    def __init__(self, j, v, policy, pick, keep):
+    def __init__(self, j, v, policy, pick, keep, depth):
         self.j, self.v, self.policy, self.pick = j.copy(), v.copy(), np.array(policy), pick
         self.g = self.v.guard(self.j, pick)
-        self.size, self.keep = j.space.size, keep
+        self.size, self.keep, self.depth = j.space.size, keep, depth
+        self.log = [] if depth else None   # oldest first
+        self.reads = {}   # what before() rebuilt, by its writes
         self.tight, self.cover = np.zeros(self.size, bool), np.zeros(self.size, bool)
         self.n_tight = self.n_cover = self.writes = self.version = 0
+        # the rows of the records a rebuild might undo; the writes before
+        # the last copies (-1: none yet)
+        self.unsnapped, self.snapped = 0, -1
         self.origin = self.origin_version = None
         self.memo = (None,)   # (subset, read writes, own writes) run may skip at
         self._handed_out()
@@ -174,9 +191,27 @@ class _Side:
         the side ``keep``s them, else None."""
         if not self.keep:
             return None
-        return _Undo(self, subset, self.j._rows(subset),
-                     self.v._rows(subset) if improved else None,
-                     self.guard is self.v, self.source, self.version, self.writes)
+        log, depth, j_rows, v_rows, snap = self.log, self.depth, None, None, None
+        if log is not None and (self.unsnapped >= self.size or (
+                depth >= _SNAP_WRITES and self.writes - self.snapped > _SNAP_WRITES)):
+            snap = self.j.copy(), self.v.copy()
+            self.unsnapped, self.snapped = 0, self.writes
+        else:
+            j_rows = self.j._rows(subset)
+            v_rows = self.v._rows(subset) if improved else None
+        undo = _Undo(subset, j_rows, v_rows, self.guard is self.v, self.source, self.version,
+                     self.writes, snap)
+        if log is not None:
+            log.append(undo)
+            if snap is None:
+                self.unsnapped += len(subset)
+            if len(log) > depth:   # the record no read undoes any more
+                old = log[-1 - depth]
+                if old.writes > self.snapped:
+                    self.unsnapped -= len(old.subset)
+            if len(log) > 2 * depth:
+                del log[:-depth]
+        return undo
 
     def evaluated(self, subset, entries, tight):
         """Write an evaluation's ``entries`` to J on ``subset``, tight there
@@ -215,32 +250,45 @@ class _Side:
         self._handed_out()
         return undo
 
-    def before(self, ring, delay):
-        """What the side handed out ``delay`` steps back, as a :class:`_Read`,
-        for a side written since: J and V rebuilt from copies and the undo
-        records of the ``ring``'s last ``delay`` steps, and the guard from
-        them.  Each table takes its old rows in one write, newest first, so
-        that where subsets overlap the oldest lands last."""
-        undos = [undo for _, _, undo in itertools.islice(reversed(ring), delay)
-                 if undo is not None and undo.side is self]
-        j, v, first = self.j.copy(), self.v.copy(), undos[-1]
-        j._write(np.concatenate([u.subset for u in undos]), np.concatenate([u.j for u in undos]))
-        improved = [u for u in undos if u.v is not None]
-        if improved:
-            v._write(np.concatenate([u.subset for u in improved]),
-                     np.concatenate([u.v for u in improved]))
-        return _Read(v if first.whole else v.guard(j, self.pick),
-                     first.source, first.version, first.writes)
+    def before(self, writes):
+        """What the side handed out when it had made ``writes`` writes, as a
+        :class:`_Read`: J and V rebuilt from the undo records of the writes
+        since, and the guard from them.  The rebuild starts from the oldest
+        copies those records hold (else from the side's own tables) and
+        undoes the records older than those, one at a time, newest first,
+        so that where subsets overlap the oldest lands last.  It keeps what
+        it rebuilds for the reads that ask again."""
+        if (read := self.reads.get(writes)) is not None:
+            return read
+        log = self.log
+        start = end = len(log) - (self.writes - writes)
+        while end < len(log) and log[end].snap is None:
+            end += 1
+        base = log[end].snap if end < len(log) else None
+        if end > start:
+            j, v = (table.copy() for table in base or (self.j, self.v))
+            for undo in reversed(log[start:end]):
+                j._write(undo.subset, undo.j)
+                if undo.v is not None:
+                    v._write(undo.subset, undo.v)
+        else:   # the oldest record's own copies, which nothing writes
+            j, v = base
+        first = log[start]
+        read = self.reads[writes] = _Read(v if first.whole else v.guard(j, self.pick),
+                                          first.source, first.version, first.writes)
+        if len(self.reads) > 2 * self.depth:   # drop what no read reaches any more
+            self.reads = {w: r for w, r in self.reads.items() if w >= self.writes - self.depth}
+        return read
 
 
 class _Iterate:
     """:func:`run`'s private iterate: the minimizer's and the maximizer's
     :class:`_Side`, which ``keep`` undo records if a trace or a delayed
-    read needs them."""
+    read needs them, and log them if delayed reads reach ``depth`` back."""
 
-    def __init__(self, state, keep):
-        self.one = _Side(state.j1, state.v1, state.policies.mu, np.minimum, keep)
-        self.two = _Side(state.j2, state.v2, state.policies.nu, np.maximum, keep)
+    def __init__(self, state, keep, depth):
+        self.one = _Side(state.j1, state.v1, state.policies.mu, np.minimum, keep, depth)
+        self.two = _Side(state.j2, state.v2, state.policies.nu, np.maximum, keep, depth)
 
     def state(self, t):
         """An :class:`AlgoState` of copies of the iterate, at step ``t``."""
@@ -382,7 +430,8 @@ class TraceRow(NamedTuple):
 def _probe_diff(table, undo):
     """Change gauge for trace rows: the table's ``diff_bound`` against
     itself before the step, computed on the step's subset."""
-    return table._diff_rows(undo.subset, undo.j)
+    rows = undo.j if undo.snap is None else undo.snap[0]._rows(undo.subset)
+    return table._diff_rows(undo.subset, rows)
 
 
 def _converged(problem, state, tol):
@@ -460,9 +509,10 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     with the side's policy and its tight and cover flags, whose counts say
     when a guard is V itself and when V derives from one table.  A
     delayed read costs nothing unless the opposite side was written
-    within its delay; then that side is rebuilt from copies and the ring's
-    undo records.  An :class:`AlgoState` of copies is built only at period
-    ends and at the end of the run.
+    within its delay; then that side is rebuilt from the undo records of
+    its writes since (:meth:`_Side.before`), at the cost of about one
+    copy of it, whatever the delay.  An :class:`AlgoState` of copies is
+    built only at period ends and at the end of the run.
 
     A block-parallel sweep needs no executor of its own.  An operation
     writes its side's entries on its subset and reads, of its own side,
@@ -471,36 +521,37 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     or in turn, give exactly one full-space operation: ``round_robin``.
     """
     tracing, staleness = trace_out is not None, schedule.staleness
-    iterate = _Iterate(initial_state(problem), tracing or staleness > 0)
+    # delays are cut to the budget: any delay of at least the steps taken
+    # reads the start
+    depth = min(staleness, max_steps)
+    iterate = _Iterate(initial_state(problem), tracing or staleness > 0, depth)
     one, two = iterate.one, iterate.two
-    # per kind, keyed by its value (an Enum member hashes in Python, ~0.4
-    # us): the side it writes, the side it reads and that side's slot in a
-    # ring entry, and whether it evaluates
+    # per kind, keyed by its value: the side it writes, the side it reads
+    # and that side's slot in a ring entry, and whether it evaluates.  An
+    # Enum member hashes in Python: keyed by the member, control.async ran
+    # 7-9% slower, and building rows with TraceRow(...) rather than
+    # ``tuple.__new__`` 4-7% slower (BENCH_inplace.json, loop_shortcuts)
     roles = {_MIN_EVAL._value_: (one, two, 1, True), _MIN_IMPROVE._value_: (one, two, 1, False),
              _MAX_EVAL._value_: (two, one, 0, True), _MAX_IMPROVE._value_: (two, one, 0, False)}
     delays = None
     if staleness > 0:
-        # (writes of each side, undo record) per step, padded with the
-        # start, which any delay of at least the steps taken reads: the
-        # ring stops at the budget, and delays are cut to it
-        depth = min(staleness, max_steps)
+        # the write counts of each side per step, padded with the start's
         delays = _delays(np.random.default_rng(seed), staleness, depth)
-        ring = deque([(0, 0, None)] * (depth + 1), maxlen=depth + 1)
+        ring = deque([(0, 0)] * (depth + 1), maxlen=depth + 1)
     trace = trace_out if tracing else []
-    # a TraceRow built without its generated ``__new__``'s ~0.3 us
     row = tuple.__new__
     check_every = schedule.period(problem)
     step, repeats = 0, problem.evals_repeat_improvements
     owed = None   # the guard1 a period end left its check to
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         kind = op.kind
-        name = kind._value_   # ``kind.value`` without the property's ~0.15 us
+        name = kind._value_
         own, other, at, evaluates = roles[name]
-        read, undo, done = other, None, None
+        read, done = other, None
         if delays is not None:
-            delay = next(delays)
-            if ring[-1 - delay][at] != read.writes:   # written within the delay
-                read = other.before(ring, delay)
+            writes = ring[-1 - next(delays)][at]
+            if writes != read.writes:   # written within the delay
+                read = other.before(writes)
         last = own.memo
         if evaluates and last[0] is op.subset and last[1] == read.writes \
                 and last[2] == own.writes:
@@ -521,7 +572,7 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
                 if cert[1] <= tol:
                     done = replace(iterate.state(step), j1=cert[0])
         if delays is not None:
-            ring.append((one.writes, two.writes, undo))
+            ring.append((one.writes, two.writes))
         if done is None and step % check_every == 0:
             if owed is None and _same(two.source, one.guard):
                 owed = one.guard.copy()

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from minimaxpi.async_pi import AlgoState, Kind, initial_state
+from minimaxpi.async_pi import AlgoState, Kind, _same, initial_state
 from minimaxpi.core import SCORE_PAD, PolicyPair, ValueTable, WeightedSpace
 from minimaxpi.errors import MaxStepsExceeded, MinimaxPIError
 from minimaxpi.models import (_PROB_TOL, ColumnMaxTable, MarkovSeparatedProblem,
@@ -553,12 +553,6 @@ def initial_step_state(problem):
     """:func:`~minimaxpi.async_pi.initial_state` as a :class:`StepState`."""
     start = initial_state(problem)
     return StepState(start.j1, start.v1, start.j2, start.v2, start.policies)
-
-
-def _same(a, b):
-    """Whether two minimizer tables (or None) hold the same values, so that
-    a kernel reading either gives the same bits."""
-    return a is b or (a is not None and b is not None and np.array_equal(a.values, b.values))
 
 
 def _improved(prov, subset, source):

@@ -402,6 +402,26 @@ KINDS = ["tabular", "closure", "aggregate", "markov", "control"]
 EXPLICIT_KINDS = ["tabular", "closure", "aggregate", "control"]
 
 
+def watch_rebuilds(monkeypatch):
+    """Check every rebuilt delayed read (``_Side.before``) against its
+    bound: it undoes at most ``_SNAP_WRITES`` records, holding fewer rows
+    than two copies of the side, whatever the delay.  The list returned
+    notes, per rebuild, whether the records since its target hold copies."""
+    rebuilt, rebuild = [], async_pi._Side.before
+
+    def rebuilding(side, writes):
+        since = side.log[len(side.log) - (side.writes - writes):]
+        copies = [undo.snap is not None for undo in since]
+        undone = since[:copies.index(True)] if any(copies) else since
+        assert len(undone) <= async_pi._SNAP_WRITES
+        assert sum(len(undo.subset) for undo in undone) < 2 * side.size
+        rebuilt.append(any(copies))
+        return rebuild(side, writes)
+
+    monkeypatch.setattr(async_pi._Side, "before", rebuilding)
+    return rebuilt
+
+
 @pytest.mark.parametrize("name", KINDS)
 def test_skipped_evaluations_change_nothing(name, monkeypatch):
     """``run`` skips evaluations whose inputs are unchanged; a loop that
@@ -409,8 +429,7 @@ def test_skipped_evaluations_change_nothing(name, monkeypatch):
     trace rows.  A schedule of fresh operation objects skips nothing.  The
     loop draws one delay per step, ``run`` a chunk at a time."""
     problem = five_cases()[name]
-    applied, rebuilt, rebuild = count_applies(monkeypatch), [], async_pi._Side.before
-    monkeypatch.setattr(async_pi._Side, "before", lambda *a: rebuilt.append(1) or rebuild(*a))
+    applied, rebuilt = count_applies(monkeypatch), watch_rebuilds(monkeypatch)
     for label, schedule in REPLAY_SCHEDULES.items():
         expected, rows = reference_run(problem, schedule, 1e-8, seed=9)
         for copies in (False, True):
@@ -418,8 +437,8 @@ def test_skipped_evaluations_change_nothing(name, monkeypatch):
             rebuilt.clear()
             state, trace = run(problem, fresh_copies(schedule) if copies else schedule,
                                tol=1e-8, seed=9, trace_out=[])
-            if label == LATE_READS:
-                assert len(rebuilt) > 10, label
+            if label == LATE_READS:   # rebuilt from copies and from the side's tables
+                assert len(rebuilt) > 10 and any(rebuilt) and not all(rebuilt), label
             assert_same_state(state, expected)
             assert state.t == expected.t == len(rows), label
             assert list(map(repr, trace)) == list(map(repr, rows)), label
@@ -604,11 +623,14 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
     what the functional step's state gives, bit for bit: V alone where J is
     tight on every state, else ``np.minimum``, ``np.maximum`` or the two
     bundles side by side; so is every guard a step reads, rebuilt or not,
-    and every source it reads.  The random schedule interleaves the sides
-    and reads past the opposite side's writes; the partitioned one does
-    not."""
+    and every source it reads.  Each of them also equals the guard built
+    afresh from its two tables; a guard2 that is V2's bundles alone need
+    only hold every column of the fresh concatenation (the same readings
+    through fewer LP lines), and such guards occur on the Markov game
+    alone.  The random schedule interleaves the sides and reads past the
+    opposite side's writes; the partitioned one does not."""
     problem = block_cases()[name]
-    taken, checked, apply = [], [], async_pi._apply
+    taken, checked, trimmed, apply = [], [], [], async_pi._apply
 
     class Counted(async_pi.Schedule):
         def ops(self, problem):
@@ -620,11 +642,23 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
         return (view.guard is not None and type(view.guard) is type(guard)
                 and np.array_equal(entries(view.guard), entries(guard)))
 
+    def fresh(guard, v, j, combine):
+        """Assert ``guard`` is ``combine(V, J)`` built afresh, or V2's
+        bundles alone holding its every column; count the latter."""
+        built, kept = entries(combine(v, j)), entries(guard)
+        if isinstance(guard, ColumnMaxTable) and kept.shape != built.shape:
+            trimmed.append(1)
+            assert (built[..., None] == kept[:, :, None, :]).all(axis=1).any(axis=-1).all()
+        else:
+            assert np.array_equal(kept, built)
+
     def recording(problem, iterate, op, read):
         undo = apply(problem, iterate, op, read)
         was, now = steps[len(taken) - 1]
         one, two = iterate.one, iterate.two
         assert same_guard(one, now.guard1) and same_guard(two, now.guard2)
+        fresh(one.guard, one.v, one.j, pointwise_min)
+        fresh(two.guard, two.v, two.j, pointwise_max)
         assert (one.guard is one.v) == bool(now.prov1.tight.all())
         assert (two.guard is two.v) == bool(now.prov2.tight.all())
         assert (one.n_tight, one.n_cover) == (now.prov1.tight.sum(), now.prov1.cover.sum())
@@ -634,23 +668,50 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
         assert source is None or np.array_equal(two.source.values, source.values)
         if side_of(op.kind) == 1:
             assert same_guard(read, was.guard2)
+            fresh(read.guard, was.v2, was.j2, pointwise_max)
             late = was.guard2_source
             assert (read.source is None) == (late is None)
             assert late is None or np.array_equal(read.source.values, late.values)
         else:
             assert same_guard(read, was.guard1)
+            fresh(read.guard, was.v1, was.j1, pointwise_min)
         checked.append(read is not (two if side_of(op.kind) == 1 else one))
         return undo
 
     monkeypatch.setattr(async_pi, "_apply", recording)
     for inner in (partitioned(), random_fair(4)):
         schedule = delayed(inner, 3)
-        steps, checked[:] = [], []
+        steps, checked[:], trimmed[:] = [], [], []
         expected, _ = reference_run(problem, schedule, 1e-8, seed=9, steps=steps)
         taken.clear()
         done, _ = run(problem, Counted(**vars(schedule)), tol=1e-8, seed=9)
         assert done.t == expected.t and checked, inner.name
         assert any(checked) == (inner.seed is not None), inner.name
+        assert (len(trimmed) > 0) == (name == "markov"), inner.name
+
+
+def test_long_delays_rebuild_from_periodic_copies(monkeypatch):
+    """Under delays of ``_SNAP_WRITES`` or more, a side whose writes are
+    small also takes copies every ``_SNAP_WRITES`` writes.  The run still
+    ends where the functional step's does, trace included, and every
+    rebuilt read keeps its bound."""
+    problem = separated_model_to_problem(random_separated_model(np.random.default_rng(5), 40, 40))
+    schedule = delayed(partitioned(20), 20)
+    rebuilt, periodic, take = watch_rebuilds(monkeypatch), [], async_pi._Side._undo
+
+    def taking(side, subset, improved):   # notes copies taken before the rows reach the size
+        few = side.unsnapped < side.size
+        undo = take(side, subset, improved)
+        periodic.append(few and undo.snap is not None)
+        return undo
+
+    monkeypatch.setattr(async_pi._Side, "_undo", taking)
+    expected, rows = reference_run(problem, schedule, 1e-8, seed=9)
+    state, trace = run(problem, schedule, tol=1e-8, seed=9, trace_out=[])
+    assert_same_state(state, expected)
+    assert state.t == expected.t == len(rows)
+    assert list(map(repr, trace)) == list(map(repr, rows))
+    assert any(periodic) and any(rebuilt) and not all(rebuilt)
 
 
 class TestStopCheck:
