@@ -37,15 +37,29 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sep-control", "games")
 COUNTEREXAMPLE = ("counterexample", "--out", "counterexample.json")
 MANIFEST_SEED = 3
-# (name, file, command, options): run at the workloads' tol
+# (name, file, command, options, outputs): run at the workloads' tol; the
+# files in outputs are hashed too.  The delayed requests read the opposite
+# side as it stood before its last write, which the benchmark's own
+# delayed request (k >= B on its inner schedule) never does.
 EXTRA = (
-    ("sep.naive", "sep.json", "solve", ("--algo", "naive")),
-    ("control.naive", "control.json", "solve", ("--algo", "naive")),
-    ("game0.naive", "game0.json", "solve", ("--algo", "naive")),
-    ("sep.hk", "sep.json", "solve", ("--algo", "hk")),
-    ("control.compare", "control.json", "compare", ("--algos", "vi,hk,naive,async")),
-    ("small1.compare", "small1.json", "compare", ("--algos", "vi,hk,poa,naive,async")),
-    ("game1.poa.k5", "game1.json", "solve", ("--algo", "poa", "--optimistic-k", "5")),
+    ("sep.naive", "sep.json", "solve", ("--algo", "naive"), ()),
+    ("control.naive", "control.json", "solve", ("--algo", "naive"), ()),
+    ("game0.naive", "game0.json", "solve", ("--algo", "naive"), ()),
+    ("sep.hk", "sep.json", "solve", ("--algo", "hk"), ()),
+    ("control.compare", "control.json", "compare", ("--algos", "vi,hk,naive,async"), ()),
+    ("small1.compare", "small1.json", "compare", ("--algos", "vi,hk,poa,naive,async"), ()),
+    ("game1.poa.k5", "game1.json", "solve", ("--algo", "poa", "--optimistic-k", "5"), ()),
+    *((name, path, "solve", ("--algo", "async", "--schedule", schedule, *steps,
+                             "--trace", name + ".trace.csv"), (name + ".trace.csv",))
+      for name, path, schedule, steps in (
+          ("sep.stale", "sep.json", "delayed:B=20,inner=partitioned:p=20,k=2", ()),
+          ("sep.stale.rr", "sep.json", "delayed:B=6,inner=round_robin:k=0", ()),
+          ("control.stale", "control.json", "delayed:B=3,inner=partitioned:p=8,k=0", ()),
+          ("small0.stale", "small0.json", "delayed:B=1000,inner=random:seed=1",
+           ("--max-steps", "20000")),
+          ("small1.stale", "small1.json", "delayed:B=7,inner=partitioned:p=2,k=1", ()),
+          ("game0.stale", "game0.json", "delayed:B=5,inner=random:seed=2", ()),
+          ("cx.stale", "counterexample.json", "delayed:B=4,inner=random:seed=3", ()))),
 )
 
 
@@ -132,9 +146,9 @@ def child(root, seed, mode):
         json.dump({"seed": seed, "environment": environment(),
                    "requests": manifest(results)}, sys.stdout, indent=1, sort_keys=True)
         return
-    for name, path, command, options in EXTRA:
+    for name, path, command, options, outputs in EXTRA:
         argv = (command, os.path.join(".", path), *options, "--tol", repr(workloads.TOL))
-        results[name] = _run_request(cli, argv, ())
+        results[name] = _run_request(cli, argv, outputs)
     json.dump(results, sys.stdout)
 
 
