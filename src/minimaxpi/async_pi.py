@@ -26,7 +26,6 @@ from .errors import MaxStepsExceeded
 DEFAULT_EVALS, DEFAULT_BLOCKS = 10, 4   # evaluations per improvement, partitioned blocks
 
 _DELAY_CHUNK = 256   # read delays drawn per generator call
-_SNAP_WRITES = 16    # most undo records a rebuilt delayed read replays
 
 
 class Kind(Enum):
@@ -111,29 +110,13 @@ def _flag(flags, count, subset, value):
 
 class _Read(NamedTuple):
     """What a step reads of the opposite side as an earlier step left it:
-    the :class:`_Side` attributes of the same names."""
+    the :class:`_Side` attributes of the same names, the guard a copy that
+    nothing writes."""
 
     guard: object
     source: object
     version: int
     writes: int
-
-
-class _Undo(NamedTuple):
-    """One applied step's record of the side it wrote: its subset, the rows
-    of J and V (None: V unwritten) there before, what the side handed out
-    before (:class:`_Read`), its guard aside (``whole``: it was V), and
-    ``snap``, copies of the whole of J and V before, or None; a record
-    with copies holds no rows."""
-
-    subset: np.ndarray
-    j: np.ndarray
-    v: np.ndarray | None
-    whole: bool
-    source: object
-    version: int
-    writes: int
-    snap: tuple | None = None
 
 
 class _Side:
@@ -148,76 +131,48 @@ class _Side:
     them, and ``origin_version`` is the opposite side's ``version`` the
     copy was taken at.
 
-    Under delayed reads, which reach back at most ``depth`` writes, the
-    side keeps its last undo records in ``log``, oldest first.  It puts
-    copies of J and V in a record (``_Undo.snap``) once the records a
-    rebuild (:meth:`before`) might undo since the last copies hold as many
-    rows as the side has states or, with ``depth`` at least
-    ``_SNAP_WRITES``, number that many.  So a rebuild undoes no more than
-    that, and a side whose delays reach back only a few small writes
-    makes no copies.
-
     What the opposite side reads: ``guard``, which is V where J is tight on
     every state (bit for bit the ``np.minimum`` or ``np.maximum`` on plain
     tables; on column bundles V2's columns alone, of which J2's are
     copies), else ``g``; ``source``, the origin where in addition V derives
     from it on every state, else None; ``version``, which counts the writes
     that may have changed ``guard``; and ``writes``, which counts them all.
+
+    A side built ``frozen`` (under delayed reads) also keeps ``read``, a
+    :class:`_Read` of those four as its last write left them, whose guard
+    is a copy: a write copies the guard when ``version`` moved, else reuses
+    the last copy, as the guard was and is V, which the write left alone.
+    Otherwise ``read`` is None and nothing is copied.
     """
 
-    def __init__(self, j, v, policy, pick, keep, depth):
+    def __init__(self, j, v, policy, pick, frozen):
         self.j, self.v, self.policy, self.pick = j.copy(), v.copy(), np.array(policy), pick
         self.g = self.v.guard(self.j, pick)
-        self.size, self.keep, self.depth = j.space.size, keep, depth
-        self.log = [] if depth else None   # oldest first
-        self.reads = {}   # what before() rebuilt, by its writes
+        self.size = j.space.size
         self.tight, self.cover = np.zeros(self.size, bool), np.zeros(self.size, bool)
         self.n_tight = self.n_cover = self.writes = self.version = 0
-        # the rows of the records a rebuild might undo; the writes before
-        # the last copies (-1: none yet)
-        self.unsnapped, self.snapped = 0, -1
         self.origin = self.origin_version = None
         self.memo = (None,)   # (subset, read writes, own writes) run may skip at
+        self.read = None
         self._handed_out()
+        if frozen:
+            self.read = _Read(self.guard.copy(), self.source, 0, 0)
 
     def _handed_out(self):
-        """Set ``guard`` and ``source`` from the flag counts."""
+        """Set ``guard`` and ``source`` from the flag counts, and ``read``
+        if the side keeps one."""
         whole = self.n_tight == self.size
         self.guard = self.v if whole else self.g
         self.source = self.origin if whole and self.n_cover == self.size else None
-
-    def _undo(self, subset, improved):
-        """The :class:`_Undo` of a write to ``subset`` about to be made, if
-        the side ``keep``s them, else None."""
-        if not self.keep:
-            return None
-        log, depth, j_rows, v_rows, snap = self.log, self.depth, None, None, None
-        if log is not None and (self.unsnapped >= self.size or (
-                depth >= _SNAP_WRITES and self.writes - self.snapped > _SNAP_WRITES)):
-            snap = self.j.copy(), self.v.copy()
-            self.unsnapped, self.snapped = 0, self.writes
-        else:
-            j_rows = self.j._rows(subset)
-            v_rows = self.v._rows(subset) if improved else None
-        undo = _Undo(subset, j_rows, v_rows, self.guard is self.v, self.source, self.version,
-                     self.writes, snap)
-        if log is not None:
-            log.append(undo)
-            if snap is None:
-                self.unsnapped += len(subset)
-            if len(log) > depth:   # the record no read undoes any more
-                old = log[-1 - depth]
-                if old.writes > self.snapped:
-                    self.unsnapped -= len(old.subset)
-            if len(log) > 2 * depth:
-                del log[:-depth]
-        return undo
+        if (read := self.read) is not None:
+            guard = read.guard if read.version == self.version else self.guard.copy()
+            self.read = _Read(guard, self.source, self.version, self.writes)
 
     def evaluated(self, subset, entries, tight):
         """Write an evaluation's ``entries`` to J on ``subset``, tight there
-        as ``tight`` says (None: where J1 >= V1); returns :meth:`_undo`'s."""
+        as ``tight`` says (None: where J1 >= V1)."""
         _check_finite(entries)
-        undo, whole, v_rows = self._undo(subset, False), self.guard is self.v, self.v._rows(subset)
+        whole, v_rows = self.guard is self.v, self.v._rows(subset)
         if tight is None:
             tight = entries >= v_rows
         self.j._write(subset, entries)
@@ -227,15 +182,13 @@ class _Side:
         if not (whole and self.n_tight == self.size):   # else V was and is read
             self.version += 1
         self._handed_out()
-        return undo
 
     def improved(self, subset, entries, picks, origin, same):
         """Write an improvement's ``entries`` to J and V and its ``picks``
         to the policy on ``subset``, V there derived from ``origin`` (None:
         from no one table); ``same``: ``origin`` holds the values of the
-        side's.  Returns :meth:`_undo`'s."""
+        side's."""
         _check_finite(entries)
-        undo = self._undo(subset, True)
         self.j._write(subset, entries)
         self.v._write(subset, entries)
         self.g._guard_rows(subset, entries, entries, self.pick)
@@ -248,47 +201,15 @@ class _Side:
         self.writes += 1
         self.version += 1
         self._handed_out()
-        return undo
-
-    def before(self, writes):
-        """What the side handed out when it had made ``writes`` writes, as a
-        :class:`_Read`: J and V rebuilt from the undo records of the writes
-        since, and the guard from them.  The rebuild starts from the oldest
-        copies those records hold (else from the side's own tables) and
-        undoes the records older than those, one at a time, newest first,
-        so that where subsets overlap the oldest lands last.  It keeps what
-        it rebuilds for the reads that ask again."""
-        if (read := self.reads.get(writes)) is not None:
-            return read
-        log = self.log
-        start = end = len(log) - (self.writes - writes)
-        while end < len(log) and log[end].snap is None:
-            end += 1
-        base = log[end].snap if end < len(log) else None
-        if end > start:
-            j, v = (table.copy() for table in base or (self.j, self.v))
-            for undo in reversed(log[start:end]):
-                j._write(undo.subset, undo.j)
-                if undo.v is not None:
-                    v._write(undo.subset, undo.v)
-        else:   # the oldest record's own copies, which nothing writes
-            j, v = base
-        first = log[start]
-        read = self.reads[writes] = _Read(v if first.whole else v.guard(j, self.pick),
-                                          first.source, first.version, first.writes)
-        if len(self.reads) > 2 * self.depth:   # drop what no read reaches any more
-            self.reads = {w: r for w, r in self.reads.items() if w >= self.writes - self.depth}
-        return read
 
 
 class _Iterate:
     """:func:`run`'s private iterate: the minimizer's and the maximizer's
-    :class:`_Side`, which ``keep`` undo records if a trace or a delayed
-    read needs them, and log them if delayed reads reach ``depth`` back."""
+    :class:`_Side`, ``frozen`` under delayed reads."""
 
-    def __init__(self, state, keep, depth):
-        self.one = _Side(state.j1, state.v1, state.policies.mu, np.minimum, keep, depth)
-        self.two = _Side(state.j2, state.v2, state.policies.nu, np.maximum, keep, depth)
+    def __init__(self, state, frozen):
+        self.one = _Side(state.j1, state.v1, state.policies.mu, np.minimum, frozen)
+        self.two = _Side(state.j2, state.v2, state.policies.nu, np.maximum, frozen)
 
     def state(self, t):
         """An :class:`AlgoState` of copies of the iterate, at step ``t``."""
@@ -299,9 +220,8 @@ class _Iterate:
 
 def _apply(problem, iterate, op, read):
     """Advance ``iterate`` one step in place, reading the opposite side as
-    ``read`` (that :class:`_Side`, or a :class:`_Read` of it as an earlier
-    step left it); returns the step's :class:`_Undo`, or None if the
-    iterate keeps none.
+    ``read``: that :class:`_Side`, or the :class:`_Read` an earlier step
+    left it at.
 
     An improvement makes J = V on its subset; V2 derives from the guard1
     read, and V1 from the table ``read.source`` names.  An evaluation's J1
@@ -310,24 +230,23 @@ def _apply(problem, iterate, op, read):
     over, computed by the same kernel arithmetic."""
     subset, kind, one, two = op.subset, op.kind, iterate.one, iterate.two
     if kind is _MIN_EVAL:
-        return one.evaluated(subset, problem.min_eval_values(subset, one.policy, read.guard),
-                             None)
-    if kind is _MIN_IMPROVE:
+        one.evaluated(subset, problem.min_eval_values(subset, one.policy, read.guard), None)
+    elif kind is _MIN_IMPROVE:
         source = read.source
         entries, picks = problem.min_improve(subset, read.guard)
-        return one.improved(subset, entries, picks, source,
-                            source is not None and _same(one.origin, source))
-    same = two.origin_version == read.version or _same(two.origin, read.guard)
-    if kind is _MAX_EVAL:
-        undo = two.evaluated(subset, problem.max_eval_entries(subset, two.policy, read.guard),
-                             two.cover[subset] & same)
+        one.improved(subset, entries, picks, source,
+                     source is not None and _same(one.origin, source))
     else:
-        entries, picks = problem.max_improve(subset, read.guard, one.policy)
-        undo = two.improved(subset, entries, picks, two.origin if same else read.guard.copy(),
-                            same)
-    if same or kind is _MAX_IMPROVE:   # the origin holds the guard's values
-        two.origin_version = read.version
-    return undo
+        same = two.origin_version == read.version or _same(two.origin, read.guard)
+        if kind is _MAX_EVAL:
+            two.evaluated(subset, problem.max_eval_entries(subset, two.policy, read.guard),
+                          two.cover[subset] & same)
+        else:
+            entries, picks = problem.max_improve(subset, read.guard, one.policy)
+            two.improved(subset, entries, picks, two.origin if same else read.guard.copy(),
+                         same)
+        if same or kind is _MAX_IMPROVE:   # the origin holds the guard's values
+            two.origin_version = read.version
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +346,10 @@ class TraceRow(NamedTuple):
     residual2: float
 
 
-def _probe_diff(table, undo):
+def _probe_diff(table, subset, rows):
     """Change gauge for trace rows: the table's ``diff_bound`` against
-    itself before the step, computed on the step's subset."""
-    rows = undo.j if undo.snap is None else undo.snap[0]._rows(undo.subset)
-    return table._diff_rows(undo.subset, rows)
+    itself before the step, which held ``rows`` on the step's ``subset``."""
+    return table._diff_rows(subset, rows)
 
 
 def _converged(problem, state, tol):
@@ -507,12 +425,13 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     each side's J, V and guard are arrays the step writes on its subset
     in place, after one finiteness check of the kernel's output, together
     with the side's policy and its tight and cover flags, whose counts say
-    when a guard is V itself and when V derives from one table.  A
-    delayed read costs nothing unless the opposite side was written
-    within its delay; then that side is rebuilt from the undo records of
-    its writes since (:meth:`_Side.before`), at the cost of about one
-    copy of it, whatever the delay.  An :class:`AlgoState` of copies is
-    built only at period ends and at the end of the run.
+    when a guard is V itself and when V derives from one table.  Without
+    delays a step reads the live side and copies nothing.  Under delays a
+    sent value is a copy: a ring keeps each step's frozen reads of both
+    sides (see :class:`_Side`), a delayed read looks one up, and the
+    ring's memory grows with min(B, steps taken) times a side's size.  An
+    :class:`AlgoState` of copies is built only at period ends and at the
+    end of the run.
 
     A block-parallel sweep needs no executor of its own.  An operation
     writes its side's entries on its subset and reads, of its own side,
@@ -521,10 +440,7 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     or in turn, give exactly one full-space operation: ``round_robin``.
     """
     tracing, staleness = trace_out is not None, schedule.staleness
-    # delays are cut to the budget: any delay of at least the steps taken
-    # reads the start
-    depth = min(staleness, max_steps)
-    iterate = _Iterate(initial_state(problem), tracing or staleness > 0, depth)
+    iterate = _Iterate(initial_state(problem), staleness > 0)
     one, two = iterate.one, iterate.two
     # per kind, keyed by its value: the side it writes, the side it reads
     # and that side's slot in a ring entry, and whether it evaluates.  An
@@ -535,9 +451,12 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
              _MAX_EVAL._value_: (two, one, 0, True), _MAX_IMPROVE._value_: (two, one, 0, False)}
     delays = None
     if staleness > 0:
-        # the write counts of each side per step, padded with the start's
+        # delays are cut to the budget: any delay of at least the steps
+        # taken reads the start
+        depth = min(staleness, max_steps)
         delays = _delays(np.random.default_rng(seed), staleness, depth)
-        ring = deque([(0, 0)] * (depth + 1), maxlen=depth + 1)
+        # each step's frozen reads of both sides, padded with the start's
+        ring = deque([(one.read, two.read)] * (depth + 1), maxlen=depth + 1)
     trace = trace_out if tracing else []
     row = tuple.__new__
     check_every = schedule.period(problem)
@@ -549,20 +468,20 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
         own, other, at, evaluates = roles[name]
         read, done = other, None
         if delays is not None:
-            writes = ring[-1 - next(delays)][at]
-            if writes != read.writes:   # written within the delay
-                read = other.before(writes)
+            read = ring[-1 - next(delays)][at]
         last = own.memo
         if evaluates and last[0] is op.subset and last[1] == read.writes \
                 and last[2] == own.writes:
             if tracing:
                 trace.append(row(TraceRow, (step, name, op.label, 0.0, 0.0)))
         else:
-            undo = _apply(problem, iterate, op, read)
+            if tracing:
+                rows = own.j._rows(op.subset)
+            _apply(problem, iterate, op, read)
             if evaluates or repeats:
                 own.memo = (op.subset, read.writes, own.writes)
             if tracing:
-                probe = _probe_diff(own.j, undo)
+                probe = _probe_diff(own.j, op.subset, rows)
                 trace.append(row(TraceRow, (step, name, op.label,
                                             *((probe, 0.0) if own is one else (0.0, probe)))))
             if kind is _MIN_IMPROVE and (cert := _own_certificate(problem, iterate)):
@@ -572,7 +491,7 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
                 if cert[1] <= tol:
                     done = replace(iterate.state(step), j1=cert[0])
         if delays is not None:
-            ring.append((one.writes, two.writes))
+            ring.append((one.read, two.read))
         if done is None and step % check_every == 0:
             if owed is None and _same(two.source, one.guard):
                 owed = one.guard.copy()

@@ -372,8 +372,7 @@ def straddling(problem):
     return cycle
 
 
-# reads delayed past the opposite side's last write, which run rebuilds
-# from its undo records
+# reads delayed past the opposite side's last write
 LATE_READS = "delayed:B=5,straddling"
 
 REPLAY_SCHEDULES = {
@@ -402,24 +401,18 @@ KINDS = ["tabular", "closure", "aggregate", "markov", "control"]
 EXPLICIT_KINDS = ["tabular", "closure", "aggregate", "control"]
 
 
-def watch_rebuilds(monkeypatch):
-    """Check every rebuilt delayed read (``_Side.before``) against its
-    bound: it undoes at most ``_SNAP_WRITES`` records, holding fewer rows
-    than two copies of the side, whatever the delay.  The list returned
-    notes, per rebuild, whether the records since its target hold copies."""
-    rebuilt, rebuild = [], async_pi._Side.before
+def count_late_reads(monkeypatch):
+    """Per ``_apply`` call, whether its read lands before the opposite
+    side's last write: the read's ``writes`` below the live side's."""
+    late, apply = [], async_pi._apply
 
-    def rebuilding(side, writes):
-        since = side.log[len(side.log) - (side.writes - writes):]
-        copies = [undo.snap is not None for undo in since]
-        undone = since[:copies.index(True)] if any(copies) else since
-        assert len(undone) <= async_pi._SNAP_WRITES
-        assert sum(len(undo.subset) for undo in undone) < 2 * side.size
-        rebuilt.append(any(copies))
-        return rebuild(side, writes)
+    def applying(problem, iterate, op, read):
+        other = iterate.two if side_of(op.kind) == 1 else iterate.one
+        late.append(read.writes < other.writes)
+        return apply(problem, iterate, op, read)
 
-    monkeypatch.setattr(async_pi._Side, "before", rebuilding)
-    return rebuilt
+    monkeypatch.setattr(async_pi, "_apply", applying)
+    return late
 
 
 @pytest.mark.parametrize("name", KINDS)
@@ -429,16 +422,16 @@ def test_skipped_evaluations_change_nothing(name, monkeypatch):
     trace rows.  A schedule of fresh operation objects skips nothing.  The
     loop draws one delay per step, ``run`` a chunk at a time."""
     problem = five_cases()[name]
-    applied, rebuilt = count_applies(monkeypatch), watch_rebuilds(monkeypatch)
+    applied, late = count_applies(monkeypatch), count_late_reads(monkeypatch)
     for label, schedule in REPLAY_SCHEDULES.items():
         expected, rows = reference_run(problem, schedule, 1e-8, seed=9)
         for copies in (False, True):
             applied.clear()
-            rebuilt.clear()
+            late.clear()
             state, trace = run(problem, fresh_copies(schedule) if copies else schedule,
                                tol=1e-8, seed=9, trace_out=[])
-            if label == LATE_READS:   # rebuilt from copies and from the side's tables
-                assert len(rebuilt) > 10 and any(rebuilt) and not all(rebuilt), label
+            if label == LATE_READS:
+                assert sum(late) > 10, label
             assert_same_state(state, expected)
             assert state.t == expected.t == len(rows), label
             assert list(map(repr, trace)) == list(map(repr, rows)), label
@@ -622,13 +615,15 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
     """After every step of a delayed run, each guard the iterate keeps is
     what the functional step's state gives, bit for bit: V alone where J is
     tight on every state, else ``np.minimum``, ``np.maximum`` or the two
-    bundles side by side; so is every guard a step reads, rebuilt or not,
+    bundles side by side; so is every guard a step reads, stale or not,
     and every source it reads.  Each of them also equals the guard built
     afresh from its two tables; a guard2 that is V2's bundles alone need
     only hold every column of the fresh concatenation (the same readings
     through fewer LP lines), and such guards occur on the Markov game
-    alone.  The random schedule interleaves the sides and reads past the
-    opposite side's writes; the partitioned one does not."""
+    alone.  Each side's frozen read holds its guard, version and write
+    count, in memory that none of its live tables shares.  The random
+    schedule interleaves the sides and reads past the opposite side's
+    writes; the partitioned one does not."""
     problem = block_cases()[name]
     taken, checked, trimmed, apply = [], [], [], async_pi._apply
 
@@ -653,9 +648,15 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
             assert np.array_equal(kept, built)
 
     def recording(problem, iterate, op, read):
-        undo = apply(problem, iterate, op, read)
+        apply(problem, iterate, op, read)
         was, now = steps[len(taken) - 1]
         one, two = iterate.one, iterate.two
+        for side in (one, two):   # what a side hands out under delays nothing writes
+            assert side.read.source is side.source
+            assert side.read[2:] == (side.version, side.writes)
+            assert same_guard(side.read, side.guard)
+            for live in (side.j, side.v, side.g):
+                assert not np.shares_memory(entries(side.read.guard), entries(live))
         assert same_guard(one, now.guard1) and same_guard(two, now.guard2)
         fresh(one.guard, one.v, one.j, pointwise_min)
         fresh(two.guard, two.v, two.j, pointwise_max)
@@ -675,8 +676,7 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
         else:
             assert same_guard(read, was.guard1)
             fresh(read.guard, was.v1, was.j1, pointwise_min)
-        checked.append(read is not (two if side_of(op.kind) == 1 else one))
-        return undo
+        checked.append(read.writes < (two if side_of(op.kind) == 1 else one).writes)
 
     monkeypatch.setattr(async_pi, "_apply", recording)
     for inner in (partitioned(), random_fair(4)):
@@ -690,28 +690,19 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
         assert (len(trimmed) > 0) == (name == "markov"), inner.name
 
 
-def test_long_delays_rebuild_from_periodic_copies(monkeypatch):
-    """Under delays of ``_SNAP_WRITES`` or more, a side whose writes are
-    small also takes copies every ``_SNAP_WRITES`` writes.  The run still
-    ends where the functional step's does, trace included, and every
-    rebuilt read keeps its bound."""
+def test_long_delays_read_frozen_copies(monkeypatch):
+    """Under delays of 20 over 20-state blocks, steps read the opposite
+    side as it stood several writes back.  The run still ends where the
+    functional step's does, trace included."""
     problem = separated_model_to_problem(random_separated_model(np.random.default_rng(5), 40, 40))
     schedule = delayed(partitioned(20), 20)
-    rebuilt, periodic, take = watch_rebuilds(monkeypatch), [], async_pi._Side._undo
-
-    def taking(side, subset, improved):   # notes copies taken before the rows reach the size
-        few = side.unsnapped < side.size
-        undo = take(side, subset, improved)
-        periodic.append(few and undo.snap is not None)
-        return undo
-
-    monkeypatch.setattr(async_pi._Side, "_undo", taking)
+    late = count_late_reads(monkeypatch)
     expected, rows = reference_run(problem, schedule, 1e-8, seed=9)
     state, trace = run(problem, schedule, tol=1e-8, seed=9, trace_out=[])
     assert_same_state(state, expected)
     assert state.t == expected.t == len(rows)
     assert list(map(repr, trace)) == list(map(repr, rows))
-    assert any(periodic) and any(rebuilt) and not all(rebuilt)
+    assert sum(late) > 10
 
 
 class TestStopCheck:
@@ -893,7 +884,7 @@ class TestSchedules:
         """The probe runs once per applied step, and never without a trace."""
         calls, applied = [], count_applies(monkeypatch)
         probe = async_pi._probe_diff
-        monkeypatch.setattr(async_pi, "_probe_diff", lambda a, b: calls.append(1) or probe(a, b))
+        monkeypatch.setattr(async_pi, "_probe_diff", lambda *a: calls.append(1) or probe(*a))
         state, trace = run(markov_sep, random_fair(3), tol=1e-9, seed=5)
         assert trace == [] and calls == []
         applied.clear()

@@ -454,7 +454,7 @@ def test_updates_check_the_entries_they_write(kind, bad):
                 for t in (side.j, side.v, side.g)] + [side.policy.copy()]
 
     given = entries.copy()
-    side = async_pi._Side(start, start, np.zeros(3, dtype=int), np.maximum, True, 1)
+    side = async_pi._Side(start, start, np.zeros(3, dtype=int), np.maximum, True)
     side.improved(np.array([0, 2]), np.asarray(good), np.ones(2, dtype=int), None, False)
     written = tables(side)
     assert all(np.array_equal(t[[0, 2]], np.broadcast_to(good, t[[0, 2]].shape))
