@@ -409,7 +409,7 @@ def count_late_reads(monkeypatch):
     def applying(problem, iterate, op, read):
         other = iterate.two if side_of(op.kind) == 1 else iterate.one
         late.append(read.writes < other.writes)
-        return apply(problem, iterate, op, read)
+        apply(problem, iterate, op, read)
 
     monkeypatch.setattr(async_pi, "_apply", applying)
     return late
