@@ -14,7 +14,9 @@ relative to a fresh working directory, so the two trees see the same
 command lines.  Per request the script compares the exit code, stdout,
 stderr and the bytes of every file the request writes; it prints the
 requests that differ, with the number of ``certify`` calls the async stop
-check made on each side, and exits 1 if any differ.
+check made and of steps the async executor applied (``_apply`` calls) on
+each side, and exits 1 if any differ.  A request whose outputs match is
+printed too where those counts differ.
 
 With ``--manifest PATH`` it runs this checkout alone at ``MANIFEST_SEED``,
 on the counterexample and the benchmark requests (not ``EXTRA``), and
@@ -76,11 +78,13 @@ def _digest(path):
 
 
 def _run_request(cli, argv, outputs):
-    """Exit code, stdout, stderr, output-file digests and certify calls."""
+    """Exit code, stdout, stderr, output-file digests, certify calls and
+    applied async steps."""
     from minimaxpi import async_pi
 
-    calls, certify = [], async_pi.certify
+    calls, certify, steps, apply = [], async_pi.certify, [], async_pi._apply
     async_pi.certify = lambda *a: calls.append(1) or certify(*a)
+    async_pi._apply = lambda *a: steps.append(1) or apply(*a)
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -89,9 +93,10 @@ def _run_request(cli, argv, outputs):
             except Exception as exc:   # a traceback is an answer to compare too
                 code = f"raised {type(exc).__name__}: {exc}"
     finally:
-        async_pi.certify = certify
+        async_pi.certify, async_pi._apply = certify, apply
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
-            "files": {path: _digest(path) for path in outputs}, "certify": len(calls)}
+            "files": {path: _digest(path) for path in outputs}, "certify": len(calls),
+            "applied": len(steps)}
 
 
 def benchmark_results(seed):
@@ -187,11 +192,13 @@ def main(argv=None):
             total += 1
             a, b = parent.get(name, {}), change.get(name, {})
             calls = f"certify calls {a.get('certify')} -> {b.get('certify')}"
+            if a.get("applied") != b.get("applied"):
+                calls += f", applied steps {a.get('applied')} -> {b.get('applied')}"
             fields = [k for k in ("exit", "stdout", "stderr", "files") if a.get(k) != b.get(k)]
             if fields:
                 differ += 1
                 print(f"seed {seed} {name}: differs in {', '.join(fields)} ({calls})")
-            elif a["certify"] != b["certify"]:
+            elif a.get("certify") != b.get("certify") or a.get("applied") != b.get("applied"):
                 print(f"seed {seed} {name}: same outputs ({calls})")
     print(f"{total - differ} of {total} requests identical")
     return 1 if differ else 0
