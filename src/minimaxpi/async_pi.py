@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PolicyPair, ValueTable, certify, check_floor, sweep_certificate
+from .core import PolicyPair, ValueTable, certify, check_floor, rounding_floor, sweep_certificate
 from .errors import MaxStepsExceeded
 
 DEFAULT_EVALS, DEFAULT_BLOCKS = 10, 4   # evaluations per improvement, partitioned blocks
@@ -63,8 +63,8 @@ class Operation:
 @dataclass(frozen=True)
 class AlgoState:
     """The iterate the four operations advance, as :func:`run` hands it
-    out at a stop check and at its end: tables and policies of its own,
-    and the step count ``t``."""
+    out when it stops: tables and policies of its own, and the step count
+    ``t``."""
 
     j1: ValueTable
     v1: ValueTable
@@ -109,14 +109,13 @@ def _flag(flags, count, subset, value):
 
 
 class _Read(NamedTuple):
-    """What a step reads of the opposite side as an earlier step left it:
-    the :class:`_Side` attributes of the same names, the guard a copy that
+    """A side as a delayed step reads it, frozen by :func:`run`: the
+    :class:`_Side` attributes of the same names, the guard a copy that
     nothing writes."""
 
     guard: object
     source: object
     version: int
-    writes: int
 
 
 class _Side:
@@ -126,47 +125,35 @@ class _Side:
     guard ``pick(V, J)`` (on column bundles, both bundles side by side),
     each step rewriting its subset in place.  ``tight`` marks the states
     whose J leaves the guard at V (J1 >= V1, or J2 <= V2), and ``cover``
-    those whose V derives from ``origin``, a copy of a minimizer guard G1
-    (V2 = T2(G1), or V1 = T1(T2 G1)); ``n_tight`` and ``n_cover`` count
-    them, and ``origin_version`` is the opposite side's ``version`` the
-    copy was taken at.
+    those whose V derives from ``origin``, a minimizer guard G1 that
+    nothing writes (V2 = T2(G1), or V1 = T1(T2 G1)); ``n_tight`` and
+    ``n_cover`` count them, and ``origin_version`` is the opposite side's
+    ``version`` G1 was read at.
 
     What the opposite side reads: ``guard``, which is V where J is tight on
     every state (bit for bit the ``np.minimum`` or ``np.maximum`` on plain
     tables; on column bundles V2's columns alone, of which J2's are
     copies), else ``g``; ``source``, the origin where in addition V derives
-    from it on every state, else None; ``version``, which counts the writes
-    that may have changed ``guard``; and ``writes``, which counts them all.
-
-    A side built ``frozen`` (under delayed reads) also keeps ``read``, a
-    :class:`_Read` of those four as its last write left them, whose guard
-    is a copy: a write copies the guard when ``version`` moved, else reuses
-    the last copy, as the guard was and is V, which the write left alone.
-    Otherwise ``read`` is None and nothing is copied.
+    from it on every state, else None; and ``version``, which counts the
+    writes that may have changed them: one that does not found the guard
+    at V and left it there, with V, the policy and the origin.
     """
 
-    def __init__(self, j, v, policy, pick, frozen):
+    def __init__(self, j, v, policy, pick):
         self.j, self.v, self.policy, self.pick = j.copy(), v.copy(), np.array(policy), pick
         self.g = self.v.guard(self.j, pick)
         self.size = j.space.size
         self.tight, self.cover = np.zeros(self.size, bool), np.zeros(self.size, bool)
-        self.n_tight = self.n_cover = self.writes = self.version = 0
+        self.n_tight = self.n_cover = self.version = 0
         self.origin = self.origin_version = None
-        self.memo = (None,)   # (subset, read writes, own writes) run may skip at
-        self.read = None
+        self.memo = (None,)   # (subset, read version, own version) run may skip at
         self._handed_out()
-        if frozen:
-            self.read = _Read(self.guard.copy(), self.source, 0, 0)
 
     def _handed_out(self):
-        """Set ``guard`` and ``source`` from the flag counts, and ``read``
-        if the side keeps one."""
+        """Set ``guard`` and ``source`` from the flag counts."""
         whole = self.n_tight == self.size
         self.guard = self.v if whole else self.g
         self.source = self.origin if whole and self.n_cover == self.size else None
-        if (read := self.read) is not None:
-            guard = read.guard if read.version == self.version else self.guard.copy()
-            self.read = _Read(guard, self.source, self.version, self.writes)
 
     def evaluated(self, subset, entries, tight):
         """Write an evaluation's ``entries`` to J on ``subset``, tight there
@@ -178,7 +165,6 @@ class _Side:
         self.j._write(subset, entries)
         self.g._guard_rows(subset, v_rows, entries, self.pick)
         self.n_tight = _flag(self.tight, self.n_tight, subset, tight)
-        self.writes += 1
         if not (whole and self.n_tight == self.size):   # else V was and is read
             self.version += 1
         self._handed_out()
@@ -198,18 +184,17 @@ class _Side:
             self.cover[:] = False
             self.n_cover, self.origin = 0, origin
         self.n_cover = _flag(self.cover, self.n_cover, subset, origin is not None)
-        self.writes += 1
         self.version += 1
         self._handed_out()
 
 
 class _Iterate:
     """:func:`run`'s private iterate: the minimizer's and the maximizer's
-    :class:`_Side`, ``frozen`` under delayed reads."""
+    :class:`_Side`."""
 
-    def __init__(self, state, frozen):
-        self.one = _Side(state.j1, state.v1, state.policies.mu, np.minimum, frozen)
-        self.two = _Side(state.j2, state.v2, state.policies.nu, np.maximum, frozen)
+    def __init__(self, state):
+        self.one = _Side(state.j1, state.v1, state.policies.mu, np.minimum)
+        self.two = _Side(state.j2, state.v2, state.policies.nu, np.maximum)
 
     def state(self, t):
         """An :class:`AlgoState` of copies of the iterate, at step ``t``."""
@@ -224,7 +209,8 @@ def _apply(problem, iterate, op, read):
     left it at.
 
     An improvement makes J = V on its subset; V2 derives from the guard1
-    read, and V1 from the table ``read.source`` names.  An evaluation's J1
+    read (a copy of the live one; a frozen one, which nothing writes, is
+    shared), and V1 from the table ``read.source`` names.  An evaluation's J1
     is tight where it is at least V1; its J2 where V2 derives from the
     guard1 read, which makes J2 one of the greedy choices V2 maximises
     over, computed by the same kernel arithmetic."""
@@ -243,8 +229,8 @@ def _apply(problem, iterate, op, read):
                           two.cover[subset] & same)
         else:
             entries, picks = problem.max_improve(subset, read.guard, one.policy)
-            two.improved(subset, entries, picks, two.origin if same else read.guard.copy(),
-                         same)
+            origin = two.origin if same else read.guard.copy() if read is one else read.guard
+            two.improved(subset, entries, picks, origin, same)
         if same or kind is _MAX_IMPROVE:   # the origin holds the guard's values
             two.origin_version = read.version
 
@@ -352,16 +338,21 @@ def _probe_diff(table, subset, rows):
     return table._diff_rows(subset, rows)
 
 
-def _converged(problem, state, tol):
-    """The period-end check of :func:`run`: the state with J1 replaced by
-    :func:`~minimaxpi.core.certify`'s estimate if its bound is at most
-    ``tol``, else None; :func:`~minimaxpi.core.check_floor` applies, with
-    the floor J1's certificate at r = 0.  J2 and V2 are not gated: J2 on a
-    game is an evaluated section that never matches V2 pointwise."""
-    estimate, bound, r = certify(problem, state.j1)
-    floor = sweep_certificate(problem, state.j1, state.j1)[3]
+def _accepted(cert, tol):
+    """The estimate of a certificate ``(estimate, bound, r, floor)`` if its
+    bound is at most ``tol``, else None; :func:`~minimaxpi.core.check_floor`
+    applies."""
+    estimate, bound, r, floor = cert
     check_floor("async", "a stop check's sweep", bound, tol, r, floor)
-    return replace(state, j1=estimate) if bound <= tol else None
+    return estimate if bound <= tol else None
+
+
+def _converged(problem, j1, tol):
+    """The period-end check of :func:`run`: :func:`~minimaxpi.core.certify`'s
+    estimate of J1, or None, as :func:`_accepted` takes it with J1's
+    rounding floor.  J2 and V2 are not gated: J2 on a game is an evaluated
+    section that never matches V2 pointwise."""
+    return _accepted((*certify(problem, j1), rounding_floor(problem, j1.norm())), tol)
 
 
 def _own_certificate(problem, iterate):
@@ -413,11 +404,13 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     later, and ``certify`` is never called.
 
     An evaluation is skipped when its subset array is the one its side's
-    last applied evaluation had and neither side was written since, the
-    opposite side as read: kernels are deterministic, so under any
-    schedule it would rewrite what J holds.  If the problem declares
-    ``evals_repeat_improvements``, an improvement counts as such an
-    evaluation, as the evaluation at its picks would rewrite its values.
+    last applied evaluation had and neither guard has moved since (the
+    ``version`` of the opposite side as read, and its own): its kernel
+    reads only the opposite guard and its own policy, and is
+    deterministic, so under any schedule it would rewrite what J holds.
+    If the problem declares ``evals_repeat_improvements``, an improvement
+    counts as such an evaluation, as the evaluation at its picks would
+    rewrite its values.
     Skipped steps still count in ``t``, take their delay draw and ring
     slot, and trace 0.0 unprobed.
 
@@ -427,11 +420,11 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     with the side's policy and its tight and cover flags, whose counts say
     when a guard is V itself and when V derives from one table.  Without
     delays a step reads the live side and copies nothing.  Under delays a
-    sent value is a copy: a ring keeps each step's frozen reads of both
-    sides (see :class:`_Side`), a delayed read looks one up, and the
-    ring's memory grows with min(B, steps taken) times a side's size.  An
-    :class:`AlgoState` of copies is built only at period ends and at the
-    end of the run.
+    sent value is a copy: a ring keeps each step's frozen reads
+    (:class:`_Read`) of both sides, taken anew where a side's ``version``
+    moved; a delayed read looks one up, and the ring's memory grows with
+    min(B, steps taken) times a side's size.  Stop checks read the live
+    J1; the :class:`AlgoState` of copies is built once, at the stop.
 
     A block-parallel sweep needs no executor of its own.  An operation
     writes its side's entries on its subset and reads, of its own side,
@@ -440,7 +433,7 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     or in turn, give exactly one full-space operation: ``round_robin``.
     """
     tracing, staleness = trace_out is not None, schedule.staleness
-    iterate = _Iterate(initial_state(problem), staleness > 0)
+    iterate = _Iterate(initial_state(problem))
     one, two = iterate.one, iterate.two
     # per kind, keyed by its value: the side it writes, the side it reads
     # and that side's slot in a ring entry, and whether it evaluates.  An
@@ -456,22 +449,23 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
         depth = min(staleness, max_steps)
         delays = _delays(np.random.default_rng(seed), staleness, depth)
         # each step's frozen reads of both sides, padded with the start's
-        ring = deque([(one.read, two.read)] * (depth + 1), maxlen=depth + 1)
+        start = tuple(_Read(side.guard.copy(), side.source, 0) for side in (one, two))
+        ring = deque([start] * (depth + 1), maxlen=depth + 1)
     trace = trace_out if tracing else []
     row = tuple.__new__
     check_every = schedule.period(problem)
     step, repeats = 0, problem.evals_repeat_improvements
-    owed = None   # the guard1 a period end left its check to
+    owed = estimate = None   # the origin a period end left its check to; a certified J1
     for step, op in enumerate(itertools.islice(schedule.ops(problem), max_steps), 1):
         kind = op.kind
         name = kind._value_
         own, other, at, evaluates = roles[name]
-        read, done = other, None
+        read = other
         if delays is not None:
             read = ring[-1 - next(delays)][at]
         last = own.memo
-        if evaluates and last[0] is op.subset and last[1] == read.writes \
-                and last[2] == own.writes:
+        if evaluates and last[0] is op.subset and last[1] == read.version \
+                and last[2] == own.version:
             if tracing:
                 trace.append(row(TraceRow, (step, name, op.label, 0.0, 0.0)))
         else:
@@ -479,7 +473,7 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
                 rows = own.j._rows(op.subset)
             _apply(problem, iterate, op, read)
             if evaluates or repeats:
-                own.memo = (op.subset, read.writes, own.writes)
+                own.memo = (op.subset, read.version, own.version)
             if tracing:
                 probe = _probe_diff(own.j, op.subset, rows)
                 trace.append(row(TraceRow, (step, name, op.label,
@@ -487,21 +481,22 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
             if kind is _MIN_IMPROVE and (cert := _own_certificate(problem, iterate)):
                 if _same(one.origin, owed):
                     owed = None
-                check_floor("async", "a stop check's sweep", cert[1], tol, *cert[2:])
-                if cert[1] <= tol:
-                    done = replace(iterate.state(step), j1=cert[0])
+                estimate = _accepted(cert, tol)
         if delays is not None:
-            ring.append((one.read, two.read))
-        if done is None and step % check_every == 0:
+            sent = ring[-1]
+            if sent[1 - at].version != own.version:
+                new = _Read(own.guard.copy(), own.source, own.version)
+                sent = (sent[0], new) if at == 0 else (new, sent[1])
+            ring.append(sent)
+        if estimate is None and step % check_every == 0:
             if owed is None and _same(two.source, one.guard):
-                owed = one.guard.copy()
+                owed = two.source
             else:
-                owed, done = None, _converged(problem, iterate.state(step), tol)
-        if done:
-            return done, trace
-    state = iterate.state(step)
-    if done := _converged(problem, state, tol):
-        return done, trace
+                owed, estimate = None, _converged(problem, one.j, tol)
+        if estimate is not None:
+            return replace(iterate.state(step), j1=estimate), trace
+    if (estimate := _converged(problem, one.j, tol)) is not None:
+        return replace(iterate.state(step), j1=estimate), trace
     raise MaxStepsExceeded(
         f"no convergence within {max_steps} steps (unfair schedule, "
-        "non-contractive problem, or too-tight tol)", state=state, trace=trace)
+        "non-contractive problem, or too-tight tol)", state=iterate.state(step), trace=trace)

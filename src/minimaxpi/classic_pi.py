@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (_EVAL_SWEEPS, PolicyPair, ValueTable, _iterate, _sweep, check_floor,
-                   sweep_certificate)
+                   rounding_floor)
 from .matrix_game import solve_matrix_game
 from .models import DiscountedMarkovGame, stage_matrix
 
@@ -164,8 +164,8 @@ def naive_separated_pi(problem, tol=1e-8, max_iters=10**4, optimistic_k=None):
     Greedy improvement against the last evaluated tables followed by joint
     evaluation of the new pair, which ends at its rounding floor if that
     exceeds tol/10.  Shares the oscillation risk of the all-pairs scheme,
-    and its loop; tables ``(J1, J2)`` have :func:`~minimaxpi.core.certify`'s
-    floor of J1.
+    and its loop; tables ``(J1, J2)`` have J1's
+    :func:`~minimaxpi.core.rounding_floor`.
     """
     def step(tables):
         j1, j2 = tables
@@ -179,7 +179,7 @@ def naive_separated_pi(problem, tol=1e-8, max_iters=10**4, optimistic_k=None):
 
     _check_optimistic_k(optimistic_k)
     return _all_pairs("naive policy iteration", step, (problem.zero1(), problem.zero2()),
-                      dist, lambda tables: sweep_certificate(problem, tables[0], tables[0])[3],
+                      dist, lambda tables: rounding_floor(problem, tables[0].norm()),
                       tol, max_iters)
 
 

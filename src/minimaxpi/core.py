@@ -446,16 +446,21 @@ def sweep_certificate(problem, j1, t):
     computed: ``(estimate, bound, r, floor)`` as :func:`_sweep` says.  The
     arithmetic of :func:`certify`, so a t equal to its sweep's bit for bit
     gives its certificate bit for bit."""
-    r = j1.diff_norm(t)
-    a2, g = problem.alpha ** 2, problem.shift()
-    offset, bound = span_bound(g, t.values - j1.values, j1.space.weights, a2 * r / (1.0 - a2))
-    # the sweep's own rounding, a few ulps of the tables it reads and writes
-    # (|t| <= |J1| + r), moves a fixed point by up to that over one minus
-    # either contraction
-    ulps, norm, slack = 4 * np.finfo(float).eps, j1.norm(), 1.0 - max(a2, g or 0.0)
-    bound += ulps * (norm + r) / slack
+    r, norm, a2 = j1.diff_norm(t), j1.norm(), problem.alpha ** 2
+    offset, bound = span_bound(problem.shift(), t.values - j1.values, j1.space.weights,
+                               a2 * r / (1.0 - a2))
+    bound += rounding_floor(problem, norm + r)
     estimate = t if offset is None else ValueTable(j1.space, t.values + offset)
-    return estimate, bound, r, ulps * norm / slack
+    return estimate, bound, r, rounding_floor(problem, norm)
+
+
+def rounding_floor(problem, norm):
+    """``4 eps norm / (1 - max(alpha**2, g))``, a few ulps of the tables a
+    composite sweep reads and writes over one minus either contraction: at
+    |J1|, J1's floor, below which no certificate falls; at |J1| + r, the
+    rounding a sweep moving J1 by r adds to its bound."""
+    slack = 1.0 - max(problem.alpha ** 2, problem.shift() or 0.0)
+    return 4 * np.finfo(float).eps * norm / slack
 
 
 def certify(problem, j1):

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from minimaxpi import async_pi
+from minimaxpi import async_pi, cli
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate)
-from minimaxpi.async_pi import (AlgoState, Kind, Operation, TraceRow, _converged,
-                                delayed, partitioned, random_fair, round_robin, run)
+from minimaxpi.async_pi import (Kind, Operation, TraceRow, _converged, delayed, partitioned,
+                                random_fair, round_robin, run)
 from minimaxpi.core import (PolicyPair, SeparatedProblem, ValueTable,
                             WeightedSpace, certify, policy_pair_value, value_iterate)
 from minimaxpi.errors import MaxStepsExceeded
@@ -17,7 +17,7 @@ from minimaxpi.matrix_game import min_simplex_max_linear
 from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
                               minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem,
-                              shapley_value_iteration, stage_matrix)
+                              shapley_value_iteration, split_beta, stage_matrix)
 from minimaxpi.problem_io import load_problem
 
 from helpers import (bench_file, bench_payload, closure_problem, highs_game_values,
@@ -341,7 +341,8 @@ def reference_run(problem, schedule, tol, seed, max_steps=20000, steps=None):
                     and np.array_equal(base.values, state.guard1.values)):
                 owed = state.guard1
             else:
-                owed, done = None, _converged(problem, state, tol)
+                owed, estimate = None, _converged(problem, state.j1, tol)
+                done = None if estimate is None else replace(state, j1=estimate)
         if done:
             return replace(done, t=step), rows
     raise AssertionError("reference run did not converge")
@@ -403,12 +404,12 @@ EXPLICIT_KINDS = ["tabular", "closure", "aggregate", "control"]
 
 def count_late_reads(monkeypatch):
     """Per ``_apply`` call, whether its read lands before the opposite
-    side's last write: the read's ``writes`` below the live side's."""
+    side's guard last moved: the read's ``version`` below the live side's."""
     late, apply = [], async_pi._apply
 
     def applying(problem, iterate, op, read):
         other = iterate.two if side_of(op.kind) == 1 else iterate.one
-        late.append(read.writes < other.writes)
+        late.append(read.version < other.version)
         apply(problem, iterate, op, read)
 
     monkeypatch.setattr(async_pi, "_apply", applying)
@@ -596,18 +597,18 @@ def test_unpaid_debt_is_checked_at_the_next_period_end(monkeypatch):
     cycle = [Operation(Kind.MIN_IMPROVE, b0), Operation(Kind.MAX_IMPROVE, all2),
              Operation(Kind.MIN_IMPROVE, b1), Operation(Kind.MAX_IMPROVE, all2)]
     schedule = async_pi.Schedule("interleaved", lambda p: cycle)
-    checked, tol = [], 1e-10
+    checked, trace, tol = [], [], 1e-10   # the step of each check: rows traced by then
     monkeypatch.setattr(async_pi, "_converged",
-                        lambda *a: checked.append(a[1]) or _converged(*a))
-    done, trace = run(problem, schedule, tol=tol, trace_out=[])
+                        lambda *a: checked.append(len(trace)) or _converged(*a))
+    done, _ = run(problem, schedule, tol=tol, trace_out=trace)
     state = initial_step_state(problem)
     for step, op in enumerate(itertools.cycle(cycle), 1):
         state = apply_step(problem, state, op, state)
-        if step % 8 == 0 and (expected := _converged(problem, state, tol)):
+        if step % 8 == 0 and (estimate := _converged(problem, state.j1, tol)) is not None:
             break
-    assert [s.t for s in checked] == list(range(8, step + 1, 8))
+    assert checked == list(range(8, step + 1, 8))
     assert done.t == len(trace) == step
-    assert_same_state(done, expected)
+    assert_same_state(done, replace(state, j1=estimate))
 
 
 @pytest.mark.parametrize("name", ["tabular", "markov"])
@@ -620,10 +621,10 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
     afresh from its two tables; a guard2 that is V2's bundles alone need
     only hold every column of the fresh concatenation (the same readings
     through fewer LP lines), and such guards occur on the Markov game
-    alone.  Each side's frozen read holds its guard, version and write
-    count, in memory that none of its live tables shares.  The random
-    schedule interleaves the sides and reads past the opposite side's
-    writes; the partitioned one does not."""
+    alone.  Every read is frozen, in memory that no live table shares, and
+    one whose version is the opposite side's is what that side hands out
+    now.  The random schedule interleaves the sides and reads past the
+    opposite side's guard moves; the partitioned one does not."""
     problem = block_cases()[name]
     taken, checked, trimmed, apply = [], [], [], async_pi._apply
 
@@ -651,12 +652,14 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
         apply(problem, iterate, op, read)
         was, now = steps[len(taken) - 1]
         one, two = iterate.one, iterate.two
-        for side in (one, two):   # what a side hands out under delays nothing writes
-            assert side.read.source is side.source
-            assert side.read[2:] == (side.version, side.writes)
-            assert same_guard(side.read, side.guard)
+        other = two if side_of(op.kind) == 1 else one
+        assert isinstance(read, async_pi._Read)   # what a side sent nothing writes
+        for side in (one, two):
             for live in (side.j, side.v, side.g):
-                assert not np.shares_memory(entries(side.read.guard), entries(live))
+                assert not np.shares_memory(entries(read.guard), entries(live))
+        assert read.version <= other.version
+        if read.version == other.version:   # the guard has not moved since
+            assert read.source is other.source and same_guard(read, other.guard)
         assert same_guard(one, now.guard1) and same_guard(two, now.guard2)
         fresh(one.guard, one.v, one.j, pointwise_min)
         fresh(two.guard, two.v, two.j, pointwise_max)
@@ -676,7 +679,7 @@ def test_kept_guards_match_fresh_ones(name, monkeypatch):
         else:
             assert same_guard(read, was.guard1)
             fresh(read.guard, was.v1, was.j1, pointwise_min)
-        checked.append(read.writes < (two if side_of(op.kind) == 1 else one).writes)
+        checked.append(read.version < other.version)
 
     monkeypatch.setattr(async_pi, "_apply", recording)
     for inner in (partitioned(), random_fair(4)):
@@ -705,24 +708,54 @@ def test_long_delays_read_frozen_copies(monkeypatch):
     assert sum(late) > 10
 
 
+def test_evaluations_whose_guards_have_not_moved_are_skipped(monkeypatch, tmp_path):
+    """The counterexample game under ``delayed:B=4,inner=random:seed=3``, as
+    ``solve --algo async`` runs it.  ``run`` applies no evaluation whose
+    subset array, read version and own version are those its side's last
+    applied evaluation had (or its last improvement, where evaluations
+    repeat improvements): neither guard the kernel reads has moved.  The
+    run still ends where the functional step applying every step does,
+    trace included."""
+    path = str(tmp_path / "counterexample.json")
+    assert cli.main(["counterexample", "--out", path]) == 0
+    loaded = load_problem(path)
+    problem = separate_markov_game(loaded.model, split_beta(loaded.model, loaded.beta))
+    schedule = cli.parse_schedule("delayed:B=4,inner=random:seed=3")
+    memo, applied, apply = {}, [], async_pi._apply
+
+    def applying(problem, iterate, op, read):
+        side = side_of(op.kind)
+        own = iterate.one if side == 1 else iterate.two
+        evaluates = op.kind in (Kind.MIN_EVAL, Kind.MAX_EVAL)
+        if evaluates and side in memo:
+            subset, *versions = memo[side]
+            assert subset is not op.subset or versions != [read.version, own.version]
+        apply(problem, iterate, op, read)
+        applied.append(op)
+        if evaluates or problem.evals_repeat_improvements:
+            memo[side] = (op.subset, read.version, own.version)
+
+    monkeypatch.setattr(async_pi, "_apply", applying)
+    expected, rows = reference_run(problem, schedule, 1e-8, seed=0)
+    state, trace = run(problem, schedule, tol=1e-8, seed=0, trace_out=[])
+    assert_same_state(state, expected)
+    assert state.t == expected.t == len(rows) > len(applied)
+    assert list(map(repr, trace)) == list(map(repr, rows))
+
+
 class TestStopCheck:
     """The stop gate: the certificate's bound on J1 alone."""
 
     def test_plain_tables_gate_j1_alone(self, explicit_problem):
         problem, tol = explicit_problem, 1e-8
         exact = value_iterate(problem, tol=1e-14)
-        j2 = problem.t2_greedy(exact.j1)[0]
-        _, mu = problem.t1_greedy(j2)
-        _, nu = problem.t2_greedy(exact.j1)
-        state = AlgoState(exact.j1, exact.j1, j2, j2, PolicyPair(mu, nu), 0)
-        assert _converged(problem, state, tol)
+        assert _converged(problem, exact.j1, tol) is not None
         # a move m at one state moves T1(T2 J1) by 0 to alpha**2 m, so the
         # step's span and r are at least m (1 - alpha**2): the sup bound is
         # >= m and the span bound (g = alpha**2 here) >= alpha**2 m / 2
         m = 3 * tol / problem.alpha ** 2
-        moved = AlgoState(with_updates(exact.j1, [1], [exact.j1.values[1] + m]),
-                          exact.j1, j2, j2, PolicyPair(mu, nu), 0)
-        assert not _converged(problem, moved, tol)
+        moved = with_updates(exact.j1, [1], [exact.j1.values[1] + m])
+        assert _converged(problem, moved, tol) is None
 
     @pytest.mark.parametrize("name", ["explicit_problem", "markov_sep"])
     def test_run_answers_with_the_estimate_it_certified(self, name, request):
@@ -738,21 +771,20 @@ class TestStopCheck:
         assert bound <= tol and not np.array_equal(estimate.values, state.j1.values)
         assert np.array_equal(done.j1.values, estimate.values)
         assert done.t == state.t and done.j2.diff_bound(state.j2) == 0.0
-        assert bool(_converged(problem, state, tol))
-        assert not _converged(problem, async_pi.initial_state(problem), tol)
+        assert _converged(problem, state.j1, tol) is not None
+        assert _converged(problem, problem.zero1(), tol) is None
 
     def test_bundle_section_of_converged_envelope_passes(self, markov_sep):
+        """On a game J2 is an evaluated section that never matches V2, so
+        the check reads J1 alone, and a converged one passes."""
         problem, tol = markov_sep, 1e-8
         solved, _ = run(problem, round_robin(), tol=1e-13)
-        j1 = solved.j1
-        v2, nu = problem.t2_greedy(j1, solved.policies.mu)
+        v2, nu = problem.t2_greedy(solved.j1, solved.policies.mu)
         j2 = ColumnMaxTable(problem.space2, tuple(c[:, [k]] for c, k in zip(v2.cols, nu)))
-        _, mu = problem.t1_greedy(pointwise_max(v2, j2))
-        state = AlgoState(j1, j1, j2, v2, PolicyPair(mu, nu), 0)
-        assert all(c.shape == (problem.n, 1) for c in state.j2.cols)
+        assert all(c.shape == (problem.n, 1) for c in j2.cols)
         thr = tol * min(1.0, (1.0 - problem.alpha) / problem.alpha)
         assert j2.diff_norm(v2) > thr   # the section never matches its envelope
-        assert _converged(problem, state, tol)
+        assert _converged(problem, solved.j1, tol) is not None
 
 
 class TestCertificate:
