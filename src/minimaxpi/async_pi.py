@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PolicyPair, ValueTable, certify, check_floor, rounding_floor, sweep_certificate
+from .core import (PolicyPair, ValueTable, certify, check_floor, check_tol, rounding_floor,
+                   sweep_certificate)
 from .errors import MaxStepsExceeded
 
 DEFAULT_EVALS, DEFAULT_BLOCKS = 10, 4   # evaluations per improvement, partitioned blocks
@@ -432,6 +433,7 @@ def run(problem, schedule, tol=1e-8, max_steps=10**6, seed=0, trace_out=None):
     same-kind operations on disjoint blocks, applied against one snapshot
     or in turn, give exactly one full-space operation: ``round_robin``.
     """
+    check_tol(tol)
     tracing, staleness = trace_out is not None, schedule.staleness
     iterate = _Iterate(initial_state(problem))
     one, two = iterate.one, iterate.two

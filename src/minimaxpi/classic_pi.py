@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (_EVAL_SWEEPS, PolicyPair, ValueTable, _iterate, _sweep, check_floor,
-                   rounding_floor)
+                   check_tol, rounding_floor)
 from .matrix_game import solve_matrix_game
 from .models import DiscountedMarkovGame, stage_matrix
 
@@ -74,6 +74,7 @@ def hoffman_karp(problem, tol=1e-8, max_iters=10**4):
     ``_EVAL_SWEEPS`` sweeps.  ``values`` is the last sweep's estimate on
     convergence, else the last evaluated J1; ``residuals[k]`` is the k-th sweep's r.
     """
+    check_tol(tol)
     j1, residuals = problem.zero1(), []
     for t in range(1, max_iters + 1):
         estimate, bound, r, _, mu, floor = _sweep(problem, j1, None)
@@ -143,19 +144,11 @@ def pollatschek_avi_itzhak(game, tol=1e-8, max_iters=10**4, optimistic_k=None):
         return PolicyPair(mu, nu), ValueTable(game.space, new)
 
     per_norm = 4 * np.finfo(float).eps / (1.0 - game.contraction_factor())
+    check_tol(tol)
     _check_optimistic_k(optimistic_k)
     return _all_pairs("Pollatschek-Avi-Itzhak", step, ValueTable.zeros(game.space),
                       ValueTable.diff_norm, lambda j: per_norm * j.norm(),
                       tol, max_iters)
-
-
-def _joint_evaluate(problem, policies, tol, optimistic_k, j1, j2):
-    if optimistic_k is not None:
-        for _ in range(optimistic_k):
-            j1, j2 = (problem.t1_policy(policies.mu, j2),
-                      problem.t2_policy(policies.nu, j1))
-        return j1, j2
-    return problem.joint_policy_fixed_point(policies, tol, j1)
 
 
 def naive_separated_pi(problem, tol=1e-8, max_iters=10**4, optimistic_k=None):
@@ -172,11 +165,16 @@ def naive_separated_pi(problem, tol=1e-8, max_iters=10**4, optimistic_k=None):
         _, mu = problem.t1_greedy(j2)
         _, nu = problem.t2_greedy(j1, mu)
         policies = PolicyPair(mu, nu)
-        return policies, _joint_evaluate(problem, policies, tol / 10, optimistic_k, j1, j2)
+        if optimistic_k is None:
+            return policies, problem.joint_policy_fixed_point(policies, tol / 10, j1)
+        for _ in range(optimistic_k):
+            j1, j2 = problem.t1_policy(mu, j2), problem.t2_policy(nu, j1)
+        return policies, (j1, j2)
 
     def dist(a, b):
         return max(a[0].diff_bound(b[0]), a[1].diff_bound(b[1]))
 
+    check_tol(tol)
     _check_optimistic_k(optimistic_k)
     return _all_pairs("naive policy iteration", step, (problem.zero1(), problem.zero2()),
                       dist, lambda tables: rounding_floor(problem, tables[0].norm()),

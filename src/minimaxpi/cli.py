@@ -352,7 +352,7 @@ def main(argv=None):
     except (MaxItersExceeded, MaxStepsExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MAX_ITERS
-    except MinimaxPIError as exc:
+    except (MinimaxPIError, OSError) as exc:   # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -190,10 +190,10 @@ class HalfStageProblem:
         return self.table2(entries), nu
 
     def joint_policy_fixed_point(self, policies, tol=1e-10, j1=None):
-        """Tables ``(j1, T2^nu j1)`` of a fixed policy pair, j1 by :func:`policy_pair_value`
-        from j1 (zero by default), certified within ``tol`` or ended at the
+        """Tables ``(j1, T2^nu j1)`` of a fixed policy pair, j1 by :func:`policy_pair_value`'s
+        loop from j1 (zero by default), certified within ``tol`` or ended at the
         rounding floor if that exceeds tol, as Hoffman-Karp's evaluations end."""
-        j1 = policy_pair_value(self, policies, tol, j1_0=j1, floor_ends=True)
+        j1 = _iterate(self, j1, tol, _EVAL_SWEEPS, policies, floor_ends=True).j1
         return j1, self.t2_policy(policies.nu, j1)
 
 
@@ -487,10 +487,19 @@ def check_floor(loop, step, bound, tol, r, floor, table="J1"):
                                f"{table} by {r:.3e}, no more than the floor")
 
 
+def check_tol(tol):
+    """Refuse a tol no bound can meet (zero, negative or NaN) or every bound
+    meets (inf): the check each solver makes once, at its entry."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _iterate(problem, j1, tol, max_iters, policies, floor_ends=False):
-    """The loop of :func:`value_iterate`, :func:`policy_pair_value` and
-    Hoffman-Karp's evaluation, returning a :class:`VIResult`; kept apart
-    so that a hook or profiler on any of them sees only its own calls.
+    """The loop of :func:`value_iterate`, :func:`policy_pair_value` and the
+    policy evaluations of Hoffman-Karp and ``joint_policy_fixed_point``,
+    returning a :class:`VIResult`; kept apart so that a hook or profiler on
+    any of them sees only its own calls.  ``tol`` is not checked here: each
+    solver checks the tol it was given once (:func:`check_tol`).
 
     The bound never falls below its r-free rounding part, the floor
     ``4 eps |J1| / (1 - max(g, alpha**2))``.  Once that floor exceeds tol
@@ -498,8 +507,6 @@ def _iterate(problem, j1, tol, max_iters, policies, floor_ends=False):
     as when J1 repeats or wanders by a few ulps), sweeping on cannot
     certify tol: :func:`check_floor` raises at once or, with ``floor_ends``,
     the result is returned there, its bound above tol."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     j1 = problem.zero1() if j1 is None else j1
     residuals, bound = [], np.inf   # the message's bound when max_iters < 1
     for k in range(1, max_iters + 1):
@@ -522,11 +529,13 @@ def value_iterate(problem, tol=1e-8, max_iters=10**6):
     ``ValueError`` unless ``0 < tol < inf`` and :class:`MaxItersExceeded`
     when the budget runs out or the floor holds the bound (:func:`check_floor`).
     """
+    check_tol(tol)
     return _iterate(problem, None, tol, max_iters, None)
 
 
-def policy_pair_value(problem, policies, tol=1e-10, j1_0=None, floor_ends=False):
+def policy_pair_value(problem, policies, tol=1e-10):
     """The minimizer table of a fixed policy pair: :func:`value_iterate`'s loop
-    on ``T1^mu(T2^nu J1)``, which shifts by the same g, from ``j1_0`` (zero by
-    default) within ``_EVAL_SWEEPS`` sweeps; ``floor_ends`` is :func:`_iterate`'s."""
-    return _iterate(problem, j1_0, tol, _EVAL_SWEEPS, policies, floor_ends).j1
+    on ``T1^mu(T2^nu J1)``, which shifts by the same g, from zero within
+    ``_EVAL_SWEEPS`` sweeps."""
+    check_tol(tol)
+    return _iterate(problem, None, tol, _EVAL_SWEEPS, policies).j1

@@ -27,7 +27,7 @@ from itertools import chain, compress
 import numpy as np
 
 from .core import (_MASS_SLACK, HalfStage, HalfStageProblem, PolicyPair, TabularProblem,
-                   ValueTable, VIResult, WeightedSpace, span_bound)
+                   ValueTable, VIResult, WeightedSpace, check_tol, span_bound)
 from .errors import InputFieldError, InvalidBeta, MaxItersExceeded, NonContractive
 from .matrix_game import _TIE, min_simplex_max_linear, solve_matrix_game
 
@@ -144,10 +144,18 @@ class DiscountedMarkovGame:
         a = np.asarray(self.payoffs, dtype=float)
         q = np.asarray(self.transitions, dtype=float)
         if a.ndim != 3:
-            raise ValueError("payoffs must have shape (states, n, m)")
+            raise InputFieldError("payoffs", "must be [state][row][col]")
         s, n, m = a.shape
         if q.shape != (s, n, m, s):
-            raise ValueError("transitions must have shape (states, n, m, states)")
+            raise InputFieldError("transitions", "must be [state][row][col][next]")
+        space = WeightedSpace.unit(s)
+        if self.weights is not None:
+            try:
+                space = WeightedSpace(s, self.weights)
+            except ValueError as exc:
+                raise InputFieldError("weights", str(exc), prefix=False) from exc
+            object.__setattr__(self, "weights", space.weights)
+        object.__setattr__(self, "space", space)
         sums = q.sum(axis=3)
         off = np.abs(sums - 1.0)
         if not self.terminating and not np.all(off <= _PROB_TOL):   # NaN sums fail too
@@ -163,11 +171,6 @@ class DiscountedMarkovGame:
         off_one = np.max(off)
         if self.terminating and np.max(sums) > 1.0 + _PROB_TOL:
             raise ValueError("terminating rows must sum to at most 1")
-        space = (WeightedSpace.unit(s) if self.weights is None
-                 else WeightedSpace(s, self.weights))
-        object.__setattr__(self, "space", space)
-        if self.weights is not None:
-            object.__setattr__(self, "weights", space.weights)
         object.__setattr__(self, "_shift", self.alpha if off_one <= _MASS_SLACK else None)
         mass = (q * space.weights).sum(axis=3) / space.weights[:, None, None]
         object.__setattr__(self, "_modulus", self.alpha * float(np.max(mass)))
@@ -209,6 +212,7 @@ def shapley_value_iteration(game, tol=1e-8, max_iters=10**6):
     for a sweep moving them by d (``a`` the game's modulus) or
     :func:`span_bound`'s, with that bound as ``error_bound``.
     """
+    check_tol(tol)
     xi, g, a = game.space.weights, game.shift(), game.contraction_factor()
     per_step = a / (1.0 - a) if a < 1.0 else np.inf   # sup-norm error per unit of step
     j, residuals = np.zeros(game.state_count), []

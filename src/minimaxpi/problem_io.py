@@ -1,17 +1,17 @@
-"""Problem-file loading, validation, and canonical saving.
+"""Problem-file loading and canonical saving.
 
 Files are versioned JSON.  Four kinds are supported: discounted and
 terminating Markov games, alternating-move control models, and minimax
-control with optional finite stochastic disturbances.  Loading validates
-every invariant with the offending field in the error message;
-terminating games additionally pass a contraction screen.  Saving is
+control with optional finite stochastic disturbances.  Saving is
 canonical (sorted keys, repr-exact floats), so load/save round-trips are
 byte-identical.
 
-The file's lists go to the model constructors as parsed.  Separated and
-control models read them into flat arrays in one pass and check each
-invariant with one array expression over all entries, naming the first
-bad entry in the order a walk over the lists would meet it.
+The models check their own invariants.  The loader checks JSON types,
+turns list fields into arrays (refusing a ragged one), names the field a
+model refuses by its ``$.`` path, and screens terminating games for
+contraction.  Separated and control models read their lists into flat
+arrays in one pass and check each invariant with one array expression,
+naming the first bad entry in the order a walk over the lists meets it.
 """
 
 import json
@@ -50,25 +50,18 @@ def _get(obj, key, path, expected=None, optional=False):
     return value
 
 
-def _numbers(raw, key, path):
-    """``raw`` as a float array, or refused at ``path.key`` if it is ragged
-    or holds something other than numbers, in place of numpy's error."""
+def _numbers(payload, key, path, optional=False):
+    """List field ``key`` as a float array (None if optional and absent),
+    refused at ``path.key`` if it is ragged or holds something other than
+    numbers, in place of numpy's error."""
+    raw = _get(payload, key, path, list, optional)
+    if raw is None:
+        return None
     try:
         return np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{key} must be a rectangular list of numbers",
                               f"{path}.{key}") from exc
-
-
-def _weights(payload, key, size, path):
-    raw = payload.get(key)
-    if raw is None:
-        return None
-    w = _numbers(raw, key, path)
-    if w.shape != (size,) or not np.all((w > 0) & (w < np.inf)):
-        raise ValidationError("weights must be positive and finite, one per state",
-                              f"{path}.{key}")
-    return w
 
 
 def _build(path, model, *args, **kwargs):
@@ -84,15 +77,9 @@ def _build(path, model, *args, **kwargs):
 
 def _load_markov_game(payload, terminating, path):
     alpha = _get(payload, "alpha", path, (int, float))
-    payoffs = _numbers(_get(payload, "payoffs", path, list), "payoffs", path)
-    transitions = _numbers(_get(payload, "transitions", path, list), "transitions", path)
-    if payoffs.ndim != 3:
-        raise ValidationError("payoffs must be [state][row][col]", f"{path}.payoffs")
-    s = payoffs.shape[0]
-    if transitions.shape != payoffs.shape + (s,):
-        raise ValidationError("transitions must be [state][row][col][next]",
-                              f"{path}.transitions")
-    weights = _weights(payload, "weights", s, path)
+    payoffs = _numbers(payload, "payoffs", path)
+    transitions = _numbers(payload, "transitions", path)
+    weights = _numbers(payload, "weights", path, optional=True)
     game = _build(path, DiscountedMarkovGame, payoffs, transitions, float(alpha),
                   terminating=terminating, weights=weights)
     if terminating:
@@ -105,23 +92,20 @@ def _load_markov_game(payload, terminating, path):
 
 def _space(payload, key, size, path):
     """The space of ``size`` states, weighted by ``key`` if the file gives it."""
-    weights = _weights(payload, key, size, path)
+    weights = _numbers(payload, key, path, optional=True)
     if weights is None:
         return _build(path, WeightedSpace.unit, size)
-    return _build(path, WeightedSpace, size, weights)
+    return _build(f"{path}.{key}", WeightedSpace, size, weights)
 
 
 def _load_separated_model(payload, path):
     alpha = float(_get(payload, "alpha", path, (int, float)))
     size1 = int(_get(payload, "size1", path, int))
     size2 = int(_get(payload, "size2", path, int))
-    fields = {}
-    for key in ("next1", "cost1", "next2", "cost2"):
-        fields[key] = _get(payload, key, path, list)
+    lists = [_get(payload, key, path, list) for key in ("next1", "cost1", "next2", "cost2")]
     space1 = _space(payload, "weights1", size1, path)
     space2 = _space(payload, "weights2", size2, path)
-    return _build(path, SeparatedMinimaxModel, space1, space2, fields["next1"],
-                  fields["cost1"], fields["next2"], fields["cost2"], alpha)
+    return _build(path, SeparatedMinimaxModel, space1, space2, *lists, alpha)
 
 
 def _load_minimax_control(payload, path):

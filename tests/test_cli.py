@@ -229,6 +229,40 @@ RECORDED_ERRORS = {
     "game-negative-probability": (
         game_with([[[1.0]], [[0.0]]], [[[[1.5, -0.5]]], [[[0.0, 1.0]]]]),
         "$: transition probabilities must be nonnegative"),
+    # recorded from the loader's own shape checks, before the game held them
+    "game-2d-payoffs-and-weights": (
+        game_with([[1.0, 0.0]], [[[[1.0]]]], weights=[-1.0]),
+        "$.payoffs: payoffs must be [state][row][col]"),
+    "game-transitions-shape-and-alpha": (
+        game_with([[[1.0]], [[0.0]]], [[[[1.0]]], [[[1.0]]]], alpha=1.5),
+        "$.transitions: transitions must be [state][row][col][next]"),
+}
+
+# Weight faults, which the loader refused with its own text before the
+# models' checks; each now has the text of the space's check, under the
+# weights field's path, ahead of the model's other checks.  Weights that
+# are not a list are refused as a JSON type, as payoffs are: a bare number
+# would otherwise weigh a one-state space.
+POSITIVE = "norm weights must be finite and strictly positive"
+WEIGHT_ERRORS = {
+    "game-negative-weight": (
+        game_with([[[1.0]], [[0.0]]], [[[[1.0, 0.0]]], [[[0.0, 1.0]]]], weights=[1.0, -2.0]),
+        f"$.weights: {POSITIVE}"),
+    "game-too-few-weights": (
+        game_with([[[1.0]], [[0.0]]], [[[[1.0, 0.0]]], [[[0.0, 1.0]]]], weights=[1.0]),
+        "$.weights: need one weight per state"),
+    "game-weight-then-row-sum": (
+        game_with([[[1.0]], [[0.0]]], [[[[1.0, 0.0]]], [[[0.0, 0.5]]]], weights=[0.0, 1.0]),
+        f"$.weights: {POSITIVE}"),
+    "sep-negative-weight": (separated_with(weights1=[1.0, -1.0]), f"$.weights1: {POSITIVE}"),
+    "sep-too-few-weights": (separated_with(weights2=[1.0]),
+                            "$.weights2: need one weight per state"),
+    "sep-weight-then-cost": (separated_with(weights2=[INF, 1.0], cost1=[[NAN, 0.0], [0.5]]),
+                             f"$.weights2: {POSITIVE}"),
+    "ctl-negative-weight": (control_with(weights=[-1.0, 1.0]), f"$.weights: {POSITIVE}"),
+    "ctl-too-few-weights": (control_with(weights=[1.0]), "$.weights: need one weight per state"),
+    "game-number-for-weights": (game_with([[[1.0]]], [[[[1.0]]]], weights=2.0),
+                                "$.weights: expected <class 'list'>"),
 }
 
 NOT_TRIPLES = "must be a list of [probability, cost, next] triples"
@@ -501,6 +535,11 @@ class TestLoadProblem:
         payload, line = RECORDED_ERRORS[case]
         assert solve_exit_and_stderr(tmp_path, payload) == (1, "", f"error: {line}\n")
 
+    @pytest.mark.parametrize("case", WEIGHT_ERRORS)
+    def test_weight_fault_has_the_spaces_message(self, tmp_path, case):
+        payload, line = WEIGHT_ERRORS[case]
+        assert solve_exit_and_stderr(tmp_path, payload) == (1, "", f"error: {line}\n")
+
     @pytest.mark.parametrize("case", MENDED_ERRORS)
     def test_file_outside_the_format_exits_1_naming_the_fault(self, tmp_path, case):
         payload, line = MENDED_ERRORS[case]
@@ -598,6 +637,24 @@ class TestSolveCommand:
                          "--max-steps", "10"])
         capsys.readouterr()
         assert code == 3
+
+    @pytest.mark.parametrize("command, option", [
+        (["solve", "--algo", "vi"], "--out"), (["solve", "--algo", "async"], "--trace"),
+        (["compare", "--algos", "vi,hk"], "--out"), (["aggregate-solve"], "--out"),
+        (["counterexample"], "--out")], ids=["solve-out", "solve-trace", "compare-out",
+                                             "aggregate-solve-out", "counterexample-out"])
+    def test_unwritable_output_exits_1_with_one_error_line(self, tmp_path, capsys, command,
+                                                           option):
+        path = tmp_path / "sep.json"
+        save_problem(two_state_separated_payload(
+            aggregation={"reps1": [0, 1], "reps2": [0, 1]}), path)
+        problem = [] if command[0] == "counterexample" else [str(path)]
+        code = cli.main([command[0], *problem, *command[1:],
+                         option, str(tmp_path / "missing" / "out.csv")])
+        *notes, last = capsys.readouterr().err.splitlines()
+        assert code == cli.EXIT_ERROR
+        assert last.startswith("error: [Errno 2] No such file or directory: ")
+        assert all(line.startswith("# ") for line in notes)
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from minimaxpi.async_pi import round_robin, run
+from minimaxpi.classic_pi import hoffman_karp, naive_separated_pi, pollatschek_avi_itzhak
 from minimaxpi.core import (HalfStage, SeparatedProblem, ValueTable, WeightedSpace,
                             _iterate, policy_pair_value, value_iterate)
 from minimaxpi.errors import MaxItersExceeded
@@ -16,7 +18,7 @@ from instruments import (DegeneratePair, action_counts, action_mask, check_monot
 from minimaxpi.aggregation import (AggregationProbabilities, RepresentativeSets,
                                    build_aggregate, default_probabilities)
 from minimaxpi.models import (minimax_control_to_problem, separate_markov_game,
-                              separated_model_to_problem)
+                              separated_model_to_problem, shapley_value_iteration)
 
 
 def table(values, weights=None):
@@ -322,12 +324,19 @@ class TestValueIterate:
         for max_iters in (0, -1):
             with pytest.raises(MaxItersExceeded):
                 value_iterate(problem, max_iters=max_iters)
-        # a tol no bound can meet is refused before any sweep
+        # a tol no bound can meet, or every bound meets, is refused before
+        # any sweep, by every solver and in the words it was given
+        game = random_markov_game(np.random.default_rng(0), 2, 2, 2)
         for tol in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                value_iterate(problem, tol=tol)
-            with pytest.raises(ValueError):
-                policy_pair_value(problem, pair, tol=tol)
+            for solve in (lambda: value_iterate(problem, tol=tol),
+                          lambda: policy_pair_value(problem, pair, tol=tol),
+                          lambda: hoffman_karp(problem, tol=tol),
+                          lambda: naive_separated_pi(problem, tol=tol),
+                          lambda: run(problem, round_robin(), tol=tol),
+                          lambda: pollatschek_avi_itzhak(game, tol=tol),
+                          lambda: shapley_value_iteration(game, tol=tol)):
+                with pytest.raises(ValueError, match=re.escape(f"got {tol!r}")):
+                    solve()
 
     def test_tol_below_the_rounding_floor_raises_at_once(self):
         """A sweep that maps J1 onto itself bit for bit repeats forever, so a

@@ -4,7 +4,7 @@ import pytest
 from minimaxpi import async_pi
 from minimaxpi.async_pi import round_robin, run
 from minimaxpi.core import value_iterate
-from minimaxpi.errors import InvalidBeta, NonContractive
+from minimaxpi.errors import InputFieldError, InvalidBeta, NonContractive
 from minimaxpi.models import (ColumnMaxTable, DiscountedMarkovGame, MinimaxControlModel,
                               minimax_control_to_problem, separate_markov_game,
                               separated_model_to_problem, shapley_value_iteration,
@@ -416,6 +416,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscountedMarkovGame(np.zeros((2, 2, 2)), np.full((2, 2, 2, 2), 0.5), 0.9,
                                  weights=np.array(weights))
+
+    @pytest.mark.parametrize("payoffs, transitions, weights, field, message", [
+        (np.zeros((2, 2)), np.ones((2, 2, 2)), None, "payoffs",
+         "payoffs must be [state][row][col]"),
+        (np.zeros((2, 2, 2)), np.full((2, 2, 2, 3), 0.5), [-1.0, 1.0], "transitions",
+         "transitions must be [state][row][col][next]"),
+        (np.zeros((2, 2, 2)), np.full((2, 2, 2, 2), 0.5), [1.0, -1.0], "weights",
+         "norm weights must be finite and strictly positive"),
+        (np.zeros((2, 2, 2)), np.full((2, 2, 2, 2), 0.9), [1.0], "weights",
+         "need one weight per state"),
+    ], ids=["2d-payoffs", "transitions-shape-and-weights", "negative-weight",
+            "too-few-weights-and-row-sums"])
+    def test_game_fault_names_its_array(self, payoffs, transitions, weights, field, message):
+        """Shapes first, then weights (the space's own message), then the rows."""
+        with pytest.raises(InputFieldError) as info:
+            DiscountedMarkovGame(payoffs, transitions, 0.9, weights=weights)
+        assert (info.value.field, str(info.value)) == (field, message)
 
     def test_game_space_built_once(self):
         game = DiscountedMarkovGame(np.zeros((2, 2, 2)), np.full((2, 2, 2, 2), 0.5), 0.9,

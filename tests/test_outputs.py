@@ -1,9 +1,12 @@
-"""Every benchmark request answers byte for byte as the committed manifest says.
+"""Every benchmark request, and every extra request of
+``tools/same_outputs.py``, answers byte for byte as the committed manifest
+says.
 
 The test regenerates the seed-3 files of both benchmark workloads and the
 counterexample in a temporary directory, runs the ``counterexample``
-command and every benchmark request through ``cli.main`` in process, and
-compares a SHA-256 of each request's exit code, stdout, stderr and output
+command, every benchmark request and the tool's ``EXTRA`` requests (the
+CLI paths the benchmark does not take) through ``cli.main`` in process,
+and compares a SHA-256 of each request's exit code, stdout, stderr and output
 files with ``outputs_manifest.json``.  A change that moves an output on
 purpose rewrites the manifest with
 ``python3 tools/same_outputs.py --manifest tests/outputs_manifest.json``

@@ -19,9 +19,9 @@ each side, and exits 1 if any differ.  A request whose outputs match is
 printed too where those counts differ.
 
 With ``--manifest PATH`` it runs this checkout alone at ``MANIFEST_SEED``,
-on the counterexample and the benchmark requests (not ``EXTRA``), and
-writes a SHA-256 of each request's exit code, stdout, stderr and output
-files, with the numpy version, Python version and platform it ran under.
+on the same requests, and writes a SHA-256 of each request's exit code,
+stdout, stderr and output files, with the numpy version, Python version
+and platform it ran under.
 """
 
 import argparse
@@ -101,9 +101,9 @@ def _run_request(cli, argv, outputs):
 
 def benchmark_results(seed):
     """Write the counterexample and both workloads' files at ``seed`` into
-    the current directory and run the counterexample command and every
-    benchmark request: ``{request name: _run_request's record}``.  Needs
-    ``minimaxpi`` and perfbench's ``workloads`` importable."""
+    the current directory and run the counterexample command, every
+    benchmark request and then ``EXTRA``: ``{request name: _run_request's
+    record}``.  Needs ``minimaxpi`` and perfbench's ``workloads`` importable."""
     from minimaxpi import cli
 
     import workloads
@@ -113,6 +113,9 @@ def benchmark_results(seed):
     for name in WORKLOADS:
         for request in workloads.BUILDERS[name](seed, ".").requests:
             results[request.name] = _run_request(cli, request.argv, request.outputs)
+    for name, path, command, options, outputs in EXTRA:
+        argv = (command, os.path.join(".", path), *options, "--tol", repr(workloads.TOL))
+        results[name] = _run_request(cli, argv, outputs)
     return results
 
 
@@ -142,18 +145,11 @@ def child(root, seed, mode):
     sys.dont_write_bytecode = True   # leave both trees as they are
     sys.path.insert(0, os.path.join(root, "src"))
     sys.path.insert(0, os.path.join(HERE, "perfbench"))
-    from minimaxpi import cli
-
-    import workloads
-
     results = benchmark_results(seed)
     if mode == "manifest":
         json.dump({"seed": seed, "environment": environment(),
                    "requests": manifest(results)}, sys.stdout, indent=1, sort_keys=True)
         return
-    for name, path, command, options, outputs in EXTRA:
-        argv = (command, os.path.join(".", path), *options, "--tol", repr(workloads.TOL))
-        results[name] = _run_request(cli, argv, outputs)
     json.dump(results, sys.stdout)
 
 
